@@ -1,23 +1,20 @@
 """Kernel backends head to head: python reference vs numpy flat-array.
 
-PR 9 put the three hot loops behind ``PartSJConfig(backend=...)``: the
-probe/bucket-window walk (``repro.kernels.probe``), the partition span
-fills (``repro.kernels.partition``) and the tau-banded Zhang-Shasha DP
-(``repro.kernels.ted``).  This benchmark measures each kernel against
-its pure-python reference, and the two backends end to end, on a
-duplicate-heavy clustered workload (the dedup-dominated regime the probe
-kernel targets):
+PR 9 put two hot loops behind ``PartSJConfig(backend=...)``: the
+probe/bucket-window walk (``repro.kernels.probe``) and the partition
+span fills (``repro.kernels.partition``).  This benchmark measures each
+kernel against its pure-python reference, and the two backends end to
+end, on a duplicate-heavy clustered workload (the dedup-dominated regime
+the probe kernel targets):
 
 - both backends must return *bit-identical* results — same pairs, same
   distances, same candidate counts (the cross-backend test matrix in
   ``tests/kernels/`` property-tests the same contract);
 - the committed snapshot ``BENCH_PR9.json`` records the measured
   end-to-end and per-kernel ratios **honestly**: on CPython + numpy the
-  end-to-end ratio is ~1x at tau <= 3 — verification dominates and the
-  banded DP's 2*tau+1-cell rows are far below numpy's dispatch
-  break-even (measured 0.05-0.15x for the row-sliced vector DP at every
-  band up to 289), so ``BandedTed`` keeps those calls scalar and the
-  numpy win is confined to probe windows of ~a hundred entries or more;
+  end-to-end ratio is ~1x at tau <= 3 — verification (always scalar)
+  dominates, and the numpy win is confined to probe windows of ~a
+  hundred entries or more;
 - ``python benchmarks/bench_kernels.py --snapshot`` regenerates the
   snapshot; the CI kernels-smoke job guards against regressions with
   ratios, not absolute seconds: the live numpy/python end-to-end ratio
@@ -39,7 +36,6 @@ from repro.kernels import numpy_available
 
 SNAPSHOT_PATH = Path(__file__).parent.parent / "BENCH_PR9.json"
 TAUS = (1, 2, 3)
-TED_TAUS = (1, 3, 8)
 REPEATS = 3
 
 pytestmark = pytest.mark.skipif(
@@ -151,52 +147,6 @@ def measure_probe(trees, tau=2, repeats=REPEATS):
     }
 
 
-def measure_ted(taus=TED_TAUS, pairs=12, size=40):
-    """The vector DP forced on (crossover pinned to 0) vs the scalar DP."""
-    import repro.kernels.ted as kted
-    from repro.kernels.ted import BandedTed
-    from repro.ted.cutoff import zhang_shasha_bounded
-    from repro.tree.edits import random_script
-    from repro.tree.node import Tree, TreeNode
-
-    rng = random.Random(17)
-    labels = list("abcd")
-    sample = []
-    for _ in range(pairs):
-        root = TreeNode(rng.choice(labels))
-        nodes = [root]
-        for _ in range(size - 1):
-            nodes.append(
-                rng.choice(nodes).add_child(TreeNode(rng.choice(labels)))
-            )
-        a = Tree(root)
-        b, _ = random_script(a, rng.randint(1, 3), rng, labels)
-        sample.append((a, b))
-
-    saved = kted.NUMPY_TED_MIN_BAND
-    kted.NUMPY_TED_MIN_BAND = 0
-    banded = BandedTed()
-    out = {}
-    try:
-        for tau in taus:
-            t0 = time.perf_counter()
-            ref = [zhang_shasha_bounded(a, b, tau) for a, b in sample]
-            t_py = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            got = [banded(a, b, tau) for a, b in sample]
-            t_np = time.perf_counter() - t0
-            assert ref == got, f"tau={tau}: TED kernels disagree"
-            out[tau] = {
-                "band": 2 * tau + 1,
-                "python_ms": round(t_py * 1000, 2),
-                "numpy_ms": round(t_np * 1000, 2),
-                "ratio": round(t_py / max(t_np, 1e-9), 3),
-            }
-    finally:
-        kted.NUMPY_TED_MIN_BAND = saved
-    return out
-
-
 def measure_partition(tau=2, count=40, size=60):
     from repro.core.partition import extract_partition
     from repro.core.treecache import TreeCache
@@ -232,7 +182,7 @@ def measure_partition(tau=2, count=40, size=60):
     }
 
 
-def render(end_to_end, probe, ted, partition) -> str:
+def render(end_to_end, probe, partition) -> str:
     lines = ["== kernels: python reference vs numpy backend =="]
     for tau, m in end_to_end.items():
         lines.append(
@@ -244,12 +194,6 @@ def render(end_to_end, probe, ted, partition) -> str:
         f"probe phase tau={probe['tau']}: python {probe['python_s']:.3f}s "
         f"numpy {probe['numpy_s']:.3f}s ({probe['ratio']:.2f}x)"
     )
-    for tau, m in ted.items():
-        lines.append(
-            f"banded TED tau={tau} (band {m['band']}): "
-            f"python {m['python_ms']:.1f}ms numpy {m['numpy_ms']:.1f}ms "
-            f"({m['ratio']:.2f}x, vector path forced)"
-        )
     lines.append(
         f"partition delta={partition['delta']}: "
         f"python {partition['python_ms']:.1f}ms "
@@ -264,11 +208,10 @@ def test_backends_bit_identical_end_to_end(kernels_workload, scale,
 
     end_to_end = measure_end_to_end(kernels_workload, repeats=2)
     probe = measure_probe(kernels_workload, repeats=2)
-    ted = measure_ted()
     partition = measure_partition()
     save_and_print(
         results_dir, "kernels", scale,
-        render(end_to_end, probe, ted, partition) + "\n",
+        render(end_to_end, probe, partition) + "\n",
     )
 
 
@@ -299,7 +242,6 @@ def write_snapshot() -> dict:
     trees = make_kernels_workload(count)
     end_to_end = measure_end_to_end(trees)
     probe = measure_probe(trees)
-    ted = measure_ted()
     partition = measure_partition()
     snapshot = {
         "description": (
@@ -317,27 +259,22 @@ def write_snapshot() -> dict:
         "end_to_end": {str(tau): m for tau, m in end_to_end.items()},
         "kernels": {
             "probe": probe,
-            "banded_ted_vector_forced": {
-                str(tau): m for tau, m in ted.items()
-            },
             "partition": partition,
         },
         "caveats": [
             "Single-CPU container; ratios are wall-clock best-of-3 on one "
             "core and carry run-to-run noise of a few percent.",
-            "End-to-end ratios are ~1x at tau <= 3: verification dominates "
-            "these workloads and BandedTed intentionally runs those bands "
-            "scalar (the row-sliced vector DP measured 0.05-0.15x at every "
-            "band up to 289 - per-row ufunc dispatch dominates narrow "
-            "rows), so the numpy backend's win is confined to probe "
-            "windows of ~a hundred entries or more.",
+            "End-to-end ratios are ~1x at tau <= 3: verification, which "
+            "has no numpy variant, dominates these workloads, so the numpy "
+            "backend's win is confined to probe windows of ~a hundred "
+            "entries or more.",
             "Both backends are bit-identical on every measurement here and "
             "under the tests/kernels/ matrix; the backend choice is a "
             "speed knob only.",
         ],
     }
     SNAPSHOT_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
-    print(render(end_to_end, probe, ted, partition))
+    print(render(end_to_end, probe, partition))
     print(f"wrote {SNAPSHOT_PATH}")
     return snapshot
 

@@ -37,30 +37,9 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
-# Trees per scale for the verification microbenchmark's standard synthetic
-# workload (bench_micro_verify.py): the unbounded baseline pays a full
-# Zhang-Shasha per window pair, so the counts stay modest.
-VERIFY_WORKLOAD_COUNTS = {"smoke": 48, "small": 72, "medium": 120}
-
-
-@pytest.fixture(scope="session")
-def verify_workload(scale):
-    """Clustered synthetic trees for verify-phase microbenchmarks.
-
-    Returned as a plain list; benchmarks derive their candidate pairs
-    (size-window pairs) per tau from it.
-    """
-    from repro.datasets.synthetic import SyntheticParams, generate_forest
-
-    count = VERIFY_WORKLOAD_COUNTS.get(scale.name, 72)
-    return generate_forest(
-        count, SyntheticParams(avg_size=50, cluster_size=4), seed=1105
-    )
-
-
 # Trees per scale for the candidate-generation microbenchmark
 # (bench_micro_probe.py): probing and inserting are cheap per tree, so the
-# counts can be larger than the verify workload's.
+# counts stay in the hundreds.
 PROBE_WORKLOAD_COUNTS = {"smoke": 250, "small": 400, "medium": 600}
 # Shape and seed of the probe workload.  The BENCH_PR2.json snapshot is
 # recorded on this exact definition (at smoke count), so the CI guard
@@ -72,9 +51,9 @@ PROBE_WORKLOAD_SEED = 1105
 def make_probe_workload(count: int):
     """The standard candidate-generation workload at a given tree count.
 
-    Larger, bushier trees than the verify workload: candidate generation
-    cost scales with node count, and the big-tree regime is where the
-    paper's probe/insert machinery (not TED) dominates the join.
+    Large, bushy trees: candidate generation cost scales with node
+    count, and the big-tree regime is where the paper's probe/insert
+    machinery (not TED) dominates the join.
     """
     from repro.datasets.synthetic import SyntheticParams, generate_forest
 

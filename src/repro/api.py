@@ -184,10 +184,10 @@ baseline joins (``str_join(..., backend="numpy")``).  The contract:
   ``JoinStats.extra["backend"]`` (always the resolved ``"python"`` or
   ``"numpy"``, never ``"auto"``) and in ``QueryPlan.explain()`` under
   ``"filter"``; the CLI exposes ``join --backend``.
-- Three kernels are swapped in: the candidate-probe walk over the
-  two-layer index (:mod:`repro.kernels.probe`), the partition span
-  fills (:mod:`repro.kernels.partition`), and the tau-banded
-  Zhang–Shasha verification DP (:mod:`repro.kernels.ted`).  Session
+- Two kernels are swapped in: the candidate-probe walk over the
+  two-layer index (:mod:`repro.kernels.probe`) and the partition span
+  fills (:mod:`repro.kernels.partition`).  Verification always runs the
+  pure-python tau-banded DP.  Session
   caches (result cache, per-tau preparations) key on the backend, so
   switching backends never serves the other backend's artifacts —
   though their contents would be identical anyway.

@@ -24,9 +24,9 @@ cheap-to-expensive pipeline:
    traversal-string bound: any bound ``> tau`` rejects the pair with no
    DP at all (counter ``lb_filtered``).
 3. **tau-banded exact DP**: survivors run
-   :func:`repro.ted.cutoff.zhang_shasha_bounded`, which fills only the
-   ``2*tau + 1`` diagonals of each keyroot forest DP and abandons the
-   computation as soon as no cell can recover (counter
+   :func:`repro.ted.cutoff.zhang_shasha_bounded`, which visits only the
+   keyroot pairs and forest cells within the tau-strip and abandons a
+   keyroot pair as soon as no cell can recover (counter
    ``ted_early_exits`` when the ``> tau`` sentinel comes back).
 
 The per-tree feature vectors (:class:`TreeFeatures`) and Zhang–Shasha
@@ -309,13 +309,10 @@ class Verifier:
         different thresholds; the accepted pairs and distances are
         unaffected.
     backend:
-        Kernel backend for the tau-banded DP: ``"python"`` (the
-        reference :func:`~repro.ted.cutoff.zhang_shasha_bounded`),
-        ``"numpy"`` (:class:`repro.ted` rows vectorized via
-        :class:`repro.kernels.ted.BandedTed`, which itself falls back to
-        the scalar DP below its band-width crossover) or ``"auto"``.
-        Accepted pairs and reported distances are identical either way;
-        :attr:`backend` holds the resolved name for stats reporting.
+        The join's kernel backend (``"python"``, ``"numpy"`` or
+        ``"auto"``), resolved and validated here so :attr:`backend`
+        reports the probe/partition backend in stats.  Verification
+        itself always runs :func:`~repro.ted.cutoff.zhang_shasha_bounded`.
     """
 
     def __init__(
@@ -343,12 +340,6 @@ class Verifier:
         from repro.params import check_backend
 
         self.backend = resolve_backend(check_backend(backend))
-        if self.backend == "numpy":
-            from repro.kernels.ted import BandedTed
-
-            self._bounded = BandedTed()
-        else:
-            self._bounded = zhang_shasha_bounded
         if caches is None:
             caches = VerifierCaches()
         self._annotated = caches.annotated
@@ -425,7 +416,7 @@ class Verifier:
                 self.stats_ub_accepted += 1
                 if not self._exact_distances:
                     return upper
-                value = self._bounded(
+                value = zhang_shasha_bounded(
                     self._annotation(i), self._annotation(j), upper
                 )
                 self.stats_ted_calls += 1
@@ -456,7 +447,7 @@ class Verifier:
                 return None
             x1, x2 = self._oriented(i, j)
             self.stats_ted_calls += 1
-            value = self._bounded(x1, x2, tau)
+            value = zhang_shasha_bounded(x1, x2, tau)
             if value is None:
                 self.stats_ted_early_exits += 1
             return value

@@ -143,10 +143,10 @@ class PartSJConfig:
         hook).  Injected faults never change results while degradation
         is enabled — only the failure counters in ``JoinStats.extra``.
     backend:
-        Kernel backend for the probe, partition and banded-TED hot
-        loops: ``"python"`` (the reference implementations),
-        ``"numpy"`` (the vectorized kernels of :mod:`repro.kernels`;
-        an error if numpy is not installed) or ``"auto"`` (default:
+        Kernel backend for the probe and partition hot loops:
+        ``"python"`` (the reference implementations), ``"numpy"`` (the
+        vectorized kernels of :mod:`repro.kernels`; an error if numpy
+        is not installed) or ``"auto"`` (default:
         numpy when importable, python otherwise).  Results are
         bit-identical either way; ``JoinStats.extra["backend"]``
         reports the backend that actually ran.

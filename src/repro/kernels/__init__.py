@@ -3,19 +3,19 @@
 PR 2 laid every hot structure out as parallel 1-based int lists, bytearray
 bitmaps and 63-bit packed twig keys — a layout one conversion away from
 C speed.  This package supplies that conversion: numpy-vectorized variants
-of the three loops every tier (serial join, shard workers, streaming
-ingest, verify pools) funnels through —
+of the two candidate-generation loops every tier (serial join, shard
+workers, streaming ingest) funnels through —
 
 - :mod:`repro.kernels.probe` — the probe/bucket walk of
   :func:`repro.core.join._probe_index` (postorder-window intersection and
   owner dedup over whole buckets via ``searchsorted``/boolean masks);
 - :mod:`repro.kernels.partition` — the partition span fills of
   :func:`repro.core.partition.extract_partition` (2-D ndarray slice
-  assignments instead of per-span bytearray splices);
-- :mod:`repro.kernels.ted` — the tau-banded Zhang–Shasha DP of
-  :func:`repro.ted.cutoff.zhang_shasha_bounded` (each band row evaluated
-  as vector mins over shifted slices, with the same tau+1 saturation and
-  row-minimum early exit).
+  assignments instead of per-span bytearray splices).
+
+Verification has no numpy variant: the tau-strip of
+:func:`repro.ted.cutoff.zhang_shasha_bounded` leaves rows of at most
+``2*tau + 1`` cells, too narrow for per-row ufunc dispatch to pay.
 
 **Backend contract.**  A backend name is one of :data:`BACKENDS`:
 

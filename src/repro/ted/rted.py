@@ -7,9 +7,12 @@ full RTED strategy computation (a dynamic program over per-subtree path
 choices) is out of scope for this reproduction; we implement the same idea
 one level up, which is the part that matters for join verification cost:
 
-- Zhang–Shasha decomposes along *leftmost* paths; its cost is exactly
+- Zhang–Shasha decomposes along *leftmost* paths; the unbounded DP
+  (:func:`repro.ted.zhang_shasha.zhang_shasha`) fills exactly
   ``weight(T1) * weight(T2)`` forest-distance cells, where ``weight`` sums
-  keyroot subtree sizes.
+  keyroot subtree sizes.  The tau-banded DP
+  (:func:`repro.ted.cutoff.zhang_shasha_bounded`) fills far fewer; for it
+  the product is only a proxy that picks the orientation.
 - Mirroring both trees (reversing every child list) preserves the tree edit
   distance — the optimal edit script mirrors along — but turns leftmost
   paths into rightmost paths.
@@ -17,8 +20,7 @@ one level up, which is the part that matters for join verification cost:
 ``ted_hybrid`` therefore evaluates the keyroot weight of both orientations
 and runs Zhang–Shasha on the cheaper one.  On a left-comb pair this is the
 difference between ``O(n^2)`` and ``O(n^4)`` cells, mirroring (pun intended)
-RTED's robustness result.  DESIGN.md records this as an explicit
-substitution for RTED.
+RTED's robustness result.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _mirror_iterative(tree: Tree) -> Tree:
 
 
 def decomposition_costs(t1: Tree, t2: Tree) -> tuple[int, int]:
-    """Estimated Zhang–Shasha cell counts for (left, right) decompositions.
+    """Unbounded Zhang–Shasha cell counts for (left, right) decompositions.
 
     Returns the pair ``(left_cost, right_cost)`` where each cost is
     ``weight(T1) * weight(T2)`` under the corresponding orientation.

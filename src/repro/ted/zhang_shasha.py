@@ -45,9 +45,17 @@ class AnnotatedTree:
         of node ``i``.
     keyroots:
         Ascending postorder numbers of the LR-keyroots.
+    leaf_keyroot:
+        ``leaf_keyroot[l]`` is the keyroot whose leftmost leaf is node
+        ``l``, or 0 when ``l`` is not a leaf.  Every leaf is the leftmost
+        leaf of exactly one keyroot, so this is a bijection between leaves
+        and keyroots; the tau-banded DP uses it to find the keyroots whose
+        leftmost leaves lie near a given position.
     """
 
-    __slots__ = ("size", "labels", "lmld", "keyroots", "_keyroot_weight")
+    __slots__ = (
+        "size", "labels", "lmld", "keyroots", "leaf_keyroot", "_keyroot_weight"
+    )
 
     def __init__(self, tree: Tree):
         order: list[TreeNode] = list(tree.iter_postorder())
@@ -63,22 +71,23 @@ class AnnotatedTree:
                 lmld[i] = i
         # A node is a keyroot iff no later node shares its leftmost leaf,
         # i.e. it is the highest node on its leftmost-path.
-        latest: dict[int, int] = {}
+        leaf_keyroot: list[int] = [0] * (n + 1)
         for i in range(1, n + 1):
-            latest[lmld[i]] = i
-        keyroots = sorted(latest.values())
+            leaf_keyroot[lmld[i]] = i
         self.size = n
         self.labels = labels
         self.lmld = lmld
-        self.keyroots = keyroots
+        self.keyroots = sorted(k for k in leaf_keyroot if k)
+        self.leaf_keyroot = leaf_keyroot
         self._keyroot_weight: Optional[int] = None
 
     def keyroot_weight(self) -> int:
         """Sum of keyroot subtree sizes: |subtree(k)| = k - lmld[k] + 1.
 
-        The number of forest-distance cells Zhang–Shasha fills for a tree
-        pair factorizes as ``weight(T1) * weight(T2)``; the hybrid in
-        :mod:`repro.ted.rted` uses this to pick a decomposition orientation.
+        The number of forest-distance cells the unbounded Zhang–Shasha
+        fills for a tree pair factorizes as ``weight(T1) * weight(T2)``;
+        the hybrid in :mod:`repro.ted.rted` uses this to pick a
+        decomposition orientation.
         Computed once and memoized — the verifier consults it for all four
         annotations of every candidate pair.
         """

@@ -151,17 +151,6 @@ def test_search_identity(forest, tau):
     assert hits["python"] == hits["numpy"]
 
 
-def test_vector_ted_engaged_identity(forest, monkeypatch):
-    """Force the vector TED path (crossover to 0) through a full join."""
-    import repro.kernels.ted as kted
-
-    monkeypatch.setattr(kted, "NUMPY_TED_MIN_BAND", 0)
-    for tau in (1, 2, 3):
-        py = partsj_join(forest, tau, PartSJConfig(backend="python"))
-        np_ = partsj_join(forest, tau, PartSJConfig(backend="numpy"))
-        assert_identical(py, np_)
-
-
 def test_vector_probe_engaged_identity(forest, monkeypatch):
     """Force the vector probe path (window crossover to 0) end to end."""
     import repro.kernels.probe as kprobe

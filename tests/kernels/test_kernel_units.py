@@ -1,74 +1,13 @@
-"""Direct property tests of the three kernels against their references."""
-
-import random
+"""Direct property tests of the two kernels against their references."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.kernels import get_numpy, numpy_available
-from tests.conftest import make_random_tree, trees
+from tests.conftest import make_random_tree
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy not installed"
 )
-
-
-class TestBandedTed:
-    """The vector DP must equal the scalar bounded DP at every band."""
-
-    @pytest.fixture(autouse=True)
-    def force_vector_path(self, monkeypatch):
-        import repro.kernels.ted as kted
-
-        monkeypatch.setattr(kted, "NUMPY_TED_MIN_BAND", 0)
-
-    @given(t1=trees(max_size=14), t2=trees(max_size=14),
-           tau=st.integers(min_value=0, max_value=8))
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_matches_reference(self, t1, t2, tau):
-        from repro.kernels.ted import BandedTed
-        from repro.ted.cutoff import zhang_shasha_bounded
-
-        assert BandedTed()(t1, t2, tau) == zhang_shasha_bounded(t1, t2, tau)
-
-    def test_matches_reference_large_band(self):
-        from repro.kernels.ted import BandedTed
-
-        from repro.ted.cutoff import zhang_shasha_bounded
-        from repro.tree.edits import random_script
-
-        rng = random.Random(23)
-        banded = BandedTed()
-        for _ in range(10):
-            a = make_random_tree(rng, 40)
-            b, _ = random_script(a, rng.randint(0, 6), rng, list("abcd"))
-            for tau in (4, 9, 20):
-                assert banded(a, b, tau) == zhang_shasha_bounded(a, b, tau)
-
-    def test_annotation_views_cached(self):
-        from repro.kernels.ted import BandedTed
-        from repro.ted.zhang_shasha import AnnotatedTree
-
-        rng = random.Random(5)
-        a = AnnotatedTree(make_random_tree(rng, 12))
-        banded = BandedTed()
-        banded(a, a, 3)
-        view = banded._views[id(a)]
-        banded(a, a, 3)
-        assert banded._views[id(a)] is view  # reused, annotation retained
-
-    def test_custom_rename_cost_dispatches_to_reference(self):
-        from repro.kernels.ted import BandedTed
-        from repro.ted.cutoff import zhang_shasha_bounded
-
-        rng = random.Random(6)
-        a = make_random_tree(rng, 10)
-        b = make_random_tree(rng, 10)
-        cost = lambda x, y: 0 if x == y else 2  # noqa: E731
-        assert BandedTed()(a, b, 4, rename_cost=cost) == \
-            zhang_shasha_bounded(a, b, 4, cost)
 
 
 class TestPartitionKernel:

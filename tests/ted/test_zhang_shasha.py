@@ -117,6 +117,27 @@ class TestAnnotatedTree:
             expected += max(0, len(node.children) - 1)
         assert len(annotated.keyroots) == expected
 
+    @given(tree=trees(max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_leaf_keyroot_table(self, tree):
+        annotated = AnnotatedTree(tree)
+        lmld, table = annotated.lmld, annotated.leaf_keyroot
+        assert len(table) == annotated.size + 1 and table[0] == 0
+        for node in range(1, annotated.size + 1):
+            if lmld[node] == node:  # a leaf: maps to its keyroot
+                keyroot = table[node]
+                assert lmld[keyroot] == node
+                assert keyroot == max(
+                    i for i in range(1, annotated.size + 1) if lmld[i] == node
+                )
+            else:
+                assert table[node] == 0
+        # Every keyroot appears exactly once, at its own leftmost leaf.
+        listed = [k for k in table if k]
+        assert sorted(listed) == annotated.keyroots
+        assert len(set(listed)) == len(listed)
+        assert all(table[lmld[k]] == k for k in annotated.keyroots)
+
     def test_reusable_across_calls(self):
         t1 = AnnotatedTree(Tree.from_bracket("{a{b}}"))
         t2 = AnnotatedTree(Tree.from_bracket("{a{c}}"))
