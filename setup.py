@@ -4,11 +4,7 @@ This stub keeps the legacy editable install path (`pip install -e .`
 without PEP 517 build isolation, or `python setup.py develop`) working
 in offline environments that lack the `wheel` package.
 
-The core library is dependency-free pure python.  ``pip install
-repro[fast]`` additionally pulls in numpy for the optional flat-array
-kernel backend (see the "Backend selection" section of ``repro.api``);
-without it every ``backend="auto"`` run silently uses the bit-identical
-pure-python kernels.
+The library is dependency-free pure python.
 """
 from setuptools import find_packages, setup
 
@@ -17,5 +13,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    extras_require={"fast": ["numpy"]},
 )

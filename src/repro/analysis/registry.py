@@ -47,7 +47,6 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
     "band_trees": "handoff-band trees re-partitioned at shard boundaries",
     "band_subgraphs": "subgraphs built for handoff-band trees",
     # index accounting (core.join / parallel.executor)
-    "backend": "kernel backend that actually ran ('python' or 'numpy')",
     "total_indexed_subgraphs": "subgraphs inserted into the two-layer index",
     "total_index_entries": "entries in the two-layer index",
     "shard_index_entries": "per-shard index entries summed across shards",
@@ -88,7 +87,6 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
 # Written by repro.stream.engine and the background verify pool.
 STREAM_EXTRA_COUNTERS: dict[str, str] = {
     "ted_calls": "exact TED computations (foreground + pool)",
-    "backend": "kernel backend that actually ran",
     "verify_failures": "pool verification failures swallowed into retry",
     "quarantined_pairs": "poison candidate pairs quarantined by the pool",
     "quarantine_log": "recent quarantined-ingest error records (list)",

@@ -15,9 +15,9 @@ __all__ = [
     "is_id_call",
 ]
 
-# Packages whose code must be bit-identical across backends, worker
-# counts and processes — the determinism rule's jurisdiction.
-DETERMINISM_SCOPE = frozenset({"core", "kernels", "parallel", "stream", "ted"})
+# Packages whose code must be bit-identical across worker counts and
+# processes — the determinism rule's jurisdiction.
+DETERMINISM_SCOPE = frozenset({"core", "parallel", "stream", "ted"})
 
 # Directories where reading the wall clock is legitimate: observability
 # stamps export timestamps, benchmarks report when they ran.

@@ -39,10 +39,6 @@ PREP_KEY_EXCLUDED: dict[str, str] = {
 
 #: Fields ``persist.snapshot._config_fields`` may omit, and why.
 SNAPSHOT_EXCLUDED: dict[str, str] = {
-    "backend": (
-        "backends are bit-identical and re-resolved per process; a "
-        "snapshot written with numpy must load without it"
-    ),
     "workers": "execution knob; not part of the prepared state",
     "retry": "fault-tolerance policy; not part of the prepared state",
     "fault_injector": "test-only hook; not part of the prepared state",

@@ -1,12 +1,12 @@
 """Determinism rules: the bit-identical contract, enforced at the AST.
 
-Every tier from the sharded executor to the compiled kernels promises
-*bit-identical results* — across backends, worker counts, restarts and
-machines.  The constructs these rules ban are exactly the ones that have
+Every tier from the serial driver to the sharded executor promises
+*bit-identical results* — across worker counts, restarts and machines.
+The constructs these rules ban are exactly the ones that have
 historically broken that promise in similar systems:
 
-- ``determinism`` (scope: ``core/``, ``kernels/``, ``parallel/``,
-  ``stream/``, ``ted/``): wall-clock reads, the shared global RNG or an
+- ``determinism`` (scope: ``core/``, ``parallel/``, ``stream/``,
+  ``ted/``): wall-clock reads, the shared global RNG or an
   unseeded ``random.Random()``, building ``id()``-keyed mappings (ids
   are allocation addresses: not stable across processes, and the
   mapping's iteration order follows them), and iterating a set straight
@@ -109,7 +109,7 @@ class DeterminismRule(Rule):
     id = "determinism"
     summary = (
         "no global RNG, unseeded random.Random(), id()-keyed mappings or "
-        "set-order iteration inside core/kernels/parallel/stream/ted"
+        "set-order iteration inside core/parallel/stream/ted"
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:

@@ -163,35 +163,6 @@ context manager.
   ``"observability"`` section listing the span names that run would
   emit and the metric families it would publish.
 
-Backend selection
------------------
-Every execution path can run its hot loops on compiled flat-array
-kernels (:mod:`repro.kernels`, numpy-vectorized) or on the pure-python
-reference, selected by ``backend`` — a :class:`~repro.core.join.
-PartSJConfig` field for PartSJ/streaming/search and a keyword on the
-baseline joins (``str_join(..., backend="numpy")``).  The contract:
-
-- ``"auto"`` (default) uses numpy when it is importable and falls back
-  to pure python silently — the library has **no hard dependency** on
-  numpy (install it via ``pip install repro[fast]``).  ``"python"``
-  forces the reference; ``"numpy"`` forces the kernels and raises
-  :class:`~repro.errors.InvalidParameterError` when numpy is absent.
-- Backends are **bit-identical**: the same pairs, the same exact
-  distances, the same candidate sets and the same deterministic
-  ``JoinStats`` fields and counters, under every method, tau, worker
-  count and filter configuration.  Only speed may differ.
-- The backend that actually ran is reported in
-  ``JoinStats.extra["backend"]`` (always the resolved ``"python"`` or
-  ``"numpy"``, never ``"auto"``) and in ``QueryPlan.explain()`` under
-  ``"filter"``; the CLI exposes ``join --backend``.
-- Two kernels are swapped in: the candidate-probe walk over the
-  two-layer index (:mod:`repro.kernels.probe`) and the partition span
-  fills (:mod:`repro.kernels.partition`).  Verification always runs the
-  pure-python tau-banded DP.  Session
-  caches (result cache, per-tau preparations) key on the backend, so
-  switching backends never serves the other backend's artifacts —
-  though their contents would be identical anyway.
-
 - **CLI** — ``join --trace PATH`` writes the run's spans as JSONL (one
   object per line with keys ``name``, ``span_id``, ``parent_id``,
   ``trace_id``, ``start``, ``duration``, ``pid`` plus span attributes);
@@ -210,11 +181,11 @@ linter (:mod:`repro.analysis`, run as ``python -m repro.analysis``; a
 tier-1 test fails the build on any finding).  The rules, and what each
 one protects:
 
-- ``determinism`` — inside ``core/``, ``kernels/``, ``parallel/``,
-  ``stream/`` and ``ted/``: no shared global RNG or unseeded
-  ``random.Random()``, no ``id()``-keyed mappings, no iterating a set
-  straight into ordered output.  Protects the bit-identical contract
-  across backends, worker counts and processes.
+- ``determinism`` — inside ``core/``, ``parallel/``, ``stream/`` and
+  ``ted/``: no shared global RNG or unseeded ``random.Random()``, no
+  ``id()``-keyed mappings, no iterating a set straight into ordered
+  output.  Protects the bit-identical contract across worker counts
+  and processes.
 - ``wall-clock`` — ``time.time()`` / ``datetime.now()`` and friends
   only under ``obs/`` and the benchmark harness; durations use
   ``time.perf_counter()`` / ``time.monotonic()``.  Protects

@@ -36,8 +36,7 @@ traversed a constant number of times regardless of its candidate count.
 The counters surface in ``JoinStats.extra`` for every join method via
 :meth:`Verifier.extra_stats`, giving the figure scripts a verification
 breakdown.  Results are bit-identical to unconditional exact verification
-(``threshold_aware=False`` restores it) because every bound is proven and
-the banded DP is exact within ``tau``.
+because every bound is proven and the banded DP is exact within ``tau``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from repro.ted.bounds import (
 from repro.ted.cutoff import zhang_shasha_bounded
 from repro.ted.rted import MIRROR_SIZE_CUTOFF, choose_orientation, mirror_tree
 from repro.ted.string_edit import string_edit_within
-from repro.ted.zhang_shasha import AnnotatedTree, zhang_shasha
+from repro.ted.zhang_shasha import AnnotatedTree
 from repro.tree.node import Tree
 
 __all__ = [
@@ -279,11 +278,6 @@ class Verifier:
         The collection, indexed by original position.
     tau:
         The join threshold; :meth:`verify` reports distances ``<= tau``.
-    threshold_aware:
-        With the default ``True``, candidates run the bound pipeline and
-        the tau-banded DP.  ``False`` restores the unconditional full
-        Zhang–Shasha of the original verifier (the microbenchmark
-        baseline); the accepted pair set is identical either way.
     traversal_bound:
         Include the banded pre/postorder string-edit lower bound in the
         filter chain.  The STR join disables it because its candidates
@@ -296,35 +290,23 @@ class Verifier:
         own candidate screen already applied — the nested-loop join with
         bounds passes ``False``, the histogram join keeps only
         ``("branches",)``, the SET join only ``("labels", "degrees")``.
-    exact_distances:
-        With the default ``True``, accepted pairs always carry their exact
-        distance (upper-bound acceptances re-derive it with a DP banded at
-        the even tighter ``upper``).  ``False`` lets an upper-bound
-        acceptance return the bound itself with no DP at all — membership
-        is still exact, the reported distance may overestimate.
     caches:
         A :class:`VerifierCaches` to read and populate instead of private
         per-verifier dicts.  Sessions share one per collection so the
         per-tree annotation/feature work amortizes across queries at
         different thresholds; the accepted pairs and distances are
         unaffected.
-    backend:
-        The join's kernel backend (``"python"``, ``"numpy"`` or
-        ``"auto"``), resolved and validated here so :attr:`backend`
-        reports the probe/partition backend in stats.  Verification
-        itself always runs :func:`~repro.ted.cutoff.zhang_shasha_bounded`.
     """
 
     def __init__(
         self,
         trees: Sequence[Tree],
         tau: int,
-        threshold_aware: bool = True,
         traversal_bound: bool = True,
         bag_bounds: "bool | Sequence[str]" = True,
-        exact_distances: bool = True,
         caches: Optional[VerifierCaches] = None,
-        backend: str = "auto",
+        # Accepted and ignored: benchmarks/suite/layers.py still passes it.
+        backend: object = None,
     ):
         if bag_bounds is True:
             bag_bounds = ("labels", "degrees", "branches")
@@ -332,14 +314,8 @@ class Verifier:
             bag_bounds = ()
         self._trees = trees
         self._tau = tau
-        self._threshold_aware = threshold_aware
         self._traversal_bound = traversal_bound
         self._bag_bounds = frozenset(bag_bounds)
-        self._exact_distances = exact_distances
-        from repro.kernels import resolve_backend
-        from repro.params import check_backend
-
-        self.backend = resolve_backend(check_backend(backend))
         if caches is None:
             caches = VerifierCaches()
         self._annotated = caches.annotated
@@ -387,15 +363,6 @@ class Verifier:
             MIRROR_SIZE_CUTOFF,
         )
 
-    def distance(self, i: int, j: int) -> int:
-        """Exact TED between trees ``i`` and ``j`` (orientation-adaptive)."""
-        start = time.perf_counter()
-        x1, x2 = self._oriented(i, j)
-        value = zhang_shasha(x1, x2)
-        self.stats_ted_calls += 1
-        self.stats_time += time.perf_counter() - start
-        return value
-
     def verify(self, i: int, j: int) -> Optional[int]:
         """Exact distance if ``<= tau`` else ``None``.
 
@@ -403,9 +370,6 @@ class Verifier:
         in the module docstring, then the tau-banded DP.
         """
         tau = self._tau
-        if not self._threshold_aware:
-            value = self.distance(i, j)
-            return value if value <= tau else None
         start = time.perf_counter()
         try:
             f1 = self.features(i)
@@ -414,8 +378,6 @@ class Verifier:
             if upper <= tau:
                 # The pair cannot miss; skip the whole filter chain.
                 self.stats_ub_accepted += 1
-                if not self._exact_distances:
-                    return upper
                 value = zhang_shasha_bounded(
                     self._annotation(i), self._annotation(j), upper
                 )

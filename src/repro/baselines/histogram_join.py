@@ -27,14 +27,12 @@ __all__ = ["histogram_join"]
 
 
 def histogram_join(
-    trees: Sequence[Tree], tau: int, workers: int = 1, backend: str = "auto"
+    trees: Sequence[Tree], tau: int, workers: int = 1
 ) -> JoinResult:
     """Similarity self-join with label and degree histogram filters.
 
     ``workers > 1`` verifies candidates in parallel through the shared
-    verification pool (identical pairs and distances); ``backend``
-    selects the verification DP kernel (identical results, reported in
-    ``stats.extra["backend"]``).
+    verification pool (identical pairs and distances).
 
     >>> a = Tree.from_bracket("{a{b}{c}}")
     >>> b = Tree.from_bracket("{a{b}}")
@@ -47,9 +45,8 @@ def histogram_join(
     # The verifier skips the label/degree bounds this screen applies and
     # still adds the binary-branch and traversal bounds the screen lacks.
     # One options dict feeds both the inline and the worker-side verifiers.
-    verifier_options = {"bag_bounds": ("branches",), "backend": backend}
+    verifier_options = {"bag_bounds": ("branches",)}
     verifier = Verifier(trees, tau, **verifier_options)
-    stats.extra["backend"] = verifier.backend
     deferred = (
         DeferredVerification(workers, options=verifier_options)
         if workers > 1 else None

@@ -32,7 +32,6 @@ def nested_loop_join(
     tau: int,
     use_bounds: bool = True,
     workers: int = 1,
-    backend: str = "auto",
 ) -> JoinResult:
     """Exact similarity self-join by nested loops over the size window.
 
@@ -49,10 +48,6 @@ def nested_loop_join(
     workers:
         With ``workers > 1`` candidates are verified in parallel through
         the shared verification pool (identical pairs and distances).
-    backend:
-        Kernel backend for the banded verification DP (see
-        :class:`~repro.baselines.common.Verifier`); identical results,
-        reported in ``stats.extra["backend"]``.
 
     >>> a = Tree.from_bracket("{a{b}{c}}")
     >>> b = Tree.from_bracket("{a{b}}")
@@ -65,9 +60,8 @@ def nested_loop_join(
     # When this join screens with the bag bounds itself, the verifier skips
     # its identical checks — every candidate handed over already passed.
     # One options dict feeds both the inline and the worker-side verifiers.
-    verifier_options = {"bag_bounds": not use_bounds, "backend": backend}
+    verifier_options = {"bag_bounds": not use_bounds}
     verifier = Verifier(trees, tau, **verifier_options)
-    stats.extra["backend"] = verifier.backend
     deferred = (
         DeferredVerification(workers, options=verifier_options)
         if workers > 1 else None

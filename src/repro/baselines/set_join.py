@@ -32,14 +32,12 @@ __all__ = ["set_join"]
 
 
 def set_join(
-    trees: Sequence[Tree], tau: int, workers: int = 1, backend: str = "auto"
+    trees: Sequence[Tree], tau: int, workers: int = 1
 ) -> JoinResult:
     """Similarity self-join with the binary branch filter.
 
     ``workers > 1`` verifies candidates in parallel through the shared
-    verification pool (identical pairs and distances); ``backend``
-    selects the verification DP kernel (identical results, reported in
-    ``stats.extra["backend"]``).
+    verification pool (identical pairs and distances).
 
     >>> a = Tree.from_bracket("{a{b}{c}}")
     >>> b = Tree.from_bracket("{a{b}}")
@@ -52,10 +50,8 @@ def set_join(
     # The verifier skips the branch bound this screen applies (bib <= 5*tau
     # is the same bag L1) and still adds the label/degree/traversal bounds.
     # One options dict feeds both the inline and the worker-side verifiers.
-    verifier_options = {"bag_bounds": ("labels", "degrees"),
-                        "backend": backend}
+    verifier_options = {"bag_bounds": ("labels", "degrees")}
     verifier = Verifier(trees, tau, **verifier_options)
-    stats.extra["backend"] = verifier.backend
     deferred = (
         DeferredVerification(workers, options=verifier_options)
         if workers > 1 else None

@@ -40,7 +40,6 @@ def str_join(
     tau: int,
     banded: bool = True,
     workers: int = 1,
-    backend: str = "auto",
 ) -> JoinResult:
     """Similarity self-join with the traversal-string filter.
 
@@ -58,10 +57,6 @@ def str_join(
         With ``workers > 1`` candidates are verified in parallel through
         :func:`repro.parallel.verify_pool.parallel_verify` (identical
         pairs and distances).
-    backend:
-        Kernel backend for the banded verification DP (see
-        :class:`~repro.baselines.common.Verifier`); identical results,
-        reported in ``stats.extra["backend"]``.
 
     >>> a = Tree.from_bracket("{a{b}{c}}")
     >>> b = Tree.from_bracket("{a{b}}")
@@ -76,9 +71,8 @@ def str_join(
     # so the verifier skips its own traversal-string bound.  One options
     # dict feeds both the inline verifier and the worker-side ones, so the
     # serial and parallel paths can never run different bound pipelines.
-    verifier_options = {"traversal_bound": False, "backend": backend}
+    verifier_options = {"traversal_bound": False}
     verifier = Verifier(trees, tau, **verifier_options)
-    stats.extra["backend"] = verifier.backend
     deferred = (
         DeferredVerification(workers, options=verifier_options)
         if workers > 1 else None

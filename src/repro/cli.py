@@ -159,12 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--postorder-filter", default="safe",
                       choices=["safe", "paper", "off"],
                       help="partsj: postorder window variant")
-    join.add_argument("--backend", default="auto",
-                      choices=["auto", "python", "numpy"],
-                      help="kernel backend: numpy-vectorized probe and "
-                           "verification kernels or the pure-python "
-                           "reference (identical results either way; auto "
-                           "picks numpy when it is importable)")
     join.add_argument("--pairs", action="store_true",
                       help="print every result pair (default: stats only)")
     join.add_argument("--json", action="store_true", help="machine-readable output")
@@ -454,8 +448,7 @@ def _cmd_join_stream(args: argparse.Namespace, tau: int) -> int:
     if args.recover and args.wal is None:
         raise InvalidParameterError("--recover needs --wal PATH (the log to replay)")
     config = PartSJConfig(
-        semantics=args.semantics, postorder_filter=args.postorder_filter,
-        backend=args.backend,
+        semantics=args.semantics, postorder_filter=args.postorder_filter
     )
     emitted = 0
 
@@ -592,13 +585,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
     options = {}
     if args.method == "partsj":
         options["config"] = PartSJConfig(
-            semantics=args.semantics, postorder_filter=args.postorder_filter,
-            backend=args.backend,
+            semantics=args.semantics, postorder_filter=args.postorder_filter
         )
-    else:
-        # Baselines take the backend as a loose keyword; their verifiers
-        # resolve it the same way partsj does.
-        options["backend"] = args.backend
     tracer = Tracer() if args.trace else None
     payloads = []
     for tau in taus:

@@ -130,29 +130,23 @@ class _TwigBucket:
     ``entries`` holds ``(postorder_id, half_width, subgraph)`` triples;
     ``posts`` mirrors the postorder ids for bisection.  Inserts append
     and mark the bucket dirty; the sort happens lazily on the next probe.
-    ``arrays`` caches the numpy probe kernel's column view of the entries
-    (:func:`repro.kernels.probe._bucket_arrays`) and is invalidated on
-    every insert and re-sort; it stays ``None`` under the python backend.
     """
 
-    __slots__ = ("entries", "posts", "dirty", "arrays")
+    __slots__ = ("entries", "posts", "dirty")
 
     def __init__(self) -> None:
         self.entries: list[tuple[int, int, Subgraph]] = []
         self.posts: list[int] = []
         self.dirty = False
-        self.arrays = None
 
     def add(self, postorder_id: int, half: int, subgraph: Subgraph) -> None:
         self.entries.append((postorder_id, half, subgraph))
         self.dirty = True
-        self.arrays = None
 
     def _ensure_sorted(self) -> None:
         self.entries.sort(key=_entry_postorder)
         self.posts = [entry[0] for entry in self.entries]
         self.dirty = False
-        self.arrays = None
 
 
 class TwoLayerIndex:

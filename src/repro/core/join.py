@@ -93,7 +93,7 @@ from repro.core.subgraph import MatchSemantics
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER, phase_timer
-from repro.params import check_backend, check_workers
+from repro.params import check_workers
 from repro.resilience.faults import FaultInjector
 from repro.resilience.policy import RetryPolicy
 from repro.tree.node import Tree
@@ -142,14 +142,6 @@ class PartSJConfig:
         (``None`` falls back to the ``REPRO_FAULT_SPEC`` environment
         hook).  Injected faults never change results while degradation
         is enabled — only the failure counters in ``JoinStats.extra``.
-    backend:
-        Kernel backend for the probe and partition hot loops:
-        ``"python"`` (the reference implementations), ``"numpy"`` (the
-        vectorized kernels of :mod:`repro.kernels`; an error if numpy
-        is not installed) or ``"auto"`` (default:
-        numpy when importable, python otherwise).  Results are
-        bit-identical either way; ``JoinStats.extra["backend"]``
-        reports the backend that actually ran.
     """
 
     semantics: MatchSemantics | str = MatchSemantics.SAFE
@@ -160,12 +152,11 @@ class PartSJConfig:
     workers: int = 1
     retry: Optional["RetryPolicy"] = None
     fault_injector: Optional["FaultInjector"] = None
-    backend: str = "auto"
+    # Not a field: benchmarks/suite/layers.py still reads config.backend.
+    backend = "python"
 
     def resolved(self) -> "PartSJConfig":
-        """Normalize string fields to enums, resolve the backend, validate."""
-        from repro.kernels import resolve_backend
-
+        """Normalize string fields to enums and validate."""
         if self.partition_strategy not in ("maxmin", "random"):
             raise InvalidParameterError(
                 f"unknown partition strategy {self.partition_strategy!r}; "
@@ -188,10 +179,6 @@ class PartSJConfig:
             workers=self.workers,
             retry=self.retry,
             fault_injector=self.fault_injector,
-            # "auto" resolves to the concrete backend here, so equal
-            # resolved configs always name equal execution paths (the
-            # session result cache keys on this frozen dataclass).
-            backend=resolve_backend(check_backend(self.backend)),
         )
 
     @classmethod
@@ -347,17 +334,6 @@ class ShardDriver:
         self.counters = _ProbeCounters()
         self.checked: set[tuple[int, int]] = set()
         self.small_pool: list[tuple[int, int]] = []  # (original index, size)
-        # The resolved backend ("python"/"numpy", never "auto") selects
-        # the probe and partition kernels; per-driver numpy scratch is
-        # created lazily so the python backend never imports numpy.
-        self.backend = cfg.backend
-        self._probe_scratch = None
-        self._probe_kernel = None
-        if self.backend == "numpy":
-            from repro.kernels.probe import ProbeScratch, probe_index_numpy
-
-            self._probe_scratch = ProbeScratch()
-            self._probe_kernel = probe_index_numpy
         self.rng = random.Random(cfg.seed)
         self.delta = 2 * tau + 1
         self.min_size = min_partitionable_size(tau)
@@ -380,19 +356,11 @@ class ShardDriver:
         with phase_timer(self, "probe_time"):
             if n >= self.min_size:
                 cache = self._cache_for(i)
-                if self._probe_kernel is not None:
-                    self._probe_kernel(
-                        self.index, cache, i, n, tau, self.min_size,
-                        self.semantics, checked, candidates, counters,
-                        self.numbering, self._probe_scratch,
-                        len(self.trees),
-                    )
-                else:
-                    _probe_index(
-                        self.index, cache, i, n, tau, self.min_size,
-                        self.semantics, checked, candidates, counters,
-                        self.numbering,
-                    )
+                _probe_index(
+                    self.index, cache, i, n, tau, self.min_size,
+                    self.semantics, checked, candidates, counters,
+                    self.numbering,
+                )
             else:
                 cache = None
                 counters.small_trees += 1
@@ -508,8 +476,7 @@ class ShardDriver:
             gamma = max_min_size_cached(cache, self.delta, hint=self.gamma_hint)
             self.gamma_hint = gamma
             subgraphs = extract_partition(
-                cache, i, self.delta, gamma, self.numbering, check=False,
-                backend=self.backend,
+                cache, i, self.delta, gamma, self.numbering, check=False
             )
             if owned:
                 self.counters.gamma_total += gamma
@@ -575,7 +542,7 @@ def partsj_join(
         else SizeSortedCollection(trees)
     )
     if verifier is None:
-        verifier = Verifier(trees, tau, backend=cfg.backend)
+        verifier = Verifier(trees, tau)
     driver = ShardDriver(trees, tau, cfg, prepared=prepared)
     pairs: list[JoinPair] = []
 
@@ -612,7 +579,6 @@ def partsj_join(
     counters = driver.counters
     stats.pairs_considered = counters.probe_hits + counters.small_pool_pairs
     stats.extra = counters.as_dict()
-    stats.extra["backend"] = driver.backend
     stats.extra["total_indexed_subgraphs"] = driver.index.total_subgraphs
     stats.extra["total_index_entries"] = driver.index.total_entries
     stats.extra.update(verifier.extra_stats())

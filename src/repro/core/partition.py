@@ -239,7 +239,6 @@ def extract_partition(
     gamma: Optional[int] = None,
     numbering: str = "general",
     check: bool = True,
-    backend: str = "python",
 ) -> list[Subgraph]:
     """Cut the cached tree into ``delta`` subgraphs, sizes ``>= gamma``.
 
@@ -253,12 +252,6 @@ def extract_partition(
     ``gamma`` — for callers (the join's insert phase) that just computed
     it with :func:`max_min_size_cached`, the extra greedy pass is pure
     overhead.
-
-    ``backend="numpy"`` resolves span membership with the vectorized
-    kernel of :mod:`repro.kernels.partition` (sliced ndarray fills and
-    one broadcast equality) instead of per-span bytearray splices; the
-    greedy cut discovery is sequential either way and the produced
-    bitmaps are byte-identical.
 
     Returns subgraphs ordered by ascending root postorder id, with 1-based
     ``rank`` set accordingly.
@@ -305,16 +298,6 @@ def extract_partition(
             rem = 0
         remaining[b] = rem
 
-    if backend == "numpy":
-        from repro.kernels import get_numpy
-        from repro.kernels.partition import partition_bitmaps_numpy
-
-        np = get_numpy()
-        if np is not None:
-            return _build_subgraphs(
-                cache, owner,
-                partition_bitmaps_numpy(np, size, cut_spans), numbering,
-            )
     # Materialize member bitmaps from the spans.  Binary subtree spans are
     # laminar (nested or disjoint), and a node detached by several cuts
     # belongs to the *earliest* (= innermost, smallest root number) one —

@@ -86,7 +86,6 @@ class TreeCache:
         "_nodes",
         "_binary",
         "_number_of",
-        "_arrays",
     )
 
     def __init__(self, tree: Tree, interner: Optional[LabelInterner] = None):
@@ -183,29 +182,8 @@ class TreeCache:
         self._nodes: Optional[list[Optional[BinaryNode]]] = None
         self._binary: Optional[BinaryTree] = None
         self._number_of: Optional[dict[int, int]] = None
-        self._arrays = None
 
     # -- fast array accessors ------------------------------------------------
-
-    def as_arrays(self, np):
-        """``(labels, left, right, general_post)`` as int64 ndarrays.
-
-        Built once from the int lists (the one unavoidable copy — list
-        storage is boxed) and cached; every later call is zero-copy.  The
-        cache is sound because a :class:`TreeCache` is immutable after
-        construction.  ``np`` is passed in (from :mod:`repro.kernels`) so
-        this module never imports numpy itself.
-        """
-        arrays = self._arrays
-        if arrays is None:
-            arrays = (
-                np.asarray(self.labels, dtype=np.int64),
-                np.asarray(self.left, dtype=np.int64),
-                np.asarray(self.right, dtype=np.int64),
-                np.asarray(self.general_post, dtype=np.int64),
-            )
-            self._arrays = arrays
-        return arrays
 
     def incoming_code(self, number: int) -> int:
         """Incoming-edge category of node ``number``: 0 root, 1 left, 2 right."""

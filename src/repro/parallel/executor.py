@@ -210,14 +210,8 @@ def parallel_partsj_join(
     )
     brackets = [tree.to_bracket() for tree in trees]
     stats = JoinStats(method="PRT", tau=tau, tree_count=len(trees))
-    # Worker verifiers (and the in-process degradation fallbacks) run the
-    # same resolved kernel backend as the shard drivers, so a parallel
-    # join is backend-uniform end to end.
-    verifier_options = {"backend": cfg.backend}
     supervisor = PoolSupervisor(
-        lambda: _create_pool(
-            brackets, tau, workers, serial_cfg, verifier_options, injector
-        ),
+        lambda: _create_pool(brackets, tau, workers, serial_cfg, None, injector),
         policy,
     )
     with supervisor:
@@ -238,7 +232,7 @@ def parallel_partsj_join(
                     tracer.graft(result.spans)
         candidate_wall = time.perf_counter() - stage_start
         pairs, verify_stats = parallel_verify(
-            trees, tau, candidate_pairs, workers, options=verifier_options,
+            trees, tau, candidate_pairs, workers,
             supervisor=supervisor, tracer=tracer,
         )
 
@@ -252,8 +246,6 @@ def parallel_partsj_join(
     stats.results = len(pairs)
     stats.pairs_considered = counters["probe_hits"] + counters["small_pool_pairs"]
     stats.extra = counters
-    # merge_counters sums ints only; the backend is uniform across shards.
-    stats.extra["backend"] = cfg.backend
     # Serial-equivalent index totals: owned subgraphs only (one index entry
     # per subgraph); the per-shard totals below include the handoff-band
     # duplicates, i.e. the sharding overhead.

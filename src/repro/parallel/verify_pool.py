@@ -291,7 +291,6 @@ class StreamVerifyPool:
         self,
         tau: int,
         workers: int,
-        options: Optional[dict] = None,
         policy: Optional[RetryPolicy] = None,
         injector: Optional[FaultInjector] = None,
         tracer=None,
@@ -301,7 +300,6 @@ class StreamVerifyPool:
         self.tau = tau
         self.workers = workers
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._options = options
         self.policy = (policy or RetryPolicy()).validated()
         self._injector = (
             injector if injector is not None else FaultInjector.from_env()
@@ -334,7 +332,7 @@ class StreamVerifyPool:
         return pool_context().Pool(
             processes=self.workers,
             initializer=init_stream_worker,
-            initargs=(self.tau, self._options, self._injector),
+            initargs=(self.tau, self._injector),
         )
 
     def _worker_pids(self) -> frozenset:
@@ -411,9 +409,7 @@ class StreamVerifyPool:
         self.worker_failures += 1
         self.degraded_serial_tasks += 1
         if self._fallback_verifier is None:
-            self._fallback_verifier = Verifier(
-                self._trees, self.tau, **(self._options or {})
-            )
+            self._fallback_verifier = Verifier(self._trees, self.tau)
         verifier = self._fallback_verifier
         injector = self._injector
         accepted: list[tuple[int, int, int]] = []

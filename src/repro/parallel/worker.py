@@ -338,14 +338,9 @@ class GrowingTreeStore(Sequence):
 class _StreamWorkerState:
     """Per-process state of a streaming verification worker."""
 
-    def __init__(
-        self,
-        tau: int,
-        verifier_options: Optional[dict],
-        injector: Optional[FaultInjector] = None,
-    ):
+    def __init__(self, tau: int, injector: Optional[FaultInjector] = None):
         self.store = GrowingTreeStore()
-        self.verifier = Verifier(self.store, tau, **(verifier_options or {}))
+        self.verifier = Verifier(self.store, tau)
         self.injector = injector
 
 
@@ -353,13 +348,11 @@ _STREAM_STATE: Optional[_StreamWorkerState] = None
 
 
 def init_stream_worker(
-    tau: int,
-    verifier_options: Optional[dict] = None,
-    injector: Optional[FaultInjector] = None,
+    tau: int, injector: Optional[FaultInjector] = None
 ) -> None:
     """Pool initializer for streaming verification workers."""
     global _STREAM_STATE
-    _STREAM_STATE = _StreamWorkerState(tau, verifier_options, injector)
+    _STREAM_STATE = _StreamWorkerState(tau, injector)
 
 
 def verify_stream_chunk(

@@ -9,9 +9,7 @@ identical everywhere:
 
 - ``tau``: the TED threshold, an integer ``>= 0``;
 - ``workers``: the worker process count, an integer ``>= 1``;
-- ``micro_batch``: the streaming ingest batch, an integer ``>= 1``;
-- ``backend``: the kernel backend name, one of
-  :data:`repro.kernels.BACKENDS` (``"auto"``, ``"python"``, ``"numpy"``).
+- ``micro_batch``: the streaming ingest batch, an integer ``>= 1``.
 
 The check functions return the validated value so call sites can validate
 and bind in one expression.  All failures raise
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["check_tau", "check_workers", "check_micro_batch", "check_backend"]
+__all__ = ["check_tau", "check_workers", "check_micro_batch"]
 
 
 def check_tau(tau: int) -> int:
@@ -48,22 +46,6 @@ def check_workers(workers: int) -> int:
             f"workers must be an integer >= 1, got {workers!r}"
         )
     return workers
-
-
-def check_backend(backend: str) -> str:
-    """Validate a kernel backend name (membership only, no resolution).
-
-    :func:`repro.kernels.resolve_backend` additionally resolves
-    ``"auto"`` and enforces numpy availability; this check exists so
-    entry points can reject typos before any work happens.
-    """
-    from repro.kernels import BACKENDS
-
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; use one of {', '.join(BACKENDS)}"
-        )
-    return backend
 
 
 def check_micro_batch(micro_batch: int) -> int:

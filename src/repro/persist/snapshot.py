@@ -98,13 +98,7 @@ def _json_bytes(payload) -> bytes:
 
 
 def _config_fields(config) -> dict:
-    """The preparation-keying config fields, as JSON-safe strings.
-
-    ``backend`` is deliberately absent: the kernel backend never changes
-    the prepared artifacts (both backends are bit-identical), and a
-    snapshot written on a machine with numpy must load on one without
-    it.  Loaded configs re-resolve ``backend="auto"`` per process.
-    """
+    """The preparation-keying config fields, as JSON-safe strings."""
     return {
         "semantics": getattr(config.semantics, "value", config.semantics),
         "postorder_filter": getattr(

@@ -218,10 +218,7 @@ class SimilaritySearcher:
             # reuses — route it to a per-search slot while collection
             # entries keep reading/writing the shared dicts directly.
             caches = _QueryLocalCaches(shared, query_index)
-        verifier = Verifier(
-            list(self.trees) + [query], self.tau, caches=caches,
-            backend=self.config.backend,
-        )
+        verifier = Verifier(list(self.trees) + [query], self.tau, caches=caches)
         hits = []
         for i in sorted(candidates):
             distance = verifier.verify(i, query_index)

@@ -496,10 +496,6 @@ class TreeCollection:
         # prep.config into query-time matching — sharing a prep across
         # semantics would silently answer a "safe" search with "paper"
         # strictness (or vice versa).
-        # backend keys the prep too: the prepared searcher binds its
-        # kernel dispatch (probe/verify) at build time, and the session
-        # result cache reuses this key's config — "python" and "numpy"
-        # runs must never serve each other's cached artifacts.
         return (
             tau,
             config.semantics,
@@ -507,7 +503,6 @@ class TreeCollection:
             config.seed,
             config.postorder_numbering,
             config.postorder_filter,
-            config.backend,
         )
 
     def prepare(
@@ -846,8 +841,7 @@ class JoinPlan(QueryPlan):
             return partsj_join(col.trees, self.tau, cfg, prepared=state,
                                tracer=tracer)
         prep, fresh = col._prepare_entry(self.tau, cfg)
-        verifier = Verifier(col.trees, self.tau, caches=col.verifier_caches,
-                            backend=cfg.backend)
+        verifier = Verifier(col.trees, self.tau, caches=col.verifier_caches)
         result = partsj_join(
             col.trees, self.tau, cfg,
             prepared=prep.join_state(), verifier=verifier, tracer=tracer,
@@ -889,7 +883,6 @@ class JoinPlan(QueryPlan):
                 "partition_strategy": cfg.partition_strategy,
                 "postorder_numbering": cfg.postorder_numbering,
                 "seed": cfg.seed,
-                "backend": cfg.backend,
             }
             plan["small_tree_floor"] = min_partitionable_size(self.tau)
             plan["prepared"] = col.is_prepared(self.tau, cfg)
@@ -1052,7 +1045,6 @@ class RSJoinPlan(QueryPlan):
                     "partition_strategy": cfg.partition_strategy,
                     "postorder_numbering": cfg.postorder_numbering,
                     "seed": cfg.seed,
-                    "backend": cfg.backend,
                 }
                 plan["small_tree_floor"] = min_partitionable_size(template.tau)
             else:

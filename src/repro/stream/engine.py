@@ -192,7 +192,7 @@ class StreamingJoin:
         # Serial driver config: the driver is the in-process probe/insert
         # engine either way; workers only parallelize verification.
         self._driver = ShardDriver(self.trees, tau, replace(cfg, workers=1))
-        self._verifier = Verifier(self.trees, tau, backend=cfg.backend)
+        self._verifier = Verifier(self.trees, tau)
         self._reverse = NodeTwigIndex(tau, self._driver.index.postorder_filter)
         self._caches: dict[int, TreeCache] = {}
         self._planner = ShardPlanner(self.collection, tau)
@@ -371,7 +371,6 @@ class StreamingJoin:
             self._pool = StreamVerifyPool(
                 self.tau,
                 self.workers,
-                options={"backend": self.config.backend},
                 policy=self.config.retry,
                 injector=self.config.fault_injector,
                 tracer=self._tracer,
@@ -456,7 +455,6 @@ class StreamingJoin:
                 extra[key] = extra.get(key, 0) + pool_stats.pop(key, 0)
             extra.update(pool_stats)
         extra["ted_calls"] = ted_calls
-        extra["backend"] = self._driver.backend
         if self._quarantine_log:
             extra["quarantine_log"] = list(self._quarantine_log)
         if self._wal is not None or self._recovered is not None:

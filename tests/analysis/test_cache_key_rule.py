@@ -2,7 +2,7 @@
 
 The acceptance test for the whole rule: copy the real ``session.py`` /
 ``join.py`` / ``snapshot.py`` trio, delete the one line that threads
-``backend`` into ``_prep_key``, and the linter must fail.  Plus the
+``seed`` into ``_prep_key``, and the linter must fail.  Plus the
 bookkeeping cases: stale exclusions and contradicted exclusions are
 findings in their own right.
 """
@@ -31,18 +31,17 @@ class TestLiveness:
         report = analyze([tmp_path], rule_ids=["cache-key"])
         assert report.clean, report.render()
 
-    def test_dropping_backend_from_prep_key_fails(self, tmp_path):
+    def test_dropping_seed_from_prep_key_fails(self, tmp_path):
         session = copy_real_trio(tmp_path)
         source = session.read_text()
-        assert "config.backend," in source
-        (tmp_path / "session.py").write_text(
-            source.replace("config.backend,\n", "")
-        )
+        line = "            config.seed,\n"
+        assert source.count(line) == 1
+        (tmp_path / "session.py").write_text(source.replace(line, ""))
         report = analyze([tmp_path], rule_ids=["cache-key"])
         assert not report.clean
         assert any(
             f.rule == "cache-key" and "_prep_key" in f.message
-            and "'backend'" in f.message
+            and "'seed'" in f.message
             for f in report.findings
         ), report.render()
 
@@ -55,7 +54,6 @@ from dataclasses import dataclass
 class PartSJConfig:
     semantics: str = "safe"
     seed: int = 0
-    backend: str = "auto"
     workers: int = 0
     retry: object = None
     fault_injector: object = None
@@ -63,7 +61,7 @@ class PartSJConfig:
 
 COMPLETE_CONSUMERS = """\
 def _prep_key(tau, config):
-    return (tau, config.semantics, config.seed, config.backend)
+    return (tau, config.semantics, config.seed)
 
 
 def _config_fields(config):
@@ -84,7 +82,9 @@ class TestBookkeeping:
     def test_missing_field_is_a_finding(self, tmp_path):
         report = self.write(
             tmp_path,
-            COMPLETE_CONSUMERS.replace("config.seed, config.backend", "config.backend"),
+            COMPLETE_CONSUMERS.replace(
+                "config.semantics, config.seed)", "config.semantics)"
+            ),
         )
         assert any(
             "_prep_key" in f.message and "'seed'" in f.message
@@ -92,16 +92,16 @@ class TestBookkeeping:
         ), report.render()
 
     def test_contradicted_exclusion_is_a_finding(self, tmp_path):
-        # _config_fields reads backend although the exclusion list says
+        # _config_fields reads workers although the exclusion list says
         # it is deliberately omitted.
         report = self.write(
             tmp_path,
             COMPLETE_CONSUMERS.replace(
-                '"seed": config.seed}', '"seed": config.seed, "b": config.backend}'
+                '"seed": config.seed}', '"seed": config.seed, "w": config.workers}'
             ),
         )
         assert any(
-            "exclusion list claims" in f.message and "'backend'" in f.message
+            "exclusion list claims" in f.message and "'workers'" in f.message
             for f in report.findings
         ), report.render()
 

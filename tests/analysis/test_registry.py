@@ -55,7 +55,8 @@ class TestMetricsConsumesRegistry:
             quarantined_trees = 0
             ingest_time = 0.1
             verify_time = 0.2
-            extra = {"retries": 3, "verify_chunks": 2, "backend": "python"}
+            extra = {"retries": 3, "verify_chunks": 2,
+                     "fault_events": ["shard:0 crash"]}
 
         reg = MetricsRegistry()
         publish_stream_stats(Stats(), reg)
@@ -63,4 +64,4 @@ class TestMetricsConsumesRegistry:
         assert 'repro_stream_counter_total{counter="retries"} 3' in text
         assert 'repro_stream_counter_total{counter="verify_chunks"} 2' in text
         # Non-integer extras are not forwarded as counters.
-        assert 'counter="backend"' not in text
+        assert 'counter="fault_events"' not in text

@@ -40,7 +40,7 @@ class TestDeterminismRule:
         assert findings_for("core/good_determinism.py") == []
 
     def test_scope_is_directory_based(self):
-        # The same constructs outside core/kernels/parallel/stream/ted
+        # The same constructs outside core/parallel/stream/ted
         # are not the determinism rule's business.
         assert findings_for("bad_counters.py", "determinism") == []
 

@@ -60,13 +60,6 @@ class TestSizeSortedCollection:
 
 
 class TestVerifier:
-    def test_distance_matches_zhang_shasha(self, rng):
-        trees = [make_random_tree(rng, rng.randint(2, 10)) for _ in range(6)]
-        verifier = Verifier(trees, tau=3)
-        for i in range(len(trees)):
-            for j in range(i + 1, len(trees)):
-                assert verifier.distance(i, j) == zhang_shasha(trees[i], trees[j])
-
     def test_verify_threshold(self):
         trees = [Tree.from_bracket("{a{b}}"), Tree.from_bracket("{a{b}{c}{d}}")]
         assert Verifier(trees, tau=1).verify(0, 1) is None
@@ -99,13 +92,6 @@ class TestVerifier:
         assert verifier.stats_ub_accepted == 1
         assert verifier.stats_lb_filtered == 0
 
-    def test_upper_bound_certified_mode_skips_dp(self):
-        trees = [Tree.from_bracket("{a{b}}"), Tree.from_bracket("{a{c}}")]
-        verifier = Verifier(trees, tau=4, exact_distances=False)
-        value = verifier.verify(0, 1)
-        assert value == 2  # the trivial upper bound, certified <= tau
-        assert verifier.stats_ted_calls == 0
-
     def test_ted_early_exit_counts(self):
         # This pair survives every bag and traversal-string bound at tau=2
         # but has TED 4, so only the banded DP's cutoff can reject it.
@@ -117,14 +103,6 @@ class TestVerifier:
         assert verifier.verify(0, 1) is None
         assert verifier.stats_ted_early_exits == 1
         assert verifier.stats_lb_filtered == 0
-
-    def test_threshold_unaware_mode_matches(self, rng):
-        trees = [make_random_tree(rng, rng.randint(2, 12)) for _ in range(8)]
-        fast = Verifier(trees, tau=2)
-        slow = Verifier(trees, tau=2, threshold_aware=False)
-        for i in range(len(trees)):
-            for j in range(i + 1, len(trees)):
-                assert fast.verify(i, j) == slow.verify(i, j)
 
     def test_verify_reports_exact_distances(self, rng):
         trees = [make_random_tree(rng, rng.randint(1, 10)) for _ in range(8)]

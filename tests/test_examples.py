@@ -18,7 +18,6 @@ FAST_EXAMPLES = [
     "session_reuse",
     "session_persist",
     "session_observe",
-    "session_backend",
     "xml_near_duplicates",
     "rna_motifs",
     "sentence_paraphrases",
