@@ -8,8 +8,8 @@ two-layer index insert + probe.
 import pytest
 
 from repro.core.index import InvertedSizeIndex
+from repro.core.intern import search_keys
 from repro.core.partition import extract_partition, max_min_size
-from repro.core.subgraph import EPSILON
 from repro.core.treecache import TreeCache
 from repro.datasets.synthetic import SyntheticParams, generate_forest
 
@@ -30,13 +30,13 @@ def test_treecache_build(benchmark, forest):
 
 def test_max_min_size(benchmark, forest):
     cache = TreeCache(forest[0])
-    gamma = benchmark(max_min_size, cache.binary, DELTA)
+    gamma = benchmark(max_min_size, cache, DELTA)
     assert gamma >= 1
 
 
 def test_extract_partition(benchmark, forest):
     cache = TreeCache(forest[0])
-    gamma = max_min_size(cache.binary, DELTA)
+    gamma = max_min_size(cache, DELTA)
     subgraphs = benchmark(extract_partition, cache, 0, DELTA, gamma)
     assert len(subgraphs) == DELTA
 
@@ -69,15 +69,15 @@ def test_index_probe(benchmark, forest):
     ]
     sizes = [s for s in sizes if s is not None]
 
+    labels, left, right = probe_cache.labels, probe_cache.left, probe_cache.right
+    general_post = probe_cache.general_post
+
     def probe_all():
         hits = 0
-        for node in probe_cache.binary_postorder:
-            p = probe_cache.general_postorder(node)
-            left = node.left.label if node.left is not None else EPSILON
-            right = node.right.label if node.right is not None else EPSILON
+        for b in range(1, probe_cache.size + 1):
+            keys = search_keys(labels[b], labels[left[b]], labels[right[b]])
             for size_index in sizes:
-                for _ in size_index.probe(p, node.label, left, right):
-                    hits += 1
+                hits += len(size_index.probe_packed(general_post[b], keys))
         return hits
 
     hits = benchmark(probe_all)

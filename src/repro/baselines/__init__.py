@@ -1,6 +1,6 @@
 """Baseline join methods: brute force (REL), STR, SET, histogram filters."""
 
-from repro.baselines.binary_branch import (
+from repro.ted.binary_branch import (
     EPSILON,
     binary_branch_distance,
     binary_branches,
@@ -11,7 +11,6 @@ from repro.baselines.common import (
     JoinResult,
     JoinStats,
     SizeSortedCollection,
-    TreeFeatures,
     Verifier,
 )
 from repro.baselines.histogram_join import histogram_join
@@ -24,7 +23,6 @@ __all__ = [
     "JoinResult",
     "JoinStats",
     "SizeSortedCollection",
-    "TreeFeatures",
     "Verifier",
     "nested_loop_join",
     "str_join",

@@ -16,10 +16,10 @@ computation" bars of Figures 10/12/14), so the verifier never runs an
 unbounded distance computation on a candidate.  Instead each pair walks a
 cheap-to-expensive pipeline:
 
-1. **Trivial upper bound** (O(1) from cached features): if deleting one
+1. **Trivial upper bound** (O(1) from the records): if deleting one
    tree and inserting the other already costs ``<= tau``, the pair is
    accepted without touching the DP machinery (counter ``ub_accepted``).
-2. **Composite lower bound** (O(distinct keys) from cached per-tree bags —
+2. **Composite lower bound** (O(distinct keys) from the per-tree bags —
    label multiset, degree histogram, binary branches) plus the banded
    traversal-string bound: any bound ``> tau`` rejects the pair with no
    DP at all (counter ``lb_filtered``).
@@ -29,11 +29,19 @@ cheap-to-expensive pipeline:
    keyroot pair as soon as no cell can recover (counter
    ``ted_early_exits`` when the ``> tau`` sentinel comes back).
 
-The per-tree feature vectors (:class:`TreeFeatures`) and Zhang–Shasha
-annotations (both orientations, built lazily — small trees skip the mirror
-entirely) are cached, so a tree joined against many candidates is
-traversed a constant number of times regardless of its candidate count.
-The counters surface in ``JoinStats.extra`` for every join method via
+Every per-tree input of the pipeline is a view of the tree's one flat
+record, :class:`repro.core.treecache.TreeCache` — the record the PartSJ
+filter probes with: the label, degree and binary-branch bags, the
+pre/postorder label ids, and the Zhang–Shasha annotations in both
+orientations (the mirrored one is built only for pairs where
+:func:`repro.ted.zhang_shasha.oriented` compares orientations).  Each
+view is derived from the record's arrays on first use and memoized on
+the record, and records live in a
+:class:`~repro.core.treecache.RecordStore` keyed by original index.  A
+session, a streaming engine and its searchers hand their store to every
+verifier they build, so a tree joined or searched against many
+candidates is derived a constant number of times.  The counters surface
+in ``JoinStats.extra`` for every join method via
 :meth:`Verifier.extra_stats`, giving the figure scripts a verification
 breakdown.  Results are bit-identical to unconditional exact verification
 because every bound is proven and the banded DP is exact within ``tau``.
@@ -43,13 +51,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.errors import InvalidParameterError
 from repro.params import check_tau
-from repro.ted.binary_branch import binary_branches
 from repro.ted.bounds import (
     branch_bound_from_bags,
     degree_bound_from_bags,
@@ -57,18 +63,18 @@ from repro.ted.bounds import (
     trivial_upper_bound_from_parts,
 )
 from repro.ted.cutoff import zhang_shasha_bounded
-from repro.ted.rted import MIRROR_SIZE_CUTOFF, choose_orientation, mirror_tree
 from repro.ted.string_edit import string_edit_within
-from repro.ted.zhang_shasha import AnnotatedTree
+from repro.ted.zhang_shasha import oriented
 from repro.tree.node import Tree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; repro.core builds on this
+    from repro.core.treecache import RecordStore, TreeCache
 
 __all__ = [
     "JoinPair",
     "JoinStats",
     "JoinResult",
-    "TreeFeatures",
     "Verifier",
-    "VerifierCaches",
     "DeferredVerification",
     "SizeSortedCollection",
     "check_join_inputs",
@@ -162,113 +168,6 @@ def check_join_inputs(trees: Sequence[Tree], tau: int) -> None:
             )
 
 
-class TreeFeatures:
-    """Per-tree vectors behind the verifier's O(distinct-keys) filters.
-
-    Everything :func:`repro.ted.bounds.composite_lower_bound` and the
-    traversal-string bound need, each computed at most once per tree: the
-    label bag, the degree histogram, the binary-branch bag, and the
-    pre/postorder label tuples.  A candidate pair is then screened with
-    multiset L1 distances and (optionally) two banded string DPs — no
-    tree walk.
-
-    Every part is built lazily on first access, so a consumer pays only
-    for what it reads: the SET join's candidate screen touches just
-    ``branch_bag``, the histogram join just the label/degree bags, and a
-    verifier with ``traversal_bound=False`` never materializes the
-    traversal tuples.  Joins share the verifier's per-tree cache instead
-    of rebuilding bags.
-    """
-
-    __slots__ = (
-        "tree",
-        "size",
-        "root_label",
-        "_label_bag",
-        "_degree_bag",
-        "_branch_bag",
-        "_preorder",
-        "_postorder",
-    )
-
-    def __init__(self, tree: Tree):
-        self.tree = tree
-        self.size = tree.size
-        self.root_label = tree.root.label
-        self._label_bag: Optional[Counter] = None
-        self._degree_bag: Optional[Counter] = None
-        self._branch_bag: Optional[Counter] = None
-        self._preorder: Optional[tuple] = None
-        self._postorder: Optional[tuple] = None
-
-    def _scan_bags(self) -> None:
-        label_bag: Counter = Counter()
-        degree_bag: Counter = Counter()
-        for node in self.tree.iter_preorder():
-            label_bag[node.label] += 1
-            degree_bag[node.degree] += 1
-        self._label_bag = label_bag
-        self._degree_bag = degree_bag
-
-    @property
-    def label_bag(self) -> Counter:
-        if self._label_bag is None:
-            self._scan_bags()
-        return self._label_bag
-
-    @property
-    def degree_bag(self) -> Counter:
-        if self._degree_bag is None:
-            self._scan_bags()
-        return self._degree_bag
-
-    @property
-    def branch_bag(self) -> Counter:
-        if self._branch_bag is None:
-            self._branch_bag = binary_branches(self.tree)
-        return self._branch_bag
-
-    @property
-    def preorder(self) -> tuple:
-        if self._preorder is None:
-            self._preorder = tuple(self.tree.preorder_labels())
-        return self._preorder
-
-    @property
-    def postorder(self) -> tuple:
-        if self._postorder is None:
-            self._postorder = tuple(self.tree.postorder_labels())
-        return self._postorder
-
-    def trivial_upper_bound(self, other: "TreeFeatures") -> int:
-        """Delete everything below one root, rename it, insert the other."""
-        return trivial_upper_bound_from_parts(
-            self.size, other.size, self.root_label == other.root_label
-        )
-
-
-class VerifierCaches:
-    """Tau-independent per-tree verification caches, shareable across runs.
-
-    Everything a :class:`Verifier` memoizes per tree — Zhang–Shasha
-    annotations (both orientations) and :class:`TreeFeatures` — depends
-    only on the tree, never on the threshold.  A prepared session
-    (:class:`repro.session.TreeCollection`) therefore keeps one instance
-    per collection and hands it to every query's verifier: a tree
-    annotated for the first ``tau=1`` join is not re-annotated by a later
-    ``tau=3`` join or search over the same collection.  Keys are original
-    tree indices, so the caches are only valid for verifiers over the
-    same tree sequence.
-    """
-
-    __slots__ = ("annotated", "mirrored", "features")
-
-    def __init__(self) -> None:
-        self.annotated: dict[int, AnnotatedTree] = {}
-        self.mirrored: dict[int, AnnotatedTree] = {}
-        self.features: dict[int, TreeFeatures] = {}
-
-
 class Verifier:
     """Threshold-aware exact-TED verification engine (see module docstring).
 
@@ -281,8 +180,7 @@ class Verifier:
     traversal_bound:
         Include the banded pre/postorder string-edit lower bound in the
         filter chain.  The STR join disables it because its candidates
-        already passed exactly that filter (the per-tree traversal tuples
-        are then not even materialized).
+        already passed exactly that filter.
     bag_bounds:
         Which bag lower bounds to include in the filter chain: ``True``
         (all of labels / degrees / branches), ``False`` (none), or an
@@ -291,10 +189,11 @@ class Verifier:
         bounds passes ``False``, the histogram join keeps only
         ``("branches",)``, the SET join only ``("labels", "degrees")``.
     caches:
-        A :class:`VerifierCaches` to read and populate instead of private
-        per-verifier dicts.  Sessions share one per collection so the
-        per-tree annotation/feature work amortizes across queries at
-        different thresholds; the accepted pairs and distances are
+        The :class:`~repro.core.treecache.RecordStore` over ``trees`` to
+        read and populate.  Sessions and streaming engines pass their
+        own, so the per-tree views amortize across queries at different
+        thresholds; without one the verifier keeps a private store (and
+        a private label interner).  The accepted pairs and distances are
         unaffected.
     """
 
@@ -304,7 +203,7 @@ class Verifier:
         tau: int,
         traversal_bound: bool = True,
         bag_bounds: "bool | Sequence[str]" = True,
-        caches: Optional[VerifierCaches] = None,
+        caches: "Optional[RecordStore]" = None,
         # Accepted and ignored: benchmarks/suite/layers.py still passes it.
         backend: object = None,
     ):
@@ -312,56 +211,24 @@ class Verifier:
             bag_bounds = ("labels", "degrees", "branches")
         elif bag_bounds is False:
             bag_bounds = ()
-        self._trees = trees
+        if caches is None:
+            # Local import: repro.core builds on this module.
+            from repro.core.treecache import RecordStore
+
+            caches = RecordStore(trees)
+        self._records = caches
         self._tau = tau
         self._traversal_bound = traversal_bound
         self._bag_bounds = frozenset(bag_bounds)
-        if caches is None:
-            caches = VerifierCaches()
-        self._annotated = caches.annotated
-        self._mirrored = caches.mirrored
-        self._features = caches.features
         self.stats_ted_calls = 0
         self.stats_time = 0.0
         self.stats_lb_filtered = 0
         self.stats_ub_accepted = 0
         self.stats_ted_early_exits = 0
 
-    def _annotation(self, index: int) -> AnnotatedTree:
-        cached = self._annotated.get(index)
-        if cached is None:
-            cached = AnnotatedTree(self._trees[index])
-            self._annotated[index] = cached
-        return cached
-
-    def _mirror_annotation(self, index: int) -> AnnotatedTree:
-        cached = self._mirrored.get(index)
-        if cached is None:
-            cached = AnnotatedTree(mirror_tree(self._trees[index]))
-            self._mirrored[index] = cached
-        return cached
-
-    def features(self, index: int) -> TreeFeatures:
-        """The cached :class:`TreeFeatures` of tree ``index``."""
-        cached = self._features.get(index)
-        if cached is None:
-            cached = TreeFeatures(self._trees[index])
-            self._features[index] = cached
-        return cached
-
-    def _oriented(self, i: int, j: int) -> tuple[AnnotatedTree, AnnotatedTree]:
-        """The cheaper decomposition orientation, as :mod:`repro.ted.rted`.
-
-        Delegates to :func:`repro.ted.rted.choose_orientation` with the
-        per-tree annotation caches: mirrors are built lazily and, below
-        ``MIRROR_SIZE_CUTOFF``, not at all.
-        """
-        return choose_orientation(
-            self._annotation(i),
-            self._annotation(j),
-            lambda: (self._mirror_annotation(i), self._mirror_annotation(j)),
-            MIRROR_SIZE_CUTOFF,
-        )
+    def features(self, index: int) -> "TreeCache":
+        """Tree ``index``'s record, whose views the bounds read."""
+        return self._records[index]
 
     def verify(self, i: int, j: int) -> Optional[int]:
         """Exact distance if ``<= tau`` else ``None``.
@@ -369,22 +236,34 @@ class Verifier:
         This is the hot path of every join: the bound pipeline described
         in the module docstring, then the tau-banded DP.
         """
+        records = self._records
+        return self._verify(records[i], records[j])
+
+    def verify_record(self, i: int, record: "TreeCache") -> Optional[int]:
+        """:meth:`verify` of tree ``i`` against a record outside the store.
+
+        The similarity searchers verify a query this way: ``record`` is
+        the query's own probe record, built over the store's interner.
+        """
+        return self._verify(self._records[i], record)
+
+    def _verify(self, f1: "TreeCache", f2: "TreeCache") -> Optional[int]:
         tau = self._tau
         start = time.perf_counter()
         try:
-            f1 = self.features(i)
-            f2 = self.features(j)
-            upper = f1.trivial_upper_bound(f2)
+            upper = trivial_upper_bound_from_parts(
+                f1.size, f2.size, f1.labels[f1.size] == f2.labels[f2.size]
+            )
             if upper <= tau:
                 # The pair cannot miss; skip the whole filter chain.
                 self.stats_ub_accepted += 1
                 value = zhang_shasha_bounded(
-                    self._annotation(i), self._annotation(j), upper
+                    f1.annotation, f2.annotation, upper
                 )
                 self.stats_ted_calls += 1
                 return value  # TED <= upper, so the band cannot cut it off
             # The composite lower bound of repro.ted.bounds, evaluated
-            # stepwise from the cached bags (cheapest first, stopping at
+            # stepwise from the records' bags (cheapest first, stopping at
             # the first bound > tau); checks whose L1 the join's own
             # candidate screen already applied are excluded via bag_bounds.
             if abs(f1.size - f2.size) > tau:
@@ -407,7 +286,7 @@ class Verifier:
             ):
                 self.stats_lb_filtered += 1
                 return None
-            x1, x2 = self._oriented(i, j)
+            x1, x2 = oriented(f1, f2)
             self.stats_ted_calls += 1
             value = zhang_shasha_bounded(x1, x2, tau)
             if value is None:

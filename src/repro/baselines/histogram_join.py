@@ -52,8 +52,8 @@ def histogram_join(
         if workers > 1 else None
     )
 
-    # The histogram filters read the verifier's per-tree feature cache:
-    # each label/degree bag is built lazily on first touch and shared.
+    # The histogram filters read the verifier's per-tree records: each
+    # label/degree bag is built lazily on first touch and shared.
     feats = [verifier.features(k) for k in range(len(trees))]
 
     pruned_labels = 0

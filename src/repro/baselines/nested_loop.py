@@ -69,8 +69,8 @@ def nested_loop_join(
 
     feats = []
     if use_bounds:
-        # The screen reads the verifier's per-tree feature cache (each
-        # bag is built lazily on first touch and shared thereafter).
+        # The screen reads the verifier's per-tree records (each bag is
+        # built lazily on first touch and shared thereafter).
         feats = [verifier.features(k) for k in range(len(trees))]
 
     pairs = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.baselines.binary_branch import branch_bag_distance
 from repro.baselines.common import (
     DeferredVerification,
     JoinResult,
@@ -26,6 +25,7 @@ from repro.baselines.common import (
     check_join_inputs,
 )
 from repro.obs.trace import phase_timer
+from repro.ted.binary_branch import branch_bag_distance
 from repro.tree.node import Tree
 
 __all__ = ["set_join"]
@@ -57,8 +57,8 @@ def set_join(
         if workers > 1 else None
     )
 
-    # Branch bags come from the verifier's shared per-tree feature cache
-    # (only the branch part is materialized; the rest stays lazy).
+    # Branch bags are views of the verifier's per-tree records (only the
+    # branch view is built here; the rest stays lazy).
     with phase_timer(stats, "candidate_time"):
         bags = [verifier.features(k).branch_bag for k in range(len(trees))]
 

@@ -78,10 +78,12 @@ def str_join(
         if workers > 1 else None
     )
 
-    # Traversal strings are computed once per tree, not once per pair.
+    # Traversal strings are computed once per tree, not once per pair:
+    # label-id views of the verifier's per-tree records.
     with phase_timer(stats, "candidate_time"):
-        preorders = [tree.preorder_labels() for tree in trees]
-        postorders = [tree.postorder_labels() for tree in trees]
+        records = [verifier.features(k) for k in range(len(trees))]
+        preorders = [record.preorder for record in records]
+        postorders = [record.postorder for record in records]
 
     pruned_pre = 0
     pruned_post = 0

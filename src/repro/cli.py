@@ -74,7 +74,7 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry, publish_stream_stats
 from repro.obs.trace import Tracer
 from repro.session import TreeCollection
-from repro.ted.api import TED_ALGORITHMS, ted
+from repro.ted.api import ted
 from repro.tree.bracket import parse_bracket
 from repro.tree.stats import collection_stats
 
@@ -228,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     ted_cmd = commands.add_parser("ted", help="tree edit distance of two trees")
     ted_cmd.add_argument("tree1", help="bracket notation")
     ted_cmd.add_argument("tree2", help="bracket notation")
-    ted_cmd.add_argument("--algorithm", default="rted",
-                         choices=sorted(TED_ALGORITHMS))
 
     experiment = commands.add_parser(
         "experiment", help="reproduce one of the paper's figures"
@@ -661,10 +659,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_ted(args: argparse.Namespace) -> int:
-    distance = ted(
-        parse_bracket(args.tree1), parse_bracket(args.tree2),
-        algorithm=args.algorithm,
-    )
+    distance = ted(parse_bracket(args.tree1), parse_bracket(args.tree2))
     print(distance)
     return 0
 

@@ -7,12 +7,11 @@ from repro.core.partition import (
     extract_partition,
     extract_random_partition,
     max_min_size,
-    max_min_size_cached,
     min_partitionable_size,
     partitionable,
 )
 from repro.core.subgraph import MatchSemantics, Subgraph
-from repro.core.treecache import TreeCache
+from repro.core.treecache import RecordStore, TreeCache
 
 __all__ = [
     "partsj_join",
@@ -21,6 +20,7 @@ __all__ = [
     "PostorderFilter",
     "Subgraph",
     "TreeCache",
+    "RecordStore",
     "TwoLayerIndex",
     "InvertedSizeIndex",
     "LabelInterner",
@@ -29,7 +29,6 @@ __all__ = [
     "unpack_twig",
     "partitionable",
     "max_min_size",
-    "max_min_size_cached",
     "extract_partition",
     "extract_random_partition",
     "min_partitionable_size",

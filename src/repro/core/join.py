@@ -82,15 +82,15 @@ from repro.baselines.common import (
     check_join_inputs,
 )
 from repro.core.index import InvertedSizeIndex, PostorderFilter
-from repro.core.intern import TWIG_LABEL_SHIFT, TWIG_LEFT_SHIFT, LabelInterner
+from repro.core.intern import TWIG_LABEL_SHIFT, TWIG_LEFT_SHIFT
 from repro.core.partition import (
     extract_partition,
     extract_random_partition,
-    max_min_size_cached,
+    max_min_size,
     min_partitionable_size,
 )
 from repro.core.subgraph import MatchSemantics
-from repro.core.treecache import TreeCache
+from repro.core.treecache import RecordStore, TreeCache
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER, phase_timer
 from repro.params import check_workers
@@ -208,11 +208,11 @@ class PreparedJoinState:
     ----------
     collection:
         The size-sorted view of the trees (tau-independent).
-    interner:
-        The collection-wide label interner all caches share.
-    caches:
-        ``original index -> TreeCache``; missing entries are built on
-        demand into this dict, so later queries reuse them.
+    records:
+        The collection's :class:`~repro.core.treecache.RecordStore`
+        (``original index -> TreeCache`` over the collection-wide
+        interner); missing records are built on demand into it, so later
+        queries — and the verifier — reuse them.
     partitions:
         ``original index -> list[Subgraph]`` for every partitionable tree
         (size ``>= 2*tau + 1``); small trees are absent and take the
@@ -224,8 +224,7 @@ class PreparedJoinState:
     """
 
     collection: SizeSortedCollection
-    interner: LabelInterner
-    caches: dict = field(default_factory=dict)
+    records: RecordStore
     partitions: dict = field(default_factory=dict)
     gammas: dict = field(default_factory=dict)
 
@@ -320,17 +319,18 @@ class ShardDriver:
         self.semantics: MatchSemantics = cfg.semantics  # type: ignore[assignment]
         self.numbering = cfg.postorder_numbering
         self.index = InvertedSizeIndex(tau, cfg.postorder_filter)
-        # One interner per driver: all caches (probe and stored sides)
-        # share it, and the packed-key label budget is per shard.  A
-        # prepared session hands in its collection-wide interner, cache
-        # store and precomputed partitions instead; the driver then skips
-        # cache construction and partitioning but runs the identical
-        # probe/insert discipline (see PreparedJoinState).
+        # One record store (and so one interner) per driver: all records
+        # (probe and stored sides) share it, and the packed-key label
+        # budget is per shard.  A prepared session hands in its
+        # collection-wide store and precomputed partitions instead; the
+        # driver then skips record construction and partitioning but runs
+        # the identical probe/insert discipline (see PreparedJoinState).
+        # Either way a verifier over the same trees can share the store.
         self.prepared = prepared
-        self.interner = (
-            prepared.interner if prepared is not None else LabelInterner()
+        self.records = (
+            prepared.records if prepared is not None else RecordStore(trees)
         )
-        self._caches = prepared.caches if prepared is not None else None
+        self.interner = self.records.interner
         self.counters = _ProbeCounters()
         self.checked: set[tuple[int, int]] = set()
         self.small_pool: list[tuple[int, int]] = []  # (original index, size)
@@ -355,7 +355,7 @@ class ShardDriver:
 
         with phase_timer(self, "probe_time"):
             if n >= self.min_size:
-                cache = self._cache_for(i)
+                cache = self.records[i]
                 _probe_index(
                     self.index, cache, i, n, tau, self.min_size,
                     self.semantics, checked, candidates, counters,
@@ -438,24 +438,13 @@ class ShardDriver:
         n = tree.size
         with phase_timer(self, "band_time"):
             if n >= self.min_size:
-                cache = self._cache_for(i)
+                cache = self.records[i]
                 subgraphs = self._partition(cache, i, owned=False)
                 self.index.insert_all(n, subgraphs)
                 self.counters.band_subgraphs += len(subgraphs)
             else:
                 self.small_pool.append((i, n))
             self.counters.band_trees += 1
-
-    def _cache_for(self, i: int) -> TreeCache:
-        """Tree ``i``'s flat-array cache, shared with the session if any."""
-        caches = self._caches
-        if caches is None:
-            return TreeCache(self.trees[i], self.interner)
-        cache = caches.get(i)
-        if cache is None:
-            cache = TreeCache(self.trees[i], self.interner)
-            caches[i] = cache
-        return cache
 
     def _partition(self, cache: TreeCache, i: int, owned: bool):
         """Cut tree ``i`` into ``delta`` subgraphs per the configured strategy."""
@@ -473,7 +462,7 @@ class ShardDriver:
             if owned:
                 self.counters.gamma_total += min(sub.size for sub in subgraphs)
         else:
-            gamma = max_min_size_cached(cache, self.delta, hint=self.gamma_hint)
+            gamma = max_min_size(cache, self.delta, hint=self.gamma_hint)
             self.gamma_hint = gamma
             subgraphs = extract_partition(
                 cache, i, self.delta, gamma, self.numbering, check=False
@@ -510,8 +499,9 @@ def partsj_join(
         are consumed instead of rebuilt.  Results are bit-identical with
         or without it; only the preparation cost disappears.
     verifier:
-        A pre-built verification engine (sessions pass one whose per-tree
-        annotation and feature caches are shared across queries).
+        A pre-built verification engine (sessions pass one over their
+        record store, shared across queries).  Without one the join
+        verifies over the driver's own records.
     tracer:
         A :class:`repro.obs.Tracer` to record phase spans on (``None``
         disables tracing at zero cost).  Tracing is coarse-grained —
@@ -541,9 +531,9 @@ def partsj_join(
         prepared.collection if prepared is not None
         else SizeSortedCollection(trees)
     )
-    if verifier is None:
-        verifier = Verifier(trees, tau)
     driver = ShardDriver(trees, tau, cfg, prepared=prepared)
+    if verifier is None:
+        verifier = Verifier(trees, tau, caches=driver.records)
     pairs: list[JoinPair] = []
 
     with tracer.span("partsj.loop", tau=tau, trees=len(trees)) as sp:

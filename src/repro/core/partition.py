@@ -4,8 +4,8 @@
   partitionable test (Algorithm 2).  Following a binary postorder, every
   time the not-yet-detached part of a subtree reaches ``gamma`` nodes a
   gamma-subtree is (virtually) detached.
-- :func:`max_min_size` / :func:`max_min_size_cached` — binary search for
-  the largest feasible ``gamma`` (Algorithm 3), searching
+- :func:`max_min_size` — binary search for the largest feasible ``gamma``
+  (Algorithm 3), searching
   ``[floor((n + delta - 1) / (2*delta - 1)), floor(n / delta)]``.
 - :func:`extract_partition` — materializes the partition that the greedy
   test discovers: the first ``delta - 1`` gamma-subtrees are cut off and
@@ -31,12 +31,10 @@ from typing import Optional
 from repro.core.subgraph import Subgraph
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError, NotPartitionableError
-from repro.tree.binary import BinaryTree
 
 __all__ = [
     "partitionable",
     "max_min_size",
-    "max_min_size_cached",
     "extract_partition",
     "extract_random_partition",
     "min_partitionable_size",
@@ -62,26 +60,6 @@ def _check_delta_gamma(size: int, delta: int, gamma: Optional[int] = None) -> No
         raise NotPartitionableError(
             f"cannot split a tree of {size} nodes into {delta} non-empty subgraphs"
         )
-
-
-def _child_arrays(binary: BinaryTree) -> tuple[list[int], list[int], list[int]]:
-    """Left/right child number arrays (plus internal-node numbers) of a
-    node-object tree."""
-    postorder = binary.postorder()
-    # Identity -> postorder-number lookup; keys never ordered into output.
-    number_of = {id(node): b for b, node in enumerate(postorder, start=1)}  # repro: allow[determinism]
-    size = len(postorder)
-    left = [0] * (size + 1)
-    right = [0] * (size + 1)
-    internal = []
-    for b, node in enumerate(postorder, start=1):
-        if node.left is not None:
-            left[b] = number_of[id(node.left)]
-        if node.right is not None:
-            right[b] = number_of[id(node.right)]
-        if left[b] or right[b]:
-            internal.append(b)
-    return left, right, internal
 
 
 def _partitionable_flat(
@@ -124,12 +102,13 @@ def _partitionable_flat(
     return False
 
 
-def partitionable(binary: BinaryTree, delta: int, gamma: int) -> bool:
-    """Algorithm 2: can ``binary`` be cut into ``delta`` subgraphs of size
-    ``>= gamma`` each?"""
-    _check_delta_gamma(binary.size, delta, gamma)
-    left, right, internal = _child_arrays(binary)
-    return _partitionable_flat(binary.size, left, right, internal, delta, gamma)
+def partitionable(cache: TreeCache, delta: int, gamma: int) -> bool:
+    """Algorithm 2: can the cached tree's LC-RS binary tree be cut into
+    ``delta`` subgraphs of size ``>= gamma`` each?"""
+    _check_delta_gamma(cache.size, delta, gamma)
+    return _partitionable_flat(
+        cache.size, cache.left, cache.right, cache.internal, delta, gamma
+    )
 
 
 def _max_min_size_flat(
@@ -177,20 +156,10 @@ def _max_min_size_flat(
     return lo
 
 
-def max_min_size(binary: BinaryTree, delta: int) -> int:
-    """Algorithm 3: the largest ``gamma`` with ``binary`` ``(delta, gamma)``-
-    partitionable.  The child arrays are built once and shared by every
-    probe of the binary search."""
-    size = binary.size
-    _check_delta_gamma(size, delta)
-    left, right, internal = _child_arrays(binary)
-    return _max_min_size_flat(size, left, right, internal, delta)
-
-
-def max_min_size_cached(
-    cache: TreeCache, delta: int, hint: Optional[int] = None
-) -> int:
-    """:func:`max_min_size` reusing a cache's already-built child arrays."""
+def max_min_size(cache: TreeCache, delta: int, hint: Optional[int] = None) -> int:
+    """Algorithm 3: the largest ``gamma`` with the cached tree ``(delta,
+    gamma)``-partitionable; ``hint`` warm-starts the search (see
+    :func:`_max_min_size_flat`)."""
     _check_delta_gamma(cache.size, delta)
     return _max_min_size_flat(
         cache.size, cache.left, cache.right, cache.internal, delta, hint
@@ -243,14 +212,14 @@ def extract_partition(
     """Cut the cached tree into ``delta`` subgraphs, sizes ``>= gamma``.
 
     With ``gamma=None`` the maximal feasible value from
-    :func:`max_min_size_cached` is used (the paper's MaxMinSize
+    :func:`max_min_size` is used (the paper's MaxMinSize
     partitioning).  The greedy pass detaches the first ``delta - 1``
     gamma-subtrees it finds; everything still attached (including the
     tree root) forms the last subgraph.
 
     ``check=False`` skips the feasibility validation of an explicit
     ``gamma`` — for callers (the join's insert phase) that just computed
-    it with :func:`max_min_size_cached`, the extra greedy pass is pure
+    it with :func:`max_min_size`, the extra greedy pass is pure
     overhead.
 
     Returns subgraphs ordered by ascending root postorder id, with 1-based

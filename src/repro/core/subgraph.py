@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.intern import EPSILON, pack_twig
 from repro.errors import InvalidParameterError
-from repro.tree.binary import BinaryNode, EdgeKind
+from repro.tree.binary import EdgeKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.treecache import TreeCache
@@ -151,11 +151,6 @@ class Subgraph:
     # -- compatibility views -------------------------------------------------
 
     @property
-    def root(self) -> BinaryNode:
-        """The root as a node object (compat; materializes the node layer)."""
-        return self.cache.node_at_binary_number(self.root_number)
-
-    @property
     def members(self) -> frozenset[int]:
         """Member binary postorder numbers as a frozenset (compat view)."""
         cached = self._members
@@ -177,10 +172,6 @@ class Subgraph:
         a, b, c = self.twig_ids
         return (label(a), label(b), label(c))
 
-    def is_member(self, node: BinaryNode) -> bool:
-        """True when ``node`` (of the container tree) is in this subgraph."""
-        return bool(self.member_bits[self.cache.binary_number(node)])
-
     # -- matching ------------------------------------------------------------
 
     def matches_at_number(
@@ -188,8 +179,9 @@ class Subgraph:
     ) -> bool:
         """Does this subgraph occur at node ``probe_number`` of ``probe_cache``?
 
-        The hot-path matcher: both trees are walked through their flat
-        arrays with an explicit integer stack.  Labels compare as interned
+        The matcher of every probe (join, search, reverse index): both
+        trees are walked through their flat arrays with an explicit
+        integer stack.  Labels compare as interned
         ids, so both caches must share an interner (always true for caches
         built with the default).  ``strict`` selects PAPER semantics
         (dangling edges must exist, empty slots must be empty, incoming
@@ -230,40 +222,6 @@ class Subgraph:
                 stack.append(other)
             elif strict and (other if not child else not other):
                 return False
-        return True
-
-    def matches_at(self, node: BinaryNode, semantics: MatchSemantics) -> bool:
-        """Does this subgraph occur at ``node`` of a probe tree?
-
-        Compatibility matcher over node objects (``node`` belongs to some
-        *other* tree's binary representation, not necessarily cache-backed).
-        The join's probe loop uses :meth:`matches_at_number` instead.
-        """
-        strict = semantics is MatchSemantics.PAPER
-        if strict and node.incoming is not self.incoming:
-            return False
-        stack: list[tuple[BinaryNode, BinaryNode]] = [(self.root, node)]
-        while stack:
-            mine, theirs = stack.pop()
-            if mine.label != theirs.label:
-                return False
-            for my_child, their_child in (
-                (mine.left, theirs.left),
-                (mine.right, theirs.right),
-            ):
-                if my_child is not None and self.is_member(my_child):
-                    if their_child is None:
-                        return False
-                    stack.append((my_child, their_child))
-                elif my_child is not None:
-                    # Dangling bridging edge: the probe tree must have an
-                    # edge here under strict semantics; its subtree content
-                    # never matters.
-                    if strict and their_child is None:
-                        return False
-                else:
-                    if strict and their_child is not None:
-                        return False
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

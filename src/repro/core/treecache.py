@@ -1,5 +1,4 @@
-"""Per-tree flat-array precomputation shared by the PartSJ probe and insert
-phases.
+"""One flat, interned record per tree, shared by filtering and verification.
 
 For every tree the join touches, :class:`TreeCache` materializes once the
 LC-RS binary representation — *as parallel integer arrays, not as a node
@@ -20,11 +19,41 @@ can mean "no child / no parent".  The arrays are:
 
 The probe loop, partition extraction and subgraph matching all walk these
 arrays with plain integer indices — no attribute loads, no ``id()``-keyed
-dictionaries, no per-node objects.  A :class:`~repro.tree.binary.BinaryNode`
-object layer is still available through :attr:`binary` /
-:attr:`binary_postorder` / :meth:`binary_number` for tests, ablation
-paths and debugging, but it is built lazily on first access and the hot
-paths never touch it.
+dictionaries, no per-node objects.
+
+Verifier views
+--------------
+Verification (:class:`repro.baselines.common.Verifier`) reads the same
+record: every view below is derived from the arrays on first use and
+memoized on the record, so no tree is walked as ``TreeNode`` objects
+after the constructor.  ``labels[0]`` is ``0``, the id of epsilon, which
+lets a missing child read as epsilon without a branch.
+
+- :attr:`label_bag` — ``Counter(labels[1:])``.  A real ``""`` label also
+  interns to id ``0``, so slot 0 is sliced off, never subtracted by value.
+- :attr:`degree_bag` — the general degree of node ``b`` is the length of
+  the sibling chain starting at ``left[b]``; one ascending pass computes
+  every chain length as ``chain[b] = 1 + chain[right[b]]``.
+- :attr:`branch_bag` — the binary branches of Yang et al.,
+  ``(labels[b], labels[left[b]], labels[right[b]])``: id ``0`` plays
+  epsilon exactly as ``""`` does in
+  :func:`repro.ted.binary_branch.binary_branches`.
+- :attr:`preorder` / :attr:`postorder` — label ids in general preorder
+  (which equals the LC-RS preorder) and general postorder (through
+  ``general_post``), for the traversal-string bound.
+- :attr:`annotation` / :attr:`mirror_annotation` — the Zhang–Shasha
+  arrays (:class:`~repro.ted.zhang_shasha.AnnotatedTree`) in either
+  orientation.  Leftmost: follow ``left`` chains, ``lm[b] = lm[left[b]]``, then
+  ``lmld[gp[b]] = gp[lm[b]]``.  Mirrored (every child list reversed),
+  with no mirrored tree: a node's mirrored postorder number is
+  ``n + 1 - preorder number``, and its mirrored leftmost leaf is its
+  original rightmost leaf, so ``lmld'[m] = m - |subtree| + 1``.
+
+:func:`repro.ted.zhang_shasha.oriented` picks between the two
+orientations of a pair, and :class:`RecordStore` is the one
+per-collection store of records — keyed by original index, all over one
+interner — that the session, the streaming engine, the searchers and the
+verifier share.
 
 Why general-tree postorder?  The postorder-pruning layer (paper Section
 3.4) relies on "a node edit operation shifts a surviving node's postorder
@@ -40,13 +69,14 @@ the conservative window (``postorder_filter="safe"``) provably correct; see
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import Counter
+from typing import Optional, Sequence
 
 from repro.core.intern import DEFAULT_INTERNER, LabelInterner
-from repro.tree.binary import BinaryNode, BinaryTree
+from repro.ted.zhang_shasha import AnnotatedTree
 from repro.tree.node import Tree, TreeNode
 
-__all__ = ["TreeCache"]
+__all__ = ["TreeCache", "RecordStore"]
 
 
 class TreeCache:
@@ -70,6 +100,12 @@ class TreeCache:
         binary child.  The greedy partitioning passes (Algorithms 2/3)
         iterate only these: binary leaves contribute a constant ``1`` that
         a C-speed list fill provides up front.
+
+    The verifier views (:attr:`label_bag`, :attr:`degree_bag`,
+    :attr:`branch_bag`, :attr:`preorder`, :attr:`postorder`,
+    :attr:`annotation`, :attr:`mirror_annotation`) are built on first
+    use.  Their slots stay unset until then, so the constructor does no
+    work for them.
     """
 
     __slots__ = (
@@ -83,9 +119,13 @@ class TreeCache:
         "general_post",
         "internal",
         "_general_at",
-        "_nodes",
-        "_binary",
-        "_number_of",
+        "_label_bag",
+        "_degree_bag",
+        "_branch_bag",
+        "_preorder",
+        "_postorder",
+        "_annotation",
+        "_mirror_annotation",
     )
 
     def __init__(self, tree: Tree, interner: Optional[LabelInterner] = None):
@@ -178,10 +218,15 @@ class TreeCache:
         self.parent = parent
         self.general_post = gp
         self.internal = internal
+        # Nothing reads this list of the general nodes.  It keeps each
+        # tree's nodes listed together in one container that CPython's
+        # cyclic collector scans, so a full collection moves them back to
+        # its list tree by tree and later ones walk them in allocation
+        # order.  Without it the first full collection reorders every
+        # node breadth-first across all trees, and each later one takes
+        # about twice as long: +22% warm_setup_s on the benchmark's
+        # probe-heavy workload (Python 3.11, 2-vCPU VM).
         self._general_at = general_at
-        self._nodes: Optional[list[Optional[BinaryNode]]] = None
-        self._binary: Optional[BinaryTree] = None
-        self._number_of: Optional[dict[int, int]] = None
 
     # -- fast array accessors ------------------------------------------------
 
@@ -192,68 +237,163 @@ class TreeCache:
             return 0
         return 1 if self.left[p] == number else 2
 
-    def general_node_at(self, number: int) -> TreeNode:
-        """The general-tree twin of binary postorder number ``number``."""
-        node = self._general_at[number]
-        assert node is not None
-        return node
+    # -- verifier views (built on first use; see the module docstring) -------
+    #
+    # An unset slot raises AttributeError, which marks a view not built yet.
 
-    # -- node-object compatibility layer (built lazily, never on hot paths) --
+    @property
+    def label_bag(self) -> Counter:
+        """Multiset of label ids."""
+        try:
+            return self._label_bag
+        except AttributeError:
+            bag = self._label_bag = Counter(self.labels[1:])
+            return bag
 
-    def _materialize_nodes(self) -> list[Optional[BinaryNode]]:
-        nodes = self._nodes
-        if nodes is None:
+    @property
+    def degree_bag(self) -> Counter:
+        """Histogram of general-tree node degrees."""
+        try:
+            return self._degree_bag
+        except AttributeError:
+            right = self.right
+            chain = [0] * (self.size + 1)  # sibling-chain length from b on
+            for b in range(1, self.size + 1):
+                chain[b] = chain[right[b]] + 1
+            bag = self._degree_bag = Counter(map(chain.__getitem__, self.left[1:]))
+            return bag
+
+    @property
+    def branch_bag(self) -> Counter:
+        """Multiset of binary branches as label-id triples (0 = epsilon)."""
+        try:
+            return self._branch_bag
+        except AttributeError:
+            labels = self.labels
+            label_of = labels.__getitem__
+            bag = self._branch_bag = Counter(zip(
+                labels[1:],
+                map(label_of, self.left[1:]),
+                map(label_of, self.right[1:]),
+            ))
+            return bag
+
+    @property
+    def preorder(self) -> tuple[int, ...]:
+        """Label ids in general-tree preorder."""
+        try:
+            return self._preorder
+        except AttributeError:
+            sequence = self._preorder = tuple(
+                map(self.labels.__getitem__, self._preorder_numbers())
+            )
+            return sequence
+
+    @property
+    def postorder(self) -> tuple[int, ...]:
+        """Label ids in general-tree postorder."""
+        try:
+            return self._postorder
+        except AttributeError:
+            labels = self.labels
+            ordered = [0] * (self.size + 1)
+            for b, g in enumerate(self.general_post):
+                ordered[g] = labels[b]
+            sequence = self._postorder = tuple(ordered[1:])
+            return sequence
+
+    @property
+    def annotation(self) -> AnnotatedTree:
+        """The Zhang–Shasha arrays, decomposing along leftmost paths.
+
+        Labels are the label strings, so a custom ``rename_cost`` receives
+        them as such.
+        """
+        try:
+            return self._annotation
+        except AttributeError:
+            labels, left, gp = self.labels, self.left, self.general_post
+            name = self.interner.label
             n = self.size
-            general_at = self._general_at
-            nodes = [None] * (n + 1)
+            names = [""] * (n + 1)
+            lmld = [0] * (n + 1)
+            leftmost = [0] * (n + 1)  # binary number of b's leftmost leaf
             for b in range(1, n + 1):
-                nodes[b] = BinaryNode(general_at[b].label)  # type: ignore[union-attr]
-            left, right = self.left, self.right
-            for b in range(1, n + 1):
-                node = nodes[b]
-                if left[b]:
-                    node.set_left(nodes[left[b]])  # type: ignore[union-attr]
-                if right[b]:
-                    node.set_right(nodes[right[b]])  # type: ignore[union-attr]
-            self._nodes = nodes
-            # Identity -> number lookup; keys never ordered into output.
-            self._number_of = {id(nodes[b]): b for b in range(1, n + 1)}  # repro: allow[determinism]
-            tree = BinaryTree(nodes[n])  # type: ignore[arg-type]  # root is last
-            # Postorder is known by construction; prime the tree's cache so
-            # the compat layer costs one pass, not two.
-            tree._postorder = nodes[1:]  # type: ignore[assignment]
-            self._binary = tree
-        return nodes
+                child = left[b]  # smaller than b: already resolved
+                leaf = leftmost[b] = leftmost[child] if child else b
+                g = gp[b]
+                names[g] = name(labels[b])
+                lmld[g] = gp[leaf]
+            annotated = self._annotation = AnnotatedTree(names, lmld)
+            return annotated
 
     @property
-    def binary(self) -> BinaryTree:
-        """The LC-RS tree as linked :class:`BinaryNode` objects (lazy)."""
-        self._materialize_nodes()
-        assert self._binary is not None
-        return self._binary
+    def mirror_annotation(self) -> AnnotatedTree:
+        """The Zhang–Shasha arrays of the tree's mirror image (every child
+        list reversed), derived without building that tree."""
+        try:
+            return self._mirror_annotation
+        except AttributeError:
+            leftmost = self.annotation
+            names, lmld = leftmost.labels, leftmost.lmld
+            gp = self.general_post
+            n = self.size
+            mirror_names = [""] * (n + 1)
+            mirror_lmld = [0] * (n + 1)
+            # Mirrored postorder reverses preorder: the k-th node in
+            # preorder (0-based) is number n - k.  A subtree spans the same
+            # node count in both numberings, g - lmld[g] + 1 in the
+            # leftmost one.
+            m = n
+            for b in self._preorder_numbers():
+                g = gp[b]
+                mirror_names[m] = names[g]
+                mirror_lmld[m] = m - g + lmld[g]
+                m -= 1
+            annotated = self._mirror_annotation = AnnotatedTree(
+                mirror_names, mirror_lmld
+            )
+            return annotated
 
-    @property
-    def binary_postorder(self) -> list[BinaryNode]:
-        """Binary nodes in binary postorder (compat; lazy, same objects as
-        :attr:`binary`)."""
-        nodes = self._materialize_nodes()
-        return nodes[1:]  # type: ignore[return-value]
+    def _preorder_numbers(self) -> list[int]:
+        """Binary postorder numbers in LC-RS (= general-tree) preorder."""
+        left, right = self.left, self.right
+        order = []
+        stack = [self.size]
+        while stack:
+            b = stack.pop()
+            order.append(b)
+            child = right[b]
+            if child:
+                stack.append(child)
+            child = left[b]
+            if child:
+                stack.append(child)
+        return order
 
-    def general_postorder(self, node: BinaryNode) -> int:
-        """1-based general-tree postorder number of ``node``'s general twin."""
-        self._materialize_nodes()
-        assert self._number_of is not None
-        return self.general_post[self._number_of[id(node)]]
 
-    def binary_number(self, node: BinaryNode) -> int:
-        """1-based binary postorder number of ``node``."""
-        self._materialize_nodes()
-        assert self._number_of is not None
-        return self._number_of[id(node)]
+class RecordStore(dict):
+    """``original index -> TreeCache`` over one interner, built on demand.
 
-    def node_at_binary_number(self, number: int) -> BinaryNode:
-        """Inverse of :meth:`binary_number` (1-based)."""
-        nodes = self._materialize_nodes()
-        node = nodes[number]
-        assert node is not None
-        return node
+    ``store[i]`` builds tree ``i``'s record on first access and keeps it,
+    so every view memoized on a record (bags, traversals, annotations)
+    stays warm for the store's life.  A session keeps one per collection
+    and a streaming engine one per stream (``trees`` may be a list that
+    grows); the join driver, the searchers and every :class:`Verifier`
+    over that collection read the same records.
+    """
+
+    __slots__ = ("trees", "interner")
+
+    def __init__(self, trees: Sequence[Tree]):
+        super().__init__()
+        self.trees = trees
+        self.interner = LabelInterner()
+
+    def __missing__(self, index: int) -> TreeCache:
+        record = self[index] = TreeCache(self.trees[index], self.interner)
+        return record
+
+    def annotated(self) -> int:
+        """How many records have built their leftmost annotation."""
+        return sum(hasattr(record, "_annotation") for record in self.values())

@@ -11,7 +11,7 @@ back.
 
 The verification engine (:class:`repro.baselines.common.Verifier`) is
 created once per process on first use and kept for the rest of the pool's
-life, so its per-tree annotation and feature caches amortize across
+life, so the views memoized on its per-tree records amortize across
 chunks exactly as they do across candidates in a serial run.
 """
 
@@ -298,7 +298,7 @@ def verify_chunk_task(task: tuple) -> tuple:
 # task carries the bracket strings of exactly the trees its pairs
 # reference; the worker files them in a per-process append-only store, so
 # a tree revisited by later chunks (a near-duplicate cluster member, say)
-# is parsed once and its Verifier caches stay warm for the pool's life.
+# is parsed once and its Verifier records stay warm for the pool's life.
 
 
 class GrowingTreeStore(Sequence):

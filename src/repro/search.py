@@ -26,6 +26,11 @@ verbatim over a :class:`~repro.stream.engine.StreamingJoin`'s live index
 — the warm-index service path, which additionally *filters* the
 larger-than-query side through the reverse node-twig index instead of
 this module's verify-the-window fallback.
+
+Candidates are verified against the query's own
+:class:`~repro.core.treecache.TreeCache` — the record already built for
+probing — with a verifier over the collection's (or stream's) record
+store, so collection-side views stay warm from search to search.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.baselines.common import Verifier, VerifierCaches
+from repro.baselines.common import Verifier
 from repro.core.index import probe_all_packed
 from repro.core.intern import search_keys
 from repro.core.join import PartSJConfig
@@ -54,49 +59,6 @@ class SearchHit:
     distance: int
 
 
-class _QueryLocalDict:
-    """A verifier-cache view that keeps one key private per search.
-
-    Collection-tree entries read from and write through to the session's
-    shared dict (so annotation/feature work accumulates across queries at
-    O(1) per access), while the query's borrowed index — ``len(trees)``,
-    which every search reuses — lives in a per-search slot that never
-    touches shared state.  Supports exactly the operations
-    :class:`~repro.baselines.common.Verifier` performs: ``get`` and item
-    assignment.
-    """
-
-    __slots__ = ("_shared", "_query_index", "_query_value")
-
-    def __init__(self, shared: dict, query_index: int):
-        self._shared = shared
-        self._query_index = query_index
-        self._query_value = None
-
-    def get(self, key, default=None):
-        if key == self._query_index:
-            value = self._query_value
-            return value if value is not None else default
-        return self._shared.get(key, default)
-
-    def __setitem__(self, key, value) -> None:
-        if key == self._query_index:
-            self._query_value = value
-        else:
-            self._shared[key] = value
-
-
-class _QueryLocalCaches:
-    """Per-search :class:`VerifierCaches` facade over the shared ones."""
-
-    __slots__ = ("annotated", "mirrored", "features")
-
-    def __init__(self, shared: VerifierCaches, query_index: int):
-        self.annotated = _QueryLocalDict(shared.annotated, query_index)
-        self.mirrored = _QueryLocalDict(shared.mirrored, query_index)
-        self.features = _QueryLocalDict(shared.features, query_index)
-
-
 class SimilaritySearcher:
     """Reusable searcher over a prepared collection.
 
@@ -112,11 +74,6 @@ class SimilaritySearcher:
     config:
         PartSJ filter configuration (defaults to the exact-safe one).
     """
-
-    # Overridden per instance when constructed from a session; the
-    # streaming subclass (which skips this constructor) inherits None and
-    # keeps its historical per-search verifier behavior.
-    _verifier_caches = None
 
     def __init__(
         self,
@@ -146,7 +103,11 @@ class SimilaritySearcher:
         )
         # The collection-wide interner; queries intern into the same table.
         self._interner = collection.interner
-        self._verifier_caches = collection.verifier_caches
+        # Verifies over the session's records, so per-tree views stay warm
+        # across searches (and joins) of the same collection.
+        self._verifier = Verifier(
+            self.trees, tau, caches=collection.verifier_caches
+        )
 
     def _size_window(self, size: int) -> list[int]:
         """Indices of collection trees with size within ``tau`` of ``size``."""
@@ -203,25 +164,20 @@ class SimilaritySearcher:
                 candidates.add(i)
 
     def search(self, query: Tree) -> list[SearchHit]:
-        """All collection trees with ``TED(query, tree) <= tau``."""
+        """All collection trees with ``TED(query, tree) <= tau``.
+
+        The query's probe record is verified directly; it never enters
+        the shared record store.
+        """
         candidates: set[int] = set()
         cache = TreeCache(query, interner=self._interner)
         self._forward_candidates(cache, candidates)
         self._upper_candidates(cache, candidates)
 
-        shared = self._verifier_caches
-        query_index = len(self.trees)
-        if shared is None:
-            caches = None
-        else:
-            # The query borrows index len(trees), which every search
-            # reuses — route it to a per-search slot while collection
-            # entries keep reading/writing the shared dicts directly.
-            caches = _QueryLocalCaches(shared, query_index)
-        verifier = Verifier(list(self.trees) + [query], self.tau, caches=caches)
+        verifier = self._verifier
         hits = []
         for i in sorted(candidates):
-            distance = verifier.verify(i, query_index)
+            distance = verifier.verify_record(i, cache)
             if distance is not None:
                 hits.append(SearchHit(index=i, distance=distance))
         return hits

@@ -6,11 +6,12 @@ pay it once per collection too.  A :class:`TreeCollection` owns every
 artifact that outlives a single call:
 
 - the size-sorted order (:class:`~repro.baselines.common.SizeSortedCollection`),
-- the collection-wide :class:`~repro.core.intern.LabelInterner` and the
-  per-tree :class:`~repro.core.treecache.TreeCache` flat arrays,
-- the tau-independent verification caches
-  (:class:`~repro.baselines.common.VerifierCaches`: Zhang–Shasha
-  annotations, feature bags),
+- the record store (:class:`~repro.core.treecache.RecordStore`): one
+  :class:`~repro.core.treecache.TreeCache` per tree over the
+  collection-wide :class:`~repro.core.intern.LabelInterner`, read by the
+  partitioner, the probe and every verifier.  The tau-independent
+  verification views (bags, traversals, Zhang–Shasha annotations) are
+  memoized on those records, so they too outlive a single query,
 - and, lazily per ``(tau, filter config)``, the partitions and two-layer
   index (:class:`_PreparedTau`) that both the join and the searcher
   consume.
@@ -59,7 +60,6 @@ from repro.baselines.common import (
     JoinResult,
     SizeSortedCollection,
     Verifier,
-    VerifierCaches,
 )
 from repro.baselines.histogram_join import histogram_join
 from repro.baselines.nested_loop import nested_loop_join
@@ -71,10 +71,10 @@ from repro.core.join import PartSJConfig, PreparedJoinState, partsj_join
 from repro.core.partition import (
     extract_partition,
     extract_random_partition,
-    max_min_size_cached,
+    max_min_size,
     min_partitionable_size,
 )
-from repro.core.treecache import TreeCache
+from repro.core.treecache import RecordStore, TreeCache
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import publish_join_stats
 from repro.obs.trace import NULL_TRACER
@@ -193,7 +193,7 @@ class _PreparedTau:
                 )
                 gamma = min(sub.size for sub in subgraphs)
             else:
-                gamma = max_min_size_cached(cache, self.delta, hint=gamma_hint)
+                gamma = max_min_size(cache, self.delta, hint=gamma_hint)
                 gamma_hint = gamma
                 subgraphs = extract_partition(
                     cache, i, self.delta, gamma, config.postorder_numbering,
@@ -243,8 +243,7 @@ class _PreparedTau:
         col = self.collection
         return PreparedJoinState(
             collection=col.sorted,
-            interner=col.interner,
-            caches=col._caches,
+            records=col._records,
             partitions=self.partitions,
             gammas=self.gammas,
         )
@@ -295,9 +294,10 @@ class TreeCollection:
 
     Construct with :meth:`from_trees` or :meth:`from_file`; then build
     queries with :meth:`join`, :meth:`join_with`, :meth:`search` and
-    :meth:`stream`.  All shared state — sorted order, interner, tree
-    caches, per-tau partitions and indexes, verification caches, result
-    cache — lives here and is reused across queries.
+    :meth:`stream`.  All shared state — sorted order, record store
+    (interner, per-tree records and their verification views), per-tau
+    partitions and indexes, result cache — lives here and is reused
+    across queries.
 
     The collection is immutable: the tree list is snapshotted at
     construction.  For growing collections use the streaming engine
@@ -321,11 +321,9 @@ class TreeCollection:
                 )
         self._trees: list[Tree] = trees
         self._sorted: Optional[SizeSortedCollection] = None
-        self._interner: Optional[LabelInterner] = None
-        self._caches: dict[int, TreeCache] = {}
+        self._records = RecordStore(trees)
         self._prepared: dict[tuple, _PreparedTau] = {}
         self._results: dict = {}
-        self._verifier_caches = VerifierCaches()
         self._merged: dict[int, tuple] = {}  # id(other) -> (other, merged)
         self._provenance: Optional[dict] = None  # set by snapshot loads
 
@@ -425,16 +423,16 @@ class TreeCollection:
 
         The default drops the result cache and the merged R×S sessions
         (the unbounded-growth candidates); ``deep=True`` additionally
-        drops every prepared tau, tree cache and verification cache,
-        returning the session to its just-constructed footprint.  The
+        drops every prepared tau and every per-tree record with its
+        verification views, returning the session to its
+        just-constructed footprint (the interner keeps its ids).  The
         next query rebuilds whatever it needs — results are unaffected.
         """
         self._results.clear()
         self._merged.clear()
         if deep:
             self._prepared.clear()
-            self._caches.clear()
-            self._verifier_caches = VerifierCaches()
+            self._records.clear()
 
     # -- shared state --------------------------------------------------------
 
@@ -468,23 +466,17 @@ class TreeCollection:
 
     @property
     def interner(self) -> LabelInterner:
-        """The collection-wide label interner all caches share."""
-        if self._interner is None:
-            self._interner = LabelInterner()
-        return self._interner
+        """The collection-wide label interner all records share."""
+        return self._records.interner
 
     def cache(self, i: int) -> TreeCache:
-        """Tree ``i``'s flat-array cache (built on first use, kept)."""
-        cache = self._caches.get(i)
-        if cache is None:
-            cache = TreeCache(self._trees[i], self.interner)
-            self._caches[i] = cache
-        return cache
+        """Tree ``i``'s record (built on first use, kept)."""
+        return self._records[i]
 
     @property
-    def verifier_caches(self) -> VerifierCaches:
-        """Tau-independent verification caches shared by every query."""
-        return self._verifier_caches
+    def verifier_caches(self) -> RecordStore:
+        """The record store every query's verifier reads and fills."""
+        return self._records
 
     # -- preparation ---------------------------------------------------------
 
@@ -551,10 +543,10 @@ class TreeCollection:
             "trees": len(self._trees),
             "size_min": sizes[0] if sizes else None,
             "size_max": sizes[-1] if sizes else None,
-            "tree_caches": len(self._caches),
+            "tree_caches": len(self._records),
             "prepared": [prep.describe() for prep in self._prepared.values()],
             "cached_results": len(self._results),
-            "verifier_annotations": len(self._verifier_caches.annotated),
+            "verifier_annotations": self._records.annotated(),
             "merged_sessions": len(self._merged),
         }
         if self._provenance is not None:
@@ -834,14 +826,12 @@ class JoinPlan(QueryPlan):
                 state = col.prepare(self.tau, cfg).join_state()
             else:
                 state = PreparedJoinState(
-                    collection=col.sorted,
-                    interner=col.interner,
-                    caches=col._caches,
+                    collection=col.sorted, records=col._records
                 )
             return partsj_join(col.trees, self.tau, cfg, prepared=state,
                                tracer=tracer)
         prep, fresh = col._prepare_entry(self.tau, cfg)
-        verifier = Verifier(col.trees, self.tau, caches=col.verifier_caches)
+        verifier = Verifier(col.trees, self.tau, caches=col._records)
         result = partsj_join(
             col.trees, self.tau, cfg,
             prepared=prep.join_state(), verifier=verifier, tracer=tracer,

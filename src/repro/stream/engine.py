@@ -34,12 +34,13 @@ One arrival runs three steps:
    exhaustively by :meth:`flush`.
 
 The engine keeps every ingested tree's :class:`~repro.core.treecache.TreeCache`
-so reverse anchors can be structurally matched at any time; together with
-the node-twig registrations this is the warm-index state that
-:meth:`searcher` exposes for mid-ingest ``similarity_search`` queries
-(no rebuild — the searcher is a live view).  Memory therefore grows with
-the ingested prefix; the spill-to-disk inverted size index is the
-ROADMAP follow-up.
+in one :class:`~repro.core.treecache.RecordStore`, so reverse anchors can
+be structurally matched at any time and every verification reads warm
+views; together with the node-twig registrations this is the warm-index
+state that :meth:`searcher` exposes for mid-ingest ``similarity_search``
+queries (no rebuild — the searcher is a live view).  Memory therefore
+grows with the ingested prefix; the spill-to-disk inverted size index is
+the ROADMAP follow-up.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from repro.baselines.common import JoinPair, SizeSortedCollection, Verifier
 from repro.core.index import PostorderFilter, postorder_half_width
 from repro.core.join import PartSJConfig, ShardDriver
 from repro.core.subgraph import MatchSemantics
-from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.sharding import ShardPlan, ShardPlanner
@@ -192,9 +192,11 @@ class StreamingJoin:
         # Serial driver config: the driver is the in-process probe/insert
         # engine either way; workers only parallelize verification.
         self._driver = ShardDriver(self.trees, tau, replace(cfg, workers=1))
-        self._verifier = Verifier(self.trees, tau)
+        # One record per arrival, shared by the probe, the reverse-index
+        # matches, inline verification and every searcher.
+        self._records = self._driver.records
+        self._verifier = Verifier(self.trees, tau, caches=self._records)
         self._reverse = NodeTwigIndex(tau, self._driver.index.postorder_filter)
-        self._caches: dict[int, TreeCache] = {}
         self._planner = ShardPlanner(self.collection, tau)
         self._pairs: list[JoinPair] = []
         self._pool = None
@@ -249,9 +251,9 @@ class StreamingJoin:
         i = self.collection.insert(tree)
         candidates, subgraphs = self._driver.ingest(i)
         if subgraphs is not None:
-            cache = subgraphs[0].cache
-            self._caches[i] = cache
-            self._reverse.insert_tree(cache, i, self._driver.numbering)
+            self._reverse.insert_tree(
+                self._records[i], i, self._driver.numbering
+            )
             self._reverse_probe(i, tree.size, subgraphs, candidates)
         else:
             self._small_reverse_scan(i, tree.size, candidates)
@@ -299,7 +301,7 @@ class StreamingJoin:
         mode = self._reverse.postorder_filter
         off = mode is PostorderFilter.OFF
         checked = self._driver.checked
-        caches = self._caches
+        records = self._records
         strict = self._strict
         before = len(candidates)
         for s in subgraphs:
@@ -310,7 +312,7 @@ class StreamingJoin:
                 key = (owner, i) if owner < i else (i, owner)
                 if key in checked:
                     continue
-                if s.matches_at_number(caches[owner], b, strict):
+                if s.matches_at_number(records[owner], b, strict):
                     checked.add(key)
                     candidates.append(owner)
         self._reverse_candidates += len(candidates) - before

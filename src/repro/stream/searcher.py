@@ -23,8 +23,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
+from repro.baselines.common import Verifier
 from repro.core.index import PostorderFilter, postorder_half_width
-from repro.core.partition import extract_partition, max_min_size_cached
+from repro.core.partition import extract_partition, max_min_size
 from repro.core.subgraph import MatchSemantics
 from repro.core.treecache import TreeCache
 from repro.search import SimilaritySearcher
@@ -55,6 +56,9 @@ class StreamSearcher(SimilaritySearcher):
         self._index = join._driver.index
         self._interner = join._driver.interner
         self._min_size = join._min_size
+        # A verifier of its own (the engine's counters stay the join's),
+        # over the engine's record store.
+        self._verifier = Verifier(self.trees, self.tau, caches=join._records)
 
     def _size_window(self, size: int) -> list[int]:
         collection = self._join.collection
@@ -86,7 +90,7 @@ class StreamSearcher(SimilaritySearcher):
             return
         if n >= self._min_size:
             delta = 2 * tau + 1
-            gamma = max_min_size_cached(cache, delta)
+            gamma = max_min_size(cache, delta)
             subgraphs = extract_partition(
                 cache, -1, delta, gamma, self.config.postorder_numbering,
                 check=False,
@@ -95,7 +99,7 @@ class StreamSearcher(SimilaritySearcher):
             mode = reverse.postorder_filter
             off = mode is PostorderFilter.OFF
             strict = self.config.semantics is MatchSemantics.PAPER
-            caches = join._caches
+            records = join._records
             for s in subgraphs:
                 half = 0 if off else postorder_half_width(mode, tau, s.rank)
                 for owner, b in reverse.anchors(
@@ -103,7 +107,7 @@ class StreamSearcher(SimilaritySearcher):
                 ):
                     if owner in candidates:
                         continue
-                    if s.matches_at_number(caches[owner], b, strict):
+                    if s.matches_at_number(records[owner], b, strict):
                         candidates.add(owner)
         else:
             collection = join.collection

@@ -1,6 +1,6 @@
 """Tree edit distance algorithms, string edit distance, and TED bounds."""
 
-from repro.ted.api import TED_ALGORITHMS, ted, ted_within
+from repro.ted.api import ted, ted_within
 from repro.ted.bounds import (
     binary_branch_lower_bound,
     branch_bound_from_bags,
@@ -16,13 +16,6 @@ from repro.ted.bounds import (
     trivial_upper_bound,
 )
 from repro.ted.cutoff import zhang_shasha_bounded
-from repro.ted.rted import (
-    MIRROR_SIZE_CUTOFF,
-    decomposition_costs,
-    mirror_tree,
-    oriented_pair,
-    ted_hybrid,
-)
 from repro.ted.simple import ted_reference
 from repro.ted.string_edit import string_edit_distance, string_edit_within
 from repro.ted.zhang_shasha import AnnotatedTree, zhang_shasha
@@ -30,16 +23,10 @@ from repro.ted.zhang_shasha import AnnotatedTree, zhang_shasha
 __all__ = [
     "ted",
     "ted_within",
-    "TED_ALGORITHMS",
     "zhang_shasha",
     "zhang_shasha_bounded",
     "AnnotatedTree",
-    "ted_hybrid",
     "ted_reference",
-    "mirror_tree",
-    "oriented_pair",
-    "MIRROR_SIZE_CUTOFF",
-    "decomposition_costs",
     "string_edit_distance",
     "string_edit_within",
     "multiset_l1",

@@ -1,8 +1,10 @@
 """Public entry points for tree edit distance computation.
 
-``ted`` dispatches to one of the registered algorithms; ``ted_within`` is
-the threshold-aware form every join uses for verification: it applies cheap
-lower bounds first and only then runs the exact algorithm.
+``ted`` is the one exact distance: the unbounded Zhang–Shasha DP on the
+cheaper orientation of the two trees' records.  ``ted_within`` is the
+threshold form every join verifies with; it runs the joins' own
+:class:`~repro.baselines.common.Verifier` (bounds first, then the
+tau-banded DP) on the pair.
 """
 
 from __future__ import annotations
@@ -11,25 +13,16 @@ from typing import Callable, Optional
 
 from repro.errors import InvalidParameterError
 from repro.tree.node import Tree
-from repro.ted.rted import ted_hybrid
-from repro.ted.simple import ted_reference
-from repro.ted.zhang_shasha import zhang_shasha
+from repro.ted.zhang_shasha import oriented, zhang_shasha
 
-__all__ = ["ted", "ted_within", "TED_ALGORITHMS"]
+__all__ = ["ted", "ted_within"]
 
 RenameCost = Callable[[str, str], int]
-
-TED_ALGORITHMS: dict[str, Callable[..., int]] = {
-    "zhang_shasha": zhang_shasha,
-    "rted": ted_hybrid,  # shape-adaptive hybrid; see repro.ted.rted
-    "reference": ted_reference,
-}
 
 
 def ted(
     t1: Tree,
     t2: Tree,
-    algorithm: str = "rted",
     rename_cost: Optional[RenameCost] = None,
 ) -> int:
     """Exact tree edit distance between two rooted ordered labeled trees.
@@ -38,9 +31,6 @@ def ted(
     ----------
     t1, t2:
         The trees to compare.
-    algorithm:
-        One of ``"rted"`` (default; shape-adaptive, the paper's choice),
-        ``"zhang_shasha"``, or ``"reference"`` (small trees only).
     rename_cost:
         Optional rename cost ``(label_a, label_b) -> int``; insert and
         delete always cost 1 (the paper's unit model).
@@ -48,32 +38,24 @@ def ted(
     >>> ted(Tree.from_bracket("{a{b}{c}}"), Tree.from_bracket("{a{c}}"))
     1
     """
-    try:
-        impl = TED_ALGORITHMS[algorithm]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown TED algorithm {algorithm!r}; "
-            f"choose from {sorted(TED_ALGORITHMS)}"
-        ) from None
-    return impl(t1, t2, rename_cost)
+    # Local imports: repro.core builds on this package.
+    from repro.core.intern import LabelInterner
+    from repro.core.treecache import TreeCache
+
+    interner = LabelInterner()
+    a1, a2 = oriented(TreeCache(t1, interner), TreeCache(t2, interner))
+    return zhang_shasha(a1, a2, rename_cost)
 
 
-def ted_within(
-    t1: Tree,
-    t2: Tree,
-    tau: int,
-    algorithm: str = "rted",
-    use_bounds: bool = True,
-) -> Optional[int]:
+def ted_within(t1: Tree, t2: Tree, tau: int) -> Optional[int]:
     """Return ``TED(t1, t2)`` if it is ``<= tau``, else ``None``.
 
-    With ``use_bounds`` (default) the O(n) composite lower bound screens the
-    pair before the exact computation; the result is identical either way
-    because the bounds are proven lower bounds.  For the Zhang–Shasha-based
-    algorithms (``"rted"``, ``"zhang_shasha"``) the exact computation is the
-    tau-banded DP of :mod:`repro.ted.cutoff`, which fills only the cells a
-    ``<= tau`` distance can reach and stops as soon as the threshold is
-    provably exceeded.
+    The pair runs the verification pipeline of every join: O(1) trivial
+    upper bound, the bag and traversal-string lower bounds, then the
+    tau-banded DP of :mod:`repro.ted.cutoff`, which fills only the cells
+    a ``<= tau`` distance can reach and stops as soon as the threshold is
+    provably exceeded.  The bounds are proven, so the result equals the
+    thresholded exact distance.
 
     >>> a, b = Tree.from_bracket("{a{b}}"), Tree.from_bracket("{a{b}{c}{d}}")
     >>> ted_within(a, b, 1) is None
@@ -83,21 +65,7 @@ def ted_within(
     """
     if tau < 0:
         raise InvalidParameterError(f"tau must be >= 0, got {tau}")
-    if use_bounds:
-        from repro.ted.bounds import composite_lower_bound
+    # Local import: repro.baselines builds on this package.
+    from repro.baselines.common import Verifier
 
-        if composite_lower_bound(t1, t2) > tau:
-            return None
-    if algorithm in ("zhang_shasha", "rted"):
-        from repro.ted.cutoff import zhang_shasha_bounded
-        from repro.ted.rted import MIRROR_SIZE_CUTOFF, oriented_pair
-
-        if algorithm == "rted":
-            # Orientation-adaptive, as ted_hybrid, but small pairs skip
-            # the mirroring (the banded DP is cheap either way).
-            a1, a2 = oriented_pair(t1, t2, size_cutoff=MIRROR_SIZE_CUTOFF)
-        else:
-            a1, a2 = t1, t2
-        return zhang_shasha_bounded(a1, a2, tau)
-    distance = ted(t1, t2, algorithm=algorithm)
-    return distance if distance <= tau else None
+    return Verifier([t1, t2], tau).verify(0, 1)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.tree.lcrs import to_lcrs
 from repro.tree.node import Tree
 
 __all__ = [
@@ -44,19 +43,24 @@ def binary_branches(tree: Tree) -> BranchBag:
 
     Each element is the preordered label triple
     ``(label, left_child_label, right_child_label)`` over the LC-RS
-    representation, with ``EPSILON`` for missing children.
+    representation, with ``EPSILON`` for missing children: the
+    :attr:`~repro.core.treecache.TreeCache.branch_bag` view of the tree's
+    record, with label ids turned back into labels.
 
     >>> bag = binary_branches(Tree.from_bracket("{a{b}{c}}"))
     >>> sorted(bag.elements())[0]
     ('a', 'b', '')
     """
-    binary = to_lcrs(tree)
-    bag: BranchBag = Counter()
-    for node in binary.iter_postorder():
-        left = node.left.label if node.left is not None else EPSILON
-        right = node.right.label if node.right is not None else EPSILON
-        bag[(node.label, left, right)] += 1
-    return bag
+    # Local imports: repro.core builds on this package.
+    from repro.core.intern import LabelInterner
+    from repro.core.treecache import TreeCache
+
+    record = TreeCache(tree, LabelInterner())
+    label = record.interner.label  # id 0 is EPSILON
+    return Counter({
+        (label(a), label(b), label(c)): count
+        for (a, b, c), count in record.branch_bag.items()
+    })
 
 
 def branch_bag_distance(bag1: BranchBag, bag2: BranchBag) -> int:

@@ -18,11 +18,11 @@ distance in ``tests/ted/test_bounds.py``):
   (Yang et al. [27]), so ``TED >= ceil(BIB / 5)``.
 
 :func:`composite_lower_bound` takes the max of the cheap bounds, which the
-exact-join verifier uses to skip TED computations.  The verifier caches the
-per-tree bags each bound is an L1 distance over (see
-``repro.baselines.common.TreeFeatures``) and evaluates the bounds via the
-``*_bound_from_bags`` forms in O(distinct keys) per pair, instead of
-re-traversing both trees.
+exact-join verifier uses to skip TED computations.  The verifier reads the
+per-tree bags each bound is an L1 distance over as views of the tree's
+record (``repro.core.treecache.TreeCache``, over interned label ids) and
+evaluates the bounds via the ``*_bound_from_bags`` forms in O(distinct
+keys) per pair, instead of re-traversing both trees.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ def composite_lower_bound_from_bags(
 ) -> int:
     """:func:`composite_lower_bound` over precomputed per-tree bags.
 
-    Every input is computable once per tree (the verifier caches them), so
-    a pair costs three multiset L1 distances — ``O(distinct keys)`` — with
-    no tree traversal.  Threshold filters that want to stop at the first
+    Every input is computable once per tree (the verifier memoizes them on
+    each tree's record), so a pair costs three multiset L1 distances —
+    ``O(distinct keys)`` — with no tree traversal.  Threshold filters that want to stop at the first
     bound exceeding ``tau`` (and to exclude bounds a join's candidate
     screen already applied) chain the ``*_bound_from_bags`` functions
     directly, as ``Verifier.verify`` does.

@@ -57,7 +57,9 @@ tested against :func:`repro.ted.zhang_shasha.zhang_shasha` in
 ``tests/ted/test_cutoff.py``, on near pairs in both orientations);
 otherwise ``None`` is returned.  The band and strip arguments need only
 unit insert/delete costs (the paper's model); a custom ``rename_cost``
-with non-negative values is supported.
+with non-negative values is supported.  Which orientation a verification
+runs — a record's leftmost annotation or its mirrored one — is chosen
+before the call by :func:`repro.ted.zhang_shasha.oriented`.
 
 >>> from repro.tree.node import Tree
 >>> a, b = Tree.from_bracket("{a{b}{c}}"), Tree.from_bracket("{a{b}}")
@@ -72,7 +74,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.tree.node import Tree
-from repro.ted.zhang_shasha import AnnotatedTree
+from repro.ted.zhang_shasha import AnnotatedTree, annotated
 
 __all__ = ["zhang_shasha_bounded"]
 
@@ -91,17 +93,16 @@ def zhang_shasha_bounded(
 ) -> Optional[int]:
     """Exact TED if it is ``<= tau``, else ``None`` (the ``> tau`` sentinel).
 
-    Accepts plain trees or pre-computed :class:`AnnotatedTree` wrappers like
-    :func:`repro.ted.zhang_shasha.zhang_shasha`; the verifier passes cached
-    annotations so each tree is annotated once per join.
+    Accepts plain trees or pre-computed :class:`AnnotatedTree` views like
+    :func:`repro.ted.zhang_shasha.zhang_shasha`; the verifier passes the
+    annotations memoized on each tree's record.
 
     >>> zhang_shasha_bounded(Tree.from_bracket("{a}"), Tree.from_bracket("{a}"), 0)
     0
     """
     if tau < 0:
         return None
-    a1 = t1 if isinstance(t1, AnnotatedTree) else AnnotatedTree(t1)
-    a2 = t2 if isinstance(t2, AnnotatedTree) else AnnotatedTree(t2)
+    a1, a2 = annotated(t1), annotated(t2)
     n1, n2 = a1.size, a2.size
     if abs(n1 - n2) > tau:
         return None

@@ -2,9 +2,9 @@
 
 The classic keyroot dynamic program: ``O(n1*n2*min(d1,l1)*min(d2,l2))`` time
 (``O(n^4)`` worst case, ``O(n^2 log^2 n)`` for balanced trees) and
-``O(n1*n2)`` space.  This is the workhorse TED used to verify candidate
-pairs in every join method of this repository; the shape-adaptive wrapper in
-:mod:`repro.ted.rted` builds on it.
+``O(n1*n2)`` space.  This unbounded form is what :func:`repro.ted.ted`
+runs and what the tau-banded DP of :mod:`repro.ted.cutoff` is tested
+against; the joins verify with the banded form.
 
 Implementation notes
 ---------------------
@@ -15,15 +15,27 @@ nodes sharing their ``l`` value (the root plus every node with a left
 sibling).  For each keyroot pair a forest-distance table is filled; tree
 distances for all node pairs accumulate in ``treedist`` and the answer is
 ``treedist[n1][n2]``.
+
+The per-tree arrays (:class:`AnnotatedTree`) are views of the tree's flat
+record: :attr:`repro.core.treecache.TreeCache.annotation` decomposes
+along leftmost paths, ``mirror_annotation`` is the same view of the
+mirror image (every child list reversed, which preserves TED).
+:func:`oriented` picks the cheaper of the two — the RTED-style rule —
+for :func:`repro.ted.ted` and the verifier.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.tree.node import Tree, TreeNode
+from repro.tree.node import Tree
 
-__all__ = ["zhang_shasha", "AnnotatedTree"]
+if TYPE_CHECKING:  # pragma: no cover - typing only; repro.core builds on this
+    from repro.core.treecache import TreeCache
+
+__all__ = [
+    "zhang_shasha", "AnnotatedTree", "annotated", "oriented", "MIRROR_SIZE_CUTOFF"
+]
 
 RenameCost = Callable[[str, str], int]
 
@@ -34,6 +46,11 @@ def _unit_rename(a: str, b: str) -> int:
 
 class AnnotatedTree:
     """Postorder arrays Zhang–Shasha needs, computed once per tree.
+
+    Built by a record's ``annotation`` / ``mirror_annotation`` views
+    (:class:`repro.core.treecache.TreeCache`), or by :func:`annotated`
+    for a plain tree; the constructor derives the keyroots from the
+    leftmost-leaf array.
 
     Attributes
     ----------
@@ -57,18 +74,8 @@ class AnnotatedTree:
         "size", "labels", "lmld", "keyroots", "leaf_keyroot", "_keyroot_weight"
     )
 
-    def __init__(self, tree: Tree):
-        order: list[TreeNode] = list(tree.iter_postorder())
-        n = len(order)
-        index_of = {node: i for i, node in enumerate(order, start=1)}
-        labels: list[str] = [""] * (n + 1)
-        lmld: list[int] = [0] * (n + 1)
-        for i, node in enumerate(order, start=1):
-            labels[i] = node.label
-            if node.children:
-                lmld[i] = lmld[index_of[node.children[0]]]
-            else:
-                lmld[i] = i
+    def __init__(self, labels: list[str], lmld: list[int]):
+        n = len(lmld) - 1
         # A node is a keyroot iff no later node shares its leftmost leaf,
         # i.e. it is the highest node on its leftmost-path.
         leaf_keyroot: list[int] = [0] * (n + 1)
@@ -86,14 +93,54 @@ class AnnotatedTree:
 
         The number of forest-distance cells the unbounded Zhang–Shasha
         fills for a tree pair factorizes as ``weight(T1) * weight(T2)``;
-        the hybrid in :mod:`repro.ted.rted` uses this to pick a
-        decomposition orientation.
-        Computed once and memoized — the verifier consults it for all four
+        :func:`oriented` compares these products to pick a decomposition
+        orientation.  Memoized — the verifier consults it for all four
         annotations of every candidate pair.
         """
         if self._keyroot_weight is None:
             self._keyroot_weight = sum(k - self.lmld[k] + 1 for k in self.keyroots)
         return self._keyroot_weight
+
+
+# Below this size on both sides the orientation choice cannot pay for
+# building two mirrored annotations: a small DP is cheap either way.
+MIRROR_SIZE_CUTOFF = 16
+
+
+def oriented(a: "TreeCache", b: "TreeCache") -> tuple[AnnotatedTree, AnnotatedTree]:
+    """Two records' annotations in the cheaper Zhang–Shasha orientation.
+
+    RTED's idea ([20] in the paper), one level up: Zhang–Shasha
+    decomposes along leftmost paths, and the unbounded DP fills exactly
+    ``weight(a) * weight(b)`` forest cells (``weight`` sums the keyroot
+    subtree sizes).  Mirroring both trees preserves TED but turns
+    leftmost paths into rightmost ones, so the orientation with the
+    smaller keyroot-weight product runs — on a leaf-first comb the
+    difference between ``O(n^2)`` and ``O(n^4)`` cells.  For the
+    tau-banded DP the product is only a proxy.  When both trees have
+    fewer than :data:`MIRROR_SIZE_CUTOFF` nodes the leftmost orientation
+    is kept without building the mirrored annotations.
+    """
+    x1, x2 = a.annotation, b.annotation
+    if a.size < MIRROR_SIZE_CUTOFF and b.size < MIRROR_SIZE_CUTOFF:
+        return x1, x2
+    y1, y2 = a.mirror_annotation, b.mirror_annotation
+    if y1.keyroot_weight() * y2.keyroot_weight() < (
+        x1.keyroot_weight() * x2.keyroot_weight()
+    ):
+        return y1, y2
+    return x1, x2
+
+
+def annotated(tree: "Tree | AnnotatedTree") -> AnnotatedTree:
+    """``tree``'s leftmost annotation (an annotation is returned as is)."""
+    if isinstance(tree, AnnotatedTree):
+        return tree
+    # Local import: repro.core builds on this package.
+    from repro.core.intern import LabelInterner
+    from repro.core.treecache import TreeCache
+
+    return TreeCache(tree, LabelInterner()).annotation
 
 
 def zhang_shasha(
@@ -103,14 +150,13 @@ def zhang_shasha(
 ) -> int:
     """Exact tree edit distance between two rooted ordered labeled trees.
 
-    Accepts plain trees or pre-computed :class:`AnnotatedTree` wrappers
-    (joins annotate each tree once and reuse it across many verifications).
+    Accepts plain trees or pre-computed :class:`AnnotatedTree` views
+    (records annotate each tree once and reuse it across many calls).
 
     >>> zhang_shasha(Tree.from_bracket("{a{b}{c}}"), Tree.from_bracket("{a{b}}"))
     1
     """
-    a1 = t1 if isinstance(t1, AnnotatedTree) else AnnotatedTree(t1)
-    a2 = t2 if isinstance(t2, AnnotatedTree) else AnnotatedTree(t2)
+    a1, a2 = annotated(t1), annotated(t2)
     rename = rename_cost or _unit_rename
 
     n1, n2 = a1.size, a2.size

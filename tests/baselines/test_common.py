@@ -126,9 +126,11 @@ class TestVerifier:
         trees = [make_random_tree(rng, 8) for _ in range(3)]
         verifier = Verifier(trees, tau=2)
         verifier.verify(0, 1)
-        first = verifier._annotation(0)
+        record = verifier.features(0)
+        first = record.annotation
         verifier.verify(0, 2)
-        assert verifier._annotation(0) is first
+        assert verifier.features(0) is record
+        assert record.annotation is first
 
 
 class TestResultTypes:

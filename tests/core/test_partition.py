@@ -15,15 +15,16 @@ from repro.core.partition import (
 )
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError, NotPartitionableError
+from repro.tree.lcrs import to_lcrs
 from repro.tree.node import Tree
 from tests.conftest import make_random_tree, trees
 
 
-def brute_force_max_gamma(binary, delta: int) -> int:
+def brute_force_max_gamma(cache, delta: int) -> int:
     """Linear scan reference for MaxMinSize."""
     best = 0
-    for gamma in range(1, binary.size // delta + 1):
-        if partitionable(binary, delta, gamma):
+    for gamma in range(1, cache.size // delta + 1):
+        if partitionable(cache, delta, gamma):
             best = gamma
     return best
 
@@ -36,7 +37,7 @@ class TestPartitionable:
         # satisfiable for any 11-node tree with gamma=3 <= floor(11/3).
         tree = Tree.from_bracket("{l1{l2{l3{l4{l5}{l6}}}{l7{l8{l9{l10}}{l11}}}}}")
         cache = TreeCache(tree)
-        assert partitionable(cache.binary, 3, 3)
+        assert partitionable(cache, 3, 3)
 
     def test_figure8_narrative(self):
         # The paper's Figure 8 example: a binary tree where four 50-node
@@ -49,31 +50,31 @@ class TestPartitionable:
         tree = Tree.from_bracket(text)
         assert tree.size == 202
         cache = TreeCache(tree)
-        assert partitionable(cache.binary, 3, 50)
-        assert not partitionable(cache.binary, 3, 67)
+        assert partitionable(cache, 3, 50)
+        assert not partitionable(cache, 3, 67)
 
     def test_gamma_times_delta_exceeding_size_fails(self):
         cache = TreeCache(Tree.from_bracket("{a{b}{c}}"))
-        assert not partitionable(cache.binary, 3, 2)
+        assert not partitionable(cache, 3, 2)
 
     def test_single_subgraph_always_possible(self, rng):
         tree = make_random_tree(rng, 17)
         cache = TreeCache(tree)
-        assert partitionable(cache.binary, 1, 17)
+        assert partitionable(cache, 1, 17)
 
     def test_gamma_one_with_delta_equal_size(self, rng):
         tree = make_random_tree(rng, 9)
         cache = TreeCache(tree)
-        assert partitionable(cache.binary, 9, 1)
+        assert partitionable(cache, 9, 1)
 
     def test_invalid_parameters(self):
         cache = TreeCache(Tree.from_bracket("{a{b}}"))
         with pytest.raises(InvalidParameterError):
-            partitionable(cache.binary, 0, 1)
+            partitionable(cache, 0, 1)
         with pytest.raises(InvalidParameterError):
-            partitionable(cache.binary, 1, 0)
+            partitionable(cache, 1, 0)
         with pytest.raises(NotPartitionableError):
-            partitionable(cache.binary, 5, 1)  # delta > size
+            partitionable(cache, 5, 1)  # delta > size
 
 
 class TestMaxMinSize:
@@ -82,33 +83,35 @@ class TestMaxMinSize:
     def test_matches_linear_scan(self, tree, delta):
         if delta > tree.size:
             return
-        binary = TreeCache(tree).binary
-        assert max_min_size(binary, delta) == brute_force_max_gamma(binary, delta)
+        cache = TreeCache(tree)
+        assert max_min_size(cache, delta) == brute_force_max_gamma(cache, delta)
 
     def test_monotone_in_delta(self, rng):
         tree = make_random_tree(rng, 40)
-        binary = TreeCache(tree).binary
-        gammas = [max_min_size(binary, delta) for delta in range(1, 8)]
+        cache = TreeCache(tree)
+        gammas = [max_min_size(cache, delta) for delta in range(1, 8)]
         assert gammas == sorted(gammas, reverse=True)
 
     def test_delta_one_returns_full_size(self, rng):
         tree = make_random_tree(rng, 13)
-        assert max_min_size(TreeCache(tree).binary, 1) == 13
+        assert max_min_size(TreeCache(tree), 1) == 13
 
     def test_result_is_feasible_and_maximal(self, rng):
         for _ in range(20):
             tree = make_random_tree(rng, rng.randint(7, 45))
             delta = rng.randint(1, min(7, tree.size))
-            binary = TreeCache(tree).binary
-            gamma = max_min_size(binary, delta)
-            assert partitionable(binary, delta, gamma)
-            if gamma < binary.size // delta:
-                assert not partitionable(binary, delta, gamma + 1)
+            cache = TreeCache(tree)
+            gamma = max_min_size(cache, delta)
+            assert partitionable(cache, delta, gamma)
+            if gamma < cache.size // delta:
+                assert not partitionable(cache, delta, gamma + 1)
 
 
 def assert_valid_partition(cache, subgraphs, delta, gamma=None):
     """The structural invariants every extraction must satisfy."""
     assert len(subgraphs) == delta
+    # The LC-RS node objects, numbered independently of the cache.
+    nodes = to_lcrs(cache.tree).postorder()
     covered = set()
     for sub in subgraphs:
         assert sub.members, "empty subgraph"
@@ -117,8 +120,8 @@ def assert_valid_partition(cache, subgraphs, delta, gamma=None):
         if gamma is not None:
             assert sub.size >= gamma
         # The root is a member and carries the subgraph's postorder id.
-        assert cache.binary_number(sub.root) in sub.members
-        assert sub.incoming is sub.root.incoming
+        assert sub.root_number in sub.members
+        assert sub.incoming is nodes[sub.root_number - 1].incoming
     assert covered == set(range(1, cache.size + 1)), "partition must cover the tree"
     ranks = [sub.rank for sub in subgraphs]
     assert ranks == list(range(1, delta + 1))
@@ -133,7 +136,7 @@ class TestExtraction:
         if delta > tree.size:
             return
         cache = TreeCache(tree)
-        gamma = max_min_size(cache.binary, delta)
+        gamma = max_min_size(cache, delta)
         subgraphs = extract_partition(cache, owner=0, delta=delta, gamma=gamma)
         assert_valid_partition(cache, subgraphs, delta, gamma)
 
@@ -141,7 +144,7 @@ class TestExtraction:
         tree = make_random_tree(rng, 21)
         cache = TreeCache(tree)
         explicit = extract_partition(
-            cache, 0, 3, max_min_size(cache.binary, 3)
+            cache, 0, 3, max_min_size(cache, 3)
         )
         implicit = extract_partition(cache, 0, 3)
         assert [s.members for s in explicit] == [s.members for s in implicit]
@@ -157,10 +160,9 @@ class TestExtraction:
                 continue
             for sub in extract_partition(cache, 0, delta):
                 for number in sub.members:
-                    node = cache.node_at_binary_number(number)
-                    if node is sub.root:
+                    if number == sub.root_number:
                         continue
-                    assert cache.binary_number(node.parent) in sub.members
+                    assert cache.parent[number] in sub.members
 
     def test_infeasible_gamma_rejected(self):
         cache = TreeCache(Tree.from_bracket("{a{b}{c}{d}}"))
@@ -172,7 +174,7 @@ class TestExtraction:
         cache = TreeCache(tree)
         subgraphs = extract_partition(cache, 0, 5)
         last = max(subgraphs, key=lambda s: s.postorder_id)
-        assert last.root is cache.binary.root
+        assert last.root_number == cache.size  # the binary root
 
     def test_delta_too_large(self):
         cache = TreeCache(Tree.from_bracket("{a{b}}"))
@@ -184,7 +186,7 @@ class TestExtraction:
         cache = TreeCache(tree)
         subs = extract_partition(cache, 0, 3, numbering="binary")
         for sub in subs:
-            assert sub.postorder_id == cache.binary_number(sub.root)
+            assert sub.postorder_id == sub.root_number
         with pytest.raises(InvalidParameterError):
             extract_partition(cache, 0, 3, numbering="weird")
 

@@ -14,6 +14,15 @@ def subgraphs_of(text: str, delta: int):
     return cache, extract_partition(cache, owner=0, delta=delta)
 
 
+def label_at(cache: TreeCache, number: int) -> str:
+    return cache.interner.label(cache.labels[number])
+
+
+def matches(sub: Subgraph, probe: TreeCache, number: int, semantics) -> bool:
+    """``sub`` matched at binary node ``number`` of ``probe``."""
+    return sub.matches_at_number(probe, number, semantics is MatchSemantics.PAPER)
+
+
 class TestTwigs:
     def test_twig_epsilon_for_missing_children(self):
         cache, subs = subgraphs_of("{a}", 1)
@@ -22,20 +31,22 @@ class TestTwigs:
     def test_twig_uses_member_children_only(self):
         # Partition a chain so that a bridging edge dangles off a root.
         cache, subs = subgraphs_of("{a{b{c{d{e{f}}}}}}", 2)
-        by_root = {sub.root.label: sub for sub in subs}
+        by_root = {label_at(cache, sub.root_number): sub for sub in subs}
         assert "a" in by_root  # the residual holds the tree root
         residual = by_root["a"]
         # Its left child chain was cut somewhere: the twig of the cut
         # subgraph's root must not leak non-member labels.
         for sub in subs:
-            for slot, child in (("left", sub.root.left), ("right", sub.root.right)):
-                label = sub.twig[1] if slot == "left" else sub.twig[2]
-                if child is None:
+            root = sub.root_number
+            for label, child in (
+                (sub.twig[1], cache.left[root]), (sub.twig[2], cache.right[root])
+            ):
+                if not child:
                     assert label == EPSILON
-                elif not sub.is_member(child):
+                elif not sub.member_bits[child]:
                     assert label == EPSILON
                 else:
-                    assert label == child.label
+                    assert label == label_at(cache, child)
 
     def test_incoming_kinds(self):
         cache, subs = subgraphs_of("{a{b{x}{y}}{c{z}{w}}}", 3)
@@ -48,8 +59,8 @@ class TestMatching:
     def test_whole_tree_matches_itself(self):
         cache, subs = subgraphs_of("{a{b}{c}}", 1)
         other = TreeCache(Tree.from_bracket("{a{b}{c}}"))
-        assert subs[0].matches_at(other.binary.root, MatchSemantics.PAPER)
-        assert subs[0].matches_at(other.binary.root, MatchSemantics.SAFE)
+        assert matches(subs[0], other, other.size, MatchSemantics.PAPER)
+        assert matches(subs[0], other, other.size, MatchSemantics.SAFE)
 
     def test_every_subgraph_matches_its_own_tree(self, rng):
         from tests.conftest import make_random_tree
@@ -62,28 +73,26 @@ class TestMatching:
             if delta > tree.size:
                 continue
             for sub in extract_partition(cache, 0, delta):
-                # Locate the probe node corresponding to the subgraph root.
-                target = probe.node_at_binary_number(
-                    cache.binary_number(sub.root)
-                )
+                # The copy numbers its nodes identically.
+                target = sub.root_number
                 for semantics in MatchSemantics:
-                    assert sub.matches_at(target, semantics), (
+                    assert matches(sub, probe, target, semantics), (
                         semantics, sub, tree.to_bracket(),
                     )
 
     def test_label_mismatch_rejected(self):
         cache, subs = subgraphs_of("{a{b}{c}}", 1)
         other = TreeCache(Tree.from_bracket("{a{b}{z}}"))
-        assert not subs[0].matches_at(other.binary.root, MatchSemantics.SAFE)
+        assert not matches(subs[0], other, other.size, MatchSemantics.SAFE)
 
     def test_safe_ignores_extra_children_paper_rejects(self):
         # Subgraph = whole tree {a{b}}; probe tree {a{b}{c}} has an extra
         # child where the subgraph has an empty slot (b.right).
         cache, subs = subgraphs_of("{a{b}}", 1)
         probe = TreeCache(Tree.from_bracket("{a{b}{c}}"))
-        root = probe.binary.root
-        assert subs[0].matches_at(root, MatchSemantics.SAFE)
-        assert not subs[0].matches_at(root, MatchSemantics.PAPER)
+        root = probe.size
+        assert matches(subs[0], probe, root, MatchSemantics.SAFE)
+        assert not matches(subs[0], probe, root, MatchSemantics.PAPER)
 
     def test_paper_requires_incoming_category(self):
         # Cut {a{b{c{d}}}} (chain) into 2: one subgraph's root has a LEFT
@@ -95,18 +104,19 @@ class TestMatching:
         # Build a probe where the same chain segment hangs as a *sibling*:
         # in {r{x}{c...}} the chain c... gets a RIGHT incoming edge.
         chain_labels = []
-        node = cut.root
-        while node is not None and cut.is_member(node):
-            chain_labels.append(node.label)
-            node = node.left
+        node = cut.root_number
+        while node and cut.member_bits[node]:
+            chain_labels.append(label_at(cache, node))
+            node = cache.left[node]
         nested = "".join("{" + lab for lab in chain_labels) + "}" * len(chain_labels)
         probe = TreeCache(Tree.from_bracket("{r{x}" + nested + "}"))
         target = next(
-            n for n in probe.binary_postorder
-            if n.label == chain_labels[0] and n.incoming is EdgeKind.RIGHT
+            b for b in range(1, probe.size + 1)
+            if label_at(probe, b) == chain_labels[0]
+            and probe.incoming_code(b) == 2  # a RIGHT incoming edge
         )
-        assert cut.matches_at(target, MatchSemantics.SAFE)
-        assert not cut.matches_at(target, MatchSemantics.PAPER)
+        assert matches(cut, probe, target, MatchSemantics.SAFE)
+        assert not matches(cut, probe, target, MatchSemantics.PAPER)
 
     def test_paper_requires_dangling_edge_to_exist(self):
         # Two-subgraph split of a chain: the residual has a dangling left
@@ -114,16 +124,14 @@ class TestMatching:
         # where the bridge starts must fail strictly, pass safely.
         cache, subs = subgraphs_of("{a{b{c{d{e{f}}}}}}", 2)
         residual = next(s for s in subs if s.incoming is EdgeKind.ROOT)
-        member_labels = sorted(
-            cache.node_at_binary_number(n).label for n in residual.members
-        )
+        member_labels = sorted(label_at(cache, n) for n in residual.members)
         # Probe = just the residual part as a standalone chain.
         depth = len(member_labels)
         text = "".join("{" + lab for lab in ["a", "b", "c", "d", "e", "f"][:depth])
         text += "}" * depth
         probe = TreeCache(Tree.from_bracket(text))
-        assert residual.matches_at(probe.binary.root, MatchSemantics.SAFE)
-        assert not residual.matches_at(probe.binary.root, MatchSemantics.PAPER)
+        assert matches(residual, probe, probe.size, MatchSemantics.SAFE)
+        assert not matches(residual, probe, probe.size, MatchSemantics.PAPER)
 
 
 class TestSemanticsCoercion:

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.treecache import TreeCache
 from repro.ted.cutoff import zhang_shasha_bounded
-from repro.ted.rted import mirror_tree
-from repro.ted.zhang_shasha import AnnotatedTree, zhang_shasha
+from repro.ted.zhang_shasha import annotated, zhang_shasha
 from repro.tree.edits import apply_edit, random_edit
 from repro.tree.node import Tree, TreeNode
 from tests.conftest import LABELS, make_cluster_forest, make_random_tree, trees
@@ -47,13 +47,19 @@ def near_pairs(draw, max_size=40, max_edits=6):
 
 
 def assert_agrees_both_orientations(t1, t2, taus=range(7), rename_cost=None):
-    """The banded DP equals the unbounded one, as given and mirrored."""
+    """The banded DP equals the unbounded one, on the records' leftmost
+    and mirrored annotations."""
     exact = zhang_shasha(t1, t2, rename_cost)
-    m1, m2 = mirror_tree(t1), mirror_tree(t2)
-    for tau in taus:
-        want = exact if exact <= tau else None
-        assert zhang_shasha_bounded(t1, t2, tau, rename_cost) == want, tau
-        assert zhang_shasha_bounded(m1, m2, tau, rename_cost) == want, tau
+    r1, r2 = TreeCache(t1), TreeCache(t2)
+    for mirrored, (a1, a2) in (
+        (False, (r1.annotation, r2.annotation)),
+        (True, (r1.mirror_annotation, r2.mirror_annotation)),
+    ):
+        for tau in taus:
+            want = exact if exact <= tau else None
+            assert zhang_shasha_bounded(a1, a2, tau, rename_cost) == want, (
+                tau, mirrored,
+            )
 
 
 def comb(size, spine_first):
@@ -138,7 +144,7 @@ class TestSentinelAndEdges:
     def test_accepts_annotated_trees(self, rng):
         t1 = make_random_tree(rng, 8)
         t2 = make_random_tree(rng, 9)
-        a1, a2 = AnnotatedTree(t1), AnnotatedTree(t2)
+        a1, a2 = annotated(t1), annotated(t2)
         for tau in (0, 2, 5, 20):
             assert zhang_shasha_bounded(a1, a2, tau) == expected(t1, t2, tau)
 
@@ -152,7 +158,7 @@ class TestSentinelAndEdges:
         # same annotations must keep agreeing.
         t1 = make_random_tree(rng, 10)
         t2 = make_random_tree(rng, 10)
-        a1, a2 = AnnotatedTree(t1), AnnotatedTree(t2)
+        a1, a2 = annotated(t1), annotated(t2)
         first = [zhang_shasha_bounded(a1, a2, tau) for tau in (0, 1, 2, 3)]
         second = [zhang_shasha_bounded(a1, a2, tau) for tau in (0, 1, 2, 3)]
         assert first == second

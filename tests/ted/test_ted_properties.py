@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.ted.api import ted
 from repro.ted.bounds import composite_lower_bound, trivial_upper_bound
-from repro.ted.rted import ted_hybrid
 from repro.ted.simple import ted_reference
 from repro.ted.zhang_shasha import zhang_shasha
 from repro.tree.edits import random_script
@@ -34,7 +33,6 @@ def test_triangle_inequality(t1, t2, t3):
 def test_implementations_interchangeable(t1, t2):
     reference = ted_reference(t1, t2)
     assert zhang_shasha(t1, t2) == reference
-    assert ted_hybrid(t1, t2) == reference
     assert ted(t1, t2) == reference
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ted.simple import ted_reference
-from repro.ted.zhang_shasha import AnnotatedTree, zhang_shasha
+from repro.ted.zhang_shasha import annotated as annotate, zhang_shasha
 from repro.tree.edits import random_script
 from repro.tree.node import Tree
 from tests.conftest import LABELS, make_random_tree, trees
@@ -99,19 +99,19 @@ class TestCustomCosts:
 class TestAnnotatedTree:
     def test_keyroots_contain_root(self):
         tree = Tree.from_bracket("{a{b{c}}{d}}")
-        annotated = AnnotatedTree(tree)
+        annotated = annotate(tree)
         assert annotated.size == 4
         assert annotated.keyroots[-1] == 4  # root has the max postorder
 
     def test_left_chain_has_single_keyroot(self):
-        annotated = AnnotatedTree(Tree.from_bracket("{a{b{c{d}}}}"))
+        annotated = annotate(Tree.from_bracket("{a{b{c{d}}}}"))
         assert annotated.keyroots == [4]
         assert annotated.keyroot_weight() == 4
 
     def test_keyroot_count_matches_definition(self, rng):
         # A node is a keyroot iff it is the root or has a left sibling.
         tree = make_random_tree(rng, 30)
-        annotated = AnnotatedTree(tree)
+        annotated = annotate(tree)
         expected = 1  # the root
         for node in tree.iter_preorder():
             expected += max(0, len(node.children) - 1)
@@ -120,7 +120,7 @@ class TestAnnotatedTree:
     @given(tree=trees(max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_leaf_keyroot_table(self, tree):
-        annotated = AnnotatedTree(tree)
+        annotated = annotate(tree)
         lmld, table = annotated.lmld, annotated.leaf_keyroot
         assert len(table) == annotated.size + 1 and table[0] == 0
         for node in range(1, annotated.size + 1):
@@ -139,7 +139,7 @@ class TestAnnotatedTree:
         assert all(table[lmld[k]] == k for k in annotated.keyroots)
 
     def test_reusable_across_calls(self):
-        t1 = AnnotatedTree(Tree.from_bracket("{a{b}}"))
-        t2 = AnnotatedTree(Tree.from_bracket("{a{c}}"))
+        t1 = annotate(Tree.from_bracket("{a{b}}"))
+        t2 = annotate(Tree.from_bracket("{a{c}}"))
         assert zhang_shasha(t1, t2) == 1
         assert zhang_shasha(t1, t2) == 1  # annotations not consumed

@@ -144,8 +144,11 @@ class TestSearchAndTed:
         assert capsys.readouterr().out.strip() == "1"
 
     def test_ted_algorithm_flag(self, capsys):
-        assert main(["ted", "{a}", "{b}", "--algorithm", "zhang_shasha"]) == 0
-        assert capsys.readouterr().out.strip() == "1"
+        # `ted` has one exact algorithm: argparse rejects --algorithm.
+        with pytest.raises(SystemExit) as exc:
+            main(["ted", "{a}", "{b}", "--algorithm", "zhang_shasha"])
+        assert exc.value.code == 2
+        assert "--algorithm" in capsys.readouterr().err
 
 
 class TestErrors:

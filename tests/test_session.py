@@ -245,12 +245,16 @@ class TestSessionReuse:
     def test_multi_tau_shares_tau_independent_state(self, forest):
         col = TreeCollection.from_trees(forest)
         col.join(1).run()
-        caches_after_first = len(col._caches)
-        annotations_after_first = len(col.verifier_caches.annotated)
+        records_after_first = dict(col.verifier_caches)
+        annotations_after_first = col.verifier_caches.annotated()
+        assert records_after_first and annotations_after_first
         col.join(2).run()
-        # tau=2 re-partitions but reuses every tree cache built for tau=1.
-        assert len(col._caches) == caches_after_first
-        assert len(col.verifier_caches.annotated) >= annotations_after_first
+        # tau=2 re-partitions but reuses every record (and view) built for
+        # tau=1: the store only grows, never replaces.
+        for i, record in records_after_first.items():
+            assert col.verifier_caches[i] is record
+            assert col.cache(i) is record
+        assert col.verifier_caches.annotated() >= annotations_after_first
         assert col.prepared_taus() == [1, 2]
 
     def test_prepare_is_idempotent_and_keyed_by_config(self, forest):
@@ -472,13 +476,12 @@ class TestReviewRegressions:
     def test_search_leaves_shared_caches_query_free(self, forest):
         col = TreeCollection.from_trees(forest)
         col.search(forest[0], 1).run()
-        query_index = len(forest)
         shared = col.verifier_caches
-        assert query_index not in shared.annotated
-        assert query_index not in shared.mirrored
-        assert query_index not in shared.features
+        # Only collection trees have records; the query never enters.
+        assert shared and set(shared) <= set(range(len(forest)))
+        assert all(shared[i].tree is forest[i] for i in shared)
         # Collection-tree work done during the search was written back.
-        assert len(shared.annotated) > 0 or len(shared.features) > 0
+        assert shared.annotated() > 0
 
     def test_workers_config_composition_reports_itself(self, forest):
         col = TreeCollection.from_trees(forest)
