@@ -68,37 +68,6 @@ def probe_workload(scale):
     return make_probe_workload(PROBE_WORKLOAD_COUNTS.get(scale.name, 250))
 
 
-# Trees per scale for the parallel-executor benchmark
-# (bench_parallel_join.py).  Dense, barely-decayed clusters make the join
-# verification-heavy (thousands of candidates surviving to the banded DP)
-# — the regime where worker processes pay off; a workload that a serial
-# run finishes in tenths of a second would only measure pool startup.
-# The BENCH_PR3.json snapshot is recorded on this exact definition (smoke
-# count); regenerate the snapshot when changing it.
-PARALLEL_WORKLOAD_COUNTS = {"smoke": 600, "small": 900, "medium": 1200}
-PARALLEL_WORKLOAD_SHAPE = dict(
-    avg_size=150, max_fanout=4, max_depth=6, cluster_size=12, decay=0.02
-)
-PARALLEL_WORKLOAD_SEED = 1105
-
-
-def make_parallel_workload(count: int):
-    """The standard parallel-join workload at a given tree count."""
-    from repro.datasets.synthetic import SyntheticParams, generate_forest
-
-    return generate_forest(
-        count,
-        SyntheticParams(**PARALLEL_WORKLOAD_SHAPE),
-        seed=PARALLEL_WORKLOAD_SEED,
-    )
-
-
-@pytest.fixture(scope="session")
-def parallel_workload(scale):
-    """Verification-heavy clustered trees for the parallel executor."""
-    return make_parallel_workload(PARALLEL_WORKLOAD_COUNTS.get(scale.name, 600))
-
-
 def save_and_print(results_dir: Path, name: str, scale, text: str) -> None:
     """Echo a rendered figure and persist it under benchmarks/results/."""
     print()

@@ -59,7 +59,7 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
     "shards": "per-shard timing summaries (list)",
     "band_time": "handoff-band insert wall seconds summed across shards",
     "plan_time": "shard-planning wall seconds",
-    "candidate_wall_time": "candidate-stage wall seconds",
+    "candidate_wall_time": "shard-stage wall seconds (filter plus verify)",
     "verify_wall_time": "verification-stage wall seconds",
     "verify_chunks": "verification chunks dispatched",
     # supervised-dispatch failure accounting (resilience.supervisor)

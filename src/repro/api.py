@@ -128,7 +128,7 @@ context manager.
   - parallel PartSJ: ``parallel.plan``, ``parallel.candidates`` >
     ``shard:<n>`` (one per shard, relayed from the worker process,
     ``pid``-stamped) > ``partsj.band`` / ``partsj.probe`` /
-    ``partsj.index``, then ``verify.parallel`` > ``verify.chunk``;
+    ``partsj.index`` / ``partsj.verify``;
   - streaming: ``wal.append``, ``wal.sync``, ``wal.recover``,
     ``stream.flush``, ``verify.stream_chunk``;
   - persistence: ``snapshot.save``, ``snapshot.load``;

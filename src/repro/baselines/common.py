@@ -305,9 +305,9 @@ class Verifier:
 
 
 class DeferredVerification:
-    """Candidate sink for a join running with ``workers > 1``.
+    """Candidate sink for a baseline join running with ``workers > 1``.
 
-    Every join method shares the same parallel shape: its candidate loop
+    The four baselines share the same parallel shape: the candidate loop
     stays serial (it is method-specific and cheap relative to TED), but
     instead of verifying inline it collects the pairs here and resolves
     them through the shared verification pool at the end
@@ -371,9 +371,7 @@ class SizeSortedCollection:
     rebuilds or re-sorts.  Equal sizes keep the batch constructor's
     stable tie-break (ascending original index) because an inserted tree
     always carries the largest index so far and lands *after* its
-    equal-size run.  ``version`` counts mutations; consumers holding
-    derived state (e.g. :class:`repro.parallel.sharding.ShardPlanner`)
-    compare it to detect staleness.
+    equal-size run.
     """
 
     def __init__(self, trees: Sequence[Tree]):
@@ -382,7 +380,6 @@ class SizeSortedCollection:
         # Ascending sizes, hoisted once; every tau window reuses them.
         self.sizes: list[int] = [trees[k].size for k in self.order]
         self._histogram: Optional[list[tuple[int, int]]] = None
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self.order)
@@ -422,7 +419,6 @@ class SizeSortedCollection:
                 histogram[run] = (size, histogram[run][1] + 1)
             else:
                 histogram.insert(run, (size, 1))
-        self.version += 1
         return index
 
     def size_histogram(self) -> list[tuple[int, int]]:

@@ -45,12 +45,13 @@ probing tree only ever looks **backwards** at index sizes
   ``[lo, hi]``) first bulk-inserts its *handoff band* — every earlier
   position whose size is ``>= lo - tau`` — via
   :meth:`ShardDriver.insert_only` (partition + index insert, or small-pool
-  append, with **no probing**), then probes/inserts its owned trees in the
-  usual ascending order.  The band is exactly wide enough that every
-  partner a shard tree could have under the size filter is present in the
-  shard's private index before the tree probes.
-- A candidate pair is therefore *counted exactly once, by the shard
-  owning the later tree of the sorted order* (the larger tree; for
+  append, with **no probing**), then probes, inserts and verifies its
+  owned trees in the usual ascending order (:meth:`ShardDriver.join`).
+  The band is exactly wide enough that every partner a shard tree could
+  have under the size filter is present in the shard's private index
+  before the tree probes.
+- A candidate pair is therefore *found and verified exactly once, by the
+  shard owning the later tree of the sorted order* (the larger tree; for
   equal-size trees, the one later in the stable order): the earlier tree
   is band- or owned-inserted there, while no other shard ever probes the
   later tree.  Cross-shard pairs need no coordination and, with the
@@ -275,9 +276,7 @@ class ShardDriver:
     order):
 
     - :meth:`probe` runs the probe phase of one tree and returns its
-      candidate partners; the caller decides what to do with them (the
-      serial join verifies inline, the sharded executor collects them for
-      the parallel verification stage).
+      candidate partners; the caller decides what to do with them.
     - :meth:`insert` runs the insert phase of the same tree (partition +
       index insert, or small-pool append).  It must follow :meth:`probe`
       for that tree — the probe's :class:`TreeCache` is reused.
@@ -286,10 +285,14 @@ class ShardDriver:
       can find it, and counted separately (``band_trees`` /
       ``band_subgraphs``) so the owned-tree counters merge to the exact
       serial values.
-    - :meth:`ingest` is the incremental probe-then-insert entry point the
-      serial loop, the shard workers and the streaming engine
-      (:mod:`repro.stream`) all share: one call runs both phases for one
-      tree and hands back the candidates plus the partition subgraphs.
+    - :meth:`ingest` is the incremental probe-then-insert entry point of
+      one tree, shared with the streaming engine (:mod:`repro.stream`):
+      one call runs both phases and hands back the candidates plus the
+      partition subgraphs.
+    - :meth:`join` is Algorithm 1's pass over a run of trees: ingest each
+      one and verify its candidates on the spot.  The serial join calls
+      it once over the whole order, each shard of the sharded executor
+      once over its owned trees.
 
     The serial join is the one-shard special case: every tree is owned,
     the band is empty.
@@ -413,8 +416,7 @@ class ShardDriver:
     def ingest(self, i: int) -> tuple[list[int], Optional[list]]:
         """Probe-then-insert for tree ``i`` in one call.
 
-        The incremental entry point shared by the serial loop, the shard
-        workers (:func:`repro.parallel.worker.run_shard`) and the
+        The incremental entry point shared by :meth:`join` and the
         streaming engine (:class:`repro.stream.StreamingJoin`): returns
         ``(candidates, subgraphs)`` where ``candidates`` are the probe
         phase's partner indices and ``subgraphs`` is the partition filed
@@ -425,6 +427,30 @@ class ShardDriver:
         candidates = self.probe(i)
         subgraphs = self.insert(i)
         return candidates, subgraphs
+
+    def join(
+        self, order: Sequence[int], verifier: Verifier
+    ) -> tuple[list[tuple[int, int, int]], int]:
+        """Ingest each tree of ``order`` and verify its candidates inline.
+
+        ``order`` lists original indices in ascending size-sorted order.
+        Returns the accepted ``(i, j, distance)`` triples (``i < j``, in
+        discovery order) and the number of candidates verified.
+        """
+        accepted: list[tuple[int, int, int]] = []
+        candidate_count = 0
+        ingest = self.ingest
+        verify = verifier.verify
+        for i in order:
+            candidates, _ = ingest(i)
+            # Verification: the "TED computation" phase of Figures 10/12/14.
+            candidate_count += len(candidates)
+            for j in candidates:
+                distance = verify(i, j)
+                if distance is not None:
+                    lo, hi = (i, j) if i < j else (j, i)
+                    accepted.append((lo, hi, distance))
+        return accepted, candidate_count
 
     def insert_only(self, i: int) -> None:
         """Index a handoff-band tree without probing it (sharded executor).
@@ -534,22 +560,9 @@ def partsj_join(
     driver = ShardDriver(trees, tau, cfg, prepared=prepared)
     if verifier is None:
         verifier = Verifier(trees, tau, caches=driver.records)
-    pairs: list[JoinPair] = []
 
     with tracer.span("partsj.loop", tau=tau, trees=len(trees)) as sp:
-        for position in range(len(collection)):
-            i = collection.original_index(position)
-            # Probe + insert through the shared incremental entry point.
-            candidates, _ = driver.ingest(i)
-
-            # Verification (the "TED computation" phase of Figures
-            # 10/12/14).
-            stats.candidates += len(candidates)
-            for j in candidates:
-                distance = verifier.verify(i, j)
-                if distance is not None:
-                    lo, hi = (i, j) if i < j else (j, i)
-                    pairs.append(JoinPair(lo, hi, distance))
+        accepted, stats.candidates = driver.join(collection.order, verifier)
         sp.set("candidates", stats.candidates)
     # Phase attribution the driver accumulates anyway, as synthetic
     # spans — zero cost in the per-tree loop.
@@ -565,15 +578,15 @@ def partsj_join(
     stats.candidate_time = stats.probe_time + stats.index_time
     stats.ted_calls = verifier.stats_ted_calls
     stats.verify_time = verifier.stats_time
-    stats.results = len(pairs)
+    stats.results = len(accepted)
     counters = driver.counters
     stats.pairs_considered = counters.probe_hits + counters.small_pool_pairs
     stats.extra = counters.as_dict()
     stats.extra["total_indexed_subgraphs"] = driver.index.total_subgraphs
     stats.extra["total_index_entries"] = driver.index.total_entries
     stats.extra.update(verifier.extra_stats())
-    pairs.sort(key=lambda p: p.key())
-    return JoinResult(pairs=pairs, stats=stats)
+    accepted.sort()
+    return JoinResult(pairs=[JoinPair(*t) for t in accepted], stats=stats)
 
 
 def _probe_index(

@@ -6,29 +6,24 @@ results bit-identical to the serial engine:
 - :mod:`~repro.parallel.sharding` — cost-balanced shard planning over the
   collection's size histogram, with the tau-wide handoff band that makes
   shards independent (``ShardPlan`` / ``ShardResult`` protocol);
-- :mod:`~repro.parallel.executor` — pool lifecycle, the two-stage
-  candidate-generation + verification run, deterministic stats merge;
-- :mod:`~repro.parallel.verify_pool` — chunked parallel verification
-  usable by every join method, not just PartSJ, plus the background
-  ``StreamVerifyPool`` the streaming engine hands its candidates to;
-- :mod:`~repro.parallel.worker` — per-process state (lazily parsed
-  collection, persistent ``Verifier``; for streaming, an append-only
-  ``GrowingTreeStore``) and the task functions.
-
-The streaming hooks: :class:`~repro.parallel.sharding.ShardPlanner`
-re-plans shard boundaries lazily as a growing collection's size
-histogram changes, and :class:`~repro.parallel.verify_pool.StreamVerifyPool`
-verifies streamed candidates in the background (see :mod:`repro.stream`).
+- :mod:`~repro.parallel.executor` — pool lifecycle and the one
+  supervised stage in which every shard probes, inserts and verifies its
+  own trees, plus the deterministic stats merge;
+- :mod:`~repro.parallel.verify_pool` — the baselines' chunked parallel
+  verification, plus the background ``StreamVerifyPool`` the streaming
+  engine hands its candidates to;
+- :mod:`~repro.parallel.worker` — per-process state (the inherited
+  ``Tree`` list, a persistent ``Verifier`` for verify chunks; for
+  streaming, an append-only ``GrowingTreeStore``) and the task functions.
 
 Entry points: ``similarity_join(..., workers=N)``,
 ``PartSJConfig(workers=N)``, ``StreamingJoin(..., workers=N)``, or the
 CLI's ``--workers``.
 """
 
-from repro.parallel.executor import open_pool, parallel_partsj_join
+from repro.parallel.executor import parallel_partsj_join
 from repro.parallel.sharding import (
     ShardPlan,
-    ShardPlanner,
     ShardResult,
     estimated_probe_cost,
     plan_shards,
@@ -41,11 +36,9 @@ from repro.parallel.verify_pool import (
 
 __all__ = [
     "ShardPlan",
-    "ShardPlanner",
     "ShardResult",
     "estimated_probe_cost",
     "plan_shards",
-    "open_pool",
     "parallel_partsj_join",
     "chunk_pairs",
     "parallel_verify",

@@ -24,8 +24,8 @@ collections where every tree has the same size.
 The ``ShardPlan -> ShardResult`` pair is the executor's worker protocol:
 a plan is what crosses the process boundary going in (index lists plus
 bounds — the trees themselves travel once, via the pool initializer), a
-result is what comes back (candidate pairs plus the per-shard statistics
-the executor merges deterministically).
+result is what comes back (the shard's verified result triples plus the
+per-shard statistics the executor merges deterministically).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ShardPlan",
-    "ShardPlanner",
     "ShardResult",
     "estimated_probe_cost",
     "plan_shards",
@@ -101,14 +100,16 @@ class ShardPlan:
 class ShardResult:
     """What one shard worker sends back to the executor.
 
-    ``candidates`` preserves the discovery order ``(probe_tree, partner)``
-    of the shard's serial sub-loop; all timing fields are worker-process
-    CPU seconds.  ``counters`` is the shard's
-    ``_ProbeCounters.as_dict()`` — owned-tree counters sum to the exact
-    serial values across shards, band counters measure the sharding
-    overhead.  The executor merges the counter dict *generically* (every
-    integer-valued key is summed), so a worker may add counters without
-    an executor release in lockstep.
+    ``pairs`` holds the shard's accepted ``(i, j, distance)`` triples
+    (``i < j``, discovery order); ``candidates`` counts the pairs its
+    owned trees sent to verification.  All timing fields are
+    worker-process CPU seconds.  ``counters`` is the shard's
+    ``_ProbeCounters.as_dict()`` plus its verifier counters
+    (``ted_calls`` and :meth:`~repro.baselines.common.Verifier.extra_stats`)
+    — owned-tree counters sum to the exact serial values across shards,
+    band counters measure the sharding overhead.  The executor merges the
+    counter dict *generically* (every integer-valued key is summed), so a
+    worker may add counters without an executor release in lockstep.
 
     ``spans`` relays the shard's observability spans
     (:func:`repro.obs.trace.span_dict` mappings) back through the CRC'd
@@ -118,13 +119,14 @@ class ShardResult:
     """
 
     shard_id: int
-    candidates: list[tuple[int, int]]
+    pairs: list[tuple[int, int, int]]
+    candidates: int
     counters: dict
     probe_time: float
     index_time: float
     band_time: float
+    verify_time: float
     wall_time: float
-    indexed_subgraphs: int
     index_entries: int
     owned_count: int
     band_count: int
@@ -139,10 +141,12 @@ class ShardResult:
             "size_range": [self.lo, self.hi],
             "owned_trees": self.owned_count,
             "band_trees": self.band_count,
-            "candidates": len(self.candidates),
+            "candidates": self.candidates,
+            "results": len(self.pairs),
             "probe_time": round(self.probe_time, 6),
             "index_time": round(self.index_time, 6),
             "band_time": round(self.band_time, 6),
+            "verify_time": round(self.verify_time, 6),
             "wall_time": round(self.wall_time, 6),
         }
 
@@ -228,44 +232,3 @@ def plan_shards(
             )
         )
     return plans
-
-
-class ShardPlanner:
-    """Re-plan hook for a collection that grows between plans.
-
-    The streaming engine inserts trees one at a time; shard boundaries
-    computed for one prefix drift out of balance as the size histogram
-    grows.  ``ShardPlanner`` wraps :func:`plan_shards` with a per-worker-
-    count cache keyed on the collection's mutation ``version``
-    (:class:`~repro.baselines.common.SizeSortedCollection` bumps it on
-    every :meth:`~repro.baselines.common.SizeSortedCollection.insert`):
-    :meth:`plan` returns the cached plan while the collection is
-    unchanged and transparently re-plans after it has grown, so callers
-    can ask for fresh boundaries at any cadence without paying a
-    planning pass per arrival.
-    """
-
-    def __init__(self, collection: "SizeSortedCollection", tau: int):
-        if tau < 0:
-            raise InvalidParameterError(f"tau must be >= 0, got {tau}")
-        self.collection = collection
-        self.tau = tau
-        self.replans = 0  # planning passes actually executed
-        self._plans: dict[int, list[ShardPlan]] = {}
-        self._versions: dict[int, int] = {}
-
-    def plan(self, workers: int) -> list[ShardPlan]:
-        """Current shard plan for ``workers``, re-planned only when stale."""
-        if workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        version = getattr(self.collection, "version", 0)
-        if workers not in self._plans or self._versions[workers] != version:
-            self._plans[workers] = plan_shards(self.collection, self.tau, workers)
-            self._versions[workers] = version
-            self.replans += 1
-        return self._plans[workers]
-
-    def invalidate(self) -> None:
-        """Drop every cached plan (the next :meth:`plan` re-plans)."""
-        self._plans.clear()
-        self._versions.clear()

@@ -1,21 +1,28 @@
 """Parallel verification: chunked candidate pairs through worker Verifiers.
 
 Verification is embarrassingly parallel — each candidate pair's outcome
-depends only on its two trees and ``tau`` — so *every* join method (PartSJ
-and all four baselines) can hand its candidate list to
-:func:`parallel_verify` and get back exactly the pairs and exact distances
-a serial :class:`~repro.baselines.common.Verifier` would produce.  The
+depends only on its two trees and ``tau`` — so the four baseline joins
+hand their candidate lists to :func:`parallel_verify` (through
+:class:`~repro.baselines.common.DeferredVerification`) and get back
+exactly the pairs and exact distances a serial
+:class:`~repro.baselines.common.Verifier` would produce.  The
 method-specific filter configuration (which bag bounds the candidate
 screen already applied, whether the traversal bound is redundant) travels
 as the ``options`` dict, which is passed verbatim to each worker's
-``Verifier``.
+``Verifier``.  PartSJ does not come here: its shards verify their own
+candidates (:mod:`repro.parallel.executor`).
 
 Pairs are sorted into canonical order and cut into
-``workers * CHUNKS_PER_WORKER`` chunks; results and counters merge
+``workers * CHUNKS_PER_WORKER`` chunks, dispatched as ``verify:<k>``
+tasks over a dedicated supervised pool; results and counters merge
 deterministically because per-pair outcomes are independent of batching.
 The returned ``verify_time`` is the **sum of worker CPU seconds** (the
 comparable quantity to a serial run's ``verify_time``);
 ``verify_wall_time`` in the stats dict is the elapsed stage time.
+
+:class:`StreamVerifyPool` is the streaming engine's background
+counterpart: its collection grows after the pool starts, so each
+submission ships the bracket text of the trees it references.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from typing import Optional, Sequence
 from repro.baselines.common import JoinPair, Verifier
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER
+from repro.parallel import executor as _executor
 from repro.parallel import worker as _worker
 from repro.resilience import (
     FaultInjector,
@@ -69,11 +77,9 @@ _ZERO_STATS = {
 
 
 def chunk_pairs(
-    pairs: Sequence[tuple[int, int]],
-    workers: int,
-    chunks_per_worker: int = CHUNKS_PER_WORKER,
+    pairs: Sequence[tuple[int, int]], workers: int
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Cut ``pairs`` into at most ``workers * chunks_per_worker`` batches.
+    """Cut ``pairs`` into at most ``workers * CHUNKS_PER_WORKER`` batches.
 
     Contiguous slicing of the (caller-ordered) pair list; every pair lands
     in exactly one chunk and empty chunks are never produced.
@@ -82,7 +88,7 @@ def chunk_pairs(
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     if not pairs:
         return []
-    chunk_count = min(len(pairs), max(1, workers * chunks_per_worker))
+    chunk_count = min(len(pairs), workers * CHUNKS_PER_WORKER)
     size, leftover = divmod(len(pairs), chunk_count)
     chunks: list[tuple[tuple[int, int], ...]] = []
     cursor = 0
@@ -114,103 +120,46 @@ def _merge_chunk_results(
     return pairs, stats
 
 
-def _graft_chunk_spans(tracer, outcomes) -> None:
-    """Graft worker-relayed chunk spans (``delta["spans"]``) into a trace.
-
-    No-op with tracing off; the spans never feed the stat merge either
-    way (``_merge_chunk_results`` only reads the fixed counter keys).
-    """
-    if not tracer.enabled:
-        return
-    for outcome in outcomes:
-        if outcome is None:
-            continue
-        _, delta = outcome
-        spans = delta.get("spans")
-        if spans:
-            tracer.graft(spans)
-
-
 def parallel_verify(
     trees: Sequence[Tree],
     tau: int,
     pairs: Sequence[tuple[int, int]],
     workers: int,
     options: Optional[dict] = None,
-    pool=None,
-    supervisor: Optional[PoolSupervisor] = None,
-    tracer=None,
 ) -> tuple[list[JoinPair], dict]:
     """Verify candidate ``(i, j)`` pairs across worker processes.
 
     Parameters
     ----------
     trees:
-        The full collection (workers receive it once, as bracket strings).
+        The full collection (workers receive it once, via the pool
+        initializer).
     tau:
         The join threshold.
     pairs:
         Candidate pairs of original indices, any orientation; duplicates
         (either orientation) are verified once.
     workers:
-        Worker process count; ``1`` verifies inline with no pool at all.
+        Worker process count of the dedicated pool.
     options:
         Keyword arguments for each worker's ``Verifier`` (e.g.
         ``{"traversal_bound": False}`` for the STR join).
-    pool:
-        An existing ``multiprocessing`` pool whose workers were
-        initialized with :func:`repro.parallel.worker.init_worker`;
-        dispatch over it is **unsupervised** (a bare ``pool.map``, kept
-        for API compatibility).
-    supervisor:
-        A :class:`repro.resilience.PoolSupervisor` whose pool workers
-        were initialized with ``init_worker`` (the sharded executor
-        shares its candidate-stage supervisor).  When neither ``pool``
-        nor ``supervisor`` is given and ``workers > 1``, a dedicated
-        supervised pool is created and torn down — so every join
-        method's verification stage retries and degrades the same way.
 
-    Returns the accepted :class:`JoinPair` list in canonical order plus a
-    stats dict (``ted_calls`` / ``verify_time`` / ``lb_filtered`` /
-    ``ub_accepted`` / ``ted_early_exits`` / ``verify_chunks`` /
-    ``verify_wall_time``).
-
-    ``tracer`` (``None`` disables) records one ``verify.parallel`` span
-    over the stage and grafts the worker-relayed per-chunk spans under
-    it; pairs, distances and the stats dict are identical either way.
+    The ``verify:<k>`` chunks run under a supervised pool created and
+    torn down here, so every baseline's verification retries and
+    degrades like the sharded executor's shards (``REPRO_FAULT_SPEC``
+    applies).  Returns the accepted :class:`JoinPair` list in canonical
+    order plus a stats dict (``ted_calls`` / ``verify_time`` /
+    ``lb_filtered`` / ``ub_accepted`` / ``ted_early_exits`` /
+    ``verify_chunks`` / ``verify_wall_time``, and any non-zero failure
+    counters of the supervisor).
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     started = time.perf_counter()
     # Canonicalize: one orientation per pair, deterministic chunk layout
-    # regardless of how many shards (or which method) produced the list.
+    # regardless of which method produced the list.
     ordered = sorted({(i, j) if i < j else (j, i) for i, j in pairs})
     if not ordered:
         return [], dict(_ZERO_STATS)
-
-    if workers <= 1 and pool is None and supervisor is None:
-        # Serial fallback: same engine, in-process, no bracket round-trip.
-        with tracer.span("verify.parallel", workers=1,
-                         pairs=len(ordered)):
-            verifier = Verifier(trees, tau, **(options or {}))
-            accepted = []
-            for i, j in ordered:
-                distance = verifier.verify(i, j)
-                if distance is not None:
-                    accepted.append((i, j, distance))
-        outcome = (accepted, {"verify_time": verifier.stats_time,
-                              "ted_calls": verifier.stats_ted_calls,
-                              **verifier.extra_stats()})
-        return _merge_chunk_results([outcome], 1, time.perf_counter() - started)
-
-    chunks = chunk_pairs(ordered, workers)
-    if pool is not None:
-        with tracer.span("verify.parallel", workers=workers,
-                         pairs=len(ordered), chunks=len(chunks)):
-            outcomes = pool.map(_worker.verify_chunk, chunks)
-            _graft_chunk_spans(tracer, outcomes)
-        return _merge_chunk_results(
-            outcomes, len(chunks), time.perf_counter() - started
-        )
 
     def inline_chunk(chunk):
         # Degradation fallback: a fresh in-process Verifier; per-pair
@@ -220,41 +169,25 @@ def parallel_verify(
             Verifier(trees, tau, **(options or {})), chunk
         )
 
+    chunks = chunk_pairs(ordered, workers)
     tasks = [(f"verify:{k}", chunk) for k, chunk in enumerate(chunks)]
-    if supervisor is not None:
-        with tracer.span("verify.parallel", workers=workers,
-                         pairs=len(ordered), chunks=len(chunks)):
-            outcomes = supervisor.run(
-                _worker.verify_chunk_task, tasks, inline_chunk
-            )
-            _graft_chunk_spans(tracer, outcomes)
-        pairs_out, stats = _merge_chunk_results(
-            outcomes, len(chunks), time.perf_counter() - started
-        )
-        return pairs_out, stats
-    from repro.parallel.executor import _create_pool
-
-    brackets = [tree.to_bracket() for tree in trees]
     injector = FaultInjector.from_env()
-    owned = PoolSupervisor(
-        lambda: _create_pool(brackets, tau, workers, None, options, injector),
+    supervisor = PoolSupervisor(
+        lambda: _executor._create_pool(
+            trees, tau, workers, None, options, injector
+        ),
     )
-    with owned:
-        with tracer.span("verify.parallel", workers=workers,
-                         pairs=len(ordered), chunks=len(chunks)):
-            outcomes = owned.run(
-                _worker.verify_chunk_task, tasks, inline_chunk
-            )
-            _graft_chunk_spans(tracer, outcomes)
+    with supervisor:
+        outcomes = supervisor.run(
+            _worker.verify_chunk_task, tasks, inline_chunk
+        )
     pairs_out, stats = _merge_chunk_results(
         outcomes, len(chunks), time.perf_counter() - started
     )
-    # A dedicated supervisor's failure accounting travels with the verify
-    # stats (the executor path reports its shared supervisor itself).
     for key in ("retries", "worker_failures", "timeouts",
                 "degraded_serial_tasks"):
-        if owned.stats[key]:
-            stats[key] = owned.stats[key]
+        if supervisor.stats[key]:
+            stats[key] = supervisor.stats[key]
     return pairs_out, stats
 
 
@@ -326,12 +259,9 @@ class StreamVerifyPool:
         self.quarantine_log: list[dict] = []
 
     def _make_pool(self):
-        from repro.parallel.executor import pool_context
-        from repro.parallel.worker import init_stream_worker
-
-        return pool_context().Pool(
+        return _executor.pool_context().Pool(
             processes=self.workers,
-            initializer=init_stream_worker,
+            initializer=_worker.init_stream_worker,
             initargs=(self.tau, self._injector),
         )
 

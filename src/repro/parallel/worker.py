@@ -1,18 +1,22 @@
 """Per-process state and task functions for the parallel join workers.
 
 Worker processes receive the collection **once**, through the pool
-initializer, as bracket-notation strings (compact, picklable, and
-identical under fork and spawn start methods); trees are re-parsed lazily
-— a candidate-generation worker only ever materializes its shard plus
-handoff band, a verification worker only the trees named by its pair
-chunks.  Task payloads then stay small: a :class:`~.sharding.ShardPlan`
-going in, a :class:`~.sharding.ShardResult` (or verified chunk) coming
-back.
+initializer, as the ``Tree`` list itself: a fork pool's children inherit
+it without any serialization, and a spawn pool pickles it as bracket text
+(``Tree.__reduce__``).  Task payloads then stay small: a
+:class:`~.sharding.ShardPlan` going in and a :class:`~.sharding.ShardResult`
+coming back, or a chunk of candidate pairs going in and its accepted
+triples coming back.
 
-The verification engine (:class:`repro.baselines.common.Verifier`) is
-created once per process on first use and kept for the rest of the pool's
-life, so the views memoized on its per-tree records amortize across
-chunks exactly as they do across candidates in a serial run.
+A shard task runs the serial loop of Algorithm 1 over its handoff band
+and owned trees — probe, insert, verify — with one record store shared by
+its driver and its verifier, and returns only result triples and
+counters.  The verify-chunk task serves the baselines' parallel
+verification (:func:`repro.parallel.verify_pool.parallel_verify`): its
+:class:`repro.baselines.common.Verifier` is created once per process on
+first use and kept for the rest of the pool's life, so the views memoized
+on its per-tree records amortize across chunks exactly as they do across
+candidates in a serial run.
 """
 
 from __future__ import annotations
@@ -33,13 +37,10 @@ from repro.tree.bracket import parse_bracket
 from repro.tree.node import Tree
 
 __all__ = [
-    "LazyTreeList",
     "execute_shard",
     "init_worker",
     "init_stream_worker",
-    "run_shard",
     "run_shard_task",
-    "verify_chunk",
     "verify_chunk_task",
     "verify_pairs",
     "verify_stream_chunk",
@@ -48,9 +49,9 @@ __all__ = [
 
 
 # Worker-side span ids: unique per (process, counter).  Span capture is
-# unconditional — a handful of dicts per shard/chunk, relayed inside the
-# sealed result envelope — and the coordinator drops them when tracing
-# is off, so no trace flag needs to cross the pool boundary.
+# unconditional — a handful of dicts per shard, relayed inside the sealed
+# result envelope — and the coordinator drops them when tracing is off,
+# so no trace flag needs to cross the pool boundary.
 _SPAN_SEQ = itertools.count(1)
 
 
@@ -58,46 +59,18 @@ def _span_id(prefix: str) -> str:
     return f"{prefix}-{os.getpid():x}-{next(_SPAN_SEQ)}"
 
 
-class LazyTreeList(Sequence):
-    """A tree collection parsed on demand from bracket strings.
-
-    Quacks enough like ``Sequence[Tree]`` for :class:`ShardDriver` and
-    :class:`Verifier`, which only ever index by integer; a worker thus
-    pays parsing cost only for the trees its tasks actually touch.
-    """
-
-    __slots__ = ("_brackets", "_trees")
-
-    def __init__(self, brackets: Sequence[str]):
-        self._brackets = brackets
-        self._trees: list[Optional[Tree]] = [None] * len(brackets)
-
-    def __len__(self) -> int:
-        return len(self._brackets)
-
-    def __getitem__(self, index: int) -> Tree:
-        if not isinstance(index, int):
-            raise InvalidInputTypeError(
-                "LazyTreeList supports integer indexing only"
-            )
-        tree = self._trees[index]
-        if tree is None:
-            tree = self._trees[index] = parse_bracket(self._brackets[index])
-        return tree
-
-
 class _WorkerState:
     """Everything a worker process holds between tasks."""
 
     def __init__(
         self,
-        brackets: Sequence[str],
+        trees: Sequence[Tree],
         tau: int,
         config: Optional[PartSJConfig],
         verifier_options: Optional[dict],
         injector: Optional[FaultInjector] = None,
     ):
-        self.trees = LazyTreeList(brackets)
+        self.trees = trees
         self.tau = tau
         self.config = config
         self.verifier_options = verifier_options or {}
@@ -115,7 +88,7 @@ _STATE: Optional[_WorkerState] = None
 
 
 def init_worker(
-    brackets: Sequence[str],
+    trees: Sequence[Tree],
     tau: int,
     config: Optional[PartSJConfig] = None,
     verifier_options: Optional[dict] = None,
@@ -123,7 +96,7 @@ def init_worker(
 ) -> None:
     """Pool initializer: install the collection in this worker process."""
     global _STATE
-    _STATE = _WorkerState(brackets, tau, config, verifier_options, injector)
+    _STATE = _WorkerState(trees, tau, config, verifier_options, injector)
 
 
 def _require_state() -> _WorkerState:
@@ -135,32 +108,50 @@ def _require_state() -> _WorkerState:
     return _STATE
 
 
+def _sealed(
+    injector: Optional[FaultInjector], task_id: str, attempt: int, run, *args
+) -> tuple:
+    """``run(*args)`` as one supervised task → sealed result envelope.
+
+    Applies any injected fault for this ``(task, attempt)``, then seals
+    the result with an integrity CRC so the supervisor can detect
+    corruption in transit.
+    """
+    if injector is not None:
+        injector.fire(task_id, attempt)
+    envelope = seal(run(*args))
+    if injector is not None and injector.corrupts(task_id, attempt):
+        envelope = corrupt_envelope(envelope)
+    return envelope
+
+
 def execute_shard(
-    trees: Sequence,
+    trees: Sequence[Tree],
     tau: int,
     config: Optional[PartSJConfig],
     plan: ShardPlan,
 ) -> ShardResult:
-    """Candidate generation for one shard, against any tree sequence.
+    """Probe, insert and verify one shard, against any tree sequence.
 
     Band trees are insert-only and strictly precede the owned trees in
     the sorted order, so one linear pass over ``band`` then ``owned``
     reproduces the serial loop's state for every owned probe (the
-    handoff-band invariant of :mod:`repro.core.join`).  The driver's
-    output is a pure function of ``(trees, tau, config, plan)``, so the
-    same shard re-executed anywhere — a retried worker, or the parent
+    handoff-band invariant of :mod:`repro.core.join`); each owned tree's
+    candidates are verified as it probes, exactly as in the serial join.
+    The result is a pure function of ``(trees, tau, config, plan)``, so
+    the same shard re-executed anywhere — a retried worker, or the parent
     process during graceful degradation — yields the identical result.
     """
     started = time.perf_counter()
     driver = ShardDriver(trees, tau, config)
+    verifier = Verifier(trees, tau, caches=driver.records)
     for i in plan.band:
         driver.insert_only(i)
-    candidates: list[tuple[int, int]] = []
-    for i in plan.owned:
-        found, _ = driver.ingest(i)
-        for j in found:
-            candidates.append((i, j))
+    pairs, candidates = driver.join(plan.owned, verifier)
     wall_time = time.perf_counter() - started
+    counters = driver.counters.as_dict()
+    counters["ted_calls"] = verifier.stats_ted_calls
+    counters.update(verifier.extra_stats())
     # Observability relay: one shard span plus its phase attribution,
     # shipped back through the sealed envelope (see ShardResult.spans).
     shard_span = _span_id(f"shard{plan.shard_id}")
@@ -168,7 +159,7 @@ def execute_shard(
         span_dict(
             f"shard:{plan.shard_id}", started, wall_time, shard_span,
             owned=len(plan.owned), band=len(plan.band),
-            candidates=len(candidates),
+            candidates=candidates, results=len(pairs),
         ),
         span_dict("partsj.band", started, driver.band_time,
                   _span_id("band"), parent_id=shard_span,
@@ -179,16 +170,20 @@ def execute_shard(
         span_dict("partsj.index", started, driver.index_time,
                   _span_id("index"), parent_id=shard_span,
                   subgraphs=driver.counters.subgraphs_built),
+        span_dict("partsj.verify", started, verifier.stats_time,
+                  _span_id("verify"), parent_id=shard_span,
+                  ted_calls=verifier.stats_ted_calls),
     ]
     return ShardResult(
         shard_id=plan.shard_id,
+        pairs=pairs,
         candidates=candidates,
-        counters=driver.counters.as_dict(),
+        counters=counters,
         probe_time=driver.probe_time,
         index_time=driver.index_time,
         band_time=driver.band_time,
+        verify_time=verifier.stats_time,
         wall_time=wall_time,
-        indexed_subgraphs=driver.index.total_subgraphs,
         index_entries=driver.index.total_entries,
         owned_count=len(plan.owned),
         band_count=len(plan.band),
@@ -198,28 +193,16 @@ def execute_shard(
     )
 
 
-def run_shard(plan: ShardPlan) -> ShardResult:
-    """:func:`execute_shard` over this worker's installed collection."""
-    state = _require_state()
-    return execute_shard(state.trees, state.tau, state.config, plan)
-
-
 def run_shard_task(task: tuple) -> tuple:
     """Supervised shard task: ``(task_id, attempt, plan)`` → sealed result.
 
-    Entry point of :class:`repro.resilience.PoolSupervisor` dispatch —
-    applies any injected fault for this ``(task, attempt)``, runs the
-    shard, and seals the result with an integrity CRC so the supervisor
-    can detect corruption in transit.
+    Entry point of :class:`repro.resilience.PoolSupervisor` dispatch: runs
+    :func:`execute_shard` over this worker's installed collection.
     """
     task_id, attempt, plan = task
     state = _require_state()
-    if state.injector is not None:
-        state.injector.fire(task_id, attempt)
-    envelope = seal(run_shard(plan))
-    if state.injector is not None and state.injector.corrupts(task_id, attempt):
-        envelope = corrupt_envelope(envelope)
-    return envelope
+    return _sealed(state.injector, task_id, attempt, execute_shard,
+                   state.trees, state.tau, state.config, plan)
 
 
 def verify_pairs(
@@ -227,10 +210,10 @@ def verify_pairs(
 ) -> tuple[list[tuple[int, int, int]], dict]:
     """Verify ``pairs`` on ``verifier``; return accepted triples + deltas.
 
-    The one shared verification loop of every execution path — batch
-    worker chunks, streamed chunks, and the parent-side degradation
-    fallbacks — so per-pair outcomes (and the stat deltas) are identical
-    wherever a chunk ends up running.
+    The shared verification loop of the verify-chunk tasks, streamed
+    chunks, and their parent-side degradation fallbacks — so per-pair
+    outcomes (and the stat deltas) are identical wherever a chunk ends up
+    running.
     """
     calls_before = verifier.stats_ted_calls
     time_before = verifier.stats_time
@@ -253,40 +236,19 @@ def verify_pairs(
     return accepted, stats
 
 
-def verify_chunk(
-    chunk: Sequence[tuple[int, int]],
-) -> tuple[list[tuple[int, int, int]], dict]:
-    """Verify one batch of candidate pairs (runs inside a worker process).
-
-    Returns the accepted ``(i, j, distance)`` triples (``i < j``) and the
-    chunk's verification-stat deltas; per-pair outcomes are independent of
-    batching, so any chunking of the same pair set merges to identical
-    totals.  The delta additionally carries this chunk's observability
-    span under ``"spans"`` — relayed through the sealed envelope, grafted
-    by the coordinator when tracing is on, ignored by the stat merge
-    either way (it never reaches ``JoinStats``).
-    """
-    state = _require_state()
-    started = time.perf_counter()
-    accepted, delta = verify_pairs(state.verifier, chunk)
-    delta["spans"] = [
-        span_dict("verify.chunk", started, time.perf_counter() - started,
-                  _span_id("vchunk"), pairs=len(chunk),
-                  ted_calls=delta["ted_calls"]),
-    ]
-    return accepted, delta
-
-
 def verify_chunk_task(task: tuple) -> tuple:
-    """Supervised verify task: ``(task_id, attempt, chunk)`` → sealed result."""
+    """Supervised verify task: ``(task_id, attempt, chunk)`` → sealed result.
+
+    Verifies one batch of candidate pairs on this worker's persistent
+    verifier and returns the accepted ``(i, j, distance)`` triples
+    (``i < j``) plus the chunk's verification-stat deltas; per-pair
+    outcomes are independent of batching, so any chunking of the same
+    pair set merges to identical totals.
+    """
     task_id, attempt, chunk = task
     state = _require_state()
-    if state.injector is not None:
-        state.injector.fire(task_id, attempt)
-    envelope = seal(verify_chunk(chunk))
-    if state.injector is not None and state.injector.corrupts(task_id, attempt):
-        envelope = corrupt_envelope(envelope)
-    return envelope
+    return _sealed(state.injector, task_id, attempt, verify_pairs,
+                   state.verifier, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +266,9 @@ def verify_chunk_task(task: tuple) -> tuple:
 class GrowingTreeStore(Sequence):
     """An append-only, lazily parsed tree store indexed by arrival position.
 
-    The streaming counterpart of :class:`LazyTreeList`: brackets arrive
-    incrementally (with each task) instead of all at once, and indices
-    may be sparse from any single worker's point of view — a worker only
-    ever holds the trees its own chunks referenced.
+    Brackets arrive incrementally (with each task), and indices may be
+    sparse from any single worker's point of view — a worker only ever
+    holds the trees its own chunks referenced.
     """
 
     __slots__ = ("_brackets", "_trees")
@@ -398,10 +359,5 @@ def verify_stream_chunk_task(task: tuple) -> tuple:
             "stream worker state not initialized; the pool must be created "
             "with initializer=init_stream_worker"
         )
-    injector = _STREAM_STATE.injector
-    if injector is not None:
-        injector.fire(task_id, 1)
-    envelope = seal(verify_stream_chunk((brackets, pairs)))
-    if injector is not None and injector.corrupts(task_id, 1):
-        envelope = corrupt_envelope(envelope)
-    return envelope
+    return _sealed(_STREAM_STATE.injector, task_id, 1, verify_stream_chunk,
+                   (brackets, pairs))

@@ -814,14 +814,15 @@ class JoinPlan(QueryPlan):
         col = self.collection
         cfg = self.config
         if cfg.workers > 1:
-            # Worker processes rebuild their shard-local caches and
-            # partitions (prepared state cannot cross the pool boundary);
-            # the executor consumes the prepared sorted order for shard
-            # planning, and its serial fallbacks (tiny collections,
-            # single-shard plans) run warm off the same state.  Reuse the
-            # full per-tau partitions when this session already has them;
-            # otherwise hand over a bare state rather than paying a
-            # partitioning pass the workers would ignore.
+            # Each shard builds its own records and partitions in its
+            # worker, over the Tree list the pool inherits, and verifies
+            # its candidates there.  The executor consumes the prepared
+            # sorted order for shard planning, and its serial fallbacks
+            # (tiny collections, single-shard plans) run warm off the
+            # same state.  Reuse the full per-tau partitions when this
+            # session already has them; otherwise hand over a bare state
+            # rather than paying a partitioning pass the workers would
+            # ignore.
             if col.is_prepared(self.tau, cfg):
                 state = col.prepare(self.tau, cfg).join_state()
             else:
@@ -909,7 +910,7 @@ class JoinPlan(QueryPlan):
             spans = (
                 "join", "parallel.plan", "parallel.candidates", "shard:<n>",
                 "partsj.band", "partsj.probe", "partsj.index",
-                "verify.parallel", "verify.chunk",
+                "partsj.verify",
             )
         elif self.config is not None:
             spans = (

@@ -13,8 +13,7 @@ One arrival runs three steps:
 1. **Coherent in-place insertion** —
    :meth:`repro.baselines.common.SizeSortedCollection.insert` splices the
    tree into the live sorted order, sizes and size histogram (no rebuild,
-   no re-sort), bumping the collection ``version`` that the shard
-   re-planner keys on.
+   no re-sort).
 2. **Bidirectional probe** — the shared
    :meth:`repro.core.join.ShardDriver.ingest` entry point probes the tree
    *forward* against the two-layer index (partners of size ``<= |T|``,
@@ -56,7 +55,6 @@ from repro.core.join import PartSJConfig, ShardDriver
 from repro.core.subgraph import MatchSemantics
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER
-from repro.parallel.sharding import ShardPlan, ShardPlanner
 from repro.params import check_tau, check_workers
 from repro.stream.reverse import NodeTwigIndex
 from repro.tree.node import Tree
@@ -197,7 +195,6 @@ class StreamingJoin:
         self._records = self._driver.records
         self._verifier = Verifier(self.trees, tau, caches=self._records)
         self._reverse = NodeTwigIndex(tau, self._driver.index.postorder_filter)
-        self._planner = ShardPlanner(self.collection, tau)
         self._pairs: list[JoinPair] = []
         self._pool = None
         self._pool_stats: dict = {}
@@ -430,17 +427,6 @@ class StreamingJoin:
         from repro.stream.searcher import StreamSearcher
 
         return StreamSearcher(self)
-
-    def shard_plan(self, workers: int) -> list[ShardPlan]:
-        """A batch shard plan over the current prefix (re-planned lazily).
-
-        The re-plan hook of the sharded executor: plans are cached per
-        ``workers`` count and recomputed only when the collection has
-        grown since (tracked through ``collection.version``), so shard
-        boundaries refresh as the size histogram grows without paying a
-        planning pass per arrival.
-        """
-        return self._planner.plan(workers)
 
     def stats(self) -> StreamStats:
         """Counter snapshot; see :class:`StreamStats`."""

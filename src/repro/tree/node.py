@@ -194,6 +194,11 @@ class Tree:
 
         return to_bracket(self)
 
+    def __reduce__(self):
+        # Pickle as bracket text: both directions are iterative, so a tree
+        # of any depth crosses a spawn pool without a RecursionError.
+        return (Tree.from_bracket, (self.to_bracket(),))
+
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -204,13 +204,6 @@ class TestIncrementalInsertion:
             collection.insert(make_random_tree(rng, 5))
         assert collection.order == list(range(6))
 
-    def test_version_counts_mutations(self, rng):
-        collection = SizeSortedCollection([])
-        assert collection.version == 0
-        collection.insert(make_random_tree(rng, 3))
-        collection.insert(make_random_tree(rng, 4))
-        assert collection.version == 2
-
     def test_insert_rejects_non_tree_and_immutable_backing(self, rng):
         collection = SizeSortedCollection([])
         with pytest.raises(InvalidParameterError):

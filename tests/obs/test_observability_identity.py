@@ -150,18 +150,20 @@ class TestParallelTraceCoverage:
         shard_names = {n for n in names if n.startswith("shard:")}
         assert len(shard_names) >= 2
         for required in ("join", "parallel.plan", "parallel.candidates",
-                         "partsj.probe", "partsj.index", "verify.parallel"):
+                         "partsj.probe", "partsj.index", "partsj.verify"):
             assert required in names, required
-        # Every shard span carries worker-side probe + index children
-        # relayed through the sealed result envelope.
-        by_id = {span.span_id: span for span in spans}
+        # One stage: no verification spans outside the shards.
+        assert not {"verify.parallel", "verify.chunk"} & set(names)
+        # Every shard span carries worker-side probe, index and verify
+        # children relayed through the sealed result envelope.
         for span in spans:
             if not span.name.startswith("shard:"):
                 continue
             child_names = {
                 s.name for s in spans if s.parent_id == span.span_id
             }
-            assert {"partsj.probe", "partsj.index"} <= child_names
+            assert {"partsj.probe", "partsj.index",
+                    "partsj.verify"} <= child_names
             assert span.attrs.get("pid") is not None
         # Exported to JSONL, the parent ids form a well-rooted tree.
         path = tmp_path / "trace.jsonl"
@@ -170,12 +172,6 @@ class TestParallelTraceCoverage:
         roots, _children = span_roots(rows)  # raises on a cycle
         assert [row["name"] for row in roots] == ["join"]
         assert all(row["trace_id"] == tracer.trace_id for row in rows)
-
-    def test_verify_chunk_spans_relayed(self, forest):
-        tracer = Tracer()
-        run_join(forest, "partsj", 2, 2, trace=tracer)
-        names = [span.name for span in tracer.finished()]
-        assert "verify.chunk" in names
 
 
 class TestSerialTraceCoverage:
@@ -231,10 +227,10 @@ class TestGenericCounterMerge:
     @staticmethod
     def shard_result(shard_id, counters):
         return ShardResult(
-            shard_id=shard_id, candidates=[], counters=counters,
-            probe_time=0.0, index_time=0.0, band_time=0.0, wall_time=0.0,
-            indexed_subgraphs=0, index_entries=0, owned_count=0,
-            band_count=0, lo=0, hi=0,
+            shard_id=shard_id, pairs=[], candidates=0, counters=counters,
+            probe_time=0.0, index_time=0.0, band_time=0.0, verify_time=0.0,
+            wall_time=0.0, index_entries=0, owned_count=0, band_count=0,
+            lo=0, hi=0,
         )
 
     def test_worker_only_counter_merges_without_executor_edit(self):

@@ -8,6 +8,7 @@ worker pools are started, so the workloads are kept small.
 """
 
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -20,8 +21,9 @@ from repro.baselines.str_join import str_join
 from repro.cli import main
 from repro.core.join import PartSJConfig, partsj_join
 from repro.errors import InvalidParameterError
+from repro.parallel import executor
 from repro.parallel.executor import parallel_partsj_join
-from repro.tree.node import Tree
+from repro.tree.node import Tree, TreeNode
 from tests.conftest import LABELS, make_cluster_forest, make_random_tree
 
 WORKER_COUNTS = (1, 2, 4)
@@ -40,10 +42,13 @@ def make_workload(seed, clusters=3, cluster_size=3, base_size=10, max_edits=3):
     )
 
 
-# Owned-tree counters that must merge to the exact serial values.
+# Owned-tree and verifier counters that must merge to the exact serial
+# values.
 SERIAL_COUNTERS = (
-    "probe_hits", "match_tests", "match_hits", "small_pool_pairs",
-    "partitioned_trees", "small_trees", "subgraphs_built", "gamma_total",
+    "probe_hits", "match_tests", "match_hits", "dedup_skips",
+    "small_pool_pairs", "partitioned_trees", "small_trees",
+    "subgraphs_built", "gamma_total", "lb_filtered", "ub_accepted",
+    "ted_early_exits",
 )
 
 
@@ -68,6 +73,7 @@ class TestShardBoundaryProperty:
         assert triples(parallel) == triples(serial)
         assert parallel.stats.candidates == serial.stats.candidates
         assert parallel.stats.ted_calls == serial.stats.ted_calls
+        assert parallel.stats.pairs_considered == serial.stats.pairs_considered
         for key in SERIAL_COUNTERS:
             assert parallel.stats.extra[key] == serial.stats.extra[key], key
         assert (
@@ -162,10 +168,13 @@ class TestExecutorConfig:
         assert len(shards) >= 2
         for entry in shards:
             assert {"shard", "size_range", "owned_trees", "band_trees",
-                    "candidates", "probe_time", "index_time", "band_time",
-                    "wall_time"} <= set(entry)
+                    "candidates", "results", "probe_time", "index_time",
+                    "band_time", "verify_time", "wall_time"} <= set(entry)
         assert result.stats.extra["workers"] == 2
-        assert result.stats.extra["verify_chunks"] >= 1
+        assert sum(entry["candidates"] for entry in shards) == (
+            result.stats.candidates
+        )
+        assert sum(entry["results"] for entry in shards) == len(result.pairs)
 
 
 class TestParallelVerificationAllMethods:
@@ -189,6 +198,41 @@ class TestParallelVerificationAllMethods:
         serial = str_join(trees, 2, banded=False)
         parallel = str_join(trees, 2, banded=False, workers=2)
         assert triples(parallel) == triples(serial)
+
+
+class TestSpawnContext:
+    """Spawn workers unpickle the collection (bracket text per tree)."""
+
+    @staticmethod
+    def chain(depth, labels):
+        root = node = TreeNode(labels[0])
+        for k in range(1, depth):
+            node = node.add_child(TreeNode(labels[k % len(labels)]))
+        return Tree(root)
+
+    def test_spawn_join_matches_serial(self, monkeypatch):
+        trees = make_workload(777)
+        trees.append(self.chain(3000, "abc"))
+        trees.append(self.chain(3001, "abc"))
+        pools = []
+
+        def spawn_context():
+            pools.append("spawn")
+            return multiprocessing.get_context("spawn")
+
+        monkeypatch.setattr(executor, "pool_context", spawn_context)
+        for join in (
+            lambda w: partsj_join(trees, 2, PartSJConfig(workers=w)),
+            lambda w: str_join(trees, 2, workers=w),
+        ):
+            serial = join(1)
+            assert (len(trees) - 2, len(trees) - 1) in {
+                p.key() for p in serial.pairs
+            }
+            parallel = join(2)
+            assert triples(parallel) == triples(serial)
+            assert parallel.stats.extra.get("worker_failures", 0) == 0
+        assert pools == ["spawn", "spawn"]  # one spawn pool per join
 
 
 class TestCliWorkers:

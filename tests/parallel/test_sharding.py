@@ -156,52 +156,3 @@ def test_estimated_probe_cost_scales_with_size_and_tau():
     assert estimated_probe_cost(10, 2) == 40
     assert estimated_probe_cost(20, 2) > estimated_probe_cost(10, 2)
     assert estimated_probe_cost(10, 3) > estimated_probe_cost(10, 2)
-
-
-class TestShardPlanner:
-    """The re-plan hook: cached while unchanged, fresh after growth."""
-
-    def test_caches_plan_for_unchanged_collection(self, rng):
-        from repro.parallel.sharding import ShardPlanner
-
-        collection = SizeSortedCollection(make_forest(rng, 20))
-        planner = ShardPlanner(collection, tau=2)
-        first = planner.plan(3)
-        assert planner.plan(3) is first
-        assert planner.replans == 1
-        # A different worker count is its own cache slot.
-        other = planner.plan(2)
-        assert other is not first
-        assert planner.replans == 2
-        assert planner.plan(3) is first
-
-    def test_replans_after_insertion(self, rng):
-        from repro.parallel.sharding import ShardPlanner
-
-        collection = SizeSortedCollection(make_forest(rng, 20))
-        planner = ShardPlanner(collection, tau=2)
-        stale = planner.plan(3)
-        for _ in range(10):
-            collection.insert(make_random_tree(rng, rng.randint(40, 60)))
-        fresh = planner.plan(3)
-        assert fresh is not stale
-        check_plan_invariants(collection, 2, fresh)
-        assert planner.plan(3) is fresh
-
-    def test_invalidate_forces_replan(self, rng):
-        from repro.parallel.sharding import ShardPlanner
-
-        collection = SizeSortedCollection(make_forest(rng, 10))
-        planner = ShardPlanner(collection, tau=1)
-        first = planner.plan(2)
-        planner.invalidate()
-        assert planner.plan(2) is not first
-
-    def test_invalid_parameters(self, rng):
-        from repro.parallel.sharding import ShardPlanner
-
-        with pytest.raises(InvalidParameterError):
-            ShardPlanner(SizeSortedCollection([]), tau=-1)
-        planner = ShardPlanner(SizeSortedCollection(make_forest(rng, 3)), tau=1)
-        with pytest.raises(InvalidParameterError):
-            planner.plan(0)

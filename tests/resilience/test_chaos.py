@@ -4,9 +4,12 @@ The acceptance bar of the resilience layer: with deterministic crashes,
 hangs, corrupt envelopes, and poison exceptions injected at every shard
 and verify-chunk index, ``similarity_join(workers=N)`` still returns
 results **bit-identical** to the serial engine, with every swallowed
-failure accounted for in ``JoinStats.extra``.  Real worker pools are
-started (and killed), so the workloads are kept small and the wildcard
-fault specs cover every task index within a single join.
+failure accounted for in ``JoinStats.extra``.  PartSJ dispatches only
+``shard:<n>`` tasks; the ``verify:<k>`` chunks are exercised through the
+STR join, whose parallel verification takes its faults from
+``REPRO_FAULT_SPEC``.  Real worker pools are started (and killed), so the
+workloads are kept small and the wildcard fault specs cover every task
+index within a single join.
 """
 
 import random
@@ -14,6 +17,7 @@ import time
 
 import pytest
 
+from repro.baselines.str_join import str_join
 from repro.core.join import PartSJConfig, partsj_join
 from repro.errors import TaskTimeoutError, WorkerFailureError
 from repro.resilience import FAULT_SPEC_ENV, FaultInjector, RetryPolicy
@@ -50,6 +54,12 @@ def faulted_join(trees, tau, workers, spec, policy=CHAOS_POLICY):
     return partsj_join(trees, tau, cfg)
 
 
+def env_faulted_str_join(monkeypatch, trees, tau, workers, spec):
+    """A ``workers``-way STR join with ``spec`` in ``REPRO_FAULT_SPEC``."""
+    monkeypatch.setenv(FAULT_SPEC_ENV, spec)
+    return str_join(trees, tau, workers=workers)
+
+
 @pytest.fixture(scope="module")
 def workload():
     trees = make_workload()
@@ -78,18 +88,19 @@ class TestCrashEveryTask:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("tau", TAUS)
-    def test_crash_every_verify_chunk_first_attempt(self, workload, workers, tau):
+    def test_crash_every_verify_chunk_first_attempt(
+        self, workload, monkeypatch, workers, tau
+    ):
         trees, serial = workload
-        result = faulted_join(trees, tau, workers, "verify:*@1=crash")
+        result = env_faulted_str_join(
+            monkeypatch, trees, tau, workers, "verify:*@1=crash"
+        )
         assert triples(result) == serial[tau]
         extra = result.stats.extra
         assert extra["worker_failures"] >= 1
         assert extra["retries"] >= 1
-        assert extra["degraded_serial_tasks"] == 0
-        assert any(
-            event["task"].startswith("verify:")
-            for event in extra["fault_events"]
-        )
+        # parallel_verify reports only the failure counters that moved.
+        assert "degraded_serial_tasks" not in extra
 
 
 class TestHangAndCorrupt:
@@ -109,13 +120,28 @@ class TestHangAndCorrupt:
 
     def test_corrupt_envelope_detected_and_retried(self, workload):
         trees, serial = workload
-        result = faulted_join(trees, 1, 2, "verify:0@1=corrupt")
+        result = faulted_join(trees, 1, 2, "shard:0@1=corrupt")
         assert triples(result) == serial[1]
         extra = result.stats.extra
         assert extra["worker_failures"] >= 1
+        assert extra["retries"] >= 1
         assert any(
-            event["reason"] == "corrupt" for event in extra["fault_events"]
+            event["task"] == "shard:0" and event["reason"] == "corrupt"
+            for event in extra["fault_events"]
         )
+
+    def test_corrupt_verify_envelope_detected_and_retried(
+        self, workload, monkeypatch
+    ):
+        trees, serial = workload
+        result = env_faulted_str_join(
+            monkeypatch, trees, 1, 2, "verify:0@1=corrupt"
+        )
+        assert triples(result) == serial[1]
+        extra = result.stats.extra
+        assert extra["worker_failures"] >= 1
+        assert extra["retries"] >= 1
+        assert "degraded_serial_tasks" not in extra
 
     def test_poison_task_is_retried(self, workload):
         trees, serial = workload
@@ -135,9 +161,13 @@ class TestGracefulDegradation:
         assert extra["degraded_serial_tasks"] >= 1
         assert extra["retries"] >= 1
 
-    def test_persistent_verify_crash_degrades_serially(self, workload):
+    def test_persistent_verify_crash_degrades_serially(
+        self, workload, monkeypatch
+    ):
         trees, serial = workload
-        result = faulted_join(trees, 2, 2, "verify:*=crash")
+        result = env_faulted_str_join(
+            monkeypatch, trees, 2, 2, "verify:*=crash"
+        )
         assert triples(result) == serial[2]
         assert result.stats.extra["degraded_serial_tasks"] >= 1
 
@@ -169,6 +199,19 @@ class TestEnvHookAndAccounting:
         )
         assert triples(result) == serial[1]
         assert result.stats.extra["worker_failures"] >= 1
+
+    def test_partsj_runs_no_verify_tasks(self, workload, monkeypatch):
+        """One stage: a verify-chunk fault spec never touches PartSJ."""
+        trees, serial = workload
+        monkeypatch.setenv(FAULT_SPEC_ENV, "verify:*=crash")
+        result = partsj_join(
+            trees, 2, PartSJConfig(workers=2, retry=CHAOS_POLICY)
+        )
+        assert triples(result) == serial[2]
+        extra = result.stats.extra
+        assert extra["worker_failures"] == 0
+        assert extra["fault_events"] == []
+        assert len(extra["shards"]) == 2
 
     def test_clean_run_reports_zero_failures(self, workload):
         trees, serial = workload

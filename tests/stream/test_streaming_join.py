@@ -215,27 +215,3 @@ class TestStreamStats:
         payload = stats.as_dict()
         assert payload["trees"] == len(trees)
         assert "ingest_rate" in payload and "extra" in payload
-
-    def test_collection_version_tracks_inserts(self):
-        join = StreamingJoin(1)
-        assert join.collection.version == 0
-        join.add(Tree.from_bracket("{a{b}}"))
-        join.add(Tree.from_bracket("{a{c}}"))
-        assert join.collection.version == 2
-
-
-class TestShardReplanHook:
-    def test_plan_refreshes_as_histogram_grows(self):
-        rng = random.Random(15)
-        join = StreamingJoin(1)
-        for _ in range(8):
-            join.add(make_random_tree(rng, rng.randint(5, 12)))
-        first = join.shard_plan(2)
-        again = join.shard_plan(2)
-        assert again is first  # unchanged collection -> cached plan
-        for _ in range(8):
-            join.add(make_random_tree(rng, rng.randint(20, 30)))
-        replanned = join.shard_plan(2)
-        assert replanned is not first
-        owned = [i for plan in replanned for i in plan.owned]
-        assert sorted(owned) == list(range(len(join.trees)))

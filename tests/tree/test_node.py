@@ -1,5 +1,7 @@
 """Tests for the general-tree data model (repro.tree.node)."""
 
+import pickle
+
 import pytest
 
 from repro.tree.node import Tree, TreeNode
@@ -122,3 +124,36 @@ class TestTree:
     def test_trees_are_unhashable(self):
         with pytest.raises(TypeError):
             hash(Tree.from_bracket("{a}"))
+
+
+class TestTreePickle:
+    """Trees pickle as bracket text: the spawn pool's initargs path."""
+
+    @staticmethod
+    def round_trip(tree):
+        clone = pickle.loads(pickle.dumps(tree))
+        assert isinstance(clone, Tree)
+        assert clone == tree
+        assert clone.preorder_labels() == tree.preorder_labels()
+        return clone
+
+    def test_deep_chain(self):
+        # Default pickling recurses once per level and overflows here.
+        root = node = TreeNode("r")
+        for k in range(5000):
+            node = node.add_child(TreeNode(str(k % 7)))
+        assert self.round_trip(Tree(root)).size == 5001
+
+    def test_wide_fan(self):
+        fan = Tree(TreeNode("r", [TreeNode(str(k)) for k in range(2000)]))
+        assert self.round_trip(fan).root.degree == 2000
+
+    @pytest.mark.parametrize(
+        "label", ["", " ", "\u00e9\u65e5\u672c", "{", "\\"],
+        ids=["empty", "space", "unicode", "brace", "backslash"],
+    )
+    def test_awkward_labels(self, label):
+        tree = Tree(TreeNode(label, [
+            TreeNode(label), TreeNode("x", [TreeNode(label)]),
+        ]))
+        self.round_trip(tree)
