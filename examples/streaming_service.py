@@ -7,9 +7,8 @@ time, and the service must (a) report each new record's near-duplicates
 warm index, without ever rebuilding anything.  Walks through:
 
 1. ``stream_join`` — the generator API: pairs yielded as they verify;
-2. ``StreamingJoin`` — the engine underneath: flush points, live stats,
-   and the guarantee that streamed results equal a batch join of the
-   prefix;
+2. ``StreamingJoin`` — the engine underneath: live stats, and the
+   guarantee that streamed results equal a batch join of the prefix;
 3. ``StreamingJoin.searcher()`` — warm-index similarity search mid-ingest;
 4. ``StreamJoinService`` — the asyncio front end multiplexing concurrent
    ingest and search clients.
@@ -67,7 +66,7 @@ def main() -> None:
     print(f"first duplicates on the wire: "
           f"{[(p.i, p.j, p.distance) for p in first_pairs]}")
 
-    # -- 2. The engine and its flush-point guarantee -----------------------
+    # -- 2. The engine and its prefix guarantee ----------------------------
     join = StreamingJoin(tau)
     for event in events:
         join.add(event)

@@ -20,11 +20,7 @@ from repro.analysis.engine import (
     analyze,
     iter_python_files,
 )
-from repro.analysis.registry import (
-    EXTRA_COUNTER_KEYS,
-    METRIC_FAMILIES,
-    STREAM_FORWARDED_COUNTERS,
-)
+from repro.analysis.registry import EXTRA_COUNTER_KEYS, METRIC_FAMILIES
 from repro.analysis.rules import Rule, all_rules
 
 __all__ = [
@@ -40,5 +36,4 @@ __all__ = [
     "iter_python_files",
     "EXTRA_COUNTER_KEYS",
     "METRIC_FAMILIES",
-    "STREAM_FORWARDED_COUNTERS",
 ]

@@ -11,11 +11,10 @@ Nothing enforced that a key written in one module matched the key read
 in another — a typo ships silently and a dashboard goes blank.  This
 module is the single source of truth: the ``counter-registry`` lint rule
 (:mod:`repro.analysis.rules.counters`) fails any write of an unregistered
-key, and :func:`repro.obs.metrics.publish_stream_stats` imports its
-forwarding list from here instead of duplicating it.
+key or family name.
 
-Keep this module **pure data** (it is imported by :mod:`repro.obs` and
-by the linter; it must never import back into the engine).
+Keep this module **pure data** (the linter imports it; the library never
+does, and it must never import back into the engine).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "BENCH_EXTRA_COUNTERS",
     "EXTRA_COUNTER_KEYS",
     "METRIC_FAMILIES",
-    "STREAM_FORWARDED_COUNTERS",
 ]
 
 # -- JoinStats.extra ---------------------------------------------------------
@@ -83,15 +81,12 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
     "pruned_by_bib": "set join: pairs pruned by the binary-branch bound",
 }
 
-# -- StreamStats / StreamStats.extra ----------------------------------------
-# Written by repro.stream.engine and the background verify pool.
+# -- StreamStats.extra -------------------------------------------------------
+# Written by repro.stream.engine.
 STREAM_EXTRA_COUNTERS: dict[str, str] = {
-    "ted_calls": "exact TED computations (foreground + pool)",
-    "verify_failures": "pool verification failures swallowed into retry",
-    "quarantined_pairs": "poison candidate pairs quarantined by the pool",
+    "ted_calls": "exact TED computations",
     "quarantine_log": "recent quarantined-ingest error records (list)",
     "wal": "write-ahead log counters (nested dict)",
-    "verify_time": "pool verification wall seconds",
 }
 
 # -- benchmark harness extras (repro.bench) ---------------------------------
@@ -121,13 +116,10 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_stream_snapshots_total": "stream snapshots published",
     "repro_stream_trees": "trees ingested at publish time",
     "repro_stream_results": "result pairs at publish time",
-    "repro_stream_pending_verification": "pairs awaiting background verify",
     "repro_stream_candidates": "candidate pairs generated",
     "repro_stream_index_entries": "live two-layer index entries",
     "repro_stream_quarantined_trees_total": "malformed arrivals quarantined",
-    "repro_stream_quarantined_pairs_total": "poison pairs quarantined",
     "repro_stream_wall_seconds": "streaming phase wall clock histogram",
-    "repro_stream_counter_total": "verify-pool work and failure accounting",
     "repro_dataset_trees": "trees in the dataset file",
     "repro_dataset_size_min": "smallest tree (nodes)",
     "repro_dataset_size_max": "largest tree (nodes)",
@@ -135,18 +127,3 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_dataset_labels": "distinct node labels",
     "repro_dataset_depth_max": "maximum node depth (root = 0)",
 }
-
-#: The ``StreamStats.extra`` counters :func:`repro.obs.metrics.
-#: publish_stream_stats` forwards into ``repro_stream_counter_total``.
-#: Listed here (not in obs) so the exporter and the registry cannot
-#: drift; every entry must also be a registered extra key.
-STREAM_FORWARDED_COUNTERS: tuple[str, ...] = (
-    "retries",
-    "worker_failures",
-    "timeouts",
-    "verify_failures",
-    "degraded_serial_tasks",
-    "pool_respawns",
-    "fault_events",
-    "verify_chunks",
-)

@@ -32,16 +32,15 @@ results:
 Use the shims for one-off calls and scripts; use sessions whenever the
 same collection is queried more than once — the shims themselves say so
 through a once-per-process :class:`DeprecationWarning`.  All parameter
-validation (``tau``, ``workers``, ``micro_batch``) is centralized in
+validation (``tau``, ``workers``) is centralized in
 :mod:`repro.params`, so shims and sessions accept and reject exactly the
 same inputs.
 
 Failure semantics
 -----------------
-Every multi-process execution path (``workers > 1`` joins, R×S joins,
-search preparation, streaming verification) runs under **supervised
-dispatch** (:mod:`repro.resilience`).  The contract, in order of
-escalation:
+Every multi-process execution path (``workers > 1`` joins and R×S
+joins) runs under **supervised dispatch** (:mod:`repro.resilience`).
+The contract, in order of escalation:
 
 1. **Detect** — each dispatched task carries a per-task deadline
    (``RetryPolicy.task_timeout``) and the supervisor health-checks worker
@@ -65,11 +64,12 @@ All swallowed failures are accounted for in ``JoinStats.extra``
 :class:`~repro.core.join.PartSJConfig` (``retry=RetryPolicy(...)``,
 ``fault_injector=FaultInjector(...)`` — deterministic fault injection
 for tests, also settable via the ``REPRO_FAULT_SPEC`` environment
-variable).  Streaming ingest adds its own channel: malformed input is
-rejected (``on_error="fail"``) or quarantined with counts in
-``StreamStats.quarantined_trees`` (``on_error="skip"``), and poison
-candidate pairs are quarantined individually during degraded stream
-verification.
+variable).  A stream runs in one process and ignores these knobs: it
+verifies each candidate inline, and a verification that raises
+propagates out of ``add()``, as in a serial join.  Streaming ingest has
+its own channel for malformed input: it is rejected
+(``on_error="fail"``) or quarantined with counts in
+``StreamStats.quarantined_trees`` (``on_error="skip"``).
 
 Durability semantics
 --------------------
@@ -130,7 +130,7 @@ context manager.
     ``pid``-stamped) > ``partsj.band`` / ``partsj.probe`` /
     ``partsj.index`` / ``partsj.verify``;
   - streaming: ``wal.append``, ``wal.sync``, ``wal.recover``,
-    ``stream.flush``, ``verify.stream_chunk``;
+    ``stream.flush``;
   - persistence: ``snapshot.save``, ``snapshot.load``;
   - search: ``search``.
 
@@ -152,10 +152,9 @@ context manager.
   ``repro_join_counter_total{counter}`` (one series per integer
   ``JoinStats.extra`` counter), and on the stream side
   ``repro_stream_snapshots_total``, gauges ``repro_stream_trees`` /
-  ``_results`` / ``_pending_verification`` / ``_candidates`` /
-  ``_index_entries``, ``repro_stream_quarantined_trees_total`` /
-  ``_pairs_total``, ``repro_stream_wall_seconds{phase}``,
-  ``repro_stream_counter_total{counter}``.
+  ``_results`` / ``_candidates`` / ``_index_entries``,
+  ``repro_stream_quarantined_trees_total``,
+  ``repro_stream_wall_seconds{phase}``.
   :func:`repro.obs.render_prometheus` renders any registry as text
   exposition format 0.0.4.
 
@@ -221,7 +220,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.baselines.common import JoinPair, JoinResult
 from repro.core.join import PartSJConfig
-from repro.params import check_micro_batch, check_tau, check_workers
+from repro.params import check_tau, check_workers
 from repro.session import (
     _BASELINE_IMPLS,
     JOIN_METHOD_NAMES,
@@ -311,11 +310,11 @@ def similarity_join(
         ``"nested_loop"``.  All methods return the identical result set;
         they differ in filtering strategy and therefore speed.
     workers:
-        Worker process count (default ``1`` = serial, in-process).  Every
-        method verifies candidates through the parallel pool; PartSJ
-        additionally shards candidate generation itself
-        (:mod:`repro.parallel`).  Results are bit-identical at every
-        setting.
+        Worker process count (default ``1`` = serial, in-process).  PartSJ
+        shards the join across the workers, and each shard verifies its
+        own candidates; the baselines generate candidates serially and
+        verify them in the parallel verify pool (:mod:`repro.parallel`).
+        Results are bit-identical at every setting.
     options:
         Method-specific options, e.g. ``config=PartSJConfig.paper()`` or
         ``semantics="paper"`` for PartSJ, ``use_bounds=False`` for the
@@ -345,19 +344,17 @@ def stream_join(
     trees: Iterable[Tree],
     tau: int,
     config: Optional[PartSJConfig] = None,
-    workers: int = 1,
-    micro_batch: int = 1,
 ) -> Iterator[JoinPair]:
     """Incremental similarity self-join over a stream of trees (shim).
 
     Consumes ``trees`` lazily — an exhausted list, a generator still
     reading from disk, a socket — and yields verified
     :class:`~repro.baselines.common.JoinPair` objects **as they are
-    found**, where pair indices are arrival positions.  When the iterable
-    is exhausted (and pending verification drained), the yielded pairs
-    are exactly those of ``similarity_join(list(trees), tau)`` — and the
-    same holds at every intermediate flush point, so a consumer can stop
-    early with a correct join of the prefix it has seen.
+    found**, where pair indices are arrival positions.  Each arrival's
+    pairs are yielded right after it is ingested, so after any prefix the
+    yielded pairs are exactly those of ``similarity_join(prefix, tau)``:
+    a consumer can stop early with a correct join of the prefix it has
+    seen.
 
     A thin shim over :class:`repro.session.StreamPlan` (laziness is why
     it takes an iterable rather than a prepared collection; an in-memory
@@ -371,14 +368,7 @@ def stream_join(
         The TED threshold (an integer >= 0).
     config:
         PartSJ filter configuration (defaults to the provably-exact one).
-    workers:
-        ``1`` verifies inline (each yielded pair involves the most recent
-        arrival); ``> 1`` verifies in a background pool, so pairs may be
-        yielded a few arrivals after both their trees were ingested.
-    micro_batch:
-        Ingest this many trees between yield points (``>= 1``).  Larger
-        batches amortize per-arrival overhead at the cost of result
-        latency.
+        Its execution fields are ignored: the stream runs in this process.
 
     >>> from repro.tree.node import Tree
     >>> trees = [Tree.from_bracket(s) for s in ("{a{b}{c}}", "{a{b}}", "{x{y}}")]
@@ -388,11 +378,7 @@ def stream_join(
     _warn_shim("stream_join")
     # The plan constructor raises parameter errors at call time, not at
     # the first next(); iteration itself stays lazy.
-    plan = StreamPlan(
-        trees, check_tau(tau), config,
-        check_workers(workers), check_micro_batch(micro_batch),
-    )
-    return plan.iter()
+    return StreamPlan(trees, tau, config).iter()
 
 
 def join_methods() -> list[str]:

@@ -156,7 +156,6 @@ def run_stream_cell(
     x_name: str,
     x_value: object,
     partsj_config: Optional[PartSJConfig] = None,
-    workers: int = 1,
 ) -> CellResult:
     """Execute the streaming engine on one workload, fed in arrival order.
 
@@ -173,12 +172,10 @@ def run_stream_cell(
 
     started = time.perf_counter()
     first: Optional[float] = None
-    with StreamingJoin(tau, config=partsj_config, workers=workers) as join:
+    with StreamingJoin(tau, config=partsj_config) as join:
         for tree in trees:
             if join.add(tree) and first is None:
                 first = time.perf_counter() - started
-        if join.flush() and first is None:
-            first = time.perf_counter() - started
         wall = time.perf_counter() - started
         stats = join.stats()
         results = len(join.results())
@@ -200,7 +197,6 @@ def run_stream_cell(
         results=results,
         ted_calls=extra.get("ted_calls", 0),
         wall_time=wall,
-        workers=workers,
         extra=extra,
     )
 

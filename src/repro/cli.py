@@ -42,8 +42,7 @@ a JSON object with the bracket string under the ``"tree"`` key, e.g.
 ``i<TAB>j<TAB>distance`` the moment they verify, where ``i < j`` are
 0-based arrival positions; ``--json`` switches to NDJSON events
 (``{"pair": [i, j, distance]}`` per result, one final
-``{"stats": {...}}`` line with ingest rate, index size and
-pending-verification depth).
+``{"stats": {...}}`` line with ingest rate and index size).
 """
 
 from __future__ import annotations
@@ -145,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--format", default="brackets",
                       choices=["brackets", "ndjson"],
                       help="streaming: stdin line format")
-    join.add_argument("--micro-batch", type=int, default=1,
-                      help="streaming: trees ingested between flush points")
     join.add_argument("--on-error", default="fail", choices=["fail", "skip"],
                       help="streaming: malformed stdin lines abort the join "
                            "with the offending line number (fail, default) "
@@ -169,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--workers", type=int, default=1,
                       help="worker processes (1 = serial; results identical; "
                            "per-shard timings appear under extra.shards in "
-                           "--json output)")
+                           "--json output); --stream runs serially and "
+                           "accepts only 1")
     join.add_argument("--save-index", metavar="PATH", default=None,
                       help="after the join(s), save the prepared session as "
                            "a checksummed snapshot sidecar (trees stay in "
@@ -340,8 +338,7 @@ def _cmd_stats_stream(args: argparse.Namespace) -> int:
     )
     print(
         f"results {stats.results}, candidates {stats.candidates} "
-        f"({stats.reverse_candidates} via reverse index), "
-        f"pending verification {stats.pending_verification}"
+        f"({stats.reverse_candidates} via reverse index)"
     )
     if histogram:
         sizes = [size for size, _ in histogram]
@@ -439,9 +436,10 @@ def _cmd_join_stream(args: argparse.Namespace, tau: int) -> int:
             "--stream supports the partsj method only (every method returns "
             "the same pairs; run the stream through partsj)"
         )
-    if args.micro_batch < 1:
+    if args.workers != 1:
         raise InvalidParameterError(
-            f"--micro-batch must be >= 1, got {args.micro_batch}"
+            f"--stream supports --workers 1 only, got {args.workers} (a "
+            "stream verifies each arrival inline, in this process)"
         )
     if args.recover and args.wal is None:
         raise InvalidParameterError("--recover needs --wal PATH (the log to replay)")
@@ -466,9 +464,7 @@ def _cmd_join_stream(args: argparse.Namespace, tau: int) -> int:
     if args.recover:
         # tau and filter config come from the log header (they shaped the
         # logged state); the CLI tau is cross-checked, not applied.
-        engine = StreamingJoin.recover(
-            args.wal, workers=args.workers, tracer=tracer
-        )
+        engine = StreamingJoin.recover(args.wal, tracer=tracer)
         if engine.tau != tau:
             engine.close()
             raise InvalidParameterError(
@@ -493,10 +489,7 @@ def _cmd_join_stream(args: argparse.Namespace, tau: int) -> int:
             )
         emit(recovered_pairs)
     else:
-        engine = StreamingJoin(
-            tau, config=config, workers=args.workers, wal=args.wal,
-            tracer=tracer,
-        )
+        engine = StreamingJoin(tau, config=config, wal=args.wal, tracer=tracer)
 
     with engine as join:
         def quarantine(lineno: int, error: IngestError) -> None:
@@ -510,18 +503,12 @@ def _cmd_join_stream(args: argparse.Namespace, tau: int) -> int:
                 print(f"# quarantined stdin line {lineno}: {error}",
                       file=sys.stderr, flush=True)
 
-        batch = []
         for tree in _iter_stream_trees(
             sys.stdin, args.format, on_error=args.on_error,
             on_quarantine=quarantine,
         ):
-            batch.append(tree)
-            if len(batch) >= args.micro_batch:
-                emit(join.add_many(batch))
-                batch.clear()
-        if batch:
-            emit(join.add_many(batch))
-        emit(join.flush())
+            emit(join.add(tree))
+        join.flush()
         stats = join.stats()
     if tracer is not None:
         written = write_jsonl(tracer.finished(), args.trace)
@@ -538,8 +525,7 @@ def _cmd_join_stream(args: argparse.Namespace, tau: int) -> int:
             f"# streamed {stats.trees} trees, {emitted} pairs, "
             f"{stats.candidates} candidates, "
             f"{stats.ingest_rate:.1f} trees/s ingest, "
-            f"index {stats.index_entries} entries, "
-            f"pending {stats.pending_verification}{quarantined}",
+            f"index {stats.index_entries} entries{quarantined}",
             file=sys.stderr,
         )
     return 0

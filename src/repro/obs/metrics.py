@@ -19,11 +19,11 @@ Metric names follow the Prometheus conventions (``repro_`` prefix,
   verify / probe / index phase walls
 - ``repro_join_counter_total{counter}`` — every integer counter from
   ``JoinStats.extra`` (probe_hits, match_tests, retries, ...)
-- ``repro_stream_trees_total`` / ``repro_stream_results_total`` /
-  ``repro_stream_quarantined_trees_total`` /
-  ``repro_stream_quarantined_pairs_total`` — streaming funnel +
-  quarantine accounting
-- ``repro_stream_wall_seconds{phase=ingest|flush|probe|index|verify}``
+- ``repro_stream_snapshots_total``, gauges ``repro_stream_trees`` /
+  ``repro_stream_results`` / ``repro_stream_candidates`` /
+  ``repro_stream_index_entries`` — the streaming funnel at publish time
+- ``repro_stream_quarantined_trees_total`` — malformed arrivals skipped
+- ``repro_stream_wall_seconds{phase=ingest|verify}``
 
 A module-level default registry (:func:`get_registry`) serves the CLI
 and the streaming service; tests build private registries.
@@ -35,7 +35,6 @@ import threading
 from bisect import bisect_left
 from typing import Optional, Sequence
 
-from repro.analysis.registry import STREAM_FORWARDED_COUNTERS
 from repro.errors import InvalidParameterError
 
 __all__ = [
@@ -267,9 +266,6 @@ def publish_stream_stats(stats, registry: Optional[MetricsRegistry] = None,
               "Trees ingested at publish time", **labels).set(stats.trees)
     reg.gauge("repro_stream_results",
               "Result pairs at publish time", **labels).set(stats.results)
-    reg.gauge("repro_stream_pending_verification",
-              "Candidate pairs awaiting background verification", **labels
-              ).set(stats.pending_verification)
     reg.gauge("repro_stream_candidates",
               "Candidate pairs generated (forward + reverse)", **labels
               ).set(stats.candidates + stats.reverse_candidates)
@@ -279,22 +275,9 @@ def publish_stream_stats(stats, registry: Optional[MetricsRegistry] = None,
     reg.counter("repro_stream_quarantined_trees_total",
                 "Malformed arrivals quarantined", **labels
                 ).inc(stats.quarantined_trees)
-    quarantined_pairs = (stats.extra or {}).get("quarantined_pairs", 0)
-    if isinstance(quarantined_pairs, (list, tuple)):
-        quarantined_pairs = len(quarantined_pairs)
-    reg.counter("repro_stream_quarantined_pairs_total",
-                "Poison candidate pairs quarantined", **labels
-                ).inc(int(quarantined_pairs))
     for phase in ("ingest", "verify"):
         reg.histogram("repro_stream_wall_seconds",
                       "Streaming phase wall clock",
                       phase=phase, **labels
                       ).observe(getattr(stats, f"{phase}_time"))
-    extra = stats.extra or {}
-    for key in STREAM_FORWARDED_COUNTERS:
-        value = extra.get(key)
-        if isinstance(value, int) and not isinstance(value, bool):
-            reg.counter("repro_stream_counter_total",
-                        "Verify-pool work and failure accounting",
-                        counter=key, **labels).inc(value)
     return reg

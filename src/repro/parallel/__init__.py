@@ -10,15 +10,15 @@ results bit-identical to the serial engine:
   supervised stage in which every shard probes, inserts and verifies its
   own trees, plus the deterministic stats merge;
 - :mod:`~repro.parallel.verify_pool` — the baselines' chunked parallel
-  verification, plus the background ``StreamVerifyPool`` the streaming
-  engine hands its candidates to;
+  verification;
 - :mod:`~repro.parallel.worker` — per-process state (the inherited
-  ``Tree`` list, a persistent ``Verifier`` for verify chunks; for
-  streaming, an append-only ``GrowingTreeStore``) and the task functions.
+  ``Tree`` list, a persistent ``Verifier`` for verify chunks) and the
+  task functions.
 
-Entry points: ``similarity_join(..., workers=N)``,
-``PartSJConfig(workers=N)``, ``StreamingJoin(..., workers=N)``, or the
-CLI's ``--workers``.
+It serves batch joins only: a stream verifies inline, in its own
+process.  Entry points: ``similarity_join(..., workers=N)``,
+``PartSJConfig(workers=N)``, or the CLI's ``join --workers`` and
+``experiment --workers``.
 """
 
 from repro.parallel.executor import parallel_partsj_join
@@ -28,11 +28,7 @@ from repro.parallel.sharding import (
     estimated_probe_cost,
     plan_shards,
 )
-from repro.parallel.verify_pool import (
-    StreamVerifyPool,
-    chunk_pairs,
-    parallel_verify,
-)
+from repro.parallel.verify_pool import chunk_pairs, parallel_verify
 
 __all__ = [
     "ShardPlan",
@@ -42,5 +38,4 @@ __all__ = [
     "parallel_partsj_join",
     "chunk_pairs",
     "parallel_verify",
-    "StreamVerifyPool",
 ]

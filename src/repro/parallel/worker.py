@@ -29,22 +29,18 @@ from typing import Optional
 
 from repro.baselines.common import Verifier
 from repro.core.join import PartSJConfig, ShardDriver
-from repro.errors import InvalidInputTypeError, WorkerStateError
+from repro.errors import WorkerStateError
 from repro.obs.trace import span_dict
 from repro.parallel.sharding import ShardPlan, ShardResult
 from repro.resilience.faults import FaultInjector, corrupt_envelope, seal
-from repro.tree.bracket import parse_bracket
 from repro.tree.node import Tree
 
 __all__ = [
     "execute_shard",
     "init_worker",
-    "init_stream_worker",
     "run_shard_task",
     "verify_chunk_task",
     "verify_pairs",
-    "verify_stream_chunk",
-    "verify_stream_chunk_task",
 ]
 
 
@@ -210,10 +206,9 @@ def verify_pairs(
 ) -> tuple[list[tuple[int, int, int]], dict]:
     """Verify ``pairs`` on ``verifier``; return accepted triples + deltas.
 
-    The shared verification loop of the verify-chunk tasks, streamed
-    chunks, and their parent-side degradation fallbacks — so per-pair
-    outcomes (and the stat deltas) are identical wherever a chunk ends up
-    running.
+    The shared verification loop of the verify-chunk tasks and their
+    parent-side degradation fallback — so per-pair outcomes (and the stat
+    deltas) are identical wherever a chunk ends up running.
     """
     calls_before = verifier.stats_ted_calls
     time_before = verifier.stats_time
@@ -250,114 +245,3 @@ def verify_chunk_task(task: tuple) -> tuple:
     return _sealed(state.injector, task_id, attempt, verify_pairs,
                    state.verifier, chunk)
 
-
-# ---------------------------------------------------------------------------
-# Streaming verification workers
-# ---------------------------------------------------------------------------
-#
-# A streaming join cannot ship "the collection" through the pool
-# initializer — it does not exist yet when the pool starts.  Instead each
-# task carries the bracket strings of exactly the trees its pairs
-# reference; the worker files them in a per-process append-only store, so
-# a tree revisited by later chunks (a near-duplicate cluster member, say)
-# is parsed once and its Verifier records stay warm for the pool's life.
-
-
-class GrowingTreeStore(Sequence):
-    """An append-only, lazily parsed tree store indexed by arrival position.
-
-    Brackets arrive incrementally (with each task), and indices may be
-    sparse from any single worker's point of view — a worker only ever
-    holds the trees its own chunks referenced.
-    """
-
-    __slots__ = ("_brackets", "_trees")
-
-    def __init__(self) -> None:
-        self._brackets: dict[int, str] = {}
-        self._trees: dict[int, Tree] = {}
-
-    def update(self, brackets: dict[int, str]) -> None:
-        """File newly shipped brackets (never overwrites an earlier one)."""
-        for index, bracket in brackets.items():
-            self._brackets.setdefault(index, bracket)
-
-    def __len__(self) -> int:
-        return len(self._brackets)
-
-    def __getitem__(self, index: int) -> Tree:
-        if not isinstance(index, int):
-            raise InvalidInputTypeError(
-                "GrowingTreeStore supports integer indexing only"
-            )
-        tree = self._trees.get(index)
-        if tree is None:
-            tree = self._trees[index] = parse_bracket(self._brackets[index])
-        return tree
-
-
-class _StreamWorkerState:
-    """Per-process state of a streaming verification worker."""
-
-    def __init__(self, tau: int, injector: Optional[FaultInjector] = None):
-        self.store = GrowingTreeStore()
-        self.verifier = Verifier(self.store, tau)
-        self.injector = injector
-
-
-_STREAM_STATE: Optional[_StreamWorkerState] = None
-
-
-def init_stream_worker(
-    tau: int, injector: Optional[FaultInjector] = None
-) -> None:
-    """Pool initializer for streaming verification workers."""
-    global _STREAM_STATE
-    _STREAM_STATE = _StreamWorkerState(tau, injector)
-
-
-def verify_stream_chunk(
-    task: tuple[dict[int, str], Sequence[tuple[int, int]]],
-) -> tuple[list[tuple[int, int, int]], dict]:
-    """Verify one streamed candidate chunk (runs inside a worker process).
-
-    ``task`` is ``(brackets, pairs)``: the bracket strings of every tree
-    the pairs reference plus the pairs themselves.  Returns the accepted
-    ``(i, j, distance)`` triples (``i < j``) and this chunk's
-    verification-stat deltas — per-pair outcomes are independent of
-    batching and of which worker ran them, so any routing of the same
-    pair set merges to results identical to inline verification.
-    """
-    if _STREAM_STATE is None:  # pragma: no cover - misuse guard
-        raise WorkerStateError(
-            "stream worker state not initialized; the pool must be created "
-            "with initializer=init_stream_worker"
-        )
-    brackets, pairs = task
-    state = _STREAM_STATE
-    state.store.update(brackets)
-    started = time.perf_counter()
-    accepted, delta = verify_pairs(state.verifier, pairs)
-    delta["spans"] = [
-        span_dict("verify.stream_chunk", started,
-                  time.perf_counter() - started, _span_id("schunk"),
-                  pairs=len(pairs), ted_calls=delta["ted_calls"]),
-    ]
-    return accepted, delta
-
-
-def verify_stream_chunk_task(task: tuple) -> tuple:
-    """Supervised streamed-verify task → sealed result.
-
-    ``task`` is ``(task_id, brackets, pairs)``; streamed submissions are
-    never re-dispatched to a pool (a failed one degrades straight to the
-    parent-side fallback), so the attempt number is always 1.
-    """
-    task_id, brackets, pairs = task
-    if _STREAM_STATE is None:  # pragma: no cover - misuse guard
-        raise WorkerStateError(
-            "stream worker state not initialized; the pool must be created "
-            "with initializer=init_stream_worker"
-        )
-    return _sealed(_STREAM_STATE.injector, task_id, 1, verify_stream_chunk,
-                   (brackets, pairs))

@@ -8,8 +8,7 @@ the common knobs here, so the accepted domains and the error messages are
 identical everywhere:
 
 - ``tau``: the TED threshold, an integer ``>= 0``;
-- ``workers``: the worker process count, an integer ``>= 1``;
-- ``micro_batch``: the streaming ingest batch, an integer ``>= 1``.
+- ``workers``: the worker process count, an integer ``>= 1``.
 
 The check functions return the validated value so call sites can validate
 and bind in one expression.  All failures raise
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["check_tau", "check_workers", "check_micro_batch"]
+__all__ = ["check_tau", "check_workers"]
 
 
 def check_tau(tau: int) -> int:
@@ -47,15 +46,3 @@ def check_workers(workers: int) -> int:
         )
     return workers
 
-
-def check_micro_batch(micro_batch: int) -> int:
-    """Validate a streaming micro-batch size: an integer ``>= 1``."""
-    if (
-        isinstance(micro_batch, bool)
-        or not isinstance(micro_batch, int)
-        or micro_batch < 1
-    ):
-        raise InvalidParameterError(
-            f"micro_batch must be >= 1, got {micro_batch!r}"
-        )
-    return micro_batch

@@ -4,7 +4,7 @@ The streaming engine's durability story: every arrival is appended to
 the log *before* it mutates engine state, so after a crash
 :meth:`repro.stream.engine.StreamingJoin.recover` replays the log and
 lands on a state **bit-identical to a batch join over the logged
-prefix** — the engine's flush-point equivalence invariant extended
+prefix** — the engine's prefix-equivalence invariant extended
 across process death.
 
 Layout

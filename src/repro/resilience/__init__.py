@@ -1,7 +1,7 @@
-"""Fault tolerance for the parallel and streaming execution tiers.
+"""Fault tolerance for the parallel execution tier.
 
-The package bundles three pieces, threaded through
-:mod:`repro.parallel` and :mod:`repro.stream`:
+The package bundles three pieces, threaded through :mod:`repro.parallel`
+(a stream verifies inline, in its own process, and uses none of them):
 
 - :class:`RetryPolicy` — attempts, per-task timeouts, exponential
   backoff with deterministic seeded jitter, and the graceful-degradation
@@ -15,10 +15,10 @@ The package bundles three pieces, threaded through
   worker pool: detect, retry, degrade, account
   (:mod:`repro.resilience.supervisor`).
 
-The invariant all of it preserves: ``similarity_join(workers=N)`` and
-the streaming engine return **bit-identical results** under any injected
-(or real) worker failure, as long as graceful degradation is enabled —
-the failure surface moves into statistics, not into results.
+The invariant all of it preserves: ``similarity_join(workers=N)``
+returns **bit-identical results** under any injected (or real) worker
+failure, as long as graceful degradation is enabled — the failure
+surface moves into statistics, not into results.
 """
 
 from repro.resilience.faults import (

@@ -2,11 +2,13 @@
 
 The chaos-testing half of the resilience layer: a :class:`FaultInjector`
 carries a set of :class:`FaultRule` entries keyed on supervised task ids
-(``shard:2``, ``verify:0``, ``stream:5``, ``pair:3:7`` — glob patterns
-allowed) and fires the configured fault when a matching task executes.
-It is a frozen dataclass, so it travels to worker processes through pool
-initializers and can sit on :class:`repro.core.join.PartSJConfig` without
-breaking the session cache keys.
+(``shard:2`` for a PartSJ shard, ``verify:0`` for a baseline verify
+chunk — glob patterns allowed) and fires the configured fault when a
+matching task executes.  The spec parser accepts any task id; only these
+two kinds are ever dispatched.  It is a frozen dataclass, so it travels
+to worker processes through pool initializers and can sit on
+:class:`repro.core.join.PartSJConfig` without breaking the session cache
+keys.
 
 Fault kinds
 -----------
@@ -16,9 +18,8 @@ Fault kinds
   simulating a wedged task; detected by the per-task timeout.
 - ``corrupt`` — the task runs normally but its sealed result envelope is
   corrupted in transit; detected by the CRC integrity check.
-- ``poison`` — raises :class:`InjectedFaultError` (a remote exception for
-  task ids, a quarantine trigger for ``pair:i:j`` ids in the streaming
-  inline fallback).
+- ``poison`` — raises :class:`InjectedFaultError` inside the task, which
+  the supervisor sees as a remote exception.
 
 Rules select an attempt with ``@n`` (1-based; omitted = every attempt),
 so ``shard:*@1=crash`` crashes every shard's first try — the retry then

@@ -1,9 +1,9 @@
 """Retry policy: attempts, timeouts, and deterministic backoff.
 
 :class:`RetryPolicy` is the single knob bundle the supervised execution
-tiers (:mod:`repro.parallel` and :mod:`repro.stream`) consult when a task
-fails — a worker process dies, hangs past its timeout, raises, or returns
-a corrupt result.  It is a frozen (hashable, picklable) dataclass so it
+tier (:mod:`repro.parallel`) consults when a task fails — a worker
+process dies, hangs past its timeout, raises, or returns a corrupt
+result.  It is a frozen (hashable, picklable) dataclass so it
 can ride on :class:`repro.core.join.PartSJConfig` and participate in the
 session layer's prepare/result cache keys.
 

@@ -78,7 +78,7 @@ from repro.core.treecache import RecordStore, TreeCache
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import publish_join_stats
 from repro.obs.trace import NULL_TRACER
-from repro.params import check_micro_batch, check_tau, check_workers
+from repro.params import check_tau, check_workers
 from repro.tree.node import Tree
 
 __all__ = [
@@ -615,8 +615,6 @@ class TreeCollection:
         self,
         tau: int,
         config: Optional[PartSJConfig] = None,
-        workers: int = 1,
-        micro_batch: int = 1,
     ) -> "StreamPlan":
         """A lazy streaming re-play of this collection in arrival order.
 
@@ -626,9 +624,7 @@ class TreeCollection:
         live :class:`~repro.stream.StreamingJoin` after pre-loading the
         collection, for callers who want to keep ingesting.
         """
-        return StreamPlan(
-            self._trees, tau, config, workers, micro_batch, collection=self
-        )
+        return StreamPlan(self._trees, tau, config, collection=self)
 
     # -- internals -----------------------------------------------------------
 
@@ -1127,40 +1123,28 @@ class StreamPlan(QueryPlan):
         source: Iterable[Tree],
         tau: int,
         config: Optional[PartSJConfig] = None,
-        workers: int = 1,
-        micro_batch: int = 1,
         collection: Optional[TreeCollection] = None,
     ):
         self.source = source
         self.tau = check_tau(tau)
         self.config = config
-        self.workers = check_workers(workers)
-        self.micro_batch = check_micro_batch(micro_batch)
         self.collection = collection
 
     def iter(self, trace=None) -> Iterator[JoinPair]:
-        """Yield verified pairs as they are found (lazy in the source).
+        """Yield each arrival's verified pairs right after its ``add``
+        (lazy in the source).
 
         ``trace`` (a :class:`repro.obs.Tracer`) is handed to the
-        streaming engine — it records ``stream.flush`` spans plus the
-        background pool's relayed per-chunk spans."""
+        streaming engine — it records a ``stream.flush`` span when the
+        stream ends."""
         return self._generate(trace)
 
     def _generate(self, trace=None) -> Iterator[JoinPair]:
         from repro.stream.engine import StreamingJoin
 
-        with StreamingJoin(
-            self.tau, config=self.config, workers=self.workers, tracer=trace
-        ) as join:
-            batch: list[Tree] = []
+        with StreamingJoin(self.tau, config=self.config, tracer=trace) as join:
             for tree in self.source:
-                batch.append(tree)
-                if len(batch) >= self.micro_batch:
-                    yield from join.add_many(batch)
-                    batch.clear()
-            if batch:
-                yield from join.add_many(batch)
-            yield from join.flush()
+                yield from join.add(tree)
 
     def run(self, trace=None) -> list[JoinPair]:
         """Drain the stream; the pairs equal a batch join of the source."""
@@ -1174,9 +1158,7 @@ class StreamPlan(QueryPlan):
         """
         from repro.stream.engine import StreamingJoin
 
-        join = StreamingJoin(
-            self.tau, config=self.config, workers=self.workers, tracer=trace
-        )
+        join = StreamingJoin(self.tau, config=self.config, tracer=trace)
         join.add_many(self.source)
         return join
 
@@ -1185,8 +1167,7 @@ class StreamPlan(QueryPlan):
             "kind": self.kind,
             "method": "partsj-stream",
             "tau": self.tau,
-            "workers": self.workers,
-            "micro_batch": self.micro_batch,
+            "workers": 1,
             "source": (
                 {"trees": len(self.collection)}
                 if self.collection is not None
@@ -1194,8 +1175,7 @@ class StreamPlan(QueryPlan):
             ),
             "prepared": False,  # the engine builds its own state incrementally
             "observability": _observability_section(
-                ("stream.flush", "verify.stream_chunk", "wal.append",
-                 "wal.sync"),
+                ("stream.flush", "wal.append", "wal.sync"),
                 "repro_stream_* (published via "
                 "repro.obs.publish_stream_stats)",
             ),

@@ -7,10 +7,10 @@ serves queries from the live index:
 - :mod:`~repro.stream.engine` — :class:`StreamingJoin`, the incremental
   probe-then-insert join: coherent in-place insertion into the
   size-sorted order, bidirectional candidate generation (forward
-  two-layer index + reverse node-twig index), inline or background
-  verification.  At every flush point its results are bit-identical to a
-  batch ``similarity_join`` over the ingested prefix, for any arrival
-  order.
+  two-layer index + reverse node-twig index), and inline verification
+  of each arrival's candidates.  After every arrival its results are
+  bit-identical to a batch ``similarity_join`` over the ingested prefix,
+  for any arrival order.
 - :mod:`~repro.stream.reverse` — :class:`NodeTwigIndex`, the mirror of
   the two-layer index answering "which ingested nodes would have probed
   this subgraph?", which is what makes out-of-order arrivals (and

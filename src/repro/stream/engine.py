@@ -1,12 +1,12 @@
 """`StreamingJoin`: the incremental similarity-join engine.
 
 Where :func:`repro.core.join.partsj_join` consumes a complete collection,
-``StreamingJoin`` consumes trees **one at a time** (or in micro-batches)
-and yields verified ``(i, j, distance)`` pairs as they are found.  The
-contract — property-tested in ``tests/stream/`` — is *flush-point
-equivalence*: after any prefix of arrivals (and a :meth:`flush`),
-:meth:`results` equals a batch ``similarity_join`` over exactly that
-prefix, bit for bit, for **any arrival order**.
+``StreamingJoin`` consumes trees **one at a time** and returns the
+verified ``(i, j, distance)`` pairs each arrival completes.  The
+contract — property-tested in ``tests/stream/`` — is *prefix
+equivalence*: after any prefix of arrivals, :meth:`results` equals a
+batch ``similarity_join`` over exactly that prefix, bit for bit, for
+**any arrival order**.
 
 One arrival runs three steps:
 
@@ -25,12 +25,10 @@ One arrival runs three steps:
    candidate set exactly (same filters, same windows, same structural
    match), so even the strict ``paper`` filter variants stream
    identically to their batch behavior.
-3. **Verification** — candidates run the threshold-aware
-   :class:`~repro.baselines.common.Verifier` inline (``workers == 1``) or
-   are handed to the background verification pool
-   (:class:`repro.parallel.verify_pool.StreamVerifyPool`), whose
-   completed pairs are collected opportunistically on later arrivals and
-   exhaustively by :meth:`flush`.
+3. **Verification** — the threshold-aware
+   :class:`~repro.baselines.common.Verifier` checks each candidate
+   inline, in the pass that found it (paper Algorithm 1), so
+   :meth:`add` returns exactly the arrival's new pairs.
 
 The engine keeps every ingested tree's :class:`~repro.core.treecache.TreeCache`
 in one :class:`~repro.core.treecache.RecordStore`, so reverse anchors can
@@ -46,7 +44,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.baselines.common import JoinPair, SizeSortedCollection, Verifier
@@ -55,7 +53,7 @@ from repro.core.join import PartSJConfig, ShardDriver
 from repro.core.subgraph import MatchSemantics
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER
-from repro.params import check_tau, check_workers
+from repro.params import check_tau
 from repro.stream.reverse import NodeTwigIndex
 from repro.tree.node import Tree
 
@@ -67,30 +65,22 @@ class StreamStats:
     """A snapshot of the streaming engine's state and counters.
 
     ``ingest_time`` is wall time spent inside :meth:`StreamingJoin.add`
-    — candidate generation plus verification dispatch, so with
-    ``workers == 1`` it *includes* the inline ``verify_time`` (the two
-    overlap; they are not additive).  ``pending_verification`` is the
-    number of candidate pairs submitted to the background pool whose
-    outcome has not been collected yet (always ``0`` with
-    ``workers == 1`` or right after a flush).
+    — candidate generation plus verification, so it *includes*
+    ``verify_time`` (the two overlap; they are not additive).
     """
 
     trees: int = 0
     results: int = 0
     candidates: int = 0
     reverse_candidates: int = 0
-    pending_verification: int = 0
     ingest_time: float = 0.0
     verify_time: float = 0.0
     index_subgraphs: int = 0
     index_entries: int = 0
     reverse_nodes: int = 0
     small_pool: int = 0
-    workers: int = 1
-    # Failure-semantics counters: malformed ingest items skipped under
-    # on_error="skip" (the quarantine channel of the service and the CLI
-    # --stream path); poison *pairs* quarantined by the background verify
-    # pool appear under extra["quarantined_pairs"].
+    # Malformed ingest items skipped under on_error="skip" (the
+    # quarantine channel of the service and the CLI --stream path).
     quarantined_trees: int = 0
     extra: dict = field(default_factory=dict)
 
@@ -106,7 +96,6 @@ class StreamStats:
             "results": self.results,
             "candidates": self.candidates,
             "reverse_candidates": self.reverse_candidates,
-            "pending_verification": self.pending_verification,
             "ingest_time": round(self.ingest_time, 6),
             "verify_time": round(self.verify_time, 6),
             "ingest_rate": round(self.ingest_rate, 3),
@@ -114,7 +103,6 @@ class StreamStats:
             "index_entries": self.index_entries,
             "reverse_nodes": self.reverse_nodes,
             "small_pool": self.small_pool,
-            "workers": self.workers,
             "quarantined_trees": self.quarantined_trees,
             "extra": self.extra,
         }
@@ -129,13 +117,9 @@ class StreamingJoin:
         The TED threshold.
     config:
         PartSJ filter configuration (defaults to the provably-exact one).
-        Its ``workers`` field is an execution knob and is overridden by
-        the explicit ``workers`` argument when given.
-    workers:
-        ``1`` (default) verifies candidates inline; ``> 1`` runs them
-        through the background verification pool — results are identical,
-        but arrive asynchronously (collected on later :meth:`add` calls
-        and by :meth:`flush`).
+        Its execution fields (``workers``, ``retry``, ``fault_injector``)
+        configure the batch executor and are ignored here: a stream runs
+        in this process and verifies every candidate inline.
     wal:
         Optional path of a write-ahead log.  Every arrival is appended
         (per-record CRC32) *before* it mutates engine state, so a
@@ -150,10 +134,9 @@ class StreamingJoin:
         the OS.  See :mod:`repro.persist.wal`.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When enabled it records a
-        ``wal.append`` span per logged arrival, a ``stream.flush`` span
-        per flush, and the background pool's relayed per-chunk
-        ``verify.stream_chunk`` spans.  Tracing never changes pairs,
-        distances, or any :class:`StreamStats` field.
+        ``wal.append`` span per logged arrival and a ``stream.flush``
+        span per flush.  Tracing never changes pairs, distances, or any
+        :class:`StreamStats` field.
 
     Usage::
 
@@ -161,7 +144,6 @@ class StreamingJoin:
         for tree in arriving_trees:
             for pair in join.add(tree):
                 ...            # verified (i, j, distance), i < j
-        join.flush()
         join.results()         # == similarity_join(arrived_trees, 2).pairs
 
     Tree indices in result pairs are **arrival positions** (0-based), so
@@ -172,7 +154,6 @@ class StreamingJoin:
         self,
         tau: int,
         config: Optional[PartSJConfig] = None,
-        workers: Optional[int] = None,
         wal: Optional[str] = None,
         wal_fsync: str = "batch",
         tracer=None,
@@ -180,24 +161,17 @@ class StreamingJoin:
         check_tau(tau)
         self._tracer = tracer if tracer is not None else NULL_TRACER
         cfg = (config or PartSJConfig()).resolved()
-        if workers is not None:
-            cfg = replace(cfg, workers=check_workers(workers))
         self.tau = tau
         self.config = cfg
-        self.workers = cfg.workers
         self.trees: list[Tree] = []
         self.collection = SizeSortedCollection(self.trees)
-        # Serial driver config: the driver is the in-process probe/insert
-        # engine either way; workers only parallelize verification.
-        self._driver = ShardDriver(self.trees, tau, replace(cfg, workers=1))
+        self._driver = ShardDriver(self.trees, tau, cfg)
         # One record per arrival, shared by the probe, the reverse-index
         # matches, inline verification and every searcher.
         self._records = self._driver.records
         self._verifier = Verifier(self.trees, tau, caches=self._records)
         self._reverse = NodeTwigIndex(tau, self._driver.index.postorder_filter)
         self._pairs: list[JoinPair] = []
-        self._pool = None
-        self._pool_stats: dict = {}
         self._candidates = 0
         self._reverse_candidates = 0
         self._ingest_time = 0.0
@@ -221,12 +195,12 @@ class StreamingJoin:
     # -- ingestion -----------------------------------------------------------
 
     def add(self, tree: Tree) -> list[JoinPair]:
-        """Ingest one tree; return pairs verified during this call.
+        """Ingest one tree; return its results against the ingested prefix.
 
-        With ``workers == 1`` the returned pairs are exactly the new
-        tree's results against the ingested prefix.  With a background
-        pool they are whatever submissions completed by now (possibly
-        involving earlier arrivals); :meth:`flush` collects the rest.
+        Every candidate is verified here, so the returned pairs are
+        exactly the batch pairs of the prefix whose larger index is this
+        arrival.  A verification that raises propagates, as in a serial
+        batch join.
         """
         if self._closed:
             raise InvalidParameterError("StreamingJoin is closed")
@@ -255,12 +229,18 @@ class StreamingJoin:
         else:
             self._small_reverse_scan(i, tree.size, candidates)
         self._candidates += len(candidates)
-        found = self._dispatch(i, candidates)
+        found: list[JoinPair] = []
+        for j in candidates:
+            distance = self._verifier.verify(i, j)
+            if distance is not None:
+                lo, hi = (i, j) if i < j else (j, i)
+                found.append(JoinPair(lo, hi, distance))
+        self._pairs.extend(found)
         self._ingest_time += time.perf_counter() - start
         return found
 
     def add_many(self, trees: Iterable[Tree]) -> list[JoinPair]:
-        """Ingest a micro-batch; returns all pairs verified along the way."""
+        """Ingest ``trees`` in order; return every pair they complete."""
         found: list[JoinPair] = []
         for tree in trees:
             found.extend(self.add(tree))
@@ -344,73 +324,29 @@ class StreamingJoin:
                 candidates.append(j)
         self._reverse_candidates += len(candidates) - before
 
-    # -- verification --------------------------------------------------------
-
-    def _dispatch(self, i: int, candidates: list[int]) -> list[JoinPair]:
-        if self.workers <= 1:
-            found: list[JoinPair] = []
-            for j in candidates:
-                distance = self._verifier.verify(i, j)
-                if distance is not None:
-                    lo, hi = (i, j) if i < j else (j, i)
-                    found.append(JoinPair(lo, hi, distance))
-            self._pairs.extend(found)
-            return found
-        pool = self._ensure_pool()
-        if candidates:
-            pool.submit([(i, j) for j in candidates], self.trees)
-        found = [JoinPair(*triple) for triple in pool.poll()]
-        self._pairs.extend(found)
-        return found
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from repro.parallel.verify_pool import StreamVerifyPool
-
-            self._pool = StreamVerifyPool(
-                self.tau,
-                self.workers,
-                policy=self.config.retry,
-                injector=self.config.fault_injector,
-                tracer=self._tracer,
-            )
-        return self._pool
+    # -- flush point ---------------------------------------------------------
 
     def flush(self) -> list[JoinPair]:
-        """Drain all pending verification work; return the pairs it found.
+        """Sync the WAL; return ``[]`` (every pair is already verified).
 
-        After a flush, :meth:`results` is complete for the ingested
-        prefix — the streaming flush point the batch-equivalence property
-        is stated at.  A no-op (empty list) with inline verification.
-        With a WAL attached, a flush is also a durability point: under
-        the ``"batch"`` fsync policy the logged prefix is synced here.
+        With a WAL attached, a flush is the durability point: under the
+        ``"batch"`` fsync policy the logged prefix is synced here.  It is
+        traced as one ``stream.flush`` span.
         """
-        with self._tracer.span(
-            "stream.flush",
-            pending=self._pool.pending if self._pool else 0,
-        ) as sp:
+        with self._tracer.span("stream.flush"):
             if self._wal is not None:
                 self._wal.sync()
-            if self._pool is None:
-                return []
-            found = [JoinPair(*triple) for triple in self._pool.drain()]
-            self._pairs.extend(found)
-            sp.set("found", len(found))
-        return found
+        return []
 
     # -- results and introspection -------------------------------------------
 
     @property
     def pairs(self) -> list[JoinPair]:
-        """Verified pairs in discovery order (no pending-work drain)."""
+        """Verified pairs in discovery order."""
         return self._pairs
 
     def results(self) -> list[JoinPair]:
-        """All verified pairs so far, in the batch join's canonical order.
-
-        Call :meth:`flush` first when a background pool is active;
-        otherwise pairs still in flight are not included.
-        """
+        """All verified pairs so far, in the batch join's canonical order."""
         return sorted(self._pairs, key=lambda p: p.key())
 
     def __len__(self) -> int:
@@ -431,18 +367,9 @@ class StreamingJoin:
     def stats(self) -> StreamStats:
         """Counter snapshot; see :class:`StreamStats`."""
         driver = self._driver
-        verify_time = self._verifier.stats_time
-        ted_calls = self._verifier.stats_ted_calls
         extra = dict(driver.counters.as_dict())
         extra.update(self._verifier.extra_stats())
-        if self._pool is not None:
-            pool_stats = self._pool.stats()
-            verify_time += pool_stats.pop("verify_time", 0.0)
-            ted_calls += pool_stats.pop("ted_calls", 0)
-            for key in ("lb_filtered", "ub_accepted", "ted_early_exits"):
-                extra[key] = extra.get(key, 0) + pool_stats.pop(key, 0)
-            extra.update(pool_stats)
-        extra["ted_calls"] = ted_calls
+        extra["ted_calls"] = self._verifier.stats_ted_calls
         if self._quarantine_log:
             extra["quarantine_log"] = list(self._quarantine_log)
         if self._wal is not None or self._recovered is not None:
@@ -455,14 +382,12 @@ class StreamingJoin:
             results=len(self._pairs),
             candidates=self._candidates,
             reverse_candidates=self._reverse_candidates,
-            pending_verification=self._pool.pending if self._pool else 0,
             ingest_time=self._ingest_time,
-            verify_time=verify_time,
+            verify_time=self._verifier.stats_time,
             index_subgraphs=driver.index.total_subgraphs,
             index_entries=driver.index.total_entries,
             reverse_nodes=self._reverse.node_count,
             small_pool=len(driver.small_pool),
-            workers=self.workers,
             quarantined_trees=self._quarantined_trees,
             extra=extra,
         )
@@ -470,16 +395,12 @@ class StreamingJoin:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drain pending work, sync and close the WAL, release the
-        background pool (idempotent)."""
+        """Sync and close the WAL (idempotent)."""
         if self._closed:
             return
         try:
             self.flush()
         finally:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
             if self._wal is not None:
                 self._wal.close()
             self._closed = True
@@ -490,7 +411,6 @@ class StreamingJoin:
     def recover(
         cls,
         path,
-        workers: Optional[int] = None,
         fsync: str = "batch",
         resume: bool = True,
         tracer=None,
@@ -508,7 +428,7 @@ class StreamingJoin:
 
         ``tau`` and the filter config come from the log header, not from
         arguments — a WAL only replays correctly under the config it was
-        written with.  ``workers`` is an execution knob and may differ.
+        written with.
 
         Raises
         ------
@@ -526,12 +446,9 @@ class StreamingJoin:
             scanned = scan_wal(path)
             header = scanned["header"]
             config = PartSJConfig(**header["config"]).resolved()
-            engine = cls(
-                header["tau"], config=config, workers=workers, tracer=tracer
-            )
+            engine = cls(header["tau"], config=config, tracer=tracer)
             for bracket in scanned["brackets"]:
                 engine.add(parse_bracket(bracket))
-            engine.flush()
             salvage = scanned["salvage"]
             sp.set("records", salvage["records"])
             engine._recovered = {"path": str(path), **salvage}

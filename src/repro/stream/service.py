@@ -135,7 +135,6 @@ class StreamJoinService:
         self,
         tau: int,
         config: Optional[PartSJConfig] = None,
-        workers: Optional[int] = None,
         on_error: str = "fail",
         wal: Optional[str] = None,
         wal_fsync: str = "batch",
@@ -149,13 +148,12 @@ class StreamJoinService:
         # wal / wal_fsync pass straight to the engine: arrivals are
         # logged before they mutate state, and every service flush is a
         # WAL sync point (see repro.persist.wal for the policy promises).
-        # tracer is handed to the engine too (flush / WAL / pool spans);
+        # tracer is handed to the engine too (flush / WAL spans);
         # registry receives the repro_stream_* metrics fan-out — every
         # stats() call and the final close() publish a snapshot into it
         # (None = the process-wide default registry).
         self._join = StreamingJoin(
-            tau, config=config, workers=workers, wal=wal,
-            wal_fsync=wal_fsync, tracer=tracer,
+            tau, config=config, wal=wal, wal_fsync=wal_fsync, tracer=tracer,
         )
         self._registry = registry
         self._lock = asyncio.Lock()
@@ -221,7 +219,7 @@ class StreamJoinService:
     async def ingest_many(
         self, trees: Iterable[Union[Tree, str]]
     ) -> list[JoinPair]:
-        """Ingest a micro-batch under one lock hold (same ``on_error``
+        """Ingest several trees under one lock hold (same ``on_error``
         handling as :meth:`ingest`, applied per item)."""
         self._require_open("ingest_many")
         parsed = [tree for tree in map(self._coerce, trees) if tree is not None]
@@ -238,16 +236,14 @@ class StreamJoinService:
             return await asyncio.to_thread(searcher.search, query)
 
     async def flush(self) -> list[JoinPair]:
-        """Drain background verification; returns (and publishes) the rest."""
+        """Sync the engine's WAL (the durability point); returns ``[]``,
+        since every pair was already returned by the ingest that found it."""
         self._require_open("flush")
         async with self._lock:
-            pairs = await asyncio.to_thread(self._join.flush)
-        await self._publish(pairs)
-        return pairs
+            return await asyncio.to_thread(self._join.flush)
 
     async def results(self) -> list[JoinPair]:
-        """All verified pairs so far, canonical order (flush first for
-        prefix-exactness when a background pool is active)."""
+        """All verified pairs so far, in canonical order."""
         async with self._lock:
             return self._join.results()
 
@@ -292,12 +288,11 @@ class StreamJoinService:
         return subscription
 
     async def close(self) -> None:
-        """Flush, release the engine, and end every subscription.
+        """Close the engine (syncing its WAL) and end every subscription.
 
         Idempotent and concurrency-safe: the first caller performs the
         shutdown, every other (and every repeat) call awaits the same
-        completion.  Subscribers receive the final flushed pairs and
-        then the end-of-stream sentinel.
+        completion.  Subscribers then receive the end-of-stream sentinel.
         """
         if self._closed:
             if self._close_done is not None:
@@ -307,9 +302,7 @@ class StreamJoinService:
         self._close_done = asyncio.Event()
         try:
             async with self._lock:
-                pairs = await asyncio.to_thread(self._join.flush)
                 await asyncio.to_thread(self._join.close)
-            await self._publish(pairs)
             for subscription in list(self._subscribers):
                 subscription._end()
             # Final metrics fan-out: the closing snapshot lands in the

@@ -150,18 +150,16 @@ class TestPublishJoinStats:
         assert "repro_join_runs_total" in mine.snapshot()
 
 
-def make_stream_stats(**extra):
+def make_stream_stats():
     stats = StreamStats()
     stats.trees = 40
     stats.results = 23
     stats.candidates = 43
     stats.reverse_candidates = 5
-    stats.pending_verification = 2
     stats.index_entries = 120
     stats.quarantined_trees = 1
     stats.ingest_time = 0.2
     stats.verify_time = 0.1
-    stats.extra = dict(extra)
     return stats
 
 
@@ -173,7 +171,6 @@ class TestPublishStreamStats:
         assert snap["repro_stream_trees"][()] == 40
         assert snap["repro_stream_results"][()] == 23
         assert snap["repro_stream_candidates"][()] == 48  # fwd + reverse
-        assert snap["repro_stream_pending_verification"][()] == 2
         assert snap["repro_stream_index_entries"][()] == 120
         assert snap["repro_stream_snapshots_total"][()] == 1
         assert snap["repro_stream_quarantined_trees_total"][()] == 1
@@ -185,31 +182,6 @@ class TestPublishStreamStats:
         snap = reg.snapshot()
         assert snap["repro_stream_trees"][()] == 40  # gauge: latest value
         assert snap["repro_stream_snapshots_total"][()] == 2
-
-    def test_verify_pool_counters_from_flat_extra(self):
-        reg = MetricsRegistry()
-        publish_stream_stats(
-            make_stream_stats(retries=3, verify_chunks=8, wal={"nested": 1}),
-            registry=reg,
-        )
-        counters = {
-            dict(key)["counter"]: value
-            for key, value in
-            reg.snapshot()["repro_stream_counter_total"].items()
-        }
-        assert counters == {"retries": 3, "verify_chunks": 8}
-
-    def test_quarantined_pairs_accepts_list_or_int(self):
-        reg = MetricsRegistry()
-        publish_stream_stats(
-            make_stream_stats(quarantined_pairs=[(1, 2), (3, 4)]),
-            registry=reg,
-        )
-        publish_stream_stats(
-            make_stream_stats(quarantined_pairs=3), registry=reg
-        )
-        snap = reg.snapshot()
-        assert snap["repro_stream_quarantined_pairs_total"][()] == 5
 
 
 class TestDefaultBuckets:

@@ -74,18 +74,6 @@ class TestStreamJoinService:
         prefixes = [trees for _, trees in searches]
         assert prefixes == sorted(prefixes)
 
-    def test_background_pool_flush(self, workload):
-        async def run():
-            async with StreamJoinService(2, workers=2) as service:
-                await service.ingest_many(workload)
-                await service.flush()
-                stats = await service.stats()
-                return await service.results(), stats
-
-        results, stats = asyncio.run(run())
-        assert triples(results) == triples(similarity_join(workload, 2).pairs)
-        assert stats.pending_verification == 0
-
     def test_close_is_idempotent(self):
         async def run():
             service = StreamJoinService(1)

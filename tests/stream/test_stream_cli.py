@@ -28,7 +28,6 @@ class TestJoinStream:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == ["0\t1\t1"]
         assert "streamed 3 trees" in captured.err
-        assert "pending 0" in captured.err
 
     def test_json_events_and_stats(self, monkeypatch, capsys):
         feed(monkeypatch, BRACKET_LINES)
@@ -39,7 +38,6 @@ class TestJoinStream:
         stats = lines[-1]["stats"]
         assert stats["trees"] == 3
         assert stats["results"] == 1
-        assert stats["pending_verification"] == 0
         assert "ingest_rate" in stats and "index_entries" in stats
 
     def test_ndjson_format(self, monkeypatch, capsys):
@@ -53,12 +51,16 @@ class TestJoinStream:
         ]) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t1\t1"]
 
-    def test_micro_batch(self, monkeypatch, capsys):
+    def test_rejects_workers_and_micro_batch(self, monkeypatch, capsys):
+        # A stream verifies inline, in this process: --workers other than
+        # 1 is an error naming the flag, and --micro-batch no longer exists.
         feed(monkeypatch, BRACKET_LINES)
-        assert main([
-            "join", "--stream", "--tau", "1", "--micro-batch", "2",
-        ]) == 0
-        assert capsys.readouterr().out.splitlines() == ["0\t1\t1"]
+        assert main(["join", "--stream", "--tau", "1", "--workers", "2"]) == 2
+        assert "--workers" in capsys.readouterr().err
+        feed(monkeypatch, BRACKET_LINES)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", "--stream", "--tau", "1", "--micro-batch", "2"])
+        assert exit_info.value.code == 2
 
     def test_matches_batch_join_on_same_data(self, monkeypatch, tmp_path,
                                              capsys):
@@ -178,7 +180,6 @@ class TestStatsStream:
         assert "streamed 3 trees" in out
         assert "trees/s" in out
         assert "warm index" in out
-        assert "pending verification 0" in out
         assert "size histogram" in out
 
     def test_missing_input_without_stream(self, capsys):

@@ -1,14 +1,16 @@
-"""Flush-point equivalence: the streaming engine vs the batch pipeline.
+"""Prefix equivalence: the streaming engine vs the batch pipeline.
 
 The acceptance bar of the subsystem: over **any arrival order**, the
-streamed results at every flush point are bit-identical — same pairs,
+streamed results after every arrival are bit-identical — same pairs,
 same exact distances, same canonical ordering — to a batch
 ``similarity_join`` over exactly the ingested prefix.  All five join
 methods agree on the batch side, so streaming is checked against each of
-them; the background verification pool (``workers=2``) must change
-nothing but latency.
+them.  A stream verifies inline: a config asking for ``workers=2``
+starts no process, and each ``add()`` returns exactly its arrival's
+pairs.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from repro.api import similarity_join, stream_join
 from repro.core.join import PartSJConfig
 from repro.errors import InvalidParameterError
+from repro.session import TreeCollection
 from repro.stream import StreamingJoin
 from repro.tree.node import Tree
 from tests.conftest import make_cluster_forest, make_random_tree
@@ -108,46 +111,26 @@ class TestPrefixEquivalence:
         assert join.results()[0].key() == (1, 3)
 
 
-class TestBackgroundPool:
-    @pytest.mark.parametrize("tau", (1, 2))
-    def test_workers_change_nothing_but_latency(self, tau):
+class TestInlineVerification:
+    def test_one_path_starts_no_process(self):
         trees = make_stream_workload(88)
-        with StreamingJoin(tau, workers=2) as join:
-            join.add_many(trees)
-            join.flush()
-            assert join.stats().pending_verification == 0
-            streamed = triples(join.results())
-        assert streamed == triples(similarity_join(trees, tau).pairs)
-
-    def test_every_prefix_matches_batch_with_pool(self):
-        # The workers=2 leg of the prefix property: flushing after every
-        # arrival makes each prefix a flush point.  Small workload — each
-        # flush blocks on the pool.
-        rng = random.Random(10)
-        trees = make_cluster_forest(
-            rng, clusters=2, cluster_size=3, base_size=9, max_edits=2
-        )
-        trees += [make_random_tree(rng, rng.randint(1, 4)) for _ in range(3)]
-        rng.shuffle(trees)
-        with StreamingJoin(2, workers=2) as join:
+        by_arrival = {}
+        for p in similarity_join(trees, 2).pairs:
+            by_arrival.setdefault(p.j, []).append((p.i, p.j, p.distance))
+        # The config's execution fields configure the batch executor; the
+        # stream ignores them and verifies every candidate in add().
+        config = PartSJConfig(workers=2)
+        with StreamingJoin(2, config=config) as join:
             for k, tree in enumerate(trees):
-                join.add(tree)
-                join.flush()
-                batch = similarity_join(trees[: k + 1], 2)
-                assert triples(join.results()) == triples(batch.pairs)
-
-    def test_mid_stream_flush_points(self):
-        trees = make_stream_workload(99)
-        cut = len(trees) // 2
-        with StreamingJoin(2, workers=2) as join:
-            join.add_many(trees[:cut])
-            join.flush()
-            batch = similarity_join(trees[:cut], 2)
-            assert triples(join.results()) == triples(batch.pairs)
-            join.add_many(trees[cut:])
-            join.flush()
-            batch = similarity_join(trees, 2)
-            assert triples(join.results()) == triples(batch.pairs)
+                assert sorted(triples(join.add(tree))) == by_arrival.get(k, [])
+            assert multiprocessing.active_children() == []
+            assert join.flush() == []
+        col = TreeCollection.from_trees(trees)
+        with col.stream(2, config=config).engine() as engine:
+            assert multiprocessing.active_children() == []
+            assert triples(engine.results()) == triples(
+                similarity_join(trees, 2).pairs
+            )
 
 
 class TestStreamJoinApi:
@@ -155,15 +138,6 @@ class TestStreamJoinApi:
         trees = make_stream_workload(12)
         streamed = sorted(
             (p.i, p.j, p.distance) for p in stream_join(iter(trees), 2)
-        )
-        assert streamed == sorted(triples(similarity_join(trees, 2).pairs))
-
-    @pytest.mark.parametrize("micro_batch", (1, 4, 1000))
-    def test_micro_batches_do_not_change_results(self, micro_batch):
-        trees = make_stream_workload(13)
-        streamed = sorted(
-            (p.i, p.j, p.distance)
-            for p in stream_join(iter(trees), 2, micro_batch=micro_batch)
         )
         assert streamed == sorted(triples(similarity_join(trees, 2).pairs))
 
@@ -182,13 +156,9 @@ class TestStreamJoinApi:
         with pytest.raises(InvalidParameterError):
             StreamingJoin(-1)
         with pytest.raises(InvalidParameterError):
-            StreamingJoin(1, workers=0)
-        with pytest.raises(InvalidParameterError):
             StreamingJoin(1).add("not a tree")
         # stream_join validates eagerly: the error raises at call time,
         # not at the first next() of the returned generator.
-        with pytest.raises(InvalidParameterError):
-            stream_join(iter([]), 1, micro_batch=0)
         with pytest.raises(InvalidParameterError):
             stream_join(iter([]), -1)
 
@@ -207,7 +177,6 @@ class TestStreamStats:
         stats = join.stats()
         assert stats.trees == len(trees)
         assert stats.results == len(join.results())
-        assert stats.pending_verification == 0
         assert stats.ingest_time > 0
         assert stats.ingest_rate > 0
         assert stats.index_entries == stats.index_subgraphs > 0

@@ -161,19 +161,9 @@ class TestCentralizedValidation:
         with pytest.raises(InvalidParameterError, match="workers"):
             repro.similarity_join(SHIM_TREES, 1, workers=1.5)
 
-    def test_stream_join_rejects_bad_workers(self):
-        # Historical gap: stream_join accepted any workers value until the
-        # engine choked; it now shares similarity_join's check, eagerly.
-        with pytest.raises(InvalidParameterError, match="workers"):
-            repro.stream_join(iter(SHIM_TREES), 1, workers=0)
-        with pytest.raises(InvalidParameterError, match="workers"):
-            repro.stream_join(iter(SHIM_TREES), 1, workers="two")
-
-    def test_stream_join_rejects_bad_tau_and_micro_batch_eagerly(self):
+    def test_stream_join_rejects_bad_tau_eagerly(self):
         with pytest.raises(InvalidParameterError, match="tau"):
             repro.stream_join(iter(SHIM_TREES), -1)
-        with pytest.raises(InvalidParameterError, match="micro_batch"):
-            repro.stream_join(iter(SHIM_TREES), 1, micro_batch=0)
 
     def test_rs_join_rejects_bad_workers_first_class(self):
         with pytest.raises(InvalidParameterError, match="workers"):
@@ -186,5 +176,5 @@ class TestCentralizedValidation:
     def test_streaming_engine_shares_the_checks(self):
         with pytest.raises(InvalidParameterError, match="tau"):
             repro.StreamingJoin(-1)
-        with pytest.raises(InvalidParameterError, match="workers"):
-            repro.StreamingJoin(1, workers=0)
+        with pytest.raises(InvalidParameterError, match="tau"):
+            repro.StreamingJoin(1.5)

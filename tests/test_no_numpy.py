@@ -1,9 +1,9 @@
-"""The library never imports numpy.
+"""The library never imports numpy or the linter.
 
 Run in a fresh interpreter, because the test process itself may have
 numpy loaded by a plugin: a batch join, a ``workers=2`` join, a search
-and a short stream must all finish with ``numpy`` absent from
-``sys.modules``.
+and a short stream must all finish with ``numpy`` and every
+``repro.analysis`` module absent from ``sys.modules``.
 """
 
 import os
@@ -30,6 +30,9 @@ for tree in trees[:10]:
     stream.add(tree)
 stream.flush()
 assert "numpy" not in sys.modules, "numpy was imported"
+linter = sorted(name for name in sys.modules
+                if name == "repro.analysis" or name.startswith("repro.analysis."))
+assert not linter, f"the linter was imported: {linter}"
 print("ok", len(serial))
 """
 

@@ -215,14 +215,6 @@ class TestStreamEquivalence:
         streamed = sorted(session.stream(tau).run(), key=lambda p: p.key())
         assert triples(streamed) == triples(batch.pairs)
 
-    def test_stream_plan_micro_batch_and_workers(self, session, forest):
-        batch = partsj_join(forest, 2)
-        streamed = sorted(
-            session.stream(2, micro_batch=3, workers=2).run(),
-            key=lambda p: p.key(),
-        )
-        assert triples(streamed) == triples(batch.pairs)
-
     def test_stream_engine_handoff(self, session, forest):
         engine = session.stream(1).engine()
         try:
@@ -317,10 +309,9 @@ class TestQueryPlans:
         search_plan = col.search(forest[0], 1)
         assert search_plan.explain()["kind"] == "search"
         assert search_plan.explain()["query_size"] == forest[0].size
-        stream_plan = col.stream(1, micro_batch=2)
+        stream_plan = col.stream(1)
         explain = stream_plan.explain()
         assert explain["kind"] == "stream"
-        assert explain["micro_batch"] == 2
         assert explain["source"]["trees"] == len(forest)
         assert explain["prepared"] is False
 
@@ -352,13 +343,6 @@ class TestValidation:
             col.join(1, workers=0)
         with pytest.raises(InvalidParameterError, match="workers"):
             col.join(1, workers="two")
-        with pytest.raises(InvalidParameterError, match="workers"):
-            col.stream(1, workers=0)
-
-    def test_micro_batch_validated(self, forest):
-        col = TreeCollection.from_trees(forest)
-        with pytest.raises(InvalidParameterError, match="micro_batch"):
-            col.stream(1, micro_batch=0)
 
     def test_unknown_method_and_config_conflicts(self, forest):
         col = TreeCollection.from_trees(forest)
