@@ -2,13 +2,12 @@
 
 Throughput of the pieces Algorithm 1 executes per tree: the LC-RS tree
 cache, the MaxMinSize search (Algorithm 3), partition extraction, and
-two-layer index insert + probe.
+index insert + the forward probe of one tree.
 """
 
 import pytest
 
 from repro.core.index import InvertedSizeIndex
-from repro.core.intern import search_keys
 from repro.core.partition import extract_partition, max_min_size
 from repro.core.treecache import TreeCache
 from repro.datasets.synthetic import SyntheticParams, generate_forest
@@ -63,21 +62,15 @@ def test_index_probe(benchmark, forest):
     for i, cache in enumerate(caches[:-1]):
         index.insert_all(cache.size, extract_partition(cache, i, DELTA))
     probe_cache = caches[-1]
-    sizes = [
-        index.for_size(size)
-        for size in range(probe_cache.size - TAU, probe_cache.size + 1)
-    ]
-    sizes = [s for s in sizes if s is not None]
-
-    labels, left, right = probe_cache.labels, probe_cache.left, probe_cache.right
-    general_post = probe_cache.general_post
+    owner = len(caches) - 1
+    n = probe_cache.size
 
     def probe_all():
-        hits = 0
-        for b in range(1, probe_cache.size + 1):
-            keys = search_keys(labels[b], labels[left[b]], labels[right[b]])
-            for size_index in sizes:
-                hits += len(size_index.probe_packed(general_post[b], keys))
+        # The join's probe of one tree: sizes [n - tau, n], fresh pairs.
+        candidates = []
+        hits, _, _ = index.probe(
+            probe_cache, owner, n - TAU, n, "general", False, set(), candidates
+        )
         return hits
 
     hits = benchmark(probe_all)

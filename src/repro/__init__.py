@@ -22,9 +22,9 @@ One-off calls can use the legacy shims (``similarity_join``,
 ``similarity_join_rs``, ``similarity_search``, ``stream_join``) — each is
 a thin wrapper over a one-shot session with bit-identical results.
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the reproduction
-results, including two filter-correctness findings about the published
-pruning scheme.
+``python -m repro experiment <id>`` regenerates the evaluation's figures
+(:mod:`repro.bench.experiments`); its ``ablation_filters`` run measures
+the join results the published pruning scheme drops.
 """
 
 from repro.api import JOIN_METHODS, similarity_join, stream_join

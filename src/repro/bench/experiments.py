@@ -10,7 +10,7 @@ Scales
 ------
 The paper runs 10K-100K trees on C++; a pure-Python reproduction sweeps the
 same parameter grids at reduced cardinality, chosen so every method's
-*relative* behaviour is preserved (see EXPERIMENTS.md for the mapping).
+*relative* behaviour is preserved (:data:`SCALES` lists the sizes).
 Select with ``REPRO_BENCH_SCALE`` (``smoke`` / ``small`` / ``medium``) or
 the ``scale=`` argument; the default is ``small``.
 
@@ -21,8 +21,8 @@ Method configurations
   (``ablation_str_banding``).
 - ``PRT`` runs with the paper's strict matching semantics and the *safe*
   postorder window.  The fully published window (``PartSJConfig.paper()``)
-  drops join results (see EXPERIMENTS.md finding F1) and is measured by the
-  ``ablation_filters`` experiment instead.
+  drops join results and is measured by the ``ablation_filters``
+  experiment instead.
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ def run_ablation_filters(
     Runs PRT under every combination of matching semantics and postorder
     window on the synthetic dataset and reports candidates *and results*:
     configurations using the published window return fewer results than
-    REL — the false-negative finding documented in EXPERIMENTS.md.
+    REL (the published window's false negatives).
     """
     scale = scale or get_scale()
     trees = build_dataset("synthetic", scale.ablation_count)

@@ -1,6 +1,6 @@
-"""PartSJ core: partitioning, subgraphs, the two-layer index, and the join."""
+"""PartSJ core: partitioning, subgraphs, the subgraph index, and the join."""
 
-from repro.core.index import InvertedSizeIndex, PostorderFilter, TwoLayerIndex
+from repro.core.index import InvertedSizeIndex, PostorderFilter
 from repro.core.intern import DEFAULT_INTERNER, LabelInterner, pack_twig, unpack_twig
 from repro.core.join import PartSJConfig, partsj_join
 from repro.core.partition import (
@@ -21,7 +21,6 @@ __all__ = [
     "Subgraph",
     "TreeCache",
     "RecordStore",
-    "TwoLayerIndex",
     "InvertedSizeIndex",
     "LabelInterner",
     "DEFAULT_INTERNER",

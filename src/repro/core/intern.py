@@ -20,10 +20,14 @@ Layout
 
 A process-wide :data:`DEFAULT_INTERNER` is shared by every
 :class:`~repro.core.treecache.TreeCache` unless an explicit interner is
-passed, so caches built independently (tests, the similarity searcher,
-multiple joins in one process) always agree on ids.  The mapping is
-append-only and tiny (one entry per distinct label ever seen), so the
-shared default is safe.
+passed, so caches built independently (tests, multiple joins in one
+process) always agree on ids.  The mapping is append-only and tiny (one
+entry per distinct label ever seen), so the shared default is safe.
+
+A search query is not part of the collection it searches: its record is
+built over a :class:`QueryInterner`, which reads the collection's ids
+and numbers the query's other labels above them without storing them,
+so queries never grow the collection's interner.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "TWIG_LABEL_SHIFT",
     "TWIG_LEFT_SHIFT",
     "LabelInterner",
+    "QueryInterner",
     "DEFAULT_INTERNER",
     "pack_twig",
     "unpack_twig",
@@ -49,11 +54,19 @@ EPSILON_ID = 0  # its interned id, reserved in every interner
 _LABEL_BITS = 21
 MAX_LABEL_ID = (1 << _LABEL_BITS) - 1  # 2_097_151 distinct labels
 
-# Bit positions of the twig components inside a packed key.  The probe
-# loops (join/search) hoist these into locals and build keys with inline
-# shifts — import them from here so the layout has one source of truth.
+# Bit positions of the twig components inside a packed key.
 TWIG_LABEL_SHIFT = 2 * _LABEL_BITS
 TWIG_LEFT_SHIFT = _LABEL_BITS
+
+
+def _bounded(lid: int) -> int:
+    """``lid`` if it fits the packed-key layout, else the overflow error."""
+    if lid > MAX_LABEL_ID:
+        raise InvalidParameterError(
+            f"label interner overflow: more than {MAX_LABEL_ID} "
+            "distinct labels in one collection"
+        )
+    return lid
 
 
 class LabelInterner:
@@ -81,12 +94,7 @@ class LabelInterner:
         ids = self._ids
         lid = ids.get(label)
         if lid is None:
-            lid = len(self._labels)
-            if lid > MAX_LABEL_ID:
-                raise InvalidParameterError(
-                    f"label interner overflow: more than {MAX_LABEL_ID} "
-                    "distinct labels in one collection"
-                )
+            lid = _bounded(len(self._labels))
             ids[label] = lid
             self._labels.append(label)
         return lid
@@ -100,6 +108,49 @@ class LabelInterner:
 
     def __contains__(self, label: str) -> bool:
         return label in self._ids
+
+
+class QueryInterner:
+    """A query-local extension of a shared :class:`LabelInterner`.
+
+    Labels the base knows keep their ids; any other label gets a fresh id
+    above the base's, under the same 21-bit bound, and is kept here only.
+    A query record built over it probes and verifies against the base's
+    records unchanged (a fresh id matches no stored label), and the base
+    never grows.
+
+    >>> base = LabelInterner()
+    >>> base.intern("a")
+    1
+    >>> query = QueryInterner(base)
+    >>> query.intern("a"), query.intern("z"), query.label(2), len(base)
+    (1, 2, 'z', 2)
+    """
+
+    __slots__ = ("_base", "_first", "_ids", "_labels")
+
+    def __init__(self, base: LabelInterner) -> None:
+        self._base = base
+        self._first = len(base)  # the first id of a query-only label
+        self._ids: dict[str, int] = {}
+        self._labels: list[str] = []
+
+    def get(self, label: str) -> "int | None":
+        lid = self._base.get(label)
+        return self._ids.get(label) if lid is None else lid
+
+    def intern(self, label: str) -> int:
+        lid = self.get(label)
+        if lid is None:
+            lid = _bounded(self._first + len(self._labels))
+            self._ids[label] = lid
+            self._labels.append(label)
+        return lid
+
+    def label(self, lid: int) -> str:
+        if lid < self._first:
+            return self._base.label(lid)
+        return self._labels[lid - self._first]
 
 
 #: Shared by every :class:`TreeCache` built without an explicit interner.
@@ -135,8 +186,8 @@ def search_keys(label: int, left: int, right: int) -> tuple[int, ...]:
     A probe node searches its full twig plus the variants with either or
     both children replaced by epsilon; with a missing child (id 0) the
     epsilon variant coincides, so only the distinct packed keys survive.
-    The join's innermost loop inlines this construction for speed
-    (``partsj_join._probe_index``) — keep the two in sync.
+    The forward probe (:meth:`repro.core.index.InvertedSizeIndex.probe`)
+    and the stream's reverse index both build their keys here.
 
     >>> [unpack_twig(k) for k in search_keys(3, 1, 2)]
     [(3, 1, 2), (3, 1, 0), (3, 0, 2), (3, 0, 0)]

@@ -2,18 +2,18 @@
 
 Processing trees in ascending size order, each tree ``Ti``:
 
-1. **Probe phase** — for every node ``N`` of ``Ti``'s binary representation
-   and every size ``n`` in ``[|Ti| - tau, |Ti|]``, the two-layer index
-   ``I_n`` is probed with ``N``'s postorder number and packed twig keys.
-   The at most four search keys are computed *once per node* (the epsilon
-   collapse is a static property of the node's children) and reused for
-   every probed size.  Every returned subgraph ``s`` is structurally
+1. **Probe phase** — every node ``N`` of ``Ti``'s binary representation
+   probes the subgraphs of the trees of size ``[|Ti| - tau, |Ti|]`` with
+   its postorder number and packed twig keys
+   (:meth:`repro.core.index.InvertedSizeIndex.probe`, the forward probe
+   the searchers share).  Every returned subgraph ``s`` is structurally
    matched at ``N`` by an integer-array walk; a successful match makes
    ``(Ti, owner(s))`` a candidate (checked at most once per pair),
    verified with exact TED.
 2. **Insert phase** — ``Ti`` is partitioned into ``delta = 2*tau + 1``
-   subgraphs maximizing the minimum subgraph size, which are inserted into
-   ``I_{|Ti|}`` (one index entry per subgraph).
+   subgraphs maximizing the minimum subgraph size
+   (:class:`repro.core.partition.PartitionCutter`), which are filed under
+   size ``|Ti|`` (one index entry per subgraph).
 
 The two phases are timed separately as ``JoinStats.probe_time`` and
 ``JoinStats.index_time``; ``candidate_time`` remains their sum, so the
@@ -69,8 +69,6 @@ should be swept at a fixed worker count.
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -83,13 +81,7 @@ from repro.baselines.common import (
     check_join_inputs,
 )
 from repro.core.index import InvertedSizeIndex, PostorderFilter
-from repro.core.intern import TWIG_LABEL_SHIFT, TWIG_LEFT_SHIFT
-from repro.core.partition import (
-    extract_partition,
-    extract_random_partition,
-    max_min_size,
-    min_partitionable_size,
-)
+from repro.core.partition import PartitionCutter, min_partitionable_size
 from repro.core.subgraph import MatchSemantics
 from repro.core.treecache import RecordStore, TreeCache
 from repro.errors import InvalidParameterError
@@ -319,7 +311,7 @@ class ShardDriver:
         self.trees = trees
         self.tau = tau
         self.config = cfg
-        self.semantics: MatchSemantics = cfg.semantics  # type: ignore[assignment]
+        self.strict = cfg.semantics is MatchSemantics.PAPER
         self.numbering = cfg.postorder_numbering
         self.index = InvertedSizeIndex(tau, cfg.postorder_filter)
         # One record store (and so one interner) per driver: all records
@@ -337,10 +329,10 @@ class ShardDriver:
         self.counters = _ProbeCounters()
         self.checked: set[tuple[int, int]] = set()
         self.small_pool: list[tuple[int, int]] = []  # (original index, size)
-        self.rng = random.Random(cfg.seed)
-        self.delta = 2 * tau + 1
+        self.cutter = PartitionCutter(
+            tau, cfg.partition_strategy, cfg.seed, cfg.postorder_numbering
+        )
         self.min_size = min_partitionable_size(tau)
-        self.gamma_hint: Optional[int] = None  # near-duplicates share gamma
         self.probe_time = 0.0
         self.index_time = 0.0
         self.band_time = 0.0
@@ -359,11 +351,14 @@ class ShardDriver:
         with phase_timer(self, "probe_time"):
             if n >= self.min_size:
                 cache = self.records[i]
-                _probe_index(
-                    self.index, cache, i, n, tau, self.min_size,
-                    self.semantics, checked, candidates, counters,
-                    self.numbering,
+                hits, tests, skips = self.index.probe(
+                    cache, i, n - tau, n, self.numbering, self.strict,
+                    checked, candidates,
                 )
+                counters.probe_hits += hits
+                counters.match_tests += tests
+                counters.match_hits += len(candidates)
+                counters.dedup_skips += skips
             else:
                 cache = None
                 counters.small_trees += 1
@@ -421,8 +416,8 @@ class ShardDriver:
         ``(candidates, subgraphs)`` where ``candidates`` are the probe
         phase's partner indices and ``subgraphs`` is the partition filed
         by the insert phase (``None`` for small-pool trees).
-        Verification of the candidates is independent of the insert, so
-        callers are free to verify inline, defer to a pool, or stream.
+        Verification of the candidates is independent of the insert:
+        :meth:`join` and the stream verify them right after this call.
         """
         candidates = self.probe(i)
         subgraphs = self.insert(i)
@@ -473,28 +468,14 @@ class ShardDriver:
             self.counters.band_trees += 1
 
     def _partition(self, cache: TreeCache, i: int, owned: bool):
-        """Cut tree ``i`` into ``delta`` subgraphs per the configured strategy."""
+        """Tree ``i``'s partition: the prepared one, else a fresh cut."""
         prepared = self.prepared
-        if prepared is not None:
-            subgraphs = prepared.partitions.get(i)
-            if subgraphs is not None:
-                if owned:
-                    self.counters.gamma_total += prepared.gammas[i]
-                return subgraphs
-        if self.config.partition_strategy == "random":
-            subgraphs = extract_random_partition(
-                cache, i, self.delta, self.rng, self.numbering
-            )
-            if owned:
-                self.counters.gamma_total += min(sub.size for sub in subgraphs)
+        if prepared is not None and i in prepared.partitions:
+            subgraphs, gamma = prepared.partitions[i], prepared.gammas[i]
         else:
-            gamma = max_min_size(cache, self.delta, hint=self.gamma_hint)
-            self.gamma_hint = gamma
-            subgraphs = extract_partition(
-                cache, i, self.delta, gamma, self.numbering, check=False
-            )
-            if owned:
-                self.counters.gamma_total += gamma
+            subgraphs, gamma = self.cutter.cut(cache, i)
+        if owned:
+            self.counters.gamma_total += gamma
         return subgraphs
 
 
@@ -588,113 +569,3 @@ def partsj_join(
     accepted.sort()
     return JoinResult(pairs=[JoinPair(*t) for t in accepted], stats=stats)
 
-
-def _probe_index(
-    index: InvertedSizeIndex,
-    cache: TreeCache,
-    i: int,
-    n: int,
-    tau: int,
-    min_size: int,
-    semantics: MatchSemantics,
-    checked: set[tuple[int, int]],
-    candidates: list[int],
-    counters: _ProbeCounters,
-    numbering: str,
-) -> None:
-    """Algorithm 1 lines 5-12: gather candidate partners for tree ``i``.
-
-    The loop never touches node objects: labels, children and postorder
-    numbers are read from the cache's flat arrays, and the packed twig
-    search keys are built once per node, outside the per-size loop.
-    """
-    sizes = [
-        size
-        for size in range(max(min_size, n - tau), n + 1)
-        if (size_index := index.for_size(size)) is not None and size_index.count
-    ]
-    if not sizes:
-        return
-    # The merged twig view is frozen while this tree probes (inserts happen
-    # strictly after), so the bucket lookups and window bisects are inlined
-    # here — the loop body is nothing but int arithmetic, dict gets and
-    # list indexing.  A twig key absent from every probed size costs one
-    # dict probe total, not one per size.
-    merged = index.merged
-    mode = index.postorder_filter
-    off = mode is PostorderFilter.OFF
-    strict_window = mode is PostorderFilter.PAPER
-    labels = cache.labels
-    left = cache.left
-    right = cache.right
-    positions = cache.general_post if numbering == "general" else range(n + 1)
-    strict = semantics is MatchSemantics.PAPER
-    label_shift = TWIG_LABEL_SHIFT
-    left_shift = TWIG_LEFT_SHIFT
-    probe_hits = 0
-    match_tests = 0
-    match_hits = 0
-    dedup_skips = 0
-    for b in range(1, n + 1):
-        p = positions[b]
-        label = labels[b]
-        child = left[b]
-        ll = labels[child] if child else 0
-        child = right[b]
-        rl = labels[child] if child else 0
-        # The paper's four search keys (pack_twig layout, inlined),
-        # deduplicated once per node: with a missing child the epsilon
-        # variant coincides, so only the distinct packed keys survive.
-        # (lab,ll,0) == full_key - rl, etc.
-        full_key = (label << label_shift) | (ll << left_shift) | rl
-        bare_key = label << label_shift
-        if ll:
-            if rl:
-                twig_keys = (full_key, full_key - rl, bare_key | rl, bare_key)
-            else:
-                twig_keys = (full_key, bare_key)
-        elif rl:
-            twig_keys = (full_key, bare_key)
-        else:
-            twig_keys = (full_key,)
-        lo = p - tau
-        hi = p + tau
-        for twig_key in twig_keys:
-            by_size = merged.get(twig_key)
-            if by_size is None:
-                continue
-            for size in sizes:
-                bucket = by_size.get(size)
-                if bucket is None:
-                    continue
-                entries = bucket.entries
-                if off:
-                    start = 0
-                    stop = len(entries)
-                else:
-                    if bucket.dirty:
-                        bucket._ensure_sorted()
-                    posts = bucket.posts
-                    start = bisect_left(posts, lo)
-                    stop = bisect_right(posts, hi, start)
-                    if start == stop:
-                        continue
-                for k in range(start, stop):
-                    pk, half, subgraph = entries[k]
-                    if strict_window and not -half <= p - pk <= half:
-                        continue
-                    probe_hits += 1
-                    j = subgraph.owner
-                    key = (j, i) if j < i else (i, j)
-                    if key in checked:
-                        dedup_skips += 1
-                        continue
-                    match_tests += 1
-                    if subgraph.matches_at_number(cache, b, strict):
-                        match_hits += 1
-                        checked.add(key)
-                        candidates.append(j)
-    counters.probe_hits += probe_hits
-    counters.match_tests += match_tests
-    counters.match_hits += match_hits
-    counters.dedup_skips += dedup_skips

@@ -13,6 +13,9 @@
   ``gamma`` nodes) becomes the last subgraph.
 - :func:`extract_random_partition` — the ablation strategy (Section 4.3's
   closing remark): ``delta - 1`` uniformly random bridging edges.
+- :class:`PartitionCutter` — the one cut the join driver and a session's
+  preparation both run: MaxMinSize with the previous tree's gamma as
+  hint, or the seeded random cut.
 
 All passes run over the flat ``left``/``right`` child-number arrays of
 :class:`~repro.core.treecache.TreeCache` (children carry smaller binary
@@ -38,6 +41,7 @@ __all__ = [
     "extract_partition",
     "extract_random_partition",
     "min_partitionable_size",
+    "PartitionCutter",
 ]
 
 
@@ -336,3 +340,39 @@ def extract_random_partition(
             stack.append(child)
     bitmaps = [(root, bitmap_at[root]) for root in root_numbers]
     return _build_subgraphs(cache, owner, bitmaps, numbering)  # type: ignore[arg-type]
+
+
+class PartitionCutter:
+    """Cuts trees, one after another, into ``delta = 2*tau + 1`` subgraphs.
+
+    ``strategy="maxmin"`` (Algorithm 3) warm-starts each gamma search
+    with the previous tree's gamma (near-duplicates share it; the hint
+    never changes the result), ``"random"`` draws the cut edges from one
+    ``random.Random(seed)`` stream.  Cutting the same trees in the same
+    order therefore yields the same subgraphs and gammas, which is why
+    :class:`repro.core.join.ShardDriver` and a session's preparation
+    (:class:`repro.session.TreeCollection`) can share their output.
+    """
+
+    __slots__ = ("delta", "numbering", "rng", "gamma_hint")
+
+    def __init__(self, tau: int, strategy: str, seed: int, numbering: str):
+        self.delta = 2 * tau + 1
+        self.numbering = numbering
+        self.rng = random.Random(seed) if strategy == "random" else None
+        self.gamma_hint: Optional[int] = None
+
+    def cut(self, cache: TreeCache, owner: int) -> tuple[list[Subgraph], int]:
+        """Tree ``owner``'s partition and its gamma (for a random cut, the
+        smallest subgraph size)."""
+        if self.rng is not None:
+            subgraphs = extract_random_partition(
+                cache, owner, self.delta, self.rng, self.numbering
+            )
+            return subgraphs, min(sub.size for sub in subgraphs)
+        gamma = max_min_size(cache, self.delta, hint=self.gamma_hint)
+        self.gamma_hint = gamma
+        subgraphs = extract_partition(
+            cache, owner, self.delta, gamma, self.numbering, check=False
+        )
+        return subgraphs, gamma

@@ -37,8 +37,9 @@ most ``2*tau`` of the ``2*tau + 1`` subgraphs and Lemma 2 holds.  Under
 PAPER semantics a delete can additionally flip the incoming-edge category
 of its first child and grow a right edge under its last child, touching up
 to 3 subgraphs — so the strict filter can (rarely) miss results when
-``tau >= 2``; the property-test suite measures this and EXPERIMENTS.md
-reports it.
+``tau >= 2``; the property-test suite measures this and the
+``ablation_filters`` experiment (:mod:`repro.bench.experiments`) reports
+it.
 """
 
 from __future__ import annotations

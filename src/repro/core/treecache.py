@@ -72,7 +72,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Sequence
 
-from repro.core.intern import DEFAULT_INTERNER, LabelInterner
+from repro.core.intern import DEFAULT_INTERNER, LabelInterner, QueryInterner
 from repro.ted.zhang_shasha import AnnotatedTree
 from repro.tree.node import Tree, TreeNode
 
@@ -89,7 +89,8 @@ class TreeCache:
     interner:
         The label interner the array ids refer to (the process-wide
         default unless one is passed, so independently built caches
-        agree on ids).
+        agree on ids; a search query's record uses a
+        :class:`~repro.core.intern.QueryInterner`).
     size:
         Node count (identical for the general and binary representations).
     labels, left, right, parent, general_post:
@@ -128,7 +129,11 @@ class TreeCache:
         "_mirror_annotation",
     )
 
-    def __init__(self, tree: Tree, interner: Optional[LabelInterner] = None):
+    def __init__(
+        self,
+        tree: Tree,
+        interner: "LabelInterner | QueryInterner | None" = None,
+    ):
         self.tree = tree
         self.interner = DEFAULT_INTERNER if interner is None else interner
         intern = self.interner.intern

@@ -2,11 +2,11 @@
 
 The paper evaluates on Swissprot, Treebank and the Stanford Sentiment
 treebank — XML/parse-tree dumps we cannot redistribute or download in this
-offline reproduction.  Per the substitution policy in DESIGN.md, each
-generator below reproduces the *join-relevant* properties the paper reports
-(Section 4): tree count scale, average size, label alphabet size, average
-and maximum depth, and characteristic shape (flat/wide vs deep/narrow vs
-binary), plus near-duplicate cluster structure so the join has work to do.
+offline reproduction.  As a substitute, each generator below
+reproduces the *join-relevant* properties the paper reports (Section 4):
+tree count scale, average size, label alphabet size, average and maximum
+depth, and characteristic shape (flat/wide vs deep/narrow vs binary),
+plus near-duplicate cluster structure so the join has work to do.
 
 Published shape statistics being matched:
 

@@ -1,10 +1,8 @@
 """The snapshot container: a magic-tagged, versioned, per-section-CRC file.
 
 Every persisted artifact except the append-only WAL uses this one
-format, so a future database-backed collection can share it (ROADMAP:
-"a persisted session and a database-backed collection should share one
-storage format").  The layout is deliberately dumb — named byte sections
-behind checksums — because the *sections* carry the schema:
+format.  The layout is deliberately dumb — named byte sections behind
+checksums — because the *sections* carry the schema:
 
 ``RPRSNAP\\x01`` magic (8 bytes)
 ``format_version``  u32 LE — bumped on incompatible layout changes

@@ -50,7 +50,6 @@ trees, and the random strategy's RNG is seeded and consumed identically
 from __future__ import annotations
 
 import dataclasses
-import random
 import time
 import warnings
 from typing import Iterable, Iterator, Optional, Sequence
@@ -68,12 +67,7 @@ from repro.baselines.str_join import str_join
 from repro.core.index import InvertedSizeIndex
 from repro.core.intern import LabelInterner
 from repro.core.join import PartSJConfig, PreparedJoinState, partsj_join
-from repro.core.partition import (
-    extract_partition,
-    extract_random_partition,
-    max_min_size,
-    min_partitionable_size,
-)
+from repro.core.partition import PartitionCutter, min_partitionable_size
 from repro.core.treecache import RecordStore, TreeCache
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import publish_join_stats
@@ -162,9 +156,9 @@ class _PreparedTau:
     """Per-``(tau, filter config)`` artifacts of one collection.
 
     Holds the partitions (and their gammas) of every partitionable tree,
-    computed exactly as the serial join would; lazily also the fully
-    populated two-layer index the searcher probes.  Cached by
-    :meth:`TreeCollection.prepare`.
+    cut by the serial join's own :class:`PartitionCutter` in its order;
+    lazily also the fully populated index the searcher probes.  Cached
+    by :meth:`TreeCollection.prepare`.
     """
 
     def __init__(self, collection: "TreeCollection", tau: int, config: PartSJConfig):
@@ -172,13 +166,14 @@ class _PreparedTau:
         self.collection = collection
         self.tau = tau
         self.config = config
-        self.delta = 2 * tau + 1
         self.min_size = min_partitionable_size(tau)
         self.partitions: dict[int, list] = {}
         self.gammas: dict[int, int] = {}
         self.small: list[int] = []  # unpartitionable trees, sorted order
-        rng = random.Random(config.seed)
-        gamma_hint: Optional[int] = None
+        cutter = PartitionCutter(
+            tau, config.partition_strategy, config.seed,
+            config.postorder_numbering,
+        )
         sorted_col = collection.sorted
         trees = collection.trees
         for position in range(len(sorted_col)):
@@ -186,21 +181,8 @@ class _PreparedTau:
             if trees[i].size < self.min_size:
                 self.small.append(i)
                 continue
-            cache = collection.cache(i)
-            if config.partition_strategy == "random":
-                subgraphs = extract_random_partition(
-                    cache, i, self.delta, rng, config.postorder_numbering
-                )
-                gamma = min(sub.size for sub in subgraphs)
-            else:
-                gamma = max_min_size(cache, self.delta, hint=gamma_hint)
-                gamma_hint = gamma
-                subgraphs = extract_partition(
-                    cache, i, self.delta, gamma, config.postorder_numbering,
-                    check=False,
-                )
-            self.partitions[i] = subgraphs
-            self.gammas[i] = gamma
+            cut = cutter.cut(collection.cache(i), i)
+            self.partitions[i], self.gammas[i] = cut
         self._search_index: Optional[InvertedSizeIndex] = None
         self._searcher = None
         self.build_time = time.perf_counter() - started
@@ -228,7 +210,6 @@ class _PreparedTau:
         prep.collection = collection
         prep.tau = tau
         prep.config = config
-        prep.delta = 2 * tau + 1
         prep.min_size = min_partitionable_size(tau)
         prep.partitions = partitions
         prep.gammas = gammas
@@ -249,8 +230,8 @@ class _PreparedTau:
         )
 
     def search_index(self) -> InvertedSizeIndex:
-        """The fully populated two-layer index (built once, reused by
-        every search at this tau)."""
+        """The index over every partition (built once, reused by every
+        search at this tau)."""
         if self._search_index is None:
             col = self.collection
             index = InvertedSizeIndex(self.tau, self.config.postorder_filter)

@@ -13,12 +13,11 @@ serves queries from the live index:
   for any arrival order.
 - :mod:`~repro.stream.reverse` — :class:`NodeTwigIndex`, the mirror of
   the two-layer index answering "which ingested nodes would have probed
-  this subgraph?", which is what makes out-of-order arrivals (and
-  smaller-than-collection queries) filterable instead of
-  verify-everything.
+  this subgraph?", which is what makes out-of-order arrivals filterable
+  and their candidates equal the batch join's.
 - :mod:`~repro.stream.searcher` — :class:`StreamSearcher`, a live
   ``similarity_search`` view over the engine's warm index (no rebuild;
-  unifies :class:`repro.search.SimilaritySearcher` with the streaming
+  :class:`repro.search.SimilaritySearcher`'s search over the streaming
   state).
 - :mod:`~repro.stream.service` — :class:`StreamJoinService`, the asyncio
   front end multiplexing concurrent ingest, search, and result

@@ -16,7 +16,7 @@ One arrival runs three steps:
    no re-sort).
 2. **Bidirectional probe** — the shared
    :meth:`repro.core.join.ShardDriver.ingest` entry point probes the tree
-   *forward* against the two-layer index (partners of size ``<= |T|``,
+   *forward* against the subgraph index (partners of size ``<= |T|``,
    plus the small-tree pool) and partitions/files it; the partition
    subgraphs then probe the *reverse* node-twig index
    (:class:`repro.stream.reverse.NodeTwigIndex`) for already-ingested
@@ -36,8 +36,7 @@ be structurally matched at any time and every verification reads warm
 views; together with the node-twig registrations this is the warm-index
 state that :meth:`searcher` exposes for mid-ingest ``similarity_search``
 queries (no rebuild — the searcher is a live view).  Memory therefore
-grows with the ingested prefix; the spill-to-disk inverted size index is
-the ROADMAP follow-up.
+grows with the ingested prefix.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from typing import Iterable, Optional
 from repro.baselines.common import JoinPair, SizeSortedCollection, Verifier
 from repro.core.index import PostorderFilter, postorder_half_width
 from repro.core.join import PartSJConfig, ShardDriver
-from repro.core.subgraph import MatchSemantics
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER
 from repro.params import check_tau
@@ -177,8 +175,6 @@ class StreamingJoin:
         self._ingest_time = 0.0
         self._quarantined_trees = 0
         self._quarantine_log: list[dict] = []
-        self._min_size = self._driver.min_size
-        self._strict = cfg.semantics is MatchSemantics.PAPER
         self._closed = False
         self._recovered: Optional[dict] = None
         self._wal = None
@@ -279,7 +275,7 @@ class StreamingJoin:
         off = mode is PostorderFilter.OFF
         checked = self._driver.checked
         records = self._records
-        strict = self._strict
+        strict = self._driver.strict
         before = len(candidates)
         for s in subgraphs:
             half = 0 if off else postorder_half_width(mode, tau, s.rank)
@@ -356,9 +352,9 @@ class StreamingJoin:
         """A live ``similarity_search`` view over the warm index.
 
         Returns a :class:`repro.stream.searcher.StreamSearcher` bound to
-        this engine's index, interner, small pool and reverse index —
-        nothing is copied or rebuilt, so queries interleave freely with
-        ingestion and always see exactly the ingested prefix.
+        this engine's index, interner, small pool and records — nothing
+        is copied or rebuilt, so queries interleave freely with ingestion
+        and always see exactly the ingested prefix.
         """
         from repro.stream.searcher import StreamSearcher
 

@@ -1,9 +1,9 @@
 """The reverse node-twig index: probing *backwards in time*, forwards in size.
 
-The batch join's two-layer index answers "which stored *subgraphs* could
-match this probing *node*?" — sound because Algorithm 1 feeds trees in
-ascending size order, so the prober is always the size-wise larger side
-and every potential partner is already partitioned and filed.
+The join's forward probe answers "which stored *subgraphs* could match
+this probing *node*?" — complete for a join because Algorithm 1 feeds
+trees in ascending size order, so every potential partner of a prober
+is already partitioned and filed.
 
 A streaming join cannot rely on that order: a tree ``T`` may arrive
 *after* larger trees it is similar to.  For those pairs Lemma 2 assigns
@@ -17,8 +17,8 @@ but ``U`` already ran its probe phase before ``T`` existed.
   node's at-most-four packed *search keys* (the epsilon-collapsed twig
   variants of :func:`repro.core.intern.search_keys` — exactly the keys
   that node would probe the forward index with), bucketed by tree size
-  and lazily sorted by the node's postorder number, mirroring
-  :class:`repro.core.index.TwoLayerIndex`'s bucket discipline.
+  and lazily sorted by the node's postorder number in the forward
+  index's own :class:`repro.core.index.PostorderBucket`.
 - On arrival of ``T``, each subgraph ``s`` of ``T``'s partition looks up
   its own ``twig_key`` — by construction the set of registered
   ``(tree, node)`` anchors under that key at size ``|U|`` within the
@@ -36,53 +36,20 @@ reverse probe targets sizes strictly above the arriving tree's (which is
 itself ``>= 2*tau + 1`` when it has subgraphs to probe with), and
 small-tree partners are handled by the engine's direct small-pool scan.
 
-The same structure powers the warm searcher's upper side
-(:class:`repro.stream.searcher.StreamSearcher`): a query smaller than a
-collection tree is partitioned and reverse-probed instead of falling
-back to verify-everything-larger as the batch searcher does.
-
 Memory: four entries per node per ingested tree, plus the retained tree
 caches held by the engine — the price of serving any arrival order from
-RAM.  The spill-to-disk inverted size index tracked in ROADMAP.md is the
-follow-up for collections that outgrow it.
+RAM.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from operator import itemgetter
 from typing import Iterator
 
-from repro.core.index import PostorderFilter
+from repro.core.index import PostorderBucket, PostorderFilter
 from repro.core.intern import search_keys
 from repro.core.treecache import TreeCache
 
 __all__ = ["NodeTwigIndex"]
-
-_entry_postorder = itemgetter(0)
-
-
-class _NodeBucket:
-    """Registered nodes of one tree size sharing one packed search key.
-
-    ``entries`` holds ``(postorder, node_number, owner)`` triples;
-    ``posts`` mirrors the postorder numbers for bisection.  Inserts
-    append and mark the bucket dirty; the sort happens lazily on the
-    next reverse probe — the same amortized discipline as the forward
-    index's ``_TwigBucket``.
-    """
-
-    __slots__ = ("entries", "posts", "dirty")
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[int, int, int]] = []
-        self.posts: list[int] = []
-        self.dirty = False
-
-    def _ensure_sorted(self) -> None:
-        self.entries.sort(key=_entry_postorder)
-        self.posts = [entry[0] for entry in self.entries]
-        self.dirty = False
 
 
 class NodeTwigIndex:
@@ -90,9 +57,9 @@ class NodeTwigIndex:
 
     The mirror image of :class:`repro.core.index.InvertedSizeIndex` (see
     the module docstring): ``merged`` maps ``search_key -> {tree_size:
-    bucket}``, sharing the forward index's merged-view shape so a
-    subgraph lookup over the ``tau``-wide size band costs one dictionary
-    probe per absent key.
+    PostorderBucket}`` of ``(postorder, node_number, owner)`` entries, so
+    a subgraph lookup over the ``tau``-wide size band costs one
+    dictionary probe per absent key.
     """
 
     __slots__ = ("tau", "postorder_filter", "merged", "tree_count", "node_count")
@@ -100,7 +67,7 @@ class NodeTwigIndex:
     def __init__(self, tau: int, postorder_filter: PostorderFilter | str = "safe"):
         self.tau = tau
         self.postorder_filter = PostorderFilter.coerce(postorder_filter)
-        self.merged: dict[int, dict[int, _NodeBucket]] = {}
+        self.merged: dict[int, dict[int, PostorderBucket]] = {}
         self.tree_count = 0
         self.node_count = 0
 
@@ -119,24 +86,17 @@ class NodeTwigIndex:
         positions = cache.general_post if numbering == "general" else range(n + 1)
         merged = self.merged
         for b in range(1, n + 1):
-            p = positions[b]
-            child = left[b]
-            ll = labels[child] if child else 0
-            child = right[b]
-            rl = labels[child] if child else 0
-            # The same epsilon-collapsed key set the forward probe builds;
-            # registration runs once per node per tree (not once per node
-            # per probed size like the join's hot loop), so the shared
-            # helper is used instead of a third inlined copy.
-            for key in search_keys(labels[b], ll, rl):
+            # The same epsilon-collapsed key set the forward probe builds
+            # (labels[0] is epsilon's id 0, so a missing child reads as 0).
+            entry = (positions[b], b, owner)
+            for key in search_keys(labels[b], labels[left[b]], labels[right[b]]):
                 by_size = merged.get(key)
                 if by_size is None:
                     by_size = merged[key] = {}
                 bucket = by_size.get(n)
                 if bucket is None:
-                    bucket = by_size[n] = _NodeBucket()
-                bucket.entries.append((p, b, owner))
-                bucket.dirty = True
+                    bucket = by_size[n] = PostorderBucket()
+                bucket.add(entry)
         self.tree_count += 1
         self.node_count += n
 
@@ -171,11 +131,7 @@ class NodeTwigIndex:
                 for _, b, owner in entries:
                     yield owner, b
                 continue
-            if bucket.dirty:
-                bucket._ensure_sorted()
-            posts = bucket.posts
-            start = bisect_left(posts, lo)
-            stop = bisect_right(posts, hi, start)
+            start, stop = bucket.span(lo, hi)
             for k in range(start, stop):
                 entry = entries[k]
                 yield entry[2], entry[1]

@@ -1,109 +1,190 @@
-"""Tests for the two-layer subgraph index (repro.core.index)."""
+"""Tests for the subgraph index and its forward probe (repro.core.index)."""
 
 import pytest
 
-from repro.core.index import InvertedSizeIndex, PostorderFilter, TwoLayerIndex
+from repro.core.index import InvertedSizeIndex, PostorderFilter, postorder_half_width
+from repro.core.intern import QueryInterner
 from repro.core.partition import extract_partition
 from repro.core.subgraph import EPSILON
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError
-from repro.tree.node import Tree
+from repro.tree.node import Tree, TreeNode
 from tests.conftest import make_random_tree
+
+OWNER = 7
+
+
+def distinct_label_tree(rng, size):
+    """A random tree whose labels are all different, so a subgraph's root
+    twig occurs at exactly one node of its own tree."""
+    root = TreeNode("n0")
+    nodes = [root]
+    for k in range(1, size):
+        nodes.append(rng.choice(nodes).add_child(TreeNode(f"n{k}")))
+    return Tree(root)
 
 
 def build_subgraphs(rng, size, delta):
-    tree = make_random_tree(rng, size)
-    cache = TreeCache(tree)
-    return cache, extract_partition(cache, owner=7, delta=delta)
+    cache = TreeCache(distinct_label_tree(rng, size))
+    return cache, extract_partition(cache, owner=OWNER, delta=delta)
+
+
+def shifted(cache, offset):
+    """The same tree, its general postorder numbers moved by ``offset``."""
+    copy = TreeCache(cache.tree, cache.interner)
+    copy.general_post = [g + offset for g in cache.general_post]
+    return copy
+
+
+def single_index(tau, mode, cache, sub):
+    index = InvertedSizeIndex(tau, mode)
+    index.insert_all(cache.size, [sub])
+    return index
+
+
+def probe(index, cache):
+    """Probe ``index`` at ``cache``'s size; (hits, tests, skips), candidates."""
+    candidates = []
+    counts = index.probe(
+        cache, -1, cache.size, cache.size, "general", False, set(), candidates
+    )
+    return counts, candidates
 
 
 class TestWindowArithmetic:
     def test_paper_window_shrinks_with_rank(self, rng):
         tau = 3
         cache, subs = build_subgraphs(rng, 30, 2 * tau + 1)
-        index = TwoLayerIndex(tau, PostorderFilter.PAPER)
         for sub in subs:
-            assert index.window(sub) == max(0, tau - sub.rank // 2)
+            assert postorder_half_width(PostorderFilter.PAPER, tau, sub.rank) == (
+                max(0, tau - sub.rank // 2)
+            )
         # rank 1 gets the full window, the last rank gets zero.
-        assert index.window(subs[0]) == tau
-        assert index.window(subs[-1]) == 0
+        assert postorder_half_width(PostorderFilter.PAPER, tau, subs[0].rank) == tau
+        assert postorder_half_width(PostorderFilter.PAPER, tau, subs[-1].rank) == 0
 
     def test_safe_window_is_constant(self, rng):
         tau = 2
         cache, subs = build_subgraphs(rng, 20, 2 * tau + 1)
-        index = TwoLayerIndex(tau, PostorderFilter.SAFE)
-        assert all(index.window(sub) == tau for sub in subs)
+        assert all(
+            postorder_half_width(PostorderFilter.SAFE, tau, sub.rank) == tau
+            for sub in subs
+        )
+
+    @pytest.mark.parametrize("mode", list(PostorderFilter))
+    def test_probe_applies_each_window_rule(self, rng, mode):
+        # Each subgraph alone in an index; its own tree probes with every
+        # postorder number shifted by `offset`.  Labels are distinct, so
+        # only the subgraph's own root can find it.
+        tau = 2
+        cache, subs = build_subgraphs(rng, 25, 2 * tau + 1)
+        for sub in subs:
+            index = single_index(tau, mode, cache, sub)
+            half = postorder_half_width(mode, tau, sub.rank)
+            for offset in range(-tau - 1, tau + 2):
+                (hits, tests, _), candidates = probe(index, shifted(cache, offset))
+                found = mode is PostorderFilter.OFF or abs(offset) <= half
+                assert hits == tests == int(found), (sub.rank, offset)
+                assert candidates == ([OWNER] if found else [])
 
 
 class TestInsertProbe:
     def test_subgraph_retrievable_at_every_window_key(self, rng):
         tau = 2
         cache, subs = build_subgraphs(rng, 25, 2 * tau + 1)
-        index = TwoLayerIndex(tau, PostorderFilter.SAFE)
         for sub in subs:
-            index.insert(sub)
-        assert index.count == len(subs)
-        for sub in subs:
-            label, left, right = sub.twig
+            index = single_index(tau, PostorderFilter.SAFE, cache, sub)
             for offset in range(-tau, tau + 1):
-                hits = list(
-                    index.probe(sub.postorder_id + offset, label, left, right)
-                )
-                assert sub in hits
+                assert probe(index, shifted(cache, offset))[1] == [OWNER]
 
     def test_probe_outside_window_misses(self, rng):
         tau = 1
         cache, subs = build_subgraphs(rng, 15, 2 * tau + 1)
-        index = TwoLayerIndex(tau, PostorderFilter.SAFE)
-        index.insert(subs[0])
-        label, left, right = subs[0].twig
-        hits = list(index.probe(subs[0].postorder_id + tau + 1, label, left, right))
-        assert subs[0] not in hits
+        index = single_index(tau, PostorderFilter.SAFE, cache, subs[0])
+        for offset in (-tau - 1, tau + 1):
+            assert probe(index, shifted(cache, offset)) == ((0, 0, 0), [])
 
     def test_probe_with_actual_child_labels_finds_epsilon_twigs(self, rng):
         # A probe node may have real children where the stored twig has
-        # epsilon (dangling/empty slots): the epsilon key variants cover it.
+        # epsilon (dangling bridging edges): the epsilon key variants
+        # cover it.
         tau = 1
-        cache, subs = build_subgraphs(rng, 15, 3)
-        index = TwoLayerIndex(tau, PostorderFilter.SAFE)
-        target = next(s for s in subs if EPSILON in s.twig[1:])
-        index.insert(target)
-        hits = list(
-            index.probe(target.postorder_id, target.twig[0], "anything", "else")
-        )
-        if target.twig[1] == EPSILON and target.twig[2] == EPSILON:
-            assert target in hits
+        for _ in range(20):
+            cache, subs = build_subgraphs(rng, 15, 3)
+            dangling = [
+                sub for sub in subs
+                if (sub.twig[1] == EPSILON and cache.left[sub.root_number])
+                or (sub.twig[2] == EPSILON and cache.right[sub.root_number])
+            ]
+            for target in dangling:
+                index = single_index(tau, PostorderFilter.SAFE, cache, target)
+                assert probe(index, cache)[1] == [OWNER]
+            if dangling:
+                return
+        pytest.fail("no partition with a dangling bridging edge")
 
     def test_wrong_label_never_returned(self, rng):
+        # Labels the index has never seen get query-local ids, whose keys
+        # match nothing stored.
         tau = 1
         cache, subs = build_subgraphs(rng, 15, 3)
-        index = TwoLayerIndex(tau, PostorderFilter.SAFE)
-        for sub in subs:
-            index.insert(sub)
-        hits = list(index.probe(subs[0].postorder_id, "no-such-label", "x", "y"))
-        assert hits == []
+        index = InvertedSizeIndex(tau, PostorderFilter.SAFE)
+        index.insert_all(cache.size, subs)
+        query = TreeCache(
+            Tree.from_bracket("{no-such-label{x}{y{z}}{w}{v}{u}{t}{s}{r}"
+                              "{q}{p}{o}{m}{k}}"),
+            QueryInterner(cache.interner),
+        )
+        assert query.size == cache.size
+        assert probe(index, query) == ((0, 0, 0), [])
 
     def test_no_duplicates_in_probe_results(self, rng):
+        # Each subgraph is stored once under its one twig key and a node's
+        # search keys are duplicate-free, so a tree probing its own
+        # partition hits every subgraph exactly once (at its root).
         tau = 2
         cache, subs = build_subgraphs(rng, 25, 5)
-        index = TwoLayerIndex(tau, PostorderFilter.SAFE)
-        for sub in subs:
-            index.insert(sub)
-        for sub in subs:
-            label, left, right = sub.twig
-            hits = list(index.probe(sub.postorder_id, label, left, right))
-            assert len(hits) == len(set(map(id, hits)))
+        index = InvertedSizeIndex(tau, PostorderFilter.SAFE)
+        index.insert_all(cache.size, subs)
+        (hits, tests, skips), candidates = probe(index, cache)
+        assert hits == len(subs)
+        # The first match makes the owner a candidate; the other hits of
+        # the same pair are skipped without a match test.
+        assert (tests, skips) == (1, len(subs) - 1)
+        assert candidates == [OWNER]
 
     def test_off_mode_ignores_postorder(self, rng):
         tau = 1
         cache, subs = build_subgraphs(rng, 15, 3)
-        index = TwoLayerIndex(tau, PostorderFilter.OFF)
-        for sub in subs:
-            index.insert(sub)
-        for sub in subs:
-            label, left, right = sub.twig
-            hits = list(index.probe(999_999, label, left, right))
-            assert sub in hits
+        index = InvertedSizeIndex(tau, PostorderFilter.OFF)
+        index.insert_all(cache.size, subs)
+        (hits, _, _), candidates = probe(index, shifted(cache, 999_999))
+        assert hits == len(subs)
+        assert candidates == [OWNER]
+
+    def test_probe_reads_only_the_given_sizes(self, rng):
+        tau = 2
+        cache, subs = build_subgraphs(rng, 20, 5)
+        index = InvertedSizeIndex(tau, PostorderFilter.OFF)
+        index.insert_all(cache.size, subs)
+        for lo, hi, found in ((20, 20, True), (18, 22, True), (21, 23, False),
+                              (15, 19, False)):
+            candidates = []
+            index.probe(cache, -1, lo, hi, "general", False, set(), candidates)
+            assert candidates == ([OWNER] if found else []), (lo, hi)
+
+    def test_checked_pairs_are_skipped(self, rng):
+        tau = 1
+        cache, subs = build_subgraphs(rng, 15, 3)
+        index = InvertedSizeIndex(tau, PostorderFilter.SAFE)
+        index.insert_all(cache.size, subs)
+        candidates = []
+        counts = index.probe(
+            cache, 3, cache.size, cache.size, "general", False, {(3, OWNER)},
+            candidates,
+        )
+        assert counts == (len(subs), 0, len(subs))
+        assert candidates == []
 
 
 class TestEntryCountIndependentOfTau:
@@ -119,9 +200,7 @@ class TestEntryCountIndependentOfTau:
             index = InvertedSizeIndex(tau, postorder_filter="safe")
             index.insert_all(40, extract_partition(cache, owner=0, delta=delta))
             assert index.total_entries == index.total_subgraphs == delta
-            per_size = index.for_size(40)
-            assert per_size is not None
-            assert per_size.entry_count == per_size.count == delta
+            assert index.counts == {40: delta}
             entry_counts.append(index.total_entries / delta)
         # Normalized per-subgraph storage is exactly 1 for every tau.
         assert entry_counts == [1.0] * len(entry_counts)
@@ -131,10 +210,15 @@ class TestEntryCountIndependentOfTau:
         cache, subs = build_subgraphs(rng, 25, 2 * tau + 1)
         for pfilter in (PostorderFilter.SAFE, PostorderFilter.PAPER,
                         PostorderFilter.OFF):
-            index = TwoLayerIndex(tau, pfilter)
-            for sub in subs:
-                index.insert(sub)
-            assert index.entry_count == index.count == len(subs)
+            index = InvertedSizeIndex(tau, pfilter)
+            index.insert_all(cache.size, subs)
+            stored = [
+                entry
+                for by_size in index.merged.values()
+                for bucket in by_size.values()
+                for entry in bucket.entries
+            ]
+            assert index.total_entries == len(stored) == len(subs)
 
 
 class TestInvertedSizeIndex:
@@ -144,11 +228,12 @@ class TestInvertedSizeIndex:
         cache_b, subs_b = build_subgraphs(rng, 18, 3)
         index.insert_all(12, subs_a)
         index.insert_all(18, subs_b)
-        assert index.sizes() == [12, 18]
+        assert index.counts == {12: 3, 18: 3}
         assert index.total_subgraphs == 6
-        assert index.for_size(12).count == 3
-        assert index.for_size(99) is None
-        assert index.for_size(99, create=True).count == 0
+        for by_size in index.merged.values():
+            for size, bucket in by_size.items():
+                owners = {entry[2].cache for entry in bucket.entries}
+                assert owners == {cache_a if size == 12 else cache_b}
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):

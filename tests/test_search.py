@@ -1,13 +1,21 @@
-"""Tests for similarity search (repro.search)."""
+"""Tests for similarity search (repro.search, repro.stream.searcher)."""
+
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.join import PartSJConfig
 from repro.errors import InvalidParameterError
 from repro.search import SimilaritySearcher, similarity_search
+from repro.session import TreeCollection
+from repro.stream import StreamingJoin
 from repro.ted.zhang_shasha import zhang_shasha
+from repro.tree.edits import random_script
 from repro.tree.node import Tree
-from tests.conftest import make_cluster_forest, make_random_tree
+from tests.conftest import LABELS, make_cluster_forest, make_random_tree
+from tests.core.test_join_properties import SOUND_CONFIGS, clustered_forests
 
 
 def brute_force_search(query, trees, tau):
@@ -83,3 +91,119 @@ class TestSearcherReuse:
     def test_negative_tau_rejected(self):
         with pytest.raises(InvalidParameterError):
             SimilaritySearcher([Tree.from_bracket("{a}")], tau=-1)
+
+
+def brute_force_hits(query, trees, tau):
+    """``(index, exact distance)`` of every tree within ``tau``."""
+    hits = []
+    for i, tree in enumerate(trees):
+        distance = zhang_shasha(query, tree)
+        if distance <= tau:
+            hits.append((i, distance))
+    return hits
+
+
+def hit_list(hits):
+    return [(h.index, h.distance) for h in hits]
+
+
+def fuzz_queries(rng, forest, tau):
+    """Forest trees, edited near-copies, trees too small to partition,
+    trees larger than every tree, and trees with labels the forest lacks."""
+    pick = forest[rng.randrange(len(forest))]
+    edits = rng.randint(0, tau + 1)
+    return [
+        pick,
+        random_script(pick, edits, rng, LABELS)[0],
+        make_random_tree(rng, rng.randint(1, 2 * tau + 1)),
+        make_random_tree(rng, max(t.size for t in forest) + rng.randint(1, tau + 1)),
+        random_script(pick, edits, rng, ["a", "novel", "other"])[0],
+    ]
+
+
+@given(
+    forest=clustered_forests(),
+    tau=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_batch_and_stream_searchers_equal_brute_force(forest, tau, seed):
+    rng = random.Random(seed)
+    queries = fuzz_queries(rng, forest, tau)
+    half = len(forest) // 2
+    for config in SOUND_CONFIGS:
+        join = StreamingJoin(tau, config=config)
+        stream = join.searcher()
+        join.add_many(forest[:half])
+        for query in queries:
+            assert hit_list(stream.search(query)) == brute_force_hits(
+                query, forest[:half], tau
+            ), config
+        join.add_many(forest[half:])
+        for query in queries:
+            truth = brute_force_hits(query, forest, tau)
+            # A fresh session per query: its first search is the one that
+            # builds the records of the unindexed trees.
+            batch = SimilaritySearcher(forest, tau, config=config)
+            assert hit_list(batch.search(query)) == truth, config
+            assert hit_list(stream.search(query)) == truth, config
+    # The published window under-reports by design; both searchers run the
+    # one forward probe over the same partitions, so they agree.
+    paper = PartSJConfig.paper()
+    batch = SimilaritySearcher(forest, tau, config=paper)
+    join = StreamingJoin(tau, config=paper)
+    join.add_many(forest)
+    for query in queries:
+        hits = hit_list(batch.search(query))
+        assert hit_list(join.searcher().search(query)) == hits
+        assert set(hits) <= set(brute_force_hits(query, forest, tau))
+
+
+class TestQueryLabels:
+    NOVEL = ("{q{r}{s}{t}{u}}", "{a{b}{zz{b}}}", "{new{a}{b}{c}{d}{e}}")
+
+    def test_searches_leave_interners_unchanged(self, rng):
+        # Every tree is partitionable at tau=1, so preparing the session
+        # and ingesting the stream build every record up front.
+        tau = 1
+        forest = make_cluster_forest(
+            rng, clusters=3, cluster_size=3, base_size=8, max_edits=2
+        )
+        col = TreeCollection.from_trees(forest)
+        col.prepare(tau)
+        join = StreamingJoin(tau)
+        join.add_many(forest)
+        session_labels = len(col.interner)
+        stream_labels = len(join._driver.interner)
+        queries = [Tree.from_bracket(bracket) for bracket in self.NOVEL]
+        queries += [random_script(tree, 1, rng, ["a", "novel"])[0]
+                    for tree in forest]
+        for query in queries:
+            truth = brute_force_hits(query, forest, tau)
+            assert hit_list(col.search(query, tau).run()) == truth
+            assert hit_list(join.searcher().search(query)) == truth
+        assert len(col.interner) == session_labels
+        assert len(join._driver.interner) == stream_labels
+
+    def test_query_labels_never_alias_unindexed_trees(self):
+        # At tau 3 no tree here is partitioned, so none has a record before
+        # the first search; the records a search builds must not reuse the
+        # ids the query's own labels were given.
+        forest = [
+            Tree.from_bracket(bracket)
+            for bracket in ("{b{a}}", "{c{d}}", "{d{c}{b}{c}{a}}", "{a{c{d{a}}}}")
+        ]
+        query = Tree.from_bracket("{d{b}}")
+        truth = brute_force_hits(query, forest, 3)
+        assert hit_list(SimilaritySearcher(forest, 3).search(query)) == truth
+        join = StreamingJoin(3)
+        join.add(forest[2])
+        join.add(forest[0])
+        searcher = join.searcher()
+        assert hit_list(searcher.search(query)) == brute_force_hits(
+            query, [forest[2], forest[0]], 3
+        )
