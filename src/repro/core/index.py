@@ -28,12 +28,12 @@ factor of ``2*tau + 1`` and makes the number of stored entries
 independent of ``tau`` (``counts`` holds the subgraphs filed per size).
 
 :meth:`InvertedSizeIndex.probe` is the one forward probe (Algorithm 1
-lines 5-12).  Lemma 2 holds whichever of two trees is partitioned, so the
-same loop serves the batch join and the stream (which probe the sizes
-``[n - tau, n]`` below a tree of ``n`` nodes, see
+lines 5-12).  Under SAFE matching Lemma 2 holds whichever of two trees
+is partitioned, so the same loop serves the batch join and the stream
+(which probe the sizes ``[n - tau, n]`` below a tree of ``n`` nodes, see
 :class:`repro.core.join.ShardDriver`) and both similarity searchers
 (which probe the whole window ``[n - tau, n + tau]`` around the query,
-see :mod:`repro.search`).
+the sizes above ``n`` under SAFE matching, see :mod:`repro.search`).
 
 Mutation invariants
 -------------------

@@ -4,11 +4,14 @@
 TED ``tau`` of the query.  It runs the join's forward probe
 (:meth:`repro.core.index.InvertedSizeIndex.probe`) with the query's nodes
 over the partitions of every collection tree whose size is within ``tau``
-of the query's: Lemma 2 holds whichever of two trees is partitioned, so
-the one index answers collection trees both smaller and larger than the
-query.  Trees too small to partition (fewer than ``2*tau + 1`` nodes) are
-never indexed; those within ``tau`` of the query's size are taken
-unfiltered.
+of the query's, so the one index answers collection trees both smaller
+and larger than the query.  Trees no larger than the query are matched
+under the configured semantics, as in the join; larger ones under SAFE
+semantics, for which Lemma 2 holds whichever of two trees is partitioned
+(under PAPER semantics each delete leading from a larger tree to the
+query can break 3 subgraphs, see :mod:`repro.core.subgraph`).  Trees too
+small to partition (fewer than ``2*tau + 1`` nodes) are never indexed;
+those within ``tau`` of the query's size are taken unfiltered.
 
 :class:`SimilaritySearcher` consumes a prepared
 :class:`repro.session.TreeCollection`: the interner, records, per-tau
@@ -116,9 +119,17 @@ class SimilaritySearcher:
         for i in candidates:
             verifier.features(i)
         cache = TreeCache(query, interner=QueryInterner(self._interner))
-        self._index.probe(
-            cache, -1, n - tau, n + tau, config.postorder_numbering,
-            config.semantics is MatchSemantics.PAPER, set(), candidates,
+        index = self._index
+        numbering = config.postorder_numbering
+        checked: set[tuple[int, int]] = set()
+        # Larger trees reach the query by deletes, which under PAPER
+        # semantics can break 3 subgraphs each: match them under SAFE.
+        index.probe(
+            cache, -1, n - tau, n, numbering,
+            config.semantics is MatchSemantics.PAPER, checked, candidates,
+        )
+        index.probe(
+            cache, -1, n + 1, n + tau, numbering, False, checked, candidates
         )
         hits = []
         for i in sorted(candidates):

@@ -88,6 +88,20 @@ class TestSearcherReuse:
                 brute_force_search(query, trees, 1)
             )
 
+    def test_paper_semantics_find_larger_trees(self):
+        # The query is the tree with D deleted.  MaxMinSize cuts the tree
+        # into {c2,a2,b2}, {c1,a1,b1} and {P,S,D,R}; under PAPER matching
+        # that one delete breaks all three (c1's incoming edge turns from
+        # left to right, c2's empty right slot gets R, D is missing).
+        tree = Tree.from_bracket("{P{S}{D{c1{a1}{b1}}{c2{a2}{b2}}}{R}}")
+        query = Tree.from_bracket("{P{S}{c1{a1}{b1}}{c2{a2}{b2}}{R}}")
+        config = PartSJConfig(semantics="paper", postorder_filter="safe")
+        batch = SimilaritySearcher([tree], tau=1, config=config)
+        assert hit_list(batch.search(query)) == [(0, 1)]
+        join = StreamingJoin(1, config=config)
+        join.add(tree)
+        assert hit_list(join.searcher().search(query)) == [(0, 1)]
+
     def test_negative_tau_rejected(self):
         with pytest.raises(InvalidParameterError):
             SimilaritySearcher([Tree.from_bracket("{a}")], tau=-1)
