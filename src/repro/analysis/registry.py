@@ -52,6 +52,8 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
     "lb_filtered": "candidate pairs rejected by a proven lower bound",
     "ub_accepted": "candidate pairs accepted by a proven upper bound",
     "ted_early_exits": "banded TED runs cut short by the early exit",
+    "certified": "candidate pairs whose preorder alignment kept postorder "
+                 "order, so its cost is the exact distance (no DP)",
     # parallel execution (parallel.executor / parallel.verify_pool)
     "workers": "worker processes the run used",
     "shards": "per-shard timing summaries (list)",
@@ -84,7 +86,8 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
 # -- StreamStats.extra -------------------------------------------------------
 # Written by repro.stream.engine.
 STREAM_EXTRA_COUNTERS: dict[str, str] = {
-    "ted_calls": "exact TED computations",
+    "ted_calls": "banded TED DP runs: candidates no bound rejected and no "
+                 "certificate decided",
     "quarantine_log": "recent quarantined-ingest error records (list)",
     "wal": "write-ahead log counters (nested dict)",
 }
@@ -109,7 +112,8 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_join_trees_total": "trees joined",
     "repro_join_candidates_total": "candidate pairs surviving filters",
     "repro_join_results_total": "result pairs within tau",
-    "repro_join_ted_calls_total": "tree edit distance computations",
+    "repro_join_ted_calls_total": "banded TED DP runs (uncertified, "
+                                  "unrejected candidates)",
     "repro_join_pairs_considered_total": "pairs considered before filtering",
     "repro_join_phase_seconds": "per-join phase wall clock histogram",
     "repro_join_counter_total": "integer counters from JoinStats.extra",

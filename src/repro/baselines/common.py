@@ -17,22 +17,41 @@ unbounded distance computation on a candidate.  Instead each pair walks a
 cheap-to-expensive pipeline:
 
 1. **Trivial upper bound** (O(1) from the records): if deleting one
-   tree and inserting the other already costs ``<= tau``, the pair is
-   accepted without touching the DP machinery (counter ``ub_accepted``).
-2. **Composite lower bound** (O(distinct keys) from the per-tree bags —
-   label multiset, degree histogram, binary branches) plus the banded
-   traversal-string bound: any bound ``> tau`` rejects the pair with no
-   DP at all (counter ``lb_filtered``).
-3. **tau-banded exact DP**: survivors run
+   tree and inserting the other already costs ``<= tau``, the pair runs
+   the banded DP below with that bound as its band, skipping the filters
+   (counter ``ub_accepted``).
+2. **Bag lower bounds** (O(distinct keys) from the per-tree bags —
+   label multiset, degree histogram, binary branches): any bound
+   ``> tau`` rejects the pair (counter ``lb_filtered``).
+3. **Preorder alignment** (O(tau * n), :mod:`repro.ted.string_edit`):
+   with the records in a canonical order, the banded string edit
+   distance of the two preorder label sequences, traced back to one
+   optimal alignment.  Under unit costs it lower-bounds TED (Guha et
+   al., [13] in the paper), so a distance ``> tau`` rejects the pair
+   (``lb_filtered``).  If the aligned nodes are in the same postorder
+   order on both sides, they are in the same ancestor and left-of
+   relations too, so they form an ordered edit mapping whose cost is
+   that distance: TED is squeezed between the two, and the distance is
+   returned as exact with no DP (counter ``certified``).
+4. **Postorder bound**: a pair the alignment did not certify runs the
+   banded string edit distance of the postorder sequences, another
+   lower bound (``lb_filtered``).
+5. **tau-banded exact DP**: the rest run
    :func:`repro.ted.cutoff.zhang_shasha_bounded`, which visits only the
    keyroot pairs and forest cells within the tau-strip and abandons a
    keyroot pair as soon as no cell can recover (counter
    ``ted_early_exits`` when the ``> tau`` sentinel comes back).
+   ``JoinStats.ted_calls`` counts these runs.
+
+The STR join, whose candidates passed both traversal bounds already,
+turns step 4 off (``traversal_bound``); step 3 still runs there for its
+certificate, and its bound never fires.
 
 Every per-tree input of the pipeline is a view of the tree's one flat
 record, :class:`repro.core.treecache.TreeCache` — the record the PartSJ
 filter probes with: the label, degree and binary-branch bags, the
-pre/postorder label ids, and the Zhang–Shasha annotations in both
+pre/postorder label ids, each preorder position's postorder number, and
+the Zhang–Shasha annotations in both
 orientations (the mirrored one is built only for pairs where
 :func:`repro.ted.zhang_shasha.oriented` compares orientations).  Each
 view is derived from the record's arrays on first use and memoized on
@@ -44,7 +63,11 @@ candidates is derived a constant number of times.  The counters surface
 in ``JoinStats.extra`` for every join method via
 :meth:`Verifier.extra_stats`, giving the figure scripts a verification
 breakdown.  Results are bit-identical to unconditional exact verification
-because every bound is proven and the banded DP is exact within ``tau``.
+because every bound is proven, a certificate is a valid edit mapping
+whose cost equals a lower bound, and the banded DP is exact within
+``tau``.  The canonical order (size, then preorder label strings) makes
+each pair's path through the pipeline, and so every counter, the same
+in either argument order and in every process.
 """
 
 from __future__ import annotations
@@ -63,7 +86,7 @@ from repro.ted.bounds import (
     trivial_upper_bound_from_parts,
 )
 from repro.ted.cutoff import zhang_shasha_bounded
-from repro.ted.string_edit import string_edit_within
+from repro.ted.string_edit import string_edit_alignment, string_edit_within
 from repro.ted.zhang_shasha import oriented
 from repro.tree.node import Tree
 
@@ -102,7 +125,10 @@ class JoinStats:
     tree_count: int
     candidates: int = 0  # pairs sent to exact TED verification
     results: int = 0  # pairs with TED <= tau
-    ted_calls: int = 0  # exact TED computations performed
+    # Banded TED DP runs: candidates that no lower bound rejected and no
+    # certificate decided (extra["certified"]), plus any the trivial upper
+    # bound accepted.
+    ted_calls: int = 0
     pairs_considered: int = 0  # pairs examined by the filter phase
     candidate_time: float = 0.0  # seconds in candidate generation (probe + index)
     verify_time: float = 0.0  # seconds in TED verification
@@ -113,10 +139,12 @@ class JoinStats:
     probe_time: float = 0.0
     index_time: float = 0.0
     # Method-specific counters.  Every join additionally merges the
-    # verifier's breakdown here: ``lb_filtered`` (candidates rejected by a
-    # lower bound, no DP), ``ub_accepted`` (candidates accepted by the
-    # trivial upper bound) and ``ted_early_exits`` (banded DPs that stopped
-    # at the > tau sentinel).
+    # verifier's breakdown here (``Verifier.EXTRA_COUNTERS``):
+    # ``lb_filtered`` (candidates rejected by a lower bound, no DP),
+    # ``ub_accepted`` (candidates accepted by the trivial upper bound),
+    # ``ted_early_exits`` (banded DPs that stopped at the > tau sentinel)
+    # and ``certified`` (candidates whose preorder alignment gave the exact
+    # distance, no DP).
     extra: dict = field(default_factory=dict)
 
     @property
@@ -178,9 +206,10 @@ class Verifier:
     tau:
         The join threshold; :meth:`verify` reports distances ``<= tau``.
     traversal_bound:
-        Include the banded pre/postorder string-edit lower bound in the
-        filter chain.  The STR join disables it because its candidates
-        already passed exactly that filter.
+        Run the banded postorder string-edit lower bound on pairs the
+        preorder alignment does not certify.  (The preorder one always
+        runs: it is the alignment.)  The STR join disables it because its
+        candidates already passed both traversal filters.
     bag_bounds:
         Which bag lower bounds to include in the filter chain: ``True``
         (all of labels / degrees / branches), ``False`` (none), or an
@@ -196,6 +225,13 @@ class Verifier:
         a private label interner).  The accepted pairs and distances are
         unaffected.
     """
+
+    #: The breakdown counters :meth:`extra_stats` reports.  Each is kept as
+    #: a ``stats_<name>`` attribute, as is ``stats_ted_calls`` (banded DP
+    #: runs), and every site that moves the counters between a verifier,
+    #: a worker and ``JoinStats`` reads these two tuples.
+    EXTRA_COUNTERS = ("lb_filtered", "ub_accepted", "ted_early_exits", "certified")
+    COUNTERS = ("ted_calls",) + EXTRA_COUNTERS
 
     def __init__(
         self,
@@ -220,11 +256,9 @@ class Verifier:
         self._tau = tau
         self._traversal_bound = traversal_bound
         self._bag_bounds = frozenset(bag_bounds)
-        self.stats_ted_calls = 0
         self.stats_time = 0.0
-        self.stats_lb_filtered = 0
-        self.stats_ub_accepted = 0
-        self.stats_ted_early_exits = 0
+        for name in self.COUNTERS:
+            setattr(self, "stats_" + name, 0)
 
     def features(self, index: int) -> "TreeCache":
         """Tree ``index``'s record, whose views the bounds read."""
@@ -233,8 +267,9 @@ class Verifier:
     def verify(self, i: int, j: int) -> Optional[int]:
         """Exact distance if ``<= tau`` else ``None``.
 
-        This is the hot path of every join: the bound pipeline described
-        in the module docstring, then the tau-banded DP.
+        This is the hot path of every join: the pipeline described in the
+        module docstring (bounds, the preorder alignment's certificate,
+        then the tau-banded DP).
         """
         records = self._records
         return self._verify(records[i], records[j])
@@ -280,9 +315,20 @@ class Verifier:
             ):
                 self.stats_lb_filtered += 1
                 return None
+            if not _canonical_order(f1, f2):
+                f1, f2 = f2, f1
+            aligned = string_edit_alignment(f1.preorder, f2.preorder, tau)
+            if aligned is None:
+                self.stats_lb_filtered += 1
+                return None
+            distance, pairs = aligned
+            if _keeps_postorder(f1.preorder_post, f2.preorder_post, pairs):
+                # The aligned pairs form an ordered edit mapping of cost
+                # `distance`, a lower bound on TED: the distance is exact.
+                self.stats_certified += 1
+                return distance
             if self._traversal_bound and (
-                string_edit_within(f1.preorder, f2.preorder, tau) is None
-                or string_edit_within(f1.postorder, f2.postorder, tau) is None
+                string_edit_within(f1.postorder, f2.postorder, tau) is None
             ):
                 self.stats_lb_filtered += 1
                 return None
@@ -295,13 +341,48 @@ class Verifier:
         finally:
             self.stats_time += time.perf_counter() - start
 
+    def counters(self) -> dict:
+        """Every counter of :attr:`COUNTERS`, by name."""
+        return {name: getattr(self, "stats_" + name) for name in self.COUNTERS}
+
     def extra_stats(self) -> dict:
         """The verification breakdown joins merge into ``JoinStats.extra``."""
         return {
-            "lb_filtered": self.stats_lb_filtered,
-            "ub_accepted": self.stats_ub_accepted,
-            "ted_early_exits": self.stats_ted_early_exits,
+            name: getattr(self, "stats_" + name) for name in self.EXTRA_COUNTERS
         }
+
+
+def _canonical_order(f1: "TreeCache", f2: "TreeCache") -> bool:
+    """Whether ``(f1, f2)`` ascends by ``(size, preorder label strings)``.
+
+    The verifier aligns every pair in this order, so which alignment it
+    traces, and so whether it certifies the pair, never depends on the
+    argument order.  Labels compare as strings, not interned ids: stores
+    in different processes number labels differently.  Records whose
+    preorders are equal align the same way in either order.
+    """
+    if f1.size != f2.size:
+        return f1.size < f2.size
+    for x, y in zip(f1.preorder, f2.preorder):
+        if x != y:
+            return f1.interner.label(x) < f2.interner.label(y)
+    return True
+
+
+def _keeps_postorder(
+    post1: Sequence[int], post2: Sequence[int], pairs: list[tuple[int, int]]
+) -> bool:
+    """Whether the aligned preorder positions keep postorder order as well.
+
+    ``pairs`` ascend in preorder on both sides.  Of two nodes, the one
+    first in preorder is an ancestor of the other if it is later in
+    postorder and lies left of it otherwise, so pairs that agree in both
+    orders keep ancestry and sibling order: they form an ordered edit
+    mapping.
+    """
+    mapped = sorted([(post1[p], post2[q]) for p, q in pairs])
+    second = [q for _, q in mapped]
+    return second == sorted(second)
 
 
 class DeferredVerification:
@@ -341,7 +422,7 @@ class DeferredVerification:
         )
         stats.ted_calls = verify_stats["ted_calls"]
         stats.verify_time = verify_stats["verify_time"]
-        for key in ("lb_filtered", "ub_accepted", "ted_early_exits"):
+        for key in Verifier.EXTRA_COUNTERS:
             stats.extra[key] = verify_stats[key]
         stats.extra["workers"] = self.workers
         stats.extra["verify_chunks"] = verify_stats["verify_chunks"]

@@ -68,7 +68,8 @@ def str_join(
     stats.extra["banded"] = banded
     collection = SizeSortedCollection(trees)
     # STR candidates already passed the banded pre/postorder string filter,
-    # so the verifier skips its own traversal-string bound.  One options
+    # so the verifier skips its postorder bound (its preorder alignment
+    # still runs, for the certificate, and never rejects).  One options
     # dict feeds both the inline verifier and the worker-side ones, so the
     # serial and parallel paths can never run different bound pipelines.
     verifier_options = {"traversal_bound": False}

@@ -101,7 +101,7 @@ def run_cell(
     ``trees`` may be a raw sequence (a one-shot session is built per cell
     — the cold measurement the paper's figures use; result caching never
     applies) or a prepared :class:`repro.session.TreeCollection` for
-    explicit warm-session benchmarking (``bench_session_reuse``).
+    explicit warm-session benchmarking.
 
     ``str_banded`` defaults to ``False`` so that the ``STR`` series pays the
     paper-faithful full string DP (see ``repro.baselines.str_join``).

@@ -40,7 +40,11 @@ lets a missing child read as epsilon without a branch.
   :func:`repro.ted.binary_branch.binary_branches`.
 - :attr:`preorder` / :attr:`postorder` — label ids in general preorder
   (which equals the LC-RS preorder) and general postorder (through
-  ``general_post``), for the traversal-string bound.
+  ``general_post``), for the traversal-string bounds and the preorder
+  alignment.
+- :attr:`preorder_post` — the general postorder number at each preorder
+  position, built in the same walk as :attr:`preorder`; the verifier
+  reads it to certify a preorder alignment.
 - :attr:`annotation` / :attr:`mirror_annotation` — the Zhang–Shasha
   arrays (:class:`~repro.ted.zhang_shasha.AnnotatedTree`) in either
   orientation.  Leftmost: follow ``left`` chains, ``lm[b] = lm[left[b]]``, then
@@ -103,10 +107,10 @@ class TreeCache:
         a C-speed list fill provides up front.
 
     The verifier views (:attr:`label_bag`, :attr:`degree_bag`,
-    :attr:`branch_bag`, :attr:`preorder`, :attr:`postorder`,
-    :attr:`annotation`, :attr:`mirror_annotation`) are built on first
-    use.  Their slots stay unset until then, so the constructor does no
-    work for them.
+    :attr:`branch_bag`, :attr:`preorder`, :attr:`preorder_post`,
+    :attr:`postorder`, :attr:`annotation`, :attr:`mirror_annotation`)
+    are built on first use.  Their slots stay unset until then, so the
+    constructor does no work for them.
     """
 
     __slots__ = (
@@ -124,6 +128,7 @@ class TreeCache:
         "_degree_bag",
         "_branch_bag",
         "_preorder",
+        "_preorder_post",
         "_postorder",
         "_annotation",
         "_mirror_annotation",
@@ -289,10 +294,27 @@ class TreeCache:
         try:
             return self._preorder
         except AttributeError:
-            sequence = self._preorder = tuple(
-                map(self.labels.__getitem__, self._preorder_numbers())
-            )
-            return sequence
+            self._walk_preorder()
+            return self._preorder
+
+    @property
+    def preorder_post(self) -> tuple[int, ...]:
+        """General postorder number of the node at each preorder position.
+
+        The verifier maps a preorder alignment's pairs through it to check
+        that they keep postorder order too.
+        """
+        try:
+            return self._preorder_post
+        except AttributeError:
+            self._walk_preorder()
+            return self._preorder_post
+
+    def _walk_preorder(self) -> None:
+        """Build :attr:`preorder` and :attr:`preorder_post` in one walk."""
+        numbers = self._preorder_numbers()
+        self._preorder = tuple(map(self.labels.__getitem__, numbers))
+        self._preorder_post = tuple(map(self.general_post.__getitem__, numbers))
 
     @property
     def postorder(self) -> tuple[int, ...]:
@@ -399,6 +421,7 @@ class RecordStore(dict):
         record = self[index] = TreeCache(self.trees[index], self.interner)
         return record
 
-    def annotated(self) -> int:
-        """How many records have built their leftmost annotation."""
-        return sum(hasattr(record, "_annotation") for record in self.values())
+    def built(self, view: str) -> int:
+        """How many records have built the view named ``view`` (for
+        example ``"annotation"`` or ``"label_bag"``)."""
+        return sum(hasattr(record, "_" + view) for record in self.values())

@@ -237,7 +237,8 @@ def publish_join_stats(stats, registry: Optional[MetricsRegistry] = None,
     reg.counter("repro_join_results_total",
                 "Result pairs within tau", **labels).inc(stats.results)
     reg.counter("repro_join_ted_calls_total",
-                "Tree edit distance computations", **labels
+                "Banded TED DP runs: candidates no bound rejected and no "
+                "certificate decided", **labels
                 ).inc(stats.ted_calls)
     reg.counter("repro_join_pairs_considered_total",
                 "Pairs considered before filtering", **labels

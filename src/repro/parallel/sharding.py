@@ -105,7 +105,7 @@ class ShardResult:
     owned trees sent to verification.  All timing fields are
     worker-process CPU seconds.  ``counters`` is the shard's
     ``_ProbeCounters.as_dict()`` plus its verifier counters
-    (``ted_calls`` and :meth:`~repro.baselines.common.Verifier.extra_stats`)
+    (:meth:`~repro.baselines.common.Verifier.counters`)
     — owned-tree counters sum to the exact serial values across shards,
     band counters measure the sharding overhead.  The executor merges the
     counter dict *generically* (every integer-valued key is summed), so a

@@ -45,11 +45,8 @@ __all__ = [
 CHUNKS_PER_WORKER = 4
 
 _ZERO_STATS = {
-    "ted_calls": 0,
+    **dict.fromkeys(Verifier.COUNTERS, 0),
     "verify_time": 0.0,
-    "lb_filtered": 0,
-    "ub_accepted": 0,
-    "ted_early_exits": 0,
     "verify_chunks": 0,
     "verify_wall_time": 0.0,
 }
@@ -91,7 +88,7 @@ def _merge_chunk_results(
     pairs.sort(key=lambda p: p.key())
     stats = dict(_ZERO_STATS)
     for _, delta in outcomes:
-        for key in ("ted_calls", "lb_filtered", "ub_accepted", "ted_early_exits"):
+        for key in Verifier.COUNTERS:
             stats[key] += delta[key]
         stats["verify_time"] += delta["verify_time"]
     stats["verify_chunks"] = chunk_count
@@ -128,10 +125,9 @@ def parallel_verify(
     torn down here, so every baseline's verification retries and
     degrades like the sharded executor's shards (``REPRO_FAULT_SPEC``
     applies).  Returns the accepted :class:`JoinPair` list in canonical
-    order plus a stats dict (``ted_calls`` / ``verify_time`` /
-    ``lb_filtered`` / ``ub_accepted`` / ``ted_early_exits`` /
-    ``verify_chunks`` / ``verify_wall_time``, and any non-zero failure
-    counters of the supervisor).
+    order plus a stats dict (every name of ``Verifier.COUNTERS``,
+    ``verify_time``, ``verify_chunks`` and ``verify_wall_time``, and any
+    non-zero failure counters of the supervisor).
     """
     started = time.perf_counter()
     # Canonicalize: one orientation per pair, deterministic chunk layout

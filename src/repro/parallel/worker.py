@@ -146,8 +146,7 @@ def execute_shard(
     pairs, candidates = driver.join(plan.owned, verifier)
     wall_time = time.perf_counter() - started
     counters = driver.counters.as_dict()
-    counters["ted_calls"] = verifier.stats_ted_calls
-    counters.update(verifier.extra_stats())
+    counters.update(verifier.counters())
     # Observability relay: one shard span plus its phase attribution,
     # shipped back through the sealed envelope (see ShardResult.spans).
     shard_span = _span_id(f"shard{plan.shard_id}")
@@ -210,11 +209,8 @@ def verify_pairs(
     parent-side degradation fallback — so per-pair outcomes (and the stat
     deltas) are identical wherever a chunk ends up running.
     """
-    calls_before = verifier.stats_ted_calls
+    before = verifier.counters()
     time_before = verifier.stats_time
-    lb_before = verifier.stats_lb_filtered
-    ub_before = verifier.stats_ub_accepted
-    early_before = verifier.stats_ted_early_exits
     accepted: list[tuple[int, int, int]] = []
     for i, j in pairs:
         distance = verifier.verify(i, j)
@@ -222,12 +218,10 @@ def verify_pairs(
             lo, hi = (i, j) if i < j else (j, i)
             accepted.append((lo, hi, distance))
     stats = {
-        "ted_calls": verifier.stats_ted_calls - calls_before,
-        "verify_time": verifier.stats_time - time_before,
-        "lb_filtered": verifier.stats_lb_filtered - lb_before,
-        "ub_accepted": verifier.stats_ub_accepted - ub_before,
-        "ted_early_exits": verifier.stats_ted_early_exits - early_before,
+        name: value - before[name]
+        for name, value in verifier.counters().items()
     }
+    stats["verify_time"] = verifier.stats_time - time_before
     return accepted, stats
 
 

@@ -527,7 +527,7 @@ class TreeCollection:
             "tree_caches": len(self._records),
             "prepared": [prep.describe() for prep in self._prepared.values()],
             "cached_results": len(self._results),
-            "verifier_annotations": self._records.annotated(),
+            "verifier_annotations": self._records.built("annotation"),
             "merged_sessions": len(self._merged),
         }
         if self._provenance is not None:

@@ -3,15 +3,15 @@
 ``ted`` is the one exact distance: the unbounded Zhang–Shasha DP on the
 cheaper orientation of the two trees' records.  ``ted_within`` is the
 threshold form every join verifies with; it runs the joins' own
-:class:`~repro.baselines.common.Verifier` (bounds first, then the
-tau-banded DP) on the pair.
+:class:`~repro.baselines.common.Verifier` (bounds, then the preorder
+alignment's certificate, then the tau-banded DP) on the pair.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import InvalidParameterError
+from repro.params import check_tau
 from repro.tree.node import Tree
 from repro.ted.zhang_shasha import oriented, zhang_shasha
 
@@ -50,12 +50,16 @@ def ted(
 def ted_within(t1: Tree, t2: Tree, tau: int) -> Optional[int]:
     """Return ``TED(t1, t2)`` if it is ``<= tau``, else ``None``.
 
-    The pair runs the verification pipeline of every join: O(1) trivial
-    upper bound, the bag and traversal-string lower bounds, then the
-    tau-banded DP of :mod:`repro.ted.cutoff`, which fills only the cells
-    a ``<= tau`` distance can reach and stops as soon as the threshold is
-    provably exceeded.  The bounds are proven, so the result equals the
-    thresholded exact distance.
+    The pair runs the verification pipeline of every join: the O(1)
+    trivial upper bound, the bag lower bounds, then the banded string
+    edit distance of the two preorders, traced back to one optimal
+    alignment.  That distance lower-bounds TED; when the aligned nodes
+    also keep postorder order they form an edit mapping of the same
+    cost, and the distance is exact.  Otherwise the postorder bound and
+    the tau-banded DP of :mod:`repro.ted.cutoff` decide.  Every bound is
+    proven and the certificate is a valid mapping, so the result equals
+    the thresholded exact distance.  ``tau`` is validated like every
+    other entry point's (:func:`repro.params.check_tau`).
 
     >>> a, b = Tree.from_bracket("{a{b}}"), Tree.from_bracket("{a{b}{c}{d}}")
     >>> ted_within(a, b, 1) is None
@@ -63,8 +67,7 @@ def ted_within(t1: Tree, t2: Tree, tau: int) -> Optional[int]:
     >>> ted_within(a, b, 2)
     2
     """
-    if tau < 0:
-        raise InvalidParameterError(f"tau must be >= 0, got {tau}")
+    check_tau(tau)
     # Local import: repro.baselines builds on this package.
     from repro.baselines.common import Verifier
 

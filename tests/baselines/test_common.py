@@ -66,13 +66,21 @@ class TestVerifier:
         assert Verifier(trees, tau=2).verify(0, 1) == 2
 
     def test_counters_accumulate(self, rng):
-        # Near-identical pairs pass every bound, so each verify runs a DP.
+        # Equal trees pass every bound and are certified; a pair whose
+        # preorders agree but whose shapes differ runs the DP.
         base = make_random_tree(rng, 20)
-        trees = [base, base.copy(), base, base.copy()]
+        trees = [
+            base, base.copy(), base, base.copy(),
+            Tree.from_bracket("{a{b}{c}}"), Tree.from_bracket("{a{b{c}}}"),
+        ]
         verifier = Verifier(trees, tau=2)
         assert verifier.verify(0, 1) == 0
         assert verifier.verify(2, 3) == 0
-        assert verifier.stats_ted_calls == 2
+        assert verifier.stats_certified == 2
+        assert verifier.stats_ted_calls == 0
+        assert verifier.verify(4, 5) == 2
+        assert verifier.stats_certified == 2
+        assert verifier.stats_ted_calls == 1
         assert verifier.stats_time > 0
 
     def test_lower_bound_filter_counts_and_skips_dp(self):
@@ -114,12 +122,34 @@ class TestVerifier:
                     expected = exact if exact <= tau else None
                     assert verifier.verify(i, j) == expected
 
+    @pytest.mark.parametrize("left,right", [
+        # Aligned as given, each pair's preorders certify in one argument
+        # order only: equal sizes, then different sizes.
+        ("{a{a}{b{a}}}", "{a{b{a}}{b}}"),
+        ("{c{a{d{c}}}}", "{d{c}{d}}"),
+    ])
+    def test_argument_order_changes_nothing(self, left, right):
+        trees = [Tree.from_bracket(left), Tree.from_bracket(right)]
+        verifier = Verifier(trees, tau=3)
+        outcomes = []
+        for i, j in ((0, 1), (1, 0)):
+            before = verifier.counters()
+            distance = verifier.verify(i, j)
+            after = verifier.counters()
+            outcomes.append(
+                (distance, {k: after[k] - before[k] for k in after})
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == zhang_shasha(*trees)
+        assert outcomes[0][1]["certified"] == 1
+
     def test_extra_stats_keys(self):
         verifier = Verifier([Tree.from_bracket("{a}")], tau=1)
         assert set(verifier.extra_stats()) == {
             "lb_filtered",
             "ub_accepted",
             "ted_early_exits",
+            "certified",
         }
 
     def test_annotations_are_cached(self, rng):

@@ -35,5 +35,7 @@ class TestFilters:
         stats = histogram_join(sample_forest, 2).stats
         assert stats.method == "HST"
         # The verifier's bound pipeline may reject candidates without a DP;
-        # every candidate is either filtered or runs exactly one DP.
-        assert stats.ted_calls == stats.candidates - stats.extra["lb_filtered"]
+        # every other candidate is certified or runs exactly one DP.
+        assert stats.ted_calls + stats.extra["certified"] == (
+            stats.candidates - stats.extra["lb_filtered"]
+        )

@@ -43,7 +43,9 @@ class TestStats:
         )
         stats = set_join(trees, 2).stats
         assert stats.method == "SET"
-        assert stats.ted_calls == stats.candidates - stats.extra["lb_filtered"]
+        assert stats.ted_calls + stats.extra["certified"] == (
+            stats.candidates - stats.extra["lb_filtered"]
+        )
         assert stats.results <= stats.candidates
         assert stats.pairs_considered == (
             stats.candidates + stats.extra["pruned_by_bib"]

@@ -55,4 +55,6 @@ class TestFilterBehaviour:
         stats = str_join(trees, 1).stats
         assert stats.method == "STR"
         assert stats.candidate_time >= 0
-        assert stats.ted_calls == stats.candidates - stats.extra["lb_filtered"]
+        assert stats.ted_calls + stats.extra["certified"] == (
+            stats.candidates - stats.extra["lb_filtered"]
+        )

@@ -138,9 +138,11 @@ class TestStatistics:
         assert stats.method == "PRT"
         assert stats.tree_count == len(sample_forest)
         assert stats.results == len(result.pairs)
-        # Each candidate is either rejected by a verifier bound (no DP) or
-        # verified with exactly one banded DP.
-        assert stats.ted_calls == stats.candidates - stats.extra["lb_filtered"]
+        # Each candidate is rejected by a verifier bound (no DP), certified
+        # by its preorder alignment (no DP), or verified with one banded DP.
+        assert stats.ted_calls + stats.extra["certified"] == (
+            stats.candidates - stats.extra["lb_filtered"]
+        )
         assert stats.results <= stats.candidates
         assert stats.extra["match_hits"] <= stats.extra["match_tests"]
         assert stats.extra["match_hits"] + stats.extra["small_pool_pairs"] == (
@@ -157,10 +159,13 @@ class TestStatistics:
         assert extra["total_indexed_subgraphs"] == extra["subgraphs_built"]
 
     def test_each_pair_verified_once(self, rng):
-        # Even when many subgraphs of the same pair match, TED runs once.
+        # Even when many subgraphs of the same pair match, each pair is
+        # verified once: equal trees are certified, without a DP.
         trees = [Tree.from_bracket("{a{b}{c}{d}{e}{f}{g}}") for _ in range(3)]
         result = partsj_join(trees, 1)
-        assert result.stats.ted_calls == 3  # the three pairs
+        stats = result.stats
+        assert stats.candidates == 3  # the three pairs
+        assert stats.extra["certified"] + stats.ted_calls == 3
 
     def test_summary_text(self, sample_forest):
         text = partsj_join(sample_forest, 1).stats.summary()

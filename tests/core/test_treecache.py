@@ -107,4 +107,4 @@ class TestRecordStore:
         store[0]
         store[1].annotation
         store[2].mirror_annotation  # builds the leftmost one too
-        assert store.annotated() == 2
+        assert store.built("annotation") == 2

@@ -64,6 +64,13 @@ class TestTedWithin:
         with pytest.raises(InvalidParameterError):
             ted_within(Tree.from_bracket("{a}"), Tree.from_bracket("{a}"), -1)
 
+    @pytest.mark.parametrize("tau", [1.5, "1", True])
+    def test_non_integer_tau_rejected(self, tau):
+        # The same validation as every other entry point (check_tau): a
+        # float or string is no threshold, and a bool is not an integer.
+        with pytest.raises(InvalidParameterError, match="integer"):
+            ted_within(Tree.from_bracket("{a}"), Tree.from_bracket("{b}"), tau)
+
     def test_tau_zero_identical_trees(self):
         tree = Tree.from_bracket("{a{b}{c}}")
         assert ted_within(tree, tree.copy(), 0) == 0

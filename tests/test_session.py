@@ -234,19 +234,26 @@ class TestSessionReuse:
         first = col.join(1).run()
         assert col.join(1).run() is first  # cache hit, no recompute
 
+    def test_prep_reused_reports_a_warm_preparation(self, forest):
+        col = TreeCollection.from_trees(forest)
+        # The session's first join builds its preparation.
+        assert col.join(1).run().stats.extra["prep_reused"] is False
+        col.prepare(2)
+        assert col.join(2).run().stats.extra["prep_reused"] is True
+
     def test_multi_tau_shares_tau_independent_state(self, forest):
         col = TreeCollection.from_trees(forest)
         col.join(1).run()
         records_after_first = dict(col.verifier_caches)
-        annotations_after_first = col.verifier_caches.annotated()
-        assert records_after_first and annotations_after_first
+        views_after_first = col.verifier_caches.built("label_bag")
+        assert records_after_first and views_after_first
         col.join(2).run()
         # tau=2 re-partitions but reuses every record (and view) built for
         # tau=1: the store only grows, never replaces.
         for i, record in records_after_first.items():
             assert col.verifier_caches[i] is record
             assert col.cache(i) is record
-        assert col.verifier_caches.annotated() >= annotations_after_first
+        assert col.verifier_caches.built("label_bag") >= views_after_first
         assert col.prepared_taus() == [1, 2]
 
     def test_prepare_is_idempotent_and_keyed_by_config(self, forest):
@@ -465,7 +472,7 @@ class TestReviewRegressions:
         assert shared and set(shared) <= set(range(len(forest)))
         assert all(shared[i].tree is forest[i] for i in shared)
         # Collection-tree work done during the search was written back.
-        assert shared.annotated() > 0
+        assert shared.built("label_bag") > 0
 
     def test_workers_config_composition_reports_itself(self, forest):
         col = TreeCollection.from_trees(forest)
