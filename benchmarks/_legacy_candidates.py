@@ -5,14 +5,11 @@ generation that shipped before the flat-array engine: ``id()``-keyed
 dictionaries in the tree cache, ``(postorder_key, (str, str, str))``
 tuple keys with ``2*tau + 1``-fold window duplication in the two-layer
 index, ``frozenset`` member sets and node-object walks in subgraph
-matching.  It exists for two purposes:
-
-- ``benchmarks/bench_micro_probe.py`` runs it live against the current
-  engine to report an honest, same-machine before/after breakdown of the
-  probe/insert phases;
-- ``tests/core/test_flat_equivalence.py`` asserts the flat-array engine
-  returns pair sets and exact distances identical to this reference on
-  random workloads for every filter configuration.
+matching.  It is the reference of
+``tests/core/test_flat_equivalence.py``, which asserts that the
+flat-array engine returns the pair sets, exact distances and candidate
+counts of this reference on random workloads for every filter
+configuration.
 
 Do not optimize or "fix" this module: its value is that it stays the
 PR-1 behaviour.  Verification is intentionally shared with the live

@@ -37,13 +37,13 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
-# Trees per scale for the candidate-generation microbenchmark
-# (bench_micro_probe.py): probing and inserting are cheap per tree, so the
-# counts stay in the hundreds.
+# Trees per scale for the probe workload that bench_obs_overhead.py
+# times: probing and inserting are cheap per tree, so the counts stay in
+# the hundreds.
 PROBE_WORKLOAD_COUNTS = {"smoke": 250, "small": 400, "medium": 600}
-# Shape and seed of the probe workload.  The BENCH_PR2.json snapshot is
-# recorded on this exact definition (at smoke count), so the CI guard
-# compares like with like; regenerate the snapshot when changing it.
+# Shape and seed of the probe workload.  The snapshot bench_obs_overhead.py
+# commits is recorded on this exact definition (at smoke count), so its
+# CI guard compares like with like; regenerate the snapshot when changing it.
 PROBE_WORKLOAD_SHAPE = dict(avg_size=150, max_fanout=4, max_depth=6, cluster_size=8)
 PROBE_WORKLOAD_SEED = 1105
 
@@ -64,7 +64,7 @@ def make_probe_workload(count: int):
 
 @pytest.fixture(scope="session")
 def probe_workload(scale):
-    """Clustered synthetic trees for candidate-generation microbenchmarks."""
+    """Clustered synthetic trees of the probe workload, at this scale."""
     return make_probe_workload(PROBE_WORKLOAD_COUNTS.get(scale.name, 250))
 
 

@@ -33,7 +33,9 @@ __all__ = [
 # repro.parallel.verify_pool), the baselines and the session layer.
 JOIN_EXTRA_COUNTERS: dict[str, str] = {
     # probe/insert loop (core.join._ProbeCounters.as_dict)
-    "probe_hits": "subgraphs returned by index probes",
+    "probe_hits": "indexed subgraphs whose depth-2 key (root twig plus "
+                  "member grandchildren) equals a probe node's, within its "
+                  "postorder window",
     "match_tests": "structural matches attempted",
     "match_hits": "structural matches that succeeded",
     "dedup_skips": "probe hits skipped because the pair was already checked",

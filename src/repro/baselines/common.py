@@ -129,7 +129,10 @@ class JoinStats:
     # certificate decided (extra["certified"]), plus any the trivial upper
     # bound accepted.
     ted_calls: int = 0
-    pairs_considered: int = 0  # pairs examined by the filter phase
+    # Pairs examined by the filter phase.  The baselines count tree pairs.
+    # PartSJ sets it to probe_hits + small_pool_pairs: the (node, subgraph)
+    # hits whose depth-2 index keys agree, plus the small-pool pairs.
+    pairs_considered: int = 0
     candidate_time: float = 0.0  # seconds in candidate generation (probe + index)
     verify_time: float = 0.0  # seconds in TED verification
     # Candidate generation split: time probing existing index structures for

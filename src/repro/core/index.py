@@ -4,12 +4,19 @@ One :class:`InvertedSizeIndex` holds the partitions of every indexed tree
 (the *inverted size index* ``I`` of Algorithm 1).  The two layers of the
 paper are materialized across all sizes at once:
 
-1. **label layer** — ``merged`` maps the *packed twig key*
-   (:func:`repro.core.intern.pack_twig`: the subgraph root's ``(label,
-   left, right)`` interned label ids, epsilon (``0``) for missing /
-   non-member children, packed into one small integer) to ``{tree size:
-   bucket}``.  A twig key absent from every size costs one int-keyed
-   dictionary probe, however many sizes are probed.
+1. **label layer** — ``merged`` maps a subgraph's *depth-2 key* to
+   ``{tree size: bucket}``.  The paper files a subgraph under its packed
+   root twig (:func:`repro.core.intern.pack_twig`: the root's ``(label,
+   left, right)`` interned ids, epsilon (``0``) for missing / non-member
+   children); the depth-2 key (layout in :mod:`repro.core.intern`) adds
+   the labels of the subgraph's member grandchildren, the LC-RS children
+   of its member children.  ``shapes`` maps each twig key to the shapes
+   filed under it: which of the four grandchild slots their keys
+   constrain (:func:`repro.core.intern.shape_of`).  A probe node builds
+   its grandchild bits once and looks up one key per pair of search key
+   and filed shape, so a subgraph whose member grandchildren differ from
+   the node's is never a hit.  A subgraph that matches at the node
+   agrees with it on those labels, so the finer key loses no candidate.
 2. **postorder layer** — inside each bucket, subgraphs are stored *once*
    (not once per window key) as ``(postorder_id, half_width, subgraph)``
    entries kept sorted by ``postorder_id``.  A probe at postorder number
@@ -40,7 +47,7 @@ Mutation invariants
 The index is built for *interleaved* probing and insertion — the batch
 join alternates the two per tree, and the streaming engine
 (:mod:`repro.stream`) keeps one index alive indefinitely while trees
-keep arriving.  Three invariants make that safe:
+keep arriving.  Four invariants make that safe:
 
 1. **Append-only buckets, lazily sorted** (:class:`PostorderBucket`).
    Inserts append to a bucket and mark it dirty; the ``O(k log k)``
@@ -48,13 +55,18 @@ keep arriving.  Three invariants make that safe:
    alternating pattern thus pays one amortized sort per touched bucket
    per tree rather than ``O(k)`` shifting per insert, and a probe always
    observes every earlier insert.
-2. **Append-only label ids.**  Packed twig keys embed interned label ids
+2. **Append-only label ids.**  Index keys embed interned label ids
    (:mod:`repro.core.intern`); the interner never reassigns an id, so a
    key filed in a bucket remains probe-able forever regardless of how
    many new labels later trees introduce.  A label first seen *after* a
    subgraph was filed gets a fresh id, whose packed keys cannot collide
    with any stored key.
-3. **Monotone statistics.**  ``counts`` / ``total_subgraphs`` /
+3. **Append-only shape lists.**  An insert that files the first subgraph
+   under a depth-2 key appends that key's shape to its twig key's
+   ``shapes`` entry if the shape is new (a tuple, replaced by one that
+   extends it), before any probe can look for the key; shapes are never
+   removed or reordered.
+4. **Monotone statistics.**  ``counts`` / ``total_subgraphs`` /
    ``total_entries`` only grow, so a streaming consumer may publish them
    mid-ingest without tearing.
 
@@ -70,9 +82,10 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.core.intern import search_keys
+from repro.core.intern import grandchild_bits, search_keys, shape_of
 from repro.core.subgraph import Subgraph
 from repro.errors import InvalidParameterError
+from repro.params import check_tau
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.treecache import TreeCache
@@ -155,31 +168,43 @@ class PostorderBucket:
 
 
 class InvertedSizeIndex:
-    """``I``: the partitions of every indexed tree, by twig key and size.
+    """``I``: the partitions of every indexed tree, by depth-2 key and size.
 
-    ``merged`` maps ``twig_key -> {tree size: PostorderBucket}`` and
-    ``counts`` maps ``tree size -> subgraphs filed``.
+    ``merged`` maps ``depth-2 key -> {tree size: PostorderBucket}``,
+    ``shapes`` maps ``twig key -> ((shape_bits, mask), ...)`` (the shapes
+    of the depth-2 keys filed under that twig,
+    :func:`repro.core.intern.shape_of`) and ``counts`` maps ``tree size
+    -> subgraphs filed``.
     """
 
-    __slots__ = ("tau", "postorder_filter", "merged", "counts")
+    __slots__ = ("tau", "postorder_filter", "merged", "shapes", "counts")
 
     def __init__(self, tau: int, postorder_filter: PostorderFilter | str = "safe"):
-        if tau < 0:
-            raise InvalidParameterError(f"tau must be >= 0, got {tau}")
-        self.tau = tau
+        self.tau = check_tau(tau)
         self.postorder_filter = PostorderFilter.coerce(postorder_filter)
         self.merged: dict[int, dict[int, PostorderBucket]] = {}
+        self.shapes: dict[int, tuple[tuple[int, int], ...]] = {}
         self.counts: dict[int, int] = {}
 
     def insert_all(self, size: int, subgraphs: list[Subgraph]) -> None:
-        """File a tree's partition once per subgraph under its twig key."""
+        """File a tree's partition once per subgraph under its depth-2 key."""
         mode = self.postorder_filter
         tau = self.tau
         merged = self.merged
+        shapes = self.shapes
         for subgraph in subgraphs:
-            by_size = merged.get(subgraph.twig_key)
+            cache = subgraph.cache
+            key = subgraph.twig_key | grandchild_bits(
+                cache.labels, cache.left, cache.right,
+                subgraph.root_number, subgraph.member_bits,
+            )
+            by_size = merged.get(key)
             if by_size is None:
-                by_size = merged[subgraph.twig_key] = {}
+                by_size = merged[key] = {}
+                filed = shapes.get(subgraph.twig_key, ())
+                shape = shape_of(key)
+                if shape not in filed:
+                    shapes[subgraph.twig_key] = filed + (shape,)
             bucket = by_size.get(size)
             if bucket is None:
                 bucket = by_size[size] = PostorderBucket()
@@ -213,10 +238,13 @@ class InvertedSizeIndex:
         """Gather the indexed trees of size ``[lo_size, hi_size]`` that may
         be within ``tau`` of ``cache``'s tree (Algorithm 1 lines 5-12).
 
-        Every node ``b`` probes with its at most four search keys
-        (:func:`repro.core.intern.search_keys`) at its postorder number
-        (general or binary, per ``numbering``).  A hit ``s`` is tested
-        with :meth:`Subgraph.matches_at_number` (``strict`` selects the
+        Every node ``b`` probes at its postorder number (general or
+        binary, per ``numbering``) with its at most four search keys
+        (:func:`repro.core.intern.search_keys`), each combined with the
+        node's grandchild labels in every shape filed under it.  A hit
+        ``s`` (a subgraph whose depth-2 key equals one of those, within
+        the postorder window) is tested with
+        :meth:`Subgraph.matches_at_number` (``strict`` selects the
         paper's semantics) unless the pair of ``owner`` — the probing
         tree's index, ``-1`` for a query outside the collection — and
         ``s.owner`` is already in ``checked``; a match adds the pair to
@@ -231,6 +259,7 @@ class InvertedSizeIndex:
         if not sizes:
             return 0, 0, 0
         merged = self.merged
+        shapes = self.shapes
         mode = self.postorder_filter
         off = mode is PostorderFilter.OFF
         strict_window = mode is PostorderFilter.PAPER
@@ -247,32 +276,41 @@ class InvertedSizeIndex:
             p = positions[b]
             lo = p - tau
             hi = p + tau
+            grandchildren = -1  # built once a search key has a shape filed
             # labels[0] is epsilon's id 0, so a missing child reads as 0.
             for twig_key in search_keys(labels[b], labels[left[b]], labels[right[b]]):
-                by_size = merged.get(twig_key)
-                if by_size is None:
+                filed = shapes.get(twig_key)
+                if filed is None:
                     continue
-                for size in sizes:
-                    bucket = by_size.get(size)
-                    if bucket is None:
+                if grandchildren < 0:
+                    grandchildren = grandchild_bits(labels, left, right, b)
+                for shape_bits, mask in filed:
+                    by_size = merged.get(
+                        twig_key | shape_bits | (grandchildren & mask)
+                    )
+                    if by_size is None:
                         continue
-                    entries = bucket.entries
-                    if off:
-                        start, stop = 0, len(entries)
-                    else:
-                        start, stop = bucket.span(lo, hi)
-                    for k in range(start, stop):
-                        pk, half, subgraph = entries[k]
-                        if strict_window and not -half <= p - pk <= half:
+                    for size in sizes:
+                        bucket = by_size.get(size)
+                        if bucket is None:
                             continue
-                        probe_hits += 1
-                        j = subgraph.owner
-                        key = (j, owner) if j < owner else (owner, j)
-                        if key in checked:
-                            dedup_skips += 1
-                            continue
-                        match_tests += 1
-                        if subgraph.matches_at_number(cache, b, strict):
-                            checked.add(key)
-                            candidates.append(j)
+                        entries = bucket.entries
+                        if off:
+                            start, stop = 0, len(entries)
+                        else:
+                            start, stop = bucket.span(lo, hi)
+                        for k in range(start, stop):
+                            pk, half, subgraph = entries[k]
+                            if strict_window and not -half <= p - pk <= half:
+                                continue
+                            probe_hits += 1
+                            j = subgraph.owner
+                            key = (j, owner) if j < owner else (owner, j)
+                            if key in checked:
+                                dedup_skips += 1
+                                continue
+                            match_tests += 1
+                            if subgraph.matches_at_number(cache, b, strict):
+                                checked.add(key)
+                                candidates.append(j)
         return probe_hits, match_tests, dedup_skips

@@ -2,8 +2,8 @@
 
 The candidate-generation hot path (probe/insert of Algorithm 1) never
 compares label *strings*: every label is interned once into a small
-integer id, and the two-layer index keys on a single packed integer per
-twig instead of a ``(str, str, str)`` tuple.  Integer equality and
+integer id, and the subgraph index keys on a single packed integer per
+subgraph top instead of a tuple of strings.  Integer equality and
 integer hashing are both several times cheaper than tuple-of-string
 hashing, and the ids double as direct indices into per-tree flat arrays
 (:mod:`repro.core.treecache`).
@@ -15,8 +15,19 @@ Layout
   "no edge / bridging edge" without a lookup.
 - Ids are assigned densely in first-seen order and never exceed
   ``MAX_LABEL_ID`` (21 bits), which lets a whole twig ``(label, left,
-  right)`` pack into one 63-bit integer via :func:`pack_twig` — a single
-  small-int dict key on 64-bit CPython.
+  right)`` pack into one 63-bit integer via :func:`pack_twig`.
+- A *depth-2 key* extends a packed twig with the subgraph's member
+  grandchildren — the LC-RS children of its member children, four slots
+  in the order left-left, left-right, right-left, right-right
+  (:func:`grandchild_bits`).  Bits 63-66 hold a 4-bit shape code with
+  bit ``k`` set when slot ``k`` is constrained; above them, slot ``k``
+  takes the 22 bits from ``67 + 22*k`` and holds the grandchild's label
+  id + 1, or 0 when the slot is unconstrained.  The +1 keeps a real
+  ``""`` label (id 0) apart from a missing grandchild, and the shape
+  code keeps two shapes from yielding one key for a probe node that
+  lacks a grandchild one of them constrains.  The forward index
+  (:class:`repro.core.index.InvertedSizeIndex`) files each subgraph
+  under this key; the stream's reverse index keeps twig keys.
 
 A process-wide :data:`DEFAULT_INTERNER` is shared by every
 :class:`~repro.core.treecache.TreeCache` unless an explicit interner is
@@ -46,6 +57,9 @@ __all__ = [
     "pack_twig",
     "unpack_twig",
     "search_keys",
+    "grandchild_bits",
+    "unpack_grandchildren",
+    "shape_of",
 ]
 
 EPSILON = ""  # dummy label for a missing/non-member binary child
@@ -57,6 +71,24 @@ MAX_LABEL_ID = (1 << _LABEL_BITS) - 1  # 2_097_151 distinct labels
 # Bit positions of the twig components inside a packed key.
 TWIG_LABEL_SHIFT = 2 * _LABEL_BITS
 TWIG_LEFT_SHIFT = _LABEL_BITS
+
+# Depth-2 keys: the 63 twig bits, a 4-bit shape code, then four grandchild
+# slots of 22 bits, since MAX_LABEL_ID + 1 needs the 22nd bit.
+_SHAPE_SHIFT = 3 * _LABEL_BITS
+_GRANDCHILD_SHIFT = _SHAPE_SHIFT + 4
+_SLOT_BITS = _LABEL_BITS + 1
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_SLOT_SHIFTS = tuple(_GRANDCHILD_SHIFT + k * _SLOT_BITS for k in range(4))
+_SHAPE_BITS = tuple(1 << (_SHAPE_SHIFT + k) for k in range(4))
+# Per shape code, one shared pair: the code in place, and a mask of the
+# grandchild slots it constrains.
+_SHAPES = tuple(
+    (
+        code << _SHAPE_SHIFT,
+        sum(_SLOT_MASK << _SLOT_SHIFTS[k] for k in range(4) if code >> k & 1),
+    )
+    for code in range(16)
+)
 
 
 def _bounded(lid: int) -> int:
@@ -203,3 +235,78 @@ def search_keys(label: int, left: int, right: int) -> tuple[int, ...]:
     if right:
         return (full_key, bare_key)
     return (full_key,)
+
+
+def grandchild_bits(labels, left, right, node: int, member=None) -> int:
+    """The bits a depth-2 key adds above ``node``'s twig key.
+
+    ``labels`` / ``left`` / ``right`` are a record's flat arrays
+    (:class:`repro.core.treecache.TreeCache`).  Slot ``k`` (left-left,
+    left-right, right-left, right-right) is filled when that grandchild
+    exists and, given a subgraph's bitmap ``member``, when it and the
+    child above it are both members.  A filled slot holds the label id
+    + 1 and sets shape bit ``k``.  A subgraph's twig key OR these bits
+    (over its bitmap) is the key the forward index files it under; a
+    probe node passes no bitmap and so fills every slot it has.
+
+    Below, ``{a{b{c}}{d}}`` in binary postorder: ``a``'s left child is
+    ``b``, whose left and right children are ``c`` and ``d``.
+
+    >>> labels, left, right = [0, 3, 4, 2, 1], [0, 0, 0, 1, 3], [0, 0, 0, 2, 0]
+    >>> unpack_grandchildren(grandchild_bits(labels, left, right, 4))
+    (3, 4, None, None)
+    >>> member = bytes([0, 1, 0, 1, 1])  # d belongs to another subgraph
+    >>> unpack_grandchildren(grandchild_bits(labels, left, right, 4, member))
+    (3, None, None, None)
+    """
+    bits = 0
+    child = left[node]
+    if child and (member is None or member[child]):
+        grandchild = left[child]
+        if grandchild and (member is None or member[grandchild]):
+            bits = _SHAPE_BITS[0] | (labels[grandchild] + 1) << _SLOT_SHIFTS[0]
+        grandchild = right[child]
+        if grandchild and (member is None or member[grandchild]):
+            bits |= _SHAPE_BITS[1] | (labels[grandchild] + 1) << _SLOT_SHIFTS[1]
+    child = right[node]
+    if child and (member is None or member[child]):
+        grandchild = left[child]
+        if grandchild and (member is None or member[grandchild]):
+            bits |= _SHAPE_BITS[2] | (labels[grandchild] + 1) << _SLOT_SHIFTS[2]
+        grandchild = right[child]
+        if grandchild and (member is None or member[grandchild]):
+            bits |= _SHAPE_BITS[3] | (labels[grandchild] + 1) << _SLOT_SHIFTS[3]
+    return bits
+
+
+def unpack_grandchildren(key: int) -> tuple:
+    """The four grandchild label ids of a depth-2 key (or of
+    :func:`grandchild_bits`), ``None`` where a slot is unconstrained."""
+    return tuple(
+        (key >> shift & _SLOT_MASK) - 1 if key & shape else None
+        for shape, shift in zip(_SHAPE_BITS, _SLOT_SHIFTS)
+    )
+
+
+def shape_of(key: int) -> tuple[int, int]:
+    """``(shape_bits, mask)`` of a depth-2 key: its 4-bit shape code in
+    place, and a mask of the grandchild slots that code constrains.
+
+    A probe node with twig key ``t`` and grandchild bits ``g`` can match
+    a subgraph filed under ``key`` only if ``t | shape_bits | (g & mask)
+    == key``.  The shape bits keep two shapes apart where ``g`` lacks a
+    slot one of them constrains.  The 16 pairs are shared constants, so
+    an index that keeps one per filed shape allocates nothing for it.
+
+    With the record of :func:`grandchild_bits`' example, a subgraph
+    ``{a{b{c}}}`` is found by node ``a`` of the whole tree:
+
+    >>> labels, left, right = [0, 3, 4, 2, 1], [0, 0, 0, 1, 3], [0, 0, 0, 2, 0]
+    >>> member = bytes([0, 1, 0, 1, 1])
+    >>> twig = pack_twig(1, 2, 0)
+    >>> key = twig | grandchild_bits(labels, left, right, 4, member)
+    >>> shape_bits, mask = shape_of(key)
+    >>> twig | shape_bits | (grandchild_bits(labels, left, right, 4) & mask) == key
+    True
+    """
+    return _SHAPES[key >> _SHAPE_SHIFT & 15]

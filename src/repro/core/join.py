@@ -4,7 +4,8 @@ Processing trees in ascending size order, each tree ``Ti``:
 
 1. **Probe phase** — every node ``N`` of ``Ti``'s binary representation
    probes the subgraphs of the trees of size ``[|Ti| - tau, |Ti|]`` with
-   its postorder number and packed twig keys
+   its postorder number and its depth-2 keys, its packed twig variants
+   plus its grandchild labels
    (:meth:`repro.core.index.InvertedSizeIndex.probe`, the forward probe
    the searchers share).  Every returned subgraph ``s`` is structurally
    matched at ``N`` by an integer-array walk; a successful match makes
@@ -226,7 +227,9 @@ class PreparedJoinState:
 class _ProbeCounters:
     """Mutable per-join counters feeding ``JoinStats.extra``."""
 
-    probe_hits: int = 0  # subgraphs returned by the index
+    # Indexed subgraphs whose depth-2 key (root twig plus member
+    # grandchildren) equals a probe node's, within its postorder window.
+    probe_hits: int = 0
     match_tests: int = 0  # structural matches attempted
     match_hits: int = 0  # structural matches that succeeded
     dedup_skips: int = 0  # probe hits skipped because the pair was checked

@@ -103,8 +103,10 @@ class Subgraph:
         The root twig ``(label, left, right)`` as interned ids, epsilon
         (``0``) for missing / non-member children.
     twig_key:
-        :func:`repro.core.intern.pack_twig` of :attr:`twig_ids` — the
-        integer the two-layer index files this subgraph under.
+        :func:`repro.core.intern.pack_twig` of :attr:`twig_ids`.  The
+        stream's reverse index looks it up and snapshots store it; the
+        forward index files the subgraph under it plus its member
+        grandchildren (:meth:`repro.core.index.InvertedSizeIndex.insert_all`).
     incoming_code:
         Incoming-edge category of the root: 0 root, 1 left, 2 right.
     """

@@ -15,16 +15,18 @@ but ``U`` already ran its probe phase before ``T`` existed.
 
 - On ingest, every partitioned tree registers each of its nodes under the
   node's at-most-four packed *search keys* (the epsilon-collapsed twig
-  variants of :func:`repro.core.intern.search_keys` — exactly the keys
-  that node would probe the forward index with), bucketed by tree size
-  and lazily sorted by the node's postorder number in the forward
+  variants of :func:`repro.core.intern.search_keys`, the twig part of
+  the keys that node probes the forward index with), bucketed by tree
+  size and lazily sorted by the node's postorder number in the forward
   index's own :class:`repro.core.index.PostorderBucket`.
 - On arrival of ``T``, each subgraph ``s`` of ``T``'s partition looks up
-  its own ``twig_key`` — by construction the set of registered
-  ``(tree, node)`` anchors under that key at size ``|U|`` within the
-  postorder window ``|p_node - p_s| <= Delta'(s)`` is *identical* to the
-  set of probes that would have hit ``s`` had ``T`` been indexed before
-  ``U`` probed.  The caller then runs the very same structural match
+  its own ``twig_key``.  The registered ``(tree, node)`` anchors under
+  that key at size ``|U|`` within the postorder window ``|p_node - p_s|
+  <= Delta'(s)`` are a superset of the probes that would have hit ``s``
+  had ``T`` been indexed before ``U`` probed: the forward index keys on
+  the twig *and* the member grandchildren, so it skips the anchors
+  whose grandchildren differ.  Those anchors fail the match anyway.
+  The caller runs the very same structural match
   (:meth:`repro.core.subgraph.Subgraph.matches_at_number`, with the
   ingested tree's retained :class:`~repro.core.treecache.TreeCache` as
   the prober), so the streamed candidate set for these pairs is equal to
@@ -48,6 +50,7 @@ from typing import Iterator
 from repro.core.index import PostorderBucket, PostorderFilter
 from repro.core.intern import search_keys
 from repro.core.treecache import TreeCache
+from repro.params import check_tau
 
 __all__ = ["NodeTwigIndex"]
 
@@ -65,7 +68,7 @@ class NodeTwigIndex:
     __slots__ = ("tau", "postorder_filter", "merged", "tree_count", "node_count")
 
     def __init__(self, tau: int, postorder_filter: PostorderFilter | str = "safe"):
-        self.tau = tau
+        self.tau = check_tau(tau)
         self.postorder_filter = PostorderFilter.coerce(postorder_filter)
         self.merged: dict[int, dict[int, PostorderBucket]] = {}
         self.tree_count = 0
@@ -113,8 +116,9 @@ class NodeTwigIndex:
         Anchors are registered nodes of trees with size in ``[lo_size,
         hi_size]`` whose search-key set contains ``twig_key`` and whose
         postorder number lies within ``half`` of ``postorder_id`` (the
-        window is skipped entirely when the layer is ``OFF``) — exactly
-        the probes that would have hit this subgraph in a batch run.
+        window is skipped entirely when the layer is ``OFF``) — a
+        superset of the probes that would have hit this subgraph in a
+        batch run, which also match its member grandchildren.
         """
         by_size = self.merged.get(twig_key)
         if by_size is None:

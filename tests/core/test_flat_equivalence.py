@@ -2,9 +2,10 @@
 
 The PR-2 rewrite (interned labels, packed index keys, bitmap subgraphs,
 int-array matching, one index entry per subgraph) must be a pure
-performance change: for every filter configuration, the join's pair sets
-and exact distances must be identical to the pre-refactor object-graph
-path, which is preserved verbatim in ``benchmarks/_legacy_candidates``.
+performance change: for every filter configuration, the join's pair sets,
+exact distances and candidate counts must be identical to the
+pre-refactor object-graph path, which is preserved verbatim in
+``benchmarks/_legacy_candidates``.
 Verification is shared between the two joins, so any disagreement is a
 candidate-generation divergence.
 """
@@ -35,6 +36,12 @@ CONFIGS = [
 ]
 
 
+# Few labels make twigs collide, so the index key's grandchild slots
+# decide which subgraphs a node reaches.  A real "" label interns to
+# epsilon's id 0.
+ALPHABETS = [LABELS, ["a"], ["a", "b"], ["", "x", "é"]]
+
+
 def pair_list(pairs):
     return [(p.i, p.j, p.distance) for p in pairs]
 
@@ -42,15 +49,16 @@ def pair_list(pairs):
 @st.composite
 def clustered_forests(draw):
     """Random forests with near-duplicates (the join's natural workload)."""
+    labels = draw(st.sampled_from(ALPHABETS))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = random.Random(seed)
     clusters = draw(st.integers(min_value=1, max_value=3))
     trees = []
     for _ in range(clusters):
-        base = make_random_tree(rng, rng.randint(4, 12))
+        base = make_random_tree(rng, rng.randint(4, 12), labels)
         trees.append(base)
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            edited, _ = random_script(base, rng.randint(0, 4), rng, LABELS)
+            edited, _ = random_script(base, rng.randint(0, 4), rng, labels)
             trees.append(edited)
     return trees
 
@@ -64,8 +72,9 @@ def clustered_forests(draw):
 def test_flat_engine_equals_legacy_reference(forest, tau):
     for config in CONFIGS:
         flat = partsj_join(forest, tau, config)
-        legacy_pairs, _ = legacy_partsj_join(forest, tau, config)
+        legacy_pairs, legacy_stats = legacy_partsj_join(forest, tau, config)
         assert pair_list(flat.pairs) == pair_list(legacy_pairs), config
+        assert flat.stats.candidates == legacy_stats.candidates, config
 
 
 @pytest.mark.parametrize("tau", [1, 2])

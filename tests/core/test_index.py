@@ -8,6 +8,7 @@ from repro.core.partition import extract_partition
 from repro.core.subgraph import EPSILON
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError
+from repro.stream.reverse import NodeTwigIndex
 from repro.tree.node import Tree, TreeNode
 from tests.conftest import make_random_tree
 
@@ -139,7 +140,7 @@ class TestInsertProbe:
         assert probe(index, query) == ((0, 0, 0), [])
 
     def test_no_duplicates_in_probe_results(self, rng):
-        # Each subgraph is stored once under its one twig key and a node's
+        # Each subgraph is stored once under its one key and a node's
         # search keys are duplicate-free, so a tree probing its own
         # partition hits every subgraph exactly once (at its root).
         tau = 2
@@ -185,6 +186,39 @@ class TestInsertProbe:
         )
         assert counts == (len(subs), 0, len(subs))
         assert candidates == []
+
+
+def whole_tree_index(bracket, tau=1):
+    """An index holding one subgraph: the whole tree of ``bracket``."""
+    cache = TreeCache(Tree.from_bracket(bracket))
+    index = InvertedSizeIndex(tau, PostorderFilter.SAFE)
+    index.insert_all(cache.size, extract_partition(cache, owner=OWNER, delta=1))
+    return index
+
+
+def probe_bracket(index, bracket):
+    return probe(index, TreeCache(Tree.from_bracket(bracket)))
+
+
+class TestDepthTwoKey:
+    """The key holds the subgraph's member grandchildren, so a node whose
+    grandchildren differ finds nothing and runs no match test."""
+
+    def test_different_grandchild_label_is_not_a_hit(self):
+        index = whole_tree_index("{a{b{c}}}")
+        assert probe_bracket(index, "{a{b{x}}}") == ((0, 0, 0), [])
+
+    @pytest.mark.parametrize("label", ["c", ""])
+    def test_missing_grandchild_is_not_a_hit(self, label):
+        # The grandchild moves from b's first child to b's next sibling:
+        # node a keeps the twig (a, b, epsilon) but has no left-left
+        # grandchild.  A "" label has epsilon's id 0; the key stores id + 1.
+        index = whole_tree_index("{a{b{%s}}}" % label)
+        assert probe_bracket(index, "{a{b}{%s}}" % label) == ((0, 0, 0), [])
+
+    def test_empty_label_grandchild_is_found(self):
+        index = whole_tree_index("{a{b{}}}")
+        assert probe_bracket(index, "{a{b{}}}") == ((1, 1, 0), [OWNER])
 
 
 class TestEntryCountIndependentOfTau:
@@ -236,10 +270,13 @@ class TestInvertedSizeIndex:
                 assert owners == {cache_a if size == 12 else cache_b}
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            InvertedSizeIndex(tau=-1)
-        with pytest.raises(InvalidParameterError):
-            InvertedSizeIndex(tau=1, postorder_filter="nope")
+        # The stream's reverse index checks its parameters the same way.
+        for index_class in (InvertedSizeIndex, NodeTwigIndex):
+            for tau in (-1, 1.5, True, "1"):
+                with pytest.raises(InvalidParameterError):
+                    index_class(tau=tau)
+            with pytest.raises(InvalidParameterError):
+                index_class(tau=1, postorder_filter="nope")
 
     def test_postorder_filter_coercion(self):
         index = InvertedSizeIndex(tau=1, postorder_filter=PostorderFilter.PAPER)

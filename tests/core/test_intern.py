@@ -10,7 +10,10 @@ from repro.core.intern import (
     EPSILON_ID,
     MAX_LABEL_ID,
     LabelInterner,
+    grandchild_bits,
     pack_twig,
+    shape_of,
+    unpack_grandchildren,
     unpack_twig,
 )
 from repro.core.treecache import TreeCache
@@ -115,6 +118,38 @@ class TestPackedTwigKeys:
         interner._labels = [EPSILON] * (MAX_LABEL_ID + 1)  # simulate fullness
         with pytest.raises(InvalidParameterError, match="overflow"):
             interner.intern("one-too-many")
+
+
+class TestDepthTwoKeys:
+    # Binary postorder arrays of a node 7 whose left child 3 has children
+    # 1 and 2 and whose right child 6 has children 4 and 5: all four
+    # grandchild slots are present.
+    LEFT = [0, 0, 0, 1, 0, 0, 4, 3]
+    RIGHT = [0, 0, 0, 2, 0, 0, 5, 6]
+
+    def test_max_label_id_in_every_grandchild_slot(self):
+        # A slot holds id + 1, which for MAX_LABEL_ID needs the 22nd bit.
+        labels = [0] + [MAX_LABEL_ID] * 7
+        bits = grandchild_bits(labels, self.LEFT, self.RIGHT, 7)
+        assert unpack_grandchildren(bits) == (MAX_LABEL_ID,) * 4
+        twig = pack_twig(MAX_LABEL_ID, MAX_LABEL_ID, MAX_LABEL_ID)
+        assert twig & bits == 0
+        key = twig | bits
+        shape_bits, mask = shape_of(key)
+        assert twig | shape_bits | (bits & mask) == key
+        assert mask & (twig | shape_bits) == 0
+
+    def test_empty_label_is_not_a_missing_grandchild(self):
+        labels = [0] * 8  # every node labelled "" (epsilon's id 0)
+        bits = grandchild_bits(labels, self.LEFT, self.RIGHT, 7)
+        assert unpack_grandchildren(bits) == (EPSILON_ID,) * 4
+        member = bytearray([0, 1, 0, 1, 0, 1, 1, 1])  # drop nodes 2 and 4
+        assert unpack_grandchildren(
+            grandchild_bits(labels, self.LEFT, self.RIGHT, 7, member)
+        ) == (EPSILON_ID, None, None, EPSILON_ID)
+        assert unpack_grandchildren(
+            grandchild_bits(labels, self.LEFT, self.RIGHT, 3)
+        ) == (None,) * 4
 
 
 class TestStreamingInternerGrowth:
