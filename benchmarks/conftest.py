@@ -76,12 +76,12 @@ def save_and_print(results_dir: Path, name: str, scale, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-# Trees per scale for the streaming-ingestion benchmark
-# (bench_stream_ingest.py).  Mixed-size clusters at a moderate average
+# Trees per scale for the persistence benchmark's stream workload
+# (bench_session_persist.py).  Mixed-size clusters at a moderate average
 # size: big enough that candidate generation and verification both
-# register, small enough that the CI smoke guard (streaming overhead vs
-# batch) finishes in seconds.  The BENCH_PR4.json snapshot is recorded on
-# this exact definition (smoke count); regenerate it when changing this.
+# register, small enough that its CI smoke guard finishes in seconds.
+# The BENCH_PR7.json snapshot is recorded on this exact definition (smoke
+# count); regenerate it when changing this.
 STREAM_WORKLOAD_COUNTS = {"smoke": 300, "small": 500, "medium": 800}
 STREAM_WORKLOAD_SHAPE = dict(
     avg_size=80, max_fanout=4, max_depth=6, cluster_size=8, decay=0.03
@@ -101,5 +101,5 @@ def make_stream_workload(count: int):
 
 @pytest.fixture(scope="session")
 def stream_workload(scale):
-    """Clustered synthetic trees for the streaming-ingestion benchmark."""
+    """Clustered synthetic trees for the persistence benchmark."""
     return make_stream_workload(STREAM_WORKLOAD_COUNTS.get(scale.name, 300))

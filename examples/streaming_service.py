@@ -39,7 +39,7 @@ def make_event(rng: random.Random, service_id: int, spans: int) -> Tree:
     bracket += "}{client{web}}"
     # Some traces carry retry markers: sizes inside a cluster differ by a
     # node or two, so a smaller variant can arrive *after* its larger
-    # near-duplicates — the pairs the engine's reverse index covers.
+    # near-duplicates — the pairs each arrival's larger-side probe finds.
     for _ in range(rng.randint(0, 2)):
         bracket += "{retry}"
     return Tree.from_bracket(bracket + "}")
@@ -77,7 +77,7 @@ def main() -> None:
     stats = join.stats()
     print(f"streamed {stats.trees} events at {stats.ingest_rate:.0f}/s: "
           f"{stats.results} duplicate pairs, {stats.candidates} candidates "
-          f"({stats.reverse_candidates} found via the reverse index)")
+          f"({stats.reverse_candidates} among earlier, larger events)")
 
     # -- 3. Warm-index search mid-ingest -----------------------------------
     searcher = join.searcher()  # a live view: no copy, no rebuild

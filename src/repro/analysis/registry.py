@@ -98,7 +98,7 @@ STREAM_EXTRA_COUNTERS: dict[str, str] = {
 BENCH_EXTRA_COUNTERS: dict[str, str] = {
     "ingest_rate": "trees ingested per second of ingest wall",
     "time_to_first_result": "seconds until the first streamed pair",
-    "reverse_candidates": "candidates found via the reverse node-twig index",
+    "reverse_candidates": "candidates among earlier, larger arrivals",
 }
 
 #: Every extra key a write site may use (the ``counter-registry`` rule's

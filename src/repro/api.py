@@ -352,9 +352,10 @@ def stream_join(
     :class:`~repro.baselines.common.JoinPair` objects **as they are
     found**, where pair indices are arrival positions.  Each arrival's
     pairs are yielded right after it is ingested, so after any prefix the
-    yielded pairs are exactly those of ``similarity_join(prefix, tau)``:
-    a consumer can stop early with a correct join of the prefix it has
-    seen.
+    yielded pairs are exactly those of ``similarity_join(prefix, tau)``
+    under a sound ``config`` such as the default (see
+    :mod:`repro.stream.engine`): a consumer can stop early with a correct
+    join of the prefix it has seen.
 
     A thin shim over :class:`repro.session.StreamPlan` (laziness is why
     it takes an iterable rather than a prepared collection; an in-memory

@@ -73,7 +73,6 @@ in either argument order and in every process.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -447,15 +446,6 @@ class SizeSortedCollection:
     All joins process trees in this order (Algorithm 1, line 3): for the
     probe tree ``Ti``, only previously seen trees within the size window
     ``[|Ti| - tau, |Ti|]`` can be join partners.
-
-    The collection is *incrementally growable*: :meth:`insert` appends a
-    tree to the wrapped list and splices it into the sorted order, the
-    hoisted ``sizes`` and the cached size histogram **in place**, so a
-    streaming consumer (:class:`repro.stream.StreamingJoin`) never
-    rebuilds or re-sorts.  Equal sizes keep the batch constructor's
-    stable tie-break (ascending original index) because an inserted tree
-    always carries the largest index so far and lands *after* its
-    equal-size run.
     """
 
     def __init__(self, trees: Sequence[Tree]):
@@ -468,51 +458,12 @@ class SizeSortedCollection:
     def __len__(self) -> int:
         return len(self.order)
 
-    def insert(self, tree: Tree) -> int:
-        """Append ``tree`` to the wrapped list and splice the sorted views.
-
-        Returns the tree's original index (``len(trees) - 1`` after the
-        append).  The wrapped ``trees`` must be a list this collection is
-        allowed to grow — the streaming engine owns such a list; batch
-        joins never call this.  The cached histogram is updated in place
-        (not invalidated), so a caller interleaving
-        :meth:`size_histogram` with inserts always sees coherent counts.
-        """
-        if not isinstance(tree, Tree):
-            raise InvalidParameterError(
-                f"insert expects a Tree, got {type(tree).__name__}"
-            )
-        trees = self.trees
-        if not isinstance(trees, list):
-            raise InvalidParameterError(
-                "SizeSortedCollection.insert requires the collection to wrap "
-                f"a mutable list, not {type(trees).__name__}"
-            )
-        index = len(trees)
-        trees.append(tree)
-        size = tree.size
-        # bisect_right: after the equal-size run, preserving the stable
-        # (size, original index) order of the batch constructor.
-        position = bisect_right(self.sizes, size)
-        self.order.insert(position, index)
-        self.sizes.insert(position, size)
-        if self._histogram is not None:
-            histogram = self._histogram
-            run = bisect_left(histogram, (size,))
-            if run < len(histogram) and histogram[run][0] == size:
-                histogram[run] = (size, histogram[run][1] + 1)
-            else:
-                histogram.insert(run, (size, 1))
-        return index
-
     def size_histogram(self) -> list[tuple[int, int]]:
         """Ascending ``(size, count)`` runs of the sorted collection.
 
         Computed once and cached; shard planning
         (:func:`repro.parallel.sharding.plan_shards`) and collection
-        statistics read it instead of re-scanning ``sizes``.  The cache
-        stays coherent under :meth:`insert`, which updates the affected
-        run in place.
+        statistics read it instead of re-scanning ``sizes``.
         """
         if self._histogram is None:
             histogram: list[tuple[int, int]] = []

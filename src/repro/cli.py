@@ -52,6 +52,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.baselines.common import SizeSortedCollection
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import render_figure
 from repro.core.join import PartSJConfig
@@ -321,7 +322,6 @@ def _cmd_stats_stream(args: argparse.Namespace) -> int:
         for tree in _iter_stream_trees(sys.stdin, args.format):
             join.add(tree)
         stats = join.stats()
-        histogram = join.collection.size_histogram()
     if args.metrics:
         registry = MetricsRegistry()
         publish_stream_stats(stats, registry=registry)
@@ -333,13 +333,13 @@ def _cmd_stats_stream(args: argparse.Namespace) -> int:
     )
     print(
         f"warm index: {stats.index_entries} entries / "
-        f"{stats.index_subgraphs} subgraphs, {stats.reverse_nodes} reverse "
-        f"node keys, small pool {stats.small_pool}"
+        f"{stats.index_subgraphs} subgraphs, small pool {stats.small_pool}"
     )
     print(
         f"results {stats.results}, candidates {stats.candidates} "
-        f"({stats.reverse_candidates} via reverse index)"
+        f"({stats.reverse_candidates} from earlier, larger arrivals)"
     )
+    histogram = SizeSortedCollection(join.trees).size_histogram()
     if histogram:
         sizes = [size for size, _ in histogram]
         peak_size, peak_count = max(histogram, key=lambda run: run[1])

@@ -35,12 +35,17 @@ factor of ``2*tau + 1`` and makes the number of stored entries
 independent of ``tau`` (``counts`` holds the subgraphs filed per size).
 
 :meth:`InvertedSizeIndex.probe` is the one forward probe (Algorithm 1
-lines 5-12).  Under SAFE matching Lemma 2 holds whichever of two trees
-is partitioned, so the same loop serves the batch join and the stream
-(which probe the sizes ``[n - tau, n]`` below a tree of ``n`` nodes, see
-:class:`repro.core.join.ShardDriver`) and both similarity searchers
-(which probe the whole window ``[n - tau, n + tau]`` around the query,
-the sizes above ``n`` under SAFE matching, see :mod:`repro.search`).
+lines 5-12): a tree of ``n`` nodes probes the sizes ``[n - tau, n]``
+below it, under the configured semantics and window.  The batch join,
+its shards and the stream run it for every tree (see
+:class:`repro.core.join.ShardDriver`), both similarity searchers for
+every query (:mod:`repro.search`).  Under SAFE matching Lemma 2 holds
+whichever of two trees is partitioned, so the same loop also finds the
+indexed trees *larger* than a probing tree, sizes ``[n + 1, n + tau]``:
+:meth:`InvertedSizeIndex.probe_larger` holds that rule (SAFE matching,
+and a window that holds when the larger tree is the partitioned one).
+The searchers run it for every query, and the stream for every arrival,
+to find the earlier arrivals larger than it.
 
 Mutation invariants
 -------------------
@@ -124,11 +129,10 @@ def postorder_half_width(
 ) -> int:
     """Half-width ``Delta'`` of a subgraph's postorder window.
 
-    One source of truth for the window rule, shared by the forward index
-    and the streaming reverse index
-    (:class:`repro.stream.reverse.NodeTwigIndex`), which applies the same
-    window from the subgraph side: ``tau - floor(rank / 2)`` under the
-    published ``PAPER`` rule, ``tau`` otherwise (``OFF`` never reads it).
+    Computed when the subgraph is filed: ``tau - floor(rank / 2)`` under
+    the published ``PAPER`` rule, ``tau`` otherwise.  Only a probe under
+    the ``PAPER`` window reads it; :meth:`InvertedSizeIndex.probe_larger`
+    never does.
     """
     if postorder_filter is PostorderFilter.PAPER:
         return max(0, tau - rank // 2)
@@ -138,11 +142,9 @@ def postorder_half_width(
 class PostorderBucket:
     """Entries of one ``(key, tree size)`` slot, sorted lazily by postorder.
 
-    Every entry is a tuple whose first field is a postorder number: the
-    forward index files ``(postorder_id, half_width, subgraph)``, the
-    stream's reverse index ``(postorder, node_number, owner)``.  ``add``
-    appends and marks the bucket dirty; :meth:`span` sorts it (stably)
-    on first use after an append.
+    Every entry is a ``(postorder_id, half_width, subgraph)`` tuple.
+    ``add`` appends and marks the bucket dirty; :meth:`span` sorts it
+    (stably) by postorder on first use after an append.
     """
 
     __slots__ = ("entries", "posts", "dirty")
@@ -243,7 +245,7 @@ class InvertedSizeIndex:
         (:func:`repro.core.intern.search_keys`), each combined with the
         node's grandchild labels in every shape filed under it.  A hit
         ``s`` (a subgraph whose depth-2 key equals one of those, within
-        the postorder window) is tested with
+        the configured postorder window) is tested with
         :meth:`Subgraph.matches_at_number` (``strict`` selects the
         paper's semantics) unless the pair of ``owner`` — the probing
         tree's index, ``-1`` for a query outside the collection — and
@@ -254,15 +256,66 @@ class InvertedSizeIndex:
         so the buckets it visits are frozen for its duration.  Returns
         ``(probe_hits, match_tests, dedup_skips)``.
         """
+        return self._probe(
+            cache, owner, lo_size, hi_size, numbering, strict,
+            self.postorder_filter, checked, candidates,
+        )
+
+    def probe_larger(
+        self,
+        cache: "TreeCache",
+        owner: int,
+        numbering: str,
+        checked: set[tuple[int, int]],
+        candidates: list[int],
+    ) -> tuple[int, int, int]:
+        """:meth:`probe` the sizes ``[n + 1, n + tau]`` above ``cache``'s
+        ``n``-node tree: the indexed trees *larger* than it.
+
+        Here the larger tree is the partitioned one.  Lemma 2 holds that
+        way round only under SAFE matching (under PAPER matching one
+        delete can break three subgraphs, see
+        :mod:`repro.core.subgraph`), so every hit is matched under SAFE
+        semantics.  The window is chosen once per call: the SAFE window
+        (half-width ``tau``) under general numbering, whatever the
+        configured filter, because the published ``Delta'`` does not hold
+        when the larger tree is the partitioned one; no window under
+        binary numbering, where no constant window is sound, or when the
+        layer is off.  Same arguments and return value as :meth:`probe`.
+        """
+        if self.postorder_filter is PostorderFilter.OFF or numbering != "general":
+            window = PostorderFilter.OFF
+        else:
+            window = PostorderFilter.SAFE
+        n = cache.size
+        return self._probe(
+            cache, owner, n + 1, n + self.tau, numbering, False, window,
+            checked, candidates,
+        )
+
+    def _probe(
+        self,
+        cache: "TreeCache",
+        owner: int,
+        lo_size: int,
+        hi_size: int,
+        numbering: str,
+        strict: bool,
+        window: PostorderFilter,
+        checked: set[tuple[int, int]],
+        candidates: list[int],
+    ) -> tuple[int, int, int]:
+        """The loop of :meth:`probe` and :meth:`probe_larger`, under
+        ``window``'s postorder rule (entries carry the configured half
+        width, which only ``PAPER`` reads)."""
         counts = self.counts
         sizes = [size for size in range(lo_size, hi_size + 1) if size in counts]
         if not sizes:
             return 0, 0, 0
         merged = self.merged
         shapes = self.shapes
-        mode = self.postorder_filter
-        off = mode is PostorderFilter.OFF
-        strict_window = mode is PostorderFilter.PAPER
+        off = window is PostorderFilter.OFF
+        strict_window = window is PostorderFilter.PAPER
         tau = self.tau
         n = cache.size
         labels = cache.labels

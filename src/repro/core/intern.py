@@ -27,7 +27,7 @@ Layout
   code keeps two shapes from yielding one key for a probe node that
   lacks a grandchild one of them constrains.  The forward index
   (:class:`repro.core.index.InvertedSizeIndex`) files each subgraph
-  under this key; the stream's reverse index keeps twig keys.
+  under this key.
 
 A process-wide :data:`DEFAULT_INTERNER` is shared by every
 :class:`~repro.core.treecache.TreeCache` unless an explicit interner is
@@ -218,8 +218,8 @@ def search_keys(label: int, left: int, right: int) -> tuple[int, ...]:
     A probe node searches its full twig plus the variants with either or
     both children replaced by epsilon; with a missing child (id 0) the
     epsilon variant coincides, so only the distinct packed keys survive.
-    The forward probe (:meth:`repro.core.index.InvertedSizeIndex.probe`)
-    and the stream's reverse index both build their keys here.
+    The index's probes (:meth:`repro.core.index.InvertedSizeIndex.probe`
+    and ``probe_larger``) build their keys here.
 
     >>> [unpack_twig(k) for k in search_keys(3, 1, 2)]
     [(3, 1, 2), (3, 1, 0), (3, 0, 2), (3, 0, 0)]

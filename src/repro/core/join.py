@@ -282,8 +282,7 @@ class ShardDriver:
       serial values.
     - :meth:`ingest` is the incremental probe-then-insert entry point of
       one tree, shared with the streaming engine (:mod:`repro.stream`):
-      one call runs both phases and hands back the candidates plus the
-      partition subgraphs.
+      one call runs both phases and hands back the candidates.
     - :meth:`join` is Algorithm 1's pass over a run of trees: ingest each
       one and verify its candidates on the spot.  The serial join calls
       it once over the whole order, each shard of the sharded executor
@@ -296,11 +295,12 @@ class ShardDriver:
     its own (every partner of a probing tree is already indexed — the
     batch invariant above).  The probe/insert machinery itself is
     order-agnostic: a tree arriving out of order still probes exactly
-    the index sizes ``[|Ti| - tau, |Ti|]`` and still files its partition
-    under its own size, which is what the streaming engine relies on —
-    it pairs the driver with a reverse index
-    (:class:`repro.stream.reverse.NodeTwigIndex`) to cover partners
-    larger than a late-arriving tree.
+    the index sizes ``[|Ti| - tau, |Ti|]`` (and the small pool up to
+    ``|Ti| + tau``) and still files its partition under its own size.
+    The streaming engine relies on that: after :meth:`ingest` it covers
+    the indexed partners larger than a late-arriving tree with
+    :meth:`InvertedSizeIndex.probe_larger
+    <repro.core.index.InvertedSizeIndex.probe_larger>`.
     """
 
     def __init__(
@@ -383,14 +383,11 @@ class ShardDriver:
             self._probed_cache = cache
         return candidates
 
-    def insert(self, i: int) -> Optional[list]:
+    def insert(self, i: int) -> None:
         """Insert phase for tree ``i``; must follow ``probe(i)``.
 
-        Returns the partition subgraphs just filed in the index, or
-        ``None`` when the tree went to the small pool instead.  (The
-        streaming engine registers the subgraphs — and their shared
-        :class:`TreeCache` — in its reverse index; batch callers ignore
-        the return value.)
+        Files the tree's partition in the index, or appends the tree to
+        the small pool when it is too small to partition.
         """
         if self._probed_index != i:
             raise InvalidParameterError(
@@ -405,26 +402,22 @@ class ShardDriver:
                 self.counters.partitioned_trees += 1
                 self.counters.subgraphs_built += len(subgraphs)
             else:
-                subgraphs = None
                 self.small_pool.append((i, self.trees[i].size))
             self._probed_index = None
             self._probed_cache = None
-        return subgraphs
 
-    def ingest(self, i: int) -> tuple[list[int], Optional[list]]:
+    def ingest(self, i: int) -> list[int]:
         """Probe-then-insert for tree ``i`` in one call.
 
         The incremental entry point shared by :meth:`join` and the
         streaming engine (:class:`repro.stream.StreamingJoin`): returns
-        ``(candidates, subgraphs)`` where ``candidates`` are the probe
-        phase's partner indices and ``subgraphs`` is the partition filed
-        by the insert phase (``None`` for small-pool trees).
-        Verification of the candidates is independent of the insert:
-        :meth:`join` and the stream verify them right after this call.
+        the probe phase's candidate partner indices.  Verification of the
+        candidates is independent of the insert: :meth:`join` and the
+        stream verify them right after this call.
         """
         candidates = self.probe(i)
-        subgraphs = self.insert(i)
-        return candidates, subgraphs
+        self.insert(i)
+        return candidates
 
     def join(
         self, order: Sequence[int], verifier: Verifier
@@ -440,7 +433,7 @@ class ShardDriver:
         ingest = self.ingest
         verify = verifier.verify
         for i in order:
-            candidates, _ = ingest(i)
+            candidates = ingest(i)
             # Verification: the "TED computation" phase of Figures 10/12/14.
             candidate_count += len(candidates)
             for j in candidates:

@@ -103,10 +103,10 @@ class Subgraph:
         The root twig ``(label, left, right)`` as interned ids, epsilon
         (``0``) for missing / non-member children.
     twig_key:
-        :func:`repro.core.intern.pack_twig` of :attr:`twig_ids`.  The
-        stream's reverse index looks it up and snapshots store it; the
-        forward index files the subgraph under it plus its member
-        grandchildren (:meth:`repro.core.index.InvertedSizeIndex.insert_all`).
+        :func:`repro.core.intern.pack_twig` of :attr:`twig_ids`.
+        Snapshots store it; the index files the subgraph under it plus
+        its member grandchildren
+        (:meth:`repro.core.index.InvertedSizeIndex.insert_all`).
     incoming_code:
         Incoming-edge category of the root: 0 root, 1 left, 2 right.
     """
@@ -182,7 +182,7 @@ class Subgraph:
     ) -> bool:
         """Does this subgraph occur at node ``probe_number`` of ``probe_cache``?
 
-        The matcher of every probe (join, search, reverse index): both
+        The matcher of every probe (join, stream, search): both
         trees are walked through their flat arrays with an explicit
         integer stack.  Labels compare as interned
         ids, so both caches must share an interner (always true for caches

@@ -268,8 +268,8 @@ def publish_stream_stats(stats, registry: Optional[MetricsRegistry] = None,
     reg.gauge("repro_stream_results",
               "Result pairs at publish time", **labels).set(stats.results)
     reg.gauge("repro_stream_candidates",
-              "Candidate pairs generated (forward + reverse)", **labels
-              ).set(stats.candidates + stats.reverse_candidates)
+              "Candidate pairs verified (both probes and the small pool)",
+              **labels).set(stats.candidates)
     reg.gauge("repro_stream_index_entries",
               "Live two-layer index entries", **labels
               ).set(stats.index_entries)

@@ -1,15 +1,17 @@
 """Similarity search: one query tree against a collection (paper Section 1).
 
 ``similarity_search(query, trees, tau)`` returns all collection trees within
-TED ``tau`` of the query.  It runs the join's forward probe
-(:meth:`repro.core.index.InvertedSizeIndex.probe`) with the query's nodes
-over the partitions of every collection tree whose size is within ``tau``
-of the query's, so the one index answers collection trees both smaller
-and larger than the query.  Trees no larger than the query are matched
-under the configured semantics, as in the join; larger ones under SAFE
+TED ``tau`` of the query.  The query's nodes probe the partitions of every
+collection tree whose size is within ``tau`` of the query's, so the one
+index answers collection trees both smaller and larger than the query.
+Trees no larger than the query are found by the join's forward probe
+(:meth:`repro.core.index.InvertedSizeIndex.probe`), under the configured
+semantics and window; larger ones by
+:meth:`~repro.core.index.InvertedSizeIndex.probe_larger`, under SAFE
 semantics, for which Lemma 2 holds whichever of two trees is partitioned
 (under PAPER semantics each delete leading from a larger tree to the
-query can break 3 subgraphs, see :mod:`repro.core.subgraph`).  Trees too
+query can break 3 subgraphs, see :mod:`repro.core.subgraph`), and a
+window that holds when the larger tree is the partitioned one.  Trees too
 small to partition (fewer than ``2*tau + 1`` nodes) are never indexed;
 those within ``tau`` of the query's size are taken unfiltered.
 
@@ -122,15 +124,11 @@ class SimilaritySearcher:
         index = self._index
         numbering = config.postorder_numbering
         checked: set[tuple[int, int]] = set()
-        # Larger trees reach the query by deletes, which under PAPER
-        # semantics can break 3 subgraphs each: match them under SAFE.
         index.probe(
             cache, -1, n - tau, n, numbering,
             config.semantics is MatchSemantics.PAPER, checked, candidates,
         )
-        index.probe(
-            cache, -1, n + 1, n + tau, numbering, False, checked, candidates
-        )
+        index.probe_larger(cache, -1, numbering, checked, candidates)
         hits = []
         for i in sorted(candidates):
             distance = verifier.verify_record(i, cache)

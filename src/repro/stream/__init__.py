@@ -5,16 +5,16 @@ refactors it into an engine that consumes a **stream** of trees and
 serves queries from the live index:
 
 - :mod:`~repro.stream.engine` — :class:`StreamingJoin`, the incremental
-  probe-then-insert join: coherent in-place insertion into the
-  size-sorted order, bidirectional candidate generation (forward
-  two-layer index + reverse node-twig index), and inline verification
-  of each arrival's candidates.  After every arrival its results are
-  bit-identical to a batch ``similarity_join`` over the ingested prefix,
-  for any arrival order.
-- :mod:`~repro.stream.reverse` — :class:`NodeTwigIndex`, the mirror of
-  the two-layer index answering "which ingested nodes would have probed
-  this subgraph?", which is what makes out-of-order arrivals filterable
-  and their candidates equal the batch join's.
+  search-then-insert join: each arrival probes the one subgraph index
+  for the earlier arrivals within ``tau`` of its size (the forward probe
+  below its size, the larger-side probe above it) and the small-tree
+  pool, is filed in the index, and has its candidates verified inline.
+  Its candidates are exactly those a :class:`StreamSearcher` over the
+  prefix before it finds.  Under a sound filter configuration the
+  results after every arrival are bit-identical to a batch
+  ``similarity_join`` over the ingested prefix, for any arrival order;
+  under the opt-in published window or a window on binary numbers they
+  include every batch pair and may add true pairs the batch join misses.
 - :mod:`~repro.stream.searcher` — :class:`StreamSearcher`, a live
   ``similarity_search`` view over the engine's warm index (no rebuild;
   :class:`repro.search.SimilaritySearcher`'s search over the streaming
@@ -29,14 +29,12 @@ or NDJSON on stdin), or the classes above directly.
 """
 
 from repro.stream.engine import StreamingJoin, StreamStats
-from repro.stream.reverse import NodeTwigIndex
 from repro.stream.searcher import StreamSearcher
 from repro.stream.service import StreamJoinService
 
 __all__ = [
     "StreamingJoin",
     "StreamStats",
-    "NodeTwigIndex",
     "StreamSearcher",
     "StreamJoinService",
 ]

@@ -2,57 +2,59 @@
 
 Where :func:`repro.core.join.partsj_join` consumes a complete collection,
 ``StreamingJoin`` consumes trees **one at a time** and returns the
-verified ``(i, j, distance)`` pairs each arrival completes.  The
-contract — property-tested in ``tests/stream/`` — is *prefix
-equivalence*: after any prefix of arrivals, :meth:`results` equals a
-batch ``similarity_join`` over exactly that prefix, bit for bit, for
-**any arrival order**.
+verified ``(i, j, distance)`` pairs each arrival completes.
 
-One arrival runs three steps:
+An arrival searches the prefix before it, then joins it:
 
-1. **Coherent in-place insertion** —
-   :meth:`repro.baselines.common.SizeSortedCollection.insert` splices the
-   tree into the live sorted order, sizes and size histogram (no rebuild,
-   no re-sort).
-2. **Bidirectional probe** — the shared
-   :meth:`repro.core.join.ShardDriver.ingest` entry point probes the tree
-   *forward* against the subgraph index (partners of size ``<= |T|``,
-   plus the small-tree pool) and partitions/files it; the partition
-   subgraphs then probe the *reverse* node-twig index
-   (:class:`repro.stream.reverse.NodeTwigIndex`) for already-ingested
-   **larger** partners — the pairs a batch run would have discovered
-   later, when the larger tree probed.  The union reproduces the batch
-   candidate set exactly (same filters, same windows, same structural
-   match), so even the strict ``paper`` filter variants stream
-   identically to their batch behavior.
+1. **Forward probe and insert** — the shared
+   :meth:`repro.core.join.ShardDriver.ingest` entry point probes the
+   subgraph index for earlier arrivals of size ``[n - tau, n]`` (``n``
+   the arrival's size) and the small-tree pool for those of size ``[n -
+   tau, n + tau]``, then files the arrival's partition (or pools it).
+2. **Larger-side probe** — every arrival, partitionable or not, probes
+   the same index for earlier arrivals of size ``[n + 1, n + tau]`` with
+   :meth:`repro.core.index.InvertedSizeIndex.probe_larger`, the rule the
+   searchers use for collection trees larger than a query.
 3. **Verification** — the threshold-aware
    :class:`~repro.baselines.common.Verifier` checks each candidate
    inline, in the pass that found it (paper Algorithm 1), so
    :meth:`add` returns exactly the arrival's new pairs.
 
+So each arrival's candidates are exactly those a
+:class:`~repro.stream.searcher.StreamSearcher` over the prefix before it
+finds with the arrival as its query.  The contract — property-tested in
+``tests/stream/`` — is *prefix equivalence*, for **any arrival order**:
+
+- under a sound filter configuration (the default, and every config
+  that windows neither by the published ``Delta'`` nor by binary
+  postorder numbers), :meth:`results` after any prefix of arrivals
+  equals a batch ``similarity_join`` over exactly that prefix, bit for
+  bit;
+- under the opt-in published window or a window on binary numbers, the
+  batch join may miss true pairs.  The stream returns every pair that batch join
+  returns, with the same exact distances, and may return more: the
+  larger-side probe matches under SAFE semantics with a window that
+  holds.
+
 The engine keeps every ingested tree's :class:`~repro.core.treecache.TreeCache`
-in one :class:`~repro.core.treecache.RecordStore`, so reverse anchors can
-be structurally matched at any time and every verification reads warm
-views; together with the node-twig registrations this is the warm-index
-state that :meth:`searcher` exposes for mid-ingest ``similarity_search``
-queries (no rebuild — the searcher is a live view).  Memory therefore
-grows with the ingested prefix.
+in one :class:`~repro.core.treecache.RecordStore`, so probes and
+verifications read warm views; that is also the warm-index state that
+:meth:`searcher` exposes for mid-ingest ``similarity_search`` queries (no
+rebuild — the searcher is a live view).  Memory therefore grows with the
+ingested prefix.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.baselines.common import JoinPair, SizeSortedCollection, Verifier
-from repro.core.index import PostorderFilter, postorder_half_width
+from repro.baselines.common import JoinPair, Verifier
 from repro.core.join import PartSJConfig, ShardDriver
 from repro.errors import InvalidParameterError
 from repro.obs.trace import NULL_TRACER
 from repro.params import check_tau
-from repro.stream.reverse import NodeTwigIndex
 from repro.tree.node import Tree
 
 __all__ = ["StreamStats", "StreamingJoin"]
@@ -61,6 +63,10 @@ __all__ = ["StreamStats", "StreamingJoin"]
 @dataclass
 class StreamStats:
     """A snapshot of the streaming engine's state and counters.
+
+    ``candidates`` counts every candidate verified; it includes the
+    ``reverse_candidates``, those among earlier arrivals larger than the
+    arriving tree (found by its larger-side probe).
 
     ``ingest_time`` is wall time spent inside :meth:`StreamingJoin.add`
     — candidate generation plus verification, so it *includes*
@@ -75,7 +81,6 @@ class StreamStats:
     verify_time: float = 0.0
     index_subgraphs: int = 0
     index_entries: int = 0
-    reverse_nodes: int = 0
     small_pool: int = 0
     # Malformed ingest items skipped under on_error="skip" (the
     # quarantine channel of the service and the CLI --stream path).
@@ -99,7 +104,6 @@ class StreamStats:
             "ingest_rate": round(self.ingest_rate, 3),
             "index_subgraphs": self.index_subgraphs,
             "index_entries": self.index_entries,
-            "reverse_nodes": self.reverse_nodes,
             "small_pool": self.small_pool,
             "quarantined_trees": self.quarantined_trees,
             "extra": self.extra,
@@ -121,8 +125,8 @@ class StreamingJoin:
     wal:
         Optional path of a write-ahead log.  Every arrival is appended
         (per-record CRC32) *before* it mutates engine state, so a
-        crashed stream resumes via :meth:`recover` with state
-        bit-identical to a batch join over the logged prefix.  An
+        crashed stream resumes via :meth:`recover` with the state it had
+        after the logged prefix.  An
         existing file at this path is truncated — a fresh engine is a
         fresh stream; continuing an old log is :meth:`recover`'s job.
     wal_fsync:
@@ -162,13 +166,11 @@ class StreamingJoin:
         self.tau = tau
         self.config = cfg
         self.trees: list[Tree] = []
-        self.collection = SizeSortedCollection(self.trees)
         self._driver = ShardDriver(self.trees, tau, cfg)
-        # One record per arrival, shared by the probe, the reverse-index
-        # matches, inline verification and every searcher.
+        # One record per arrival, shared by both probes, inline
+        # verification and every searcher.
         self._records = self._driver.records
         self._verifier = Verifier(self.trees, tau, caches=self._records)
-        self._reverse = NodeTwigIndex(tau, self._driver.index.postorder_filter)
         self._pairs: list[JoinPair] = []
         self._candidates = 0
         self._reverse_candidates = 0
@@ -193,10 +195,10 @@ class StreamingJoin:
     def add(self, tree: Tree) -> list[JoinPair]:
         """Ingest one tree; return its results against the ingested prefix.
 
-        Every candidate is verified here, so the returned pairs are
-        exactly the batch pairs of the prefix whose larger index is this
-        arrival.  A verification that raises propagates, as in a serial
-        batch join.
+        Every candidate is verified here, so under a sound config the
+        returned pairs are exactly the batch pairs of the prefix whose
+        larger index is this arrival.  A verification that raises
+        propagates, as in a serial batch join.
         """
         if self._closed:
             raise InvalidParameterError("StreamingJoin is closed")
@@ -210,20 +212,20 @@ class StreamingJoin:
             # changes.  A crash after the append replays this tree on
             # recovery; a crash before it loses the tree but leaves the
             # log describing exactly the applied prefix — either way the
-            # recovered state is batch-equivalent over the logged trees.
+            # recovered state is the stream's over the logged trees.
             from repro.tree.bracket import to_bracket
 
             with self._tracer.span("wal.append", arrival=len(self.trees)):
                 self._wal.append(to_bracket(tree))
-        i = self.collection.insert(tree)
-        candidates, subgraphs = self._driver.ingest(i)
-        if subgraphs is not None:
-            self._reverse.insert_tree(
-                self._records[i], i, self._driver.numbering
-            )
-            self._reverse_probe(i, tree.size, subgraphs, candidates)
-        else:
-            self._small_reverse_scan(i, tree.size, candidates)
+        i = len(self.trees)
+        self.trees.append(tree)
+        driver = self._driver
+        candidates = driver.ingest(i)
+        forward = len(candidates)
+        driver.index.probe_larger(
+            self._records[i], i, driver.numbering, driver.checked, candidates
+        )
+        self._reverse_candidates += len(candidates) - forward
         self._candidates += len(candidates)
         found: list[JoinPair] = []
         for j in candidates:
@@ -256,69 +258,6 @@ class StreamingJoin:
             if source is not None:
                 entry["source"] = source
             self._quarantine_log.append(entry)
-
-    def _reverse_probe(
-        self, i: int, n: int, subgraphs: list, candidates: list[int]
-    ) -> None:
-        """Find already-ingested partners *larger* than tree ``i``.
-
-        Mirrors the forward probe's dedup discipline: a pair enters
-        ``checked`` only when a structural match succeeds, so the
-        streamed candidate set matches the batch run's exactly.
-        """
-        tau = self.tau
-        lo_size = n + 1
-        hi_size = n + tau
-        if lo_size > hi_size:
-            return
-        mode = self._reverse.postorder_filter
-        off = mode is PostorderFilter.OFF
-        checked = self._driver.checked
-        records = self._records
-        strict = self._driver.strict
-        before = len(candidates)
-        for s in subgraphs:
-            half = 0 if off else postorder_half_width(mode, tau, s.rank)
-            for owner, b in self._reverse.anchors(
-                s.twig_key, s.postorder_id, half, lo_size, hi_size
-            ):
-                key = (owner, i) if owner < i else (i, owner)
-                if key in checked:
-                    continue
-                if s.matches_at_number(records[owner], b, strict):
-                    checked.add(key)
-                    candidates.append(owner)
-        self._reverse_candidates += len(candidates) - before
-
-    def _small_reverse_scan(self, i: int, n: int, candidates: list[int]) -> None:
-        """Larger partners of a small (unpartitionable) arrival, directly.
-
-        In a batch run every later tree within the size window consults
-        the small pool when it probes; a small tree arriving *after* its
-        larger partners must pair with them here instead.  All such
-        partners have at most ``n + tau < 3*tau + 1`` nodes, so the
-        unfiltered scan is as cheap as the pool scan it mirrors.
-        """
-        tau = self.tau
-        lo_size = n + 1
-        hi_size = n + tau
-        if lo_size > hi_size:
-            return
-        sizes = self.collection.sizes
-        order = self.collection.order
-        checked = self._driver.checked
-        before = len(candidates)
-        for position in range(
-            bisect_left(sizes, lo_size), bisect_right(sizes, hi_size)
-        ):
-            j = order[position]
-            if j == i:
-                continue
-            key = (j, i) if j < i else (i, j)
-            if key not in checked:
-                checked.add(key)
-                candidates.append(j)
-        self._reverse_candidates += len(candidates) - before
 
     # -- flush point ---------------------------------------------------------
 
@@ -382,7 +321,6 @@ class StreamingJoin:
             verify_time=self._verifier.stats_time,
             index_subgraphs=driver.index.total_subgraphs,
             index_entries=driver.index.total_entries,
-            reverse_nodes=self._reverse.node_count,
             small_pool=len(driver.small_pool),
             quarantined_trees=self._quarantined_trees,
             extra=extra,
@@ -416,8 +354,9 @@ class StreamingJoin:
         Reads the log (tolerating a torn final record — the one kind of
         damage a crash mid-append can cause), then replays every logged
         arrival through the normal ingest path, so the returned engine's
-        state — trees, sorted order, indexes, verified pairs — is
-        **bit-identical to a batch join over the logged prefix**.  With
+        state — trees, indexes, verified pairs — is the stream's after
+        the logged prefix, which under a sound config is **bit-identical
+        to a batch join over the logged prefix**.  With
         ``resume=True`` (default) the log's torn tail is truncated away
         and the engine keeps appending to it, so ingestion continues
         where the crashed process left off.

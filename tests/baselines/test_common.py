@@ -184,60 +184,3 @@ class TestResultTypes:
         with pytest.raises(InvalidParameterError):
             check_join_inputs([object()], 1)
         check_join_inputs([Tree.from_bracket("{a}")], 0)  # fine
-
-
-class TestIncrementalInsertion:
-    """`SizeSortedCollection.insert`: the streaming engine's substrate."""
-
-    def test_insert_matches_batch_construction(self, rng):
-        trees = [make_random_tree(rng, rng.randint(1, 12)) for _ in range(20)]
-        incremental = SizeSortedCollection([])
-        for tree in trees:
-            incremental.insert(tree)
-        batch = SizeSortedCollection(trees)
-        assert incremental.order == batch.order
-        assert incremental.sizes == batch.sizes
-        assert incremental.size_histogram() == batch.size_histogram()
-
-    def test_histogram_cache_coherent_under_insertion(self, rng):
-        """Regression: the cached histogram must never serve stale counts."""
-        trees = [make_random_tree(rng, size) for size in (5, 5, 9)]
-        collection = SizeSortedCollection(list(trees))
-        first = collection.size_histogram()
-        assert first == [(5, 2), (9, 1)]
-        # Grow an existing run, open a new smallest run, a middle run and
-        # a largest run — the cached list must update in place each time.
-        collection.insert(make_random_tree(rng, 5))
-        assert collection.size_histogram() == [(5, 3), (9, 1)]
-        collection.insert(make_random_tree(rng, 2))
-        assert collection.size_histogram() == [(2, 1), (5, 3), (9, 1)]
-        collection.insert(make_random_tree(rng, 7))
-        assert collection.size_histogram() == [(2, 1), (5, 3), (7, 1), (9, 1)]
-        collection.insert(make_random_tree(rng, 30))
-        assert collection.size_histogram() == [
-            (2, 1), (5, 3), (7, 1), (9, 1), (30, 1)
-        ]
-        # And it must agree with a cold rebuild over the same trees.
-        rebuilt = SizeSortedCollection(list(collection.trees))
-        assert collection.size_histogram() == rebuilt.size_histogram()
-
-    def test_histogram_built_after_inserts_is_correct_too(self, rng):
-        collection = SizeSortedCollection([])
-        for size in (4, 4, 2, 9, 4):
-            collection.insert(make_random_tree(rng, size))
-        # First histogram call *after* the inserts (nothing cached yet).
-        assert collection.size_histogram() == [(2, 1), (4, 3), (9, 1)]
-
-    def test_insert_is_stable_for_equal_sizes(self, rng):
-        collection = SizeSortedCollection([])
-        for _ in range(6):
-            collection.insert(make_random_tree(rng, 5))
-        assert collection.order == list(range(6))
-
-    def test_insert_rejects_non_tree_and_immutable_backing(self, rng):
-        collection = SizeSortedCollection([])
-        with pytest.raises(InvalidParameterError):
-            collection.insert("nope")
-        frozen = SizeSortedCollection(tuple([make_random_tree(rng, 3)]))
-        with pytest.raises(InvalidParameterError):
-            frozen.insert(make_random_tree(rng, 3))

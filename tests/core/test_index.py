@@ -8,7 +8,6 @@ from repro.core.partition import extract_partition
 from repro.core.subgraph import EPSILON
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError
-from repro.stream.reverse import NodeTwigIndex
 from repro.tree.node import Tree, TreeNode
 from tests.conftest import make_random_tree
 
@@ -188,6 +187,42 @@ class TestInsertProbe:
         assert candidates == []
 
 
+class TestProbeLarger:
+    """`probe_larger`: the larger side, where the indexed tree is the
+    larger one and the probing tree may have up to ``tau`` fewer nodes."""
+
+    def test_reads_only_the_sizes_above_the_query(self, rng):
+        # The same partition filed under each size around the query's:
+        # only the sizes [n + 1, n + tau] are read.
+        tau = 2
+        cache, subs = build_subgraphs(rng, 20, 2 * tau + 1)
+        for k in range(-1, tau + 2):
+            index = InvertedSizeIndex(tau, PostorderFilter.SAFE)
+            index.insert_all(cache.size + k, subs)
+            candidates = []
+            index.probe_larger(cache, -1, "general", set(), candidates)
+            assert candidates == ([OWNER] if 1 <= k <= tau else []), k
+
+    @pytest.mark.parametrize("mode", list(PostorderFilter))
+    def test_safe_window_whatever_the_configured_filter(self, rng, mode):
+        # The published window shrinks with rank, but it does not hold when
+        # the larger tree is the partitioned one, so every subgraph is
+        # found within the SAFE half-width tau (anywhere when the layer is
+        # off) and nowhere beyond it.
+        tau = 2
+        cache, subs = build_subgraphs(rng, 25, 2 * tau + 1)
+        for sub in subs:
+            index = InvertedSizeIndex(tau, mode)
+            index.insert_all(cache.size + 1, [sub])
+            for offset in range(-tau - 1, tau + 2):
+                candidates = []
+                index.probe_larger(
+                    shifted(cache, offset), -1, "general", set(), candidates
+                )
+                found = mode is PostorderFilter.OFF or abs(offset) <= tau
+                assert candidates == ([OWNER] if found else []), (sub.rank, offset)
+
+
 def whole_tree_index(bracket, tau=1):
     """An index holding one subgraph: the whole tree of ``bracket``."""
     cache = TreeCache(Tree.from_bracket(bracket))
@@ -270,13 +305,11 @@ class TestInvertedSizeIndex:
                 assert owners == {cache_a if size == 12 else cache_b}
 
     def test_invalid_parameters(self):
-        # The stream's reverse index checks its parameters the same way.
-        for index_class in (InvertedSizeIndex, NodeTwigIndex):
-            for tau in (-1, 1.5, True, "1"):
-                with pytest.raises(InvalidParameterError):
-                    index_class(tau=tau)
+        for tau in (-1, 1.5, True, "1"):
             with pytest.raises(InvalidParameterError):
-                index_class(tau=1, postorder_filter="nope")
+                InvertedSizeIndex(tau=tau)
+        with pytest.raises(InvalidParameterError):
+            InvertedSizeIndex(tau=1, postorder_filter="nope")
 
     def test_postorder_filter_coercion(self):
         index = InvertedSizeIndex(tau=1, postorder_filter=PostorderFilter.PAPER)

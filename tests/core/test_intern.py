@@ -157,7 +157,7 @@ class TestStreamingInternerGrowth:
 
     The streaming engine interns labels of every arriving tree into the
     same table whose earlier ids are already baked into packed twig keys
-    sitting in the two-layer index (and the reverse node-twig index).
+    sitting in the two-layer index.
     Safety rests on one invariant — new labels only *append* ids — which
     these tests lock down, end to end.
     """

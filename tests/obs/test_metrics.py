@@ -11,7 +11,8 @@ from repro.obs.metrics import (
     publish_stream_stats,
     set_registry,
 )
-from repro.stream.engine import StreamStats
+from repro.stream.engine import StreamingJoin, StreamStats
+from tests.stream.test_streaming_join import make_stream_workload
 
 
 class TestRegistry:
@@ -170,10 +171,23 @@ class TestPublishStreamStats:
         snap = reg.snapshot()
         assert snap["repro_stream_trees"][()] == 40
         assert snap["repro_stream_results"][()] == 23
-        assert snap["repro_stream_candidates"][()] == 48  # fwd + reverse
+        assert snap["repro_stream_candidates"][()] == 43
         assert snap["repro_stream_index_entries"][()] == 120
         assert snap["repro_stream_snapshots_total"][()] == 1
         assert snap["repro_stream_quarantined_trees_total"][()] == 1
+
+    def test_candidate_gauge_counts_each_verified_candidate_once(self):
+        join = StreamingJoin(2)
+        join.add_many(make_stream_workload(44))
+        stats = join.stats()
+        reg = MetricsRegistry()
+        publish_stream_stats(stats, registry=reg)
+        extra = stats.extra
+        verified = extra["lb_filtered"] + extra["certified"] + extra["ted_calls"]
+        assert stats.reverse_candidates > 0
+        assert reg.snapshot()["repro_stream_candidates"][()] == (
+            stats.candidates
+        ) == verified
 
     def test_gauges_overwrite_counters_accumulate(self):
         reg = MetricsRegistry()

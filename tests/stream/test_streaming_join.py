@@ -5,26 +5,44 @@ streamed results after every arrival are bit-identical — same pairs,
 same exact distances, same canonical ordering — to a batch
 ``similarity_join`` over exactly the ingested prefix.  All five join
 methods agree on the batch side, so streaming is checked against each of
-them.  A stream verifies inline: a config asking for ``workers=2``
-starts no process, and each ``add()`` returns exactly its arrival's
-pairs.
+them.  Each arrival's candidates are those a searcher over the prefix
+before it finds, so under the opt-in published window and binary
+numbering a stream returns every batch pair and may add true ones.  A
+stream verifies inline: a config asking for ``workers=2`` starts no
+process, and each ``add()`` returns exactly its arrival's pairs.
 """
 
 import multiprocessing
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import similarity_join, stream_join
-from repro.core.join import PartSJConfig
+from repro.baselines.nested_loop import nested_loop_join
+from repro.core.join import PartSJConfig, partsj_join
 from repro.errors import InvalidParameterError
 from repro.session import TreeCollection
 from repro.stream import StreamingJoin
 from repro.tree.node import Tree
 from tests.conftest import make_cluster_forest, make_random_tree
+from tests.core.test_join_properties import (
+    PUBLISHED_WINDOW,
+    SOUND_CONFIGS,
+    clustered_forests,
+)
 
 TAUS = (1, 2, 3)
 METHODS = ("partsj", "str", "set", "histogram", "nested_loop")
+FILTER_VARIANTS = [
+    PartSJConfig(),
+    PartSJConfig.paper(),
+    PartSJConfig(postorder_filter="off"),
+    PartSJConfig(postorder_numbering="binary"),
+    PartSJConfig(partition_strategy="random", postorder_filter="off"),
+]
+FILTER_IDS = ["safe", "paper", "no-postorder", "binary-numbering", "random-cuts"]
 
 
 def triples(pairs):
@@ -58,13 +76,17 @@ class TestPrefixEquivalence:
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_candidate_counts_match_batch(self, tau):
-        trees = make_stream_workload(44)
+        # Fed in the batch join's (ascending size) order, no arrival has an
+        # earlier, larger partner, so the stream runs the batch filter and
+        # nothing else: even the *candidate* counts agree.  In any other
+        # order the larger side partitions the larger tree, a different
+        # sound filter (TestArrivalSearchesThePrefix pins that side).
+        trees = sorted(make_stream_workload(44), key=lambda t: t.size)
         join = StreamingJoin(tau)
         join.add_many(trees)
-        batch = similarity_join(trees, tau)
-        # The reverse index reproduces the batch filter exactly, so even
-        # the *candidate* counts agree — streaming is not a weaker filter.
-        assert join.stats().candidates == batch.stats.candidates
+        stats = join.stats()
+        assert stats.reverse_candidates == 0
+        assert stats.candidates == similarity_join(trees, tau).stats.candidates
 
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_every_batch_method(self, method):
@@ -74,17 +96,7 @@ class TestPrefixEquivalence:
         batch = similarity_join(trees, 2, method=method)
         assert triples(join.results()) == triples(batch.pairs)
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            PartSJConfig(),
-            PartSJConfig.paper(),
-            PartSJConfig(postorder_filter="off"),
-            PartSJConfig(postorder_numbering="binary"),
-            PartSJConfig(partition_strategy="random", postorder_filter="off"),
-        ],
-        ids=["safe", "paper", "no-postorder", "binary-numbering", "random-cuts"],
-    )
+    @pytest.mark.parametrize("config", FILTER_VARIANTS, ids=FILTER_IDS)
     def test_filter_variants_stream_like_batch(self, config):
         trees = make_stream_workload(66)
         join = StreamingJoin(2, config=config)
@@ -109,6 +121,66 @@ class TestPrefixEquivalence:
         join.add_many(trees)
         assert triples(join.results()) == triples(similarity_join(trees, 0).pairs)
         assert join.results()[0].key() == (1, 3)
+
+
+def record_partners(verifier, method, position):
+    """Wrap ``verifier.<method>`` to log the partner index of each call."""
+    seen = []
+    verify = getattr(verifier, method)
+
+    def logged(*args):
+        seen.append(args[position])
+        return verify(*args)
+
+    setattr(verifier, method, logged)
+    return seen
+
+
+class TestArrivalSearchesThePrefix:
+    @pytest.mark.parametrize("tau", (0, 1, 2, 3))
+    @pytest.mark.parametrize("config", FILTER_VARIANTS, ids=FILTER_IDS)
+    def test_candidates_equal_a_search_of_the_prefix(self, config, tau):
+        for seed in (11, 22, 33, 44, 55, 66):
+            join = StreamingJoin(tau, config=config)
+            searcher = join.searcher()
+            streamed = record_partners(join._verifier, "verify", 1)
+            searched = record_partners(searcher._verifier, "verify_record", 0)
+            for k, tree in enumerate(make_stream_workload(seed)):
+                streamed.clear()
+                searched.clear()
+                searcher.search(tree)
+                join.add(tree)
+                assert sorted(streamed) == sorted(searched), (
+                    f"arrival {k} (seed {seed})"
+                )
+
+
+def stream_triples(trees, tau, config):
+    join = StreamingJoin(tau, config=config)
+    join.add_many(trees)
+    return set(triples(join.results()))
+
+
+@given(
+    forest=clustered_forests(),
+    tau=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_shuffled_streams_against_nested_loop(forest, tau, seed):
+    random.Random(seed).shuffle(forest)
+    truth = set(triples(nested_loop_join(forest, tau).pairs))
+    for config in SOUND_CONFIGS:
+        assert stream_triples(forest, tau, config) == truth, config
+    # The batch join may miss true pairs under these; an arrival finds its
+    # earlier, larger partners under a rule that holds, so it misses fewer.
+    for config in PUBLISHED_WINDOW + [PartSJConfig(postorder_numbering="binary")]:
+        batch = set(triples(partsj_join(forest, tau, config).pairs))
+        assert batch <= stream_triples(forest, tau, config) <= truth, config
 
 
 class TestInlineVerification:
@@ -180,7 +252,7 @@ class TestStreamStats:
         assert stats.ingest_time > 0
         assert stats.ingest_rate > 0
         assert stats.index_entries == stats.index_subgraphs > 0
-        assert stats.reverse_nodes > 0
+        assert 0 < stats.reverse_candidates < stats.candidates
         payload = stats.as_dict()
         assert payload["trees"] == len(trees)
         assert "ingest_rate" in payload and "extra" in payload

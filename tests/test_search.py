@@ -102,6 +102,40 @@ class TestSearcherReuse:
         join.add(tree)
         assert hit_list(join.searcher().search(query)) == [(0, 1)]
 
+    @pytest.mark.parametrize(
+        "config, bracket, query_bracket",
+        [
+            (PartSJConfig.paper(), "{b{c{a}}}", "{b{c}}"),
+            (
+                PartSJConfig(
+                    semantics="paper", postorder_filter="paper",
+                    postorder_numbering="binary",
+                ),
+                "{b{c{a}}}", "{b{c}}",
+            ),
+            (
+                PartSJConfig(postorder_numbering="binary"),
+                "{a{c{d}{d}}{c{c}}}", "{a{d}{d}{c{c}}}",
+            ),
+        ],
+        ids=["paper", "paper-binary", "binary"],
+    )
+    def test_larger_side_window_holds(self, config, bracket, query_bracket):
+        # tau 1 cuts the chain into its three nodes, whose published
+        # windows are 1, 0 and 0 wide (a, c, b).  Deleting the leaf a
+        # moves c and b one place down in either postorder, out of theirs.
+        # In the bushy tree, deleting the first c moves its two d children
+        # two places in binary (LC-RS) postorder: no window of width tau
+        # holds there.  The larger side uses a window that holds.
+        tree = Tree.from_bracket(bracket)
+        query = Tree.from_bracket(query_bracket)
+        batch = SimilaritySearcher([tree], tau=1, config=config)
+        assert hit_list(batch.search(query)) == [(0, 1)]
+        join = StreamingJoin(1, config=config)
+        join.add(tree)
+        assert hit_list(join.searcher().search(query)) == [(0, 1)]
+        assert [p.key() for p in join.add(query)] == [(0, 1)]
+
     def test_negative_tau_rejected(self):
         with pytest.raises(InvalidParameterError):
             SimilaritySearcher([Tree.from_bracket("{a}")], tau=-1)
@@ -166,7 +200,7 @@ def test_batch_and_stream_searchers_equal_brute_force(forest, tau, seed):
             assert hit_list(batch.search(query)) == truth, config
             assert hit_list(stream.search(query)) == truth, config
     # The published window under-reports by design; both searchers run the
-    # one forward probe over the same partitions, so they agree.
+    # same two probes over the same partitions, so they agree.
     paper = PartSJConfig.paper()
     batch = SimilaritySearcher(forest, tau, config=paper)
     join = StreamingJoin(tau, config=paper)
