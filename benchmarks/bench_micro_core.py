@@ -62,14 +62,13 @@ def test_index_probe(benchmark, forest):
     for i, cache in enumerate(caches[:-1]):
         index.insert_all(cache.size, extract_partition(cache, i, DELTA))
     probe_cache = caches[-1]
-    owner = len(caches) - 1
     n = probe_cache.size
 
     def probe_all():
         # The join's probe of one tree: sizes [n - tau, n], fresh pairs.
         candidates = []
         hits, _, _ = index.probe(
-            probe_cache, owner, n - TAU, n, "general", False, set(), candidates
+            probe_cache, n - TAU, n, "general", False, set(), candidates
         )
         return hits
 

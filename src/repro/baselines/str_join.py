@@ -72,7 +72,7 @@ def str_join(
     # still runs, for the certificate, and never rejects).  One options
     # dict feeds both the inline verifier and the worker-side ones, so the
     # serial and parallel paths can never run different bound pipelines.
-    verifier_options = {"traversal_bound": False}
+    verifier_options = {"traversal_bound": False, "bag_bounds": True}
     verifier = Verifier(trees, tau, **verifier_options)
     deferred = (
         DeferredVerification(workers, options=verifier_options)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -75,7 +76,7 @@ from repro.obs.metrics import MetricsRegistry, publish_stream_stats
 from repro.obs.trace import Tracer
 from repro.session import TreeCollection
 from repro.ted.api import ted
-from repro.tree.bracket import parse_bracket
+from repro.tree.node import Tree
 from repro.tree.stats import collection_stats
 
 __all__ = ["main", "build_parser"]
@@ -280,7 +281,7 @@ def _parse_stream_line(line: str, lineno: int, fmt: str):
             )
         line = payload["tree"]
     try:
-        return parse_bracket(line)
+        return Tree.from_bracket(line)
     except (TreeFormatError, ReproError) as exc:
         raise IngestError(f"stdin line {lineno}: {exc}") from exc
 
@@ -613,7 +614,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     # All queries run against one prepared session: the first pays the
     # per-tau partitioning, the rest hit the warm index.
     for position, bracket in enumerate(args.query):
-        query = parse_bracket(bracket)
+        query = Tree.from_bracket(bracket)
         plan = collection.search(query, args.tau)
         if args.explain:
             print(f"# plan: {json.dumps(plan.explain(), sort_keys=True)}")
@@ -645,7 +646,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_ted(args: argparse.Namespace) -> int:
-    distance = ted(parse_bracket(args.tree1), parse_bracket(args.tree2))
+    distance = ted(Tree.from_bracket(args.tree1), Tree.from_bracket(args.tree2))
     print(distance)
     return 0
 
@@ -673,7 +674,12 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``... | head -1``) ends the command
+    quietly with exit code 1; handlers holding a stream's log have closed
+    it on the way out (``with engine``), so it is synced.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -681,6 +687,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        _discard_stdout()
+        return 1
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device once its reader has gone, so the
+    interpreter's flush at exit does not raise again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return  # not a file (a test's capture): nothing flushes at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -229,12 +229,11 @@ class InvertedSizeIndex:
     def probe(
         self,
         cache: "TreeCache",
-        owner: int,
         lo_size: int,
         hi_size: int,
         numbering: str,
         strict: bool,
-        checked: set[tuple[int, int]],
+        checked: set[int],
         candidates: list[int],
     ) -> tuple[int, int, int]:
         """Gather the indexed trees of size ``[lo_size, hi_size]`` that may
@@ -247,26 +246,24 @@ class InvertedSizeIndex:
         ``s`` (a subgraph whose depth-2 key equals one of those, within
         the configured postorder window) is tested with
         :meth:`Subgraph.matches_at_number` (``strict`` selects the
-        paper's semantics) unless the pair of ``owner`` — the probing
-        tree's index, ``-1`` for a query outside the collection — and
-        ``s.owner`` is already in ``checked``; a match adds the pair to
-        ``checked`` and ``s.owner`` to ``candidates``.
+        paper's semantics) unless ``s.owner`` is already in ``checked``,
+        the partners this probing tree has matched so far; a match adds
+        ``s.owner`` to ``checked`` and to ``candidates``.
 
         The loop reads only the record's flat arrays and inserts nothing,
         so the buckets it visits are frozen for its duration.  Returns
         ``(probe_hits, match_tests, dedup_skips)``.
         """
         return self._probe(
-            cache, owner, lo_size, hi_size, numbering, strict,
+            cache, lo_size, hi_size, numbering, strict,
             self.postorder_filter, checked, candidates,
         )
 
     def probe_larger(
         self,
         cache: "TreeCache",
-        owner: int,
         numbering: str,
-        checked: set[tuple[int, int]],
+        checked: set[int],
         candidates: list[int],
     ) -> tuple[int, int, int]:
         """:meth:`probe` the sizes ``[n + 1, n + tau]`` above ``cache``'s
@@ -289,20 +286,19 @@ class InvertedSizeIndex:
             window = PostorderFilter.SAFE
         n = cache.size
         return self._probe(
-            cache, owner, n + 1, n + self.tau, numbering, False, window,
+            cache, n + 1, n + self.tau, numbering, False, window,
             checked, candidates,
         )
 
     def _probe(
         self,
         cache: "TreeCache",
-        owner: int,
         lo_size: int,
         hi_size: int,
         numbering: str,
         strict: bool,
         window: PostorderFilter,
-        checked: set[tuple[int, int]],
+        checked: set[int],
         candidates: list[int],
     ) -> tuple[int, int, int]:
         """The loop of :meth:`probe` and :meth:`probe_larger`, under
@@ -358,12 +354,11 @@ class InvertedSizeIndex:
                                 continue
                             probe_hits += 1
                             j = subgraph.owner
-                            key = (j, owner) if j < owner else (owner, j)
-                            if key in checked:
+                            if j in checked:
                                 dedup_skips += 1
                                 continue
                             match_tests += 1
                             if subgraph.matches_at_number(cache, b, strict):
-                                checked.add(key)
+                                checked.add(j)
                                 candidates.append(j)
         return probe_hits, match_tests, dedup_skips

@@ -265,10 +265,11 @@ class ShardDriver:
     """Resumable probe/insert driver over one ascending-size run of trees.
 
     One driver owns the per-shard join state of Algorithm 1 — the inverted
-    size index, the label interner, the checked-pair set, the small-tree
-    pool and the probe counters.  Callers feed it original tree indices
-    **in ascending size-sorted order** (ties in the collection's stable
-    order):
+    size index, the label interner, the small-tree pool and the probe
+    counters — and :attr:`checked`, the partners the tree probed last has
+    found so far, which :meth:`probe` clears.  Callers feed it original
+    tree indices **in ascending size-sorted order** (ties in the
+    collection's stable order):
 
     - :meth:`probe` runs the probe phase of one tree and returns its
       candidate partners; the caller decides what to do with them.
@@ -330,7 +331,9 @@ class ShardDriver:
         )
         self.interner = self.records.interner
         self.counters = _ProbeCounters()
-        self.checked: set[tuple[int, int]] = set()
+        # Partners the tree probed last has found; a pair is only ever
+        # found while its later tree probes, so each probe starts afresh.
+        self.checked: set[int] = set()
         self.small_pool: list[tuple[int, int]] = []  # (original index, size)
         self.cutter = PartitionCutter(
             tau, cfg.partition_strategy, cfg.seed, cfg.postorder_numbering
@@ -349,13 +352,14 @@ class ShardDriver:
         tau = self.tau
         counters = self.counters
         checked = self.checked
+        checked.clear()
         candidates: list[int] = []
 
         with phase_timer(self, "probe_time"):
             if n >= self.min_size:
                 cache = self.records[i]
                 hits, tests, skips = self.index.probe(
-                    cache, i, n - tau, n, self.numbering, self.strict,
+                    cache, n - tau, n, self.numbering, self.strict,
                     checked, candidates,
                 )
                 counters.probe_hits += hits
@@ -373,12 +377,10 @@ class ShardDriver:
             # feeds trees out of size order.
             if self.small_pool and n - tau <= 2 * tau:
                 for j, size_j in self.small_pool:
-                    if n - tau <= size_j <= n + tau:
-                        key = (j, i) if j < i else (i, j)
-                        if key not in checked:
-                            checked.add(key)
-                            counters.small_pool_pairs += 1
-                            candidates.append(j)
+                    if n - tau <= size_j <= n + tau and j not in checked:
+                        checked.add(j)
+                        counters.small_pool_pairs += 1
+                        candidates.append(j)
             self._probed_index = i
             self._probed_cache = cache
         return candidates

@@ -2,7 +2,15 @@
 
 For every tree the join touches, :class:`TreeCache` materializes once the
 LC-RS binary representation — *as parallel integer arrays, not as a node
-object graph*.  Nodes are identified by their 1-based binary postorder
+object graph*.  It reads the tree in whichever form the
+:class:`~repro.tree.node.Tree` holds it: a tree read from text (every
+dataset file, snapshot, log, stream line and worker pickle) in one pass
+over its bracket text, with no node object ever built; a tree built in
+memory in one walk over its nodes.  Both give the same arrays and intern
+the labels in the same order, binary postorder, so label ids, twig keys
+and everything persisted from them do not depend on the form.
+
+Nodes are identified by their 1-based binary postorder
 number ``b`` (the traversal order of Algorithm 2 and of the probe loop,
 Algorithm 1 line 6); slot ``0`` of every array is unused so that ``0``
 can mean "no child / no parent".  The arrays are:
@@ -25,9 +33,9 @@ Verifier views
 --------------
 Verification (:class:`repro.baselines.common.Verifier`) reads the same
 record: every view below is derived from the arrays on first use and
-memoized on the record, so no tree is walked as ``TreeNode`` objects
-after the constructor.  ``labels[0]`` is ``0``, the id of epsilon, which
-lets a missing child read as epsilon without a branch.
+memoized on the record, so the verifier never reads a tree's nodes.
+``labels[0]`` is ``0``, the id of epsilon, which lets a missing child
+read as epsilon without a branch.
 
 - :attr:`label_bag` — ``Counter(labels[1:])``.  A real ``""`` label also
   interns to id ``0``, so slot 0 is sliced off, never subtracted by value.
@@ -74,10 +82,11 @@ the conservative window (``postorder_filter="safe"``) provably correct; see
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.intern import DEFAULT_INTERNER, LabelInterner, QueryInterner
 from repro.ted.zhang_shasha import AnnotatedTree
+from repro.tree.bracket import bracket_nodes
 from repro.tree.node import Tree, TreeNode
 
 __all__ = ["TreeCache", "RecordStore"]
@@ -88,8 +97,6 @@ class TreeCache:
 
     Attributes
     ----------
-    tree:
-        The original general tree.
     interner:
         The label interner the array ids refer to (the process-wide
         default unless one is passed, so independently built caches
@@ -114,7 +121,6 @@ class TreeCache:
     """
 
     __slots__ = (
-        "tree",
         "interner",
         "size",
         "labels",
@@ -123,7 +129,6 @@ class TreeCache:
         "parent",
         "general_post",
         "internal",
-        "_general_at",
         "_label_bag",
         "_degree_bag",
         "_branch_bag",
@@ -139,22 +144,28 @@ class TreeCache:
         tree: Tree,
         interner: "LabelInterner | QueryInterner | None" = None,
     ):
-        self.tree = tree
         self.interner = DEFAULT_INTERNER if interner is None else interner
+        self.size = tree.size
+        text = tree.text
+        if text is None:
+            self._read_nodes(tree.root)
+        else:
+            self._read_text(text)
+
+    def _read_nodes(self, root: TreeNode) -> None:
+        """The arrays of a tree held as nodes, in one walk over them."""
         intern = self.interner.intern
         # Fast path: most labels are already interned, so the hot loop
         # reads the id table directly and only falls back to intern() for
         # first-seen labels (which enforces the packing bound).
         known_ids = self.interner.get
 
-        n = tree.size
-        self.size = n
+        n = self.size
         labels = [0] * (n + 1)
         left = [0] * (n + 1)
         right = [0] * (n + 1)
         parent = [0] * (n + 1)
         gp = [0] * (n + 1)
-        general_at: list[Optional[TreeNode]] = [None] * (n + 1)
         internal: list[int] = []
         internal_append = internal.append
 
@@ -173,7 +184,6 @@ class TreeCache:
         # state 2 it is the right child's.
         post_counter = 0
         in_counter = 0
-        root = tree.root
         # Stack entries: (general node, its sibling list, index in it,
         # state, inorder number and left-child number once known).
         stack: list[tuple[TreeNode, list[TreeNode], int, int, int, int]] = [
@@ -209,7 +219,6 @@ class TreeCache:
             lid = known_ids(node_label)
             labels[b] = intern(node_label) if lid is None else lid
             gp[b] = in_number
-            general_at[b] = node
             if left_num:
                 left[b] = left_num
                 parent[left_num] = b
@@ -228,15 +237,99 @@ class TreeCache:
         self.parent = parent
         self.general_post = gp
         self.internal = internal
-        # Nothing reads this list of the general nodes.  It keeps each
-        # tree's nodes listed together in one container that CPython's
-        # cyclic collector scans, so a full collection moves them back to
-        # its list tree by tree and later ones walk them in allocation
-        # order.  Without it the first full collection reorders every
-        # node breadth-first across all trees, and each later one takes
-        # about twice as long: +22% warm_setup_s on the benchmark's
-        # probe-heavy workload (Python 3.11, 2-vCPU VM).
-        self._general_at = general_at
+
+    def _read_text(self, text: str) -> None:
+        """The arrays of a tree held as canonical bracket text, in one
+        pass over its nodes (:func:`repro.tree.bracket.bracket_nodes`).
+
+        A node's LC-RS right subtree holds its later siblings, so binary
+        postorder emits a sibling list after all of their subtrees, last
+        sibling first.  That happens where their parent closes: each
+        closing brace numbers the closed node's children, and the node
+        itself *pends* until its own parent closes.  Pending nodes form a
+        stack, on which a node's children are the entries pushed since it
+        opened.  Each carries its label, its general postorder number
+        (the closing brace's rank) and its first child's binary number,
+        the last one its close handed out (its LC-RS left child).  The
+        labels are interned after the pass, in binary postorder as the
+        node walk interns them, so both assign the same ids.
+        """
+        n = self.size
+        names = [""] * (n + 1)
+        left = [0] * (n + 1)
+        right = [0] * (n + 1)
+        parent = [0] * (n + 1)
+        gp = [0] * (n + 1)
+        internal: list[int] = []
+        internal_append = internal.append
+
+        open_labels: list[str] = []
+        heights: list[int] = []  # the pending stack's height at each open
+        pending_labels: list[str] = []
+        pending_post: list[int] = []  # general postorder numbers
+        pending_first: list[int] = []  # first child's binary number, or 0
+        push_label, pop_label = pending_labels.append, pending_labels.pop
+        push_post, pop_post = pending_post.append, pending_post.pop
+        push_first, pop_first = pending_first.append, pending_first.pop
+        post = 0  # binary postorder numbers handed out
+        closed = 0  # general postorder numbers handed out
+        for label, closes in bracket_nodes(text):
+            if not closes:  # it has children: it stays open
+                open_labels.append(label)
+                heights.append(len(pending_labels))
+                continue
+            # A leaf closes at once and pends; each further brace closes
+            # the innermost open node.
+            closed += 1
+            push_label(label)
+            push_post(closed)
+            push_first(0)
+            while closes > 1:
+                closes -= 1
+                closed += 1
+                unnumbered = len(pending_labels) - heights.pop()
+                sibling = 0  # the right sibling of the child numbered next
+                while unnumbered:
+                    unnumbered -= 1
+                    post += 1
+                    names[post] = pop_label()
+                    gp[post] = pop_post()
+                    child = pop_first()
+                    if child:
+                        left[post] = child
+                        parent[child] = post
+                    if sibling:
+                        right[post] = sibling
+                        parent[sibling] = post
+                    if child or sibling:
+                        internal_append(post)
+                    sibling = post
+                push_label(open_labels.pop())
+                push_post(closed)
+                push_first(sibling)  # the first child, numbered last
+        # The root pends alone; it is number n.
+        names[n] = pending_labels[0]
+        gp[n] = n
+        child = pending_first[0]
+        if child:
+            left[n] = child
+            parent[child] = n
+            internal_append(n)
+
+        labels = list(map(self.interner.get, names))
+        if None in labels:
+            # First-seen labels, in binary postorder (intern() enforces
+            # the packing bound).
+            intern = self.interner.intern
+            for b, lid in enumerate(labels):
+                if lid is None:
+                    labels[b] = intern(names[b])
+        self.labels = labels
+        self.left = left
+        self.right = right
+        self.parent = parent
+        self.general_post = gp
+        self.internal = internal
 
     # -- fast array accessors ------------------------------------------------
 

@@ -3,6 +3,11 @@
 The format interoperates with the RTED/APTED tool family and keeps the
 whole collection greppable.  Lines starting with ``#`` are comments (the
 writers emit a header recording provenance), blank lines are skipped.
+Readers split lines at ``\\n``, ``\\r`` and ``\\r\\n``, so a tree with
+either character in a label cannot be stored: :func:`save_trees` refuses
+it before writing anything.  Trees are read with
+:func:`~repro.tree.bracket.read_bracket` (``Tree.from_bracket``), so
+they hold their text and no nodes (see :mod:`repro.tree.node`).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import TreeFormatError
-from repro.tree.bracket import parse_bracket, to_bracket
+from repro.tree.bracket import read_bracket
 from repro.tree.node import Tree
 
 __all__ = ["save_trees", "load_trees", "iter_trees"]
@@ -31,15 +36,25 @@ def save_trees(
 ) -> int:
     """Write a collection to ``path``; returns the number of trees written.
 
-    A ``.gz`` suffix turns on transparent gzip compression.  The write
-    is atomic (temp file + fsync + rename, :mod:`repro.persist.atomic`):
-    a crash mid-write leaves the previous file intact instead of a
-    silently truncated dataset that loads cleanly.
+    A ``.gz`` suffix turns on transparent gzip compression.  A label
+    holding ``\\n`` or ``\\r`` raises :class:`TreeFormatError` before
+    anything is written.  The write is atomic (temp file + fsync +
+    rename, :mod:`repro.persist.atomic`): a crash mid-write leaves the
+    previous file intact instead of a silently truncated dataset that
+    loads cleanly.
     """
     from repro.persist.atomic import replace_on_success
 
     path = Path(path)
-    count = 0
+    lines = []
+    for position, tree in enumerate(trees):
+        text = tree.to_bracket()
+        if "\n" in text or "\r" in text:
+            raise TreeFormatError(
+                f"tree {position} has a line break in a label; a dataset "
+                "file holds one tree per line and cannot store it"
+            )
+        lines.append(text)
     with replace_on_success(path) as tmp:
         # Compression is decided by the *final* suffix; the temp name is
         # meaningless by design.
@@ -51,11 +66,10 @@ def save_trees(
             if comment:
                 for line in comment.splitlines():
                     handle.write(f"# {line}\n")
-            for tree in trees:
-                handle.write(to_bracket(tree))
+            for text in lines:
+                handle.write(text)
                 handle.write("\n")
-                count += 1
-    return count
+    return len(lines)
 
 
 def iter_trees(path: str | Path) -> Iterator[Tree]:
@@ -73,7 +87,7 @@ def iter_trees(path: str | Path) -> Iterator[Tree]:
             if not line or line.startswith("#"):
                 continue
             try:
-                yield parse_bracket(line)
+                yield read_bracket(line)
             except TreeFormatError as exc:
                 raise TreeFormatError(f"{path}:{lineno}: {exc}") from exc
 

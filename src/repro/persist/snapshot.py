@@ -29,8 +29,10 @@ Section layout (inside the :mod:`repro.persist.container` envelope):
   keys in preparation order.
 - ``source``   JSON (optional): dataset file name, size and SHA-256 — the
   staleness check for sidecar auto-discovery.
-- ``trees``    newline-joined bracket strings (optional: sidecars saved
-  next to their dataset omit them).
+- ``trees``    bracket strings joined by ``\\n`` and split on it alone
+  (optional: sidecars saved next to their dataset omit them).  A label
+  may hold any other line break; a tree with ``\\n`` in a label is
+  refused before anything is written.
 - ``interner`` JSON: the label table minus the reserved epsilon.
 - ``order``    JSON: the size-sorted permutation (original indices).
 - ``prep:N``   one per prepared ``(tau, config)``: a JSON header (config
@@ -50,10 +52,11 @@ from repro.errors import (
     SnapshotFormatError,
     SnapshotIntegrityError,
     StaleSnapshotError,
+    TreeFormatError,
 )
 from repro.obs.trace import NULL_TRACER
 from repro.persist.container import read_container, write_container
-from repro.tree.bracket import parse_bracket, to_bracket
+from repro.tree.bracket import read_bracket
 from repro.tree.node import Tree
 
 __all__ = [
@@ -150,12 +153,22 @@ def save_collection(
     to its dataset file — pass ``source=`` so loading can verify the
     dataset has not changed since.  ``tracer`` (a
     :class:`repro.obs.Tracer`) records the save as one
-    ``snapshot.save`` span.
+    ``snapshot.save`` span.  With trees included, a tree with ``\\n`` in
+    a label raises :class:`~repro.errors.TreeFormatError` before anything
+    is written.
     """
     from repro import __version__
 
     tracer = tracer if tracer is not None else NULL_TRACER
     path = Path(path)
+    if include_trees:
+        texts = [tree.to_bracket() for tree in collection.trees]
+        for position, text in enumerate(texts):
+            if "\n" in text:
+                raise TreeFormatError(
+                    f"tree {position} has a '\\n' in a label; a snapshot "
+                    "stores one tree per line and cannot hold it"
+                )
     prepared = list(collection._prepared.values())
     with tracer.span("snapshot.save", path=str(path),
                      trees=len(collection), preps=len(prepared)):
@@ -171,8 +184,7 @@ def save_collection(
         if source is not None:
             sections.append(("source", _json_bytes(source_fingerprint(source))))
         if include_trees:
-            payload = "\n".join(to_bracket(tree) for tree in collection.trees)
-            sections.append(("trees", payload.encode("utf-8")))
+            sections.append(("trees", "\n".join(texts).encode("utf-8")))
         sections.append(
             ("interner", _json_bytes(collection.interner._labels[1:]))
         )
@@ -341,7 +353,7 @@ def _load_collection_inner(path, trees, expected_source, TreeCollection,
                 "(include_trees=False); pass the collection via trees="
             )
         text = sections["trees"].decode("utf-8")
-        trees = [parse_bracket(line) for line in text.splitlines() if line]
+        trees = [read_bracket(line) for line in text.split("\n") if line]
     else:
         trees = list(trees)
     if len(trees) != meta.get("trees"):

@@ -15,15 +15,21 @@ Layout
 
 The first record is the JSON header (format, library version, tau, the
 preparation-keying config fields); every later record is one arrival's
-bracket string.  Appends never rewrite earlier bytes, so the only
-damage a crash can cause is a **torn final record** — a short tail or a
-half-written frame — which recovery detects (frame runs past EOF, or a
-checksum mismatch on the *last* record) and drops.  A checksum mismatch
-with valid data *after* it cannot come from a torn append: the log was
-damaged at rest, and silently skipping the hole would replay a stream
-with missing arrivals — that raises
-:class:`~repro.errors.WALCorruptError` carrying salvage stats (records
-and bytes of the intact prefix, offset of the damage).
+canonical bracket text (UTF-8), so a label may hold any character.  A
+tree read from text already holds that text (:mod:`repro.tree.node`),
+so :meth:`StreamWAL.append` writes it as is, and recovery reads each
+record back with ``Tree.from_bracket``: the recovered trees hold text
+too, and their records are built from it.
+
+Appends never rewrite earlier bytes, so the only damage a crash can
+cause is a **torn final record** — a short tail or a half-written frame
+— which recovery detects (frame runs past EOF, or a checksum mismatch on
+the *last* record) and drops.  A checksum mismatch with valid data
+*after* it cannot come from a torn append: the log was damaged at rest,
+and silently skipping the hole would replay a stream with missing
+arrivals — that raises :class:`~repro.errors.WALCorruptError` carrying
+salvage stats (records and bytes of the intact prefix, offset of the
+damage).
 
 Fsync policy
 ------------

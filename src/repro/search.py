@@ -123,12 +123,12 @@ class SimilaritySearcher:
         cache = TreeCache(query, interner=QueryInterner(self._interner))
         index = self._index
         numbering = config.postorder_numbering
-        checked: set[tuple[int, int]] = set()
+        checked: set[int] = set()
         index.probe(
-            cache, -1, n - tau, n, numbering,
+            cache, n - tau, n, numbering,
             config.semantics is MatchSemantics.PAPER, checked, candidates,
         )
-        index.probe_larger(cache, -1, numbering, checked, candidates)
+        index.probe_larger(cache, numbering, checked, candidates)
         hits = []
         for i in sorted(candidates):
             distance = verifier.verify_record(i, cache)

@@ -213,17 +213,16 @@ class StreamingJoin:
             # recovery; a crash before it loses the tree but leaves the
             # log describing exactly the applied prefix — either way the
             # recovered state is the stream's over the logged trees.
-            from repro.tree.bracket import to_bracket
-
             with self._tracer.span("wal.append", arrival=len(self.trees)):
-                self._wal.append(to_bracket(tree))
+                self._wal.append(tree.to_bracket())
         i = len(self.trees)
         self.trees.append(tree)
         driver = self._driver
         candidates = driver.ingest(i)
         forward = len(candidates)
+        # The forward probe's partners are still in driver.checked.
         driver.index.probe_larger(
-            self._records[i], i, driver.numbering, driver.checked, candidates
+            self._records[i], driver.numbering, driver.checked, candidates
         )
         self._reverse_candidates += len(candidates) - forward
         self._candidates += len(candidates)
@@ -374,7 +373,6 @@ class StreamingJoin:
             replaying past a mid-log hole would silently drop arrivals.
         """
         from repro.persist.wal import StreamWAL, scan_wal
-        from repro.tree.bracket import parse_bracket
 
         resolved_tracer = tracer if tracer is not None else NULL_TRACER
         with resolved_tracer.span("wal.recover", path=str(path)) as sp:
@@ -383,7 +381,7 @@ class StreamingJoin:
             config = PartSJConfig(**header["config"]).resolved()
             engine = cls(header["tau"], config=config, tracer=tracer)
             for bracket in scanned["brackets"]:
-                engine.add(parse_bracket(bracket))
+                engine.add(Tree.from_bracket(bracket))
             salvage = scanned["salvage"]
             sp.set("records", salvage["records"])
             engine._recovered = {"path": str(path), **salvage}

@@ -56,7 +56,6 @@ from repro.errors import IngestError, InvalidParameterError, ReproError
 from repro.obs.metrics import publish_stream_stats
 from repro.search import SearchHit
 from repro.stream.engine import StreamingJoin, StreamStats
-from repro.tree.bracket import parse_bracket
 from repro.tree.node import Tree
 
 __all__ = ["StreamJoinService", "Subscription"]
@@ -182,7 +181,7 @@ class StreamJoinService:
         """
         try:
             if isinstance(tree, str):
-                return parse_bracket(tree)
+                return Tree.from_bracket(tree)
             if not isinstance(tree, Tree):
                 raise IngestError(
                     f"ingest expects a Tree or bracket string, got "

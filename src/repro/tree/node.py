@@ -2,13 +2,30 @@
 
 A tree object is a hierarchy of :class:`TreeNode` instances.  Each node has a
 string label (two nodes may share a label) and an ordered list of children.
-:class:`Tree` is a thin immutable-by-convention wrapper around a root node
-that carries the collection-level identity of a tree object and caches its
-size.
+:class:`Tree` wraps a tree object: it carries the collection-level identity
+of the tree and caches its size.
+
+A :class:`Tree` holds its tree in one of two forms:
+
+- **nodes** — a :class:`TreeNode` graph.  Trees built in memory (the
+  dataset generators, :mod:`repro.tree.edits`) start here.
+- **bracket text** — :meth:`Tree.from_bracket`, through which every
+  reader of trees goes (dataset files, snapshots, write-ahead logs,
+  stream lines, worker pickles), validates the text, records the size
+  and keeps the text in its canonical form, the one :meth:`to_bracket`
+  writes.  No node exists yet.  The join, stream and search paths never
+  read nodes: :class:`repro.core.treecache.TreeCache` builds its flat
+  record straight from the text.  A tree held as text costs one string
+  instead of two collector-tracked objects per node.
+
+The first read of :attr:`Tree.root` parses the nodes, and from then on
+the nodes are the tree and the text is dropped, so mutating them behaves
+as for any node tree.
 
 The classes here model *general* trees (unbounded fanout).  The binary
 left-child/right-sibling representation used by the PartSJ join lives in
-:mod:`repro.tree.binary` and :mod:`repro.tree.lcrs`.
+:mod:`repro.core.treecache` as flat arrays (and, as objects, in
+:mod:`repro.tree.binary` and :mod:`repro.tree.lcrs`).
 """
 
 from __future__ import annotations
@@ -121,22 +138,62 @@ class TreeNode:
 
 
 class Tree:
-    """A tree object in a collection: a root node plus cached metadata.
+    """A tree object in a collection: its nodes or its bracket text, plus
+    cached metadata (see the module docstring for the two forms).
 
     ``Tree`` instances are treated as immutable once constructed; mutating
     the underlying nodes after wrapping them invalidates the cached size.
     Use :meth:`Tree.copy` + :mod:`repro.tree.edits` to derive edited trees.
     """
 
-    __slots__ = ("root", "_size")
+    __slots__ = ("_root", "_size", "_text")
 
     def __init__(self, root: TreeNode):
         if not isinstance(root, TreeNode):
             raise InvalidInputTypeError(
                 f"Tree root must be a TreeNode, got {type(root).__name__}"
             )
-        self.root = root
+        self._root: Optional[TreeNode] = root
         self._size: Optional[int] = None
+        self._text: Optional[str] = None
+
+    @classmethod
+    def _from_text(cls, text: str, size: int) -> "Tree":
+        """A tree held as validated canonical bracket ``text`` of ``size``
+        nodes (:func:`repro.tree.bracket.read_bracket` builds these)."""
+        tree = cls.__new__(cls)
+        tree._root = None
+        tree._size = size
+        tree._text = text
+        return tree
+
+    @property
+    def root(self) -> TreeNode:
+        """The root node; a tree held as text parses its nodes here, once.
+
+        The size is then counted afresh on its next read, as for a tree
+        built from nodes, so edits to the nodes made before it show.
+        """
+        root = self._root
+        if root is None:
+            from repro.tree.bracket import parse_nodes
+
+            root = self._root = parse_nodes(self._text)
+            self._text = None
+            self._size = None
+        return root
+
+    @root.setter
+    def root(self, node: TreeNode) -> None:
+        self._root = node
+        self._text = None
+        self._size = None
+
+    @property
+    def text(self) -> Optional[str]:
+        """The canonical bracket text while the tree holds no nodes, else
+        ``None`` (see :meth:`to_bracket` for the text of any tree)."""
+        return self._text
 
     # -- metadata ----------------------------------------------------------
 
@@ -175,24 +232,29 @@ class Tree:
     # -- construction ------------------------------------------------------
 
     def copy(self) -> "Tree":
-        """Deep copy of the tree."""
+        """Deep copy of the tree (a tree held as text shares the text)."""
+        if self._text is not None:
+            return Tree._from_text(self._text, self._size)
         return Tree(self.root.copy())
 
     @classmethod
     def from_bracket(cls, text: str) -> "Tree":
-        """Parse bracket notation, e.g. ``{a{b}{c{d}}}``.
+        """Read bracket notation, e.g. ``{a{b}{c{d}}}``, keeping the text.
 
-        Delegates to :func:`repro.tree.bracket.parse_bracket`.
+        Delegates to :func:`repro.tree.bracket.read_bracket`.
         """
-        from repro.tree.bracket import parse_bracket
+        from repro.tree.bracket import read_bracket
 
-        return parse_bracket(text)
+        return read_bracket(text)
 
     def to_bracket(self) -> str:
-        """Serialize to bracket notation (inverse of :meth:`from_bracket`)."""
-        from repro.tree.bracket import to_bracket
+        """Serialize to bracket notation (inverse of :meth:`from_bracket`);
+        a tree held as text returns that text."""
+        if self._text is not None:
+            return self._text
+        from repro.tree.bracket import write_nodes
 
-        return to_bracket(self)
+        return write_nodes(self.root)
 
     def __reduce__(self):
         # Pickle as bracket text: both directions are iterative, so a tree
@@ -204,9 +266,15 @@ class Tree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
+        if self._text is not None or other._text is not None:
+            # Canonical text is one-to-one with the tree, and comparing it
+            # parses no node.
+            return self.to_bracket() == other.to_bracket()
         return self.root.structurally_equal(other.root)
 
     __hash__ = None  # type: ignore[assignment]  # mutable content
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if self._text is not None:  # no node is parsed just to print
+            return f"Tree(size={self.size}, text={self._text[:40]!r})"
         return f"Tree(size={self.size}, root={self.root.label!r})"

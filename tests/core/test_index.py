@@ -1,5 +1,7 @@
 """Tests for the subgraph index and its forward probe (repro.core.index)."""
 
+import copy
+
 import pytest
 
 from repro.core.index import InvertedSizeIndex, PostorderFilter, postorder_half_width
@@ -31,9 +33,9 @@ def build_subgraphs(rng, size, delta):
 
 def shifted(cache, offset):
     """The same tree, its general postorder numbers moved by ``offset``."""
-    copy = TreeCache(cache.tree, cache.interner)
-    copy.general_post = [g + offset for g in cache.general_post]
-    return copy
+    moved = copy.copy(cache)
+    moved.general_post = [g + offset for g in cache.general_post]
+    return moved
 
 
 def single_index(tau, mode, cache, sub):
@@ -46,7 +48,7 @@ def probe(index, cache):
     """Probe ``index`` at ``cache``'s size; (hits, tests, skips), candidates."""
     candidates = []
     counts = index.probe(
-        cache, -1, cache.size, cache.size, "general", False, set(), candidates
+        cache, cache.size, cache.size, "general", False, set(), candidates
     )
     return counts, candidates
 
@@ -170,7 +172,7 @@ class TestInsertProbe:
         for lo, hi, found in ((20, 20, True), (18, 22, True), (21, 23, False),
                               (15, 19, False)):
             candidates = []
-            index.probe(cache, -1, lo, hi, "general", False, set(), candidates)
+            index.probe(cache, lo, hi, "general", False, set(), candidates)
             assert candidates == ([OWNER] if found else []), (lo, hi)
 
     def test_checked_pairs_are_skipped(self, rng):
@@ -180,7 +182,7 @@ class TestInsertProbe:
         index.insert_all(cache.size, subs)
         candidates = []
         counts = index.probe(
-            cache, 3, cache.size, cache.size, "general", False, {(3, OWNER)},
+            cache, cache.size, cache.size, "general", False, {OWNER},
             candidates,
         )
         assert counts == (len(subs), 0, len(subs))
@@ -200,7 +202,7 @@ class TestProbeLarger:
             index = InvertedSizeIndex(tau, PostorderFilter.SAFE)
             index.insert_all(cache.size + k, subs)
             candidates = []
-            index.probe_larger(cache, -1, "general", set(), candidates)
+            index.probe_larger(cache, "general", set(), candidates)
             assert candidates == ([OWNER] if 1 <= k <= tau else []), k
 
     @pytest.mark.parametrize("mode", list(PostorderFilter))
@@ -217,7 +219,7 @@ class TestProbeLarger:
             for offset in range(-tau - 1, tau + 2):
                 candidates = []
                 index.probe_larger(
-                    shifted(cache, offset), -1, "general", set(), candidates
+                    shifted(cache, offset), "general", set(), candidates
                 )
                 found = mode is PostorderFilter.OFF or abs(offset) <= tau
                 assert candidates == ([OWNER] if found else []), (sub.rank, offset)

@@ -107,11 +107,11 @@ class TestMaxMinSize:
                 assert not partitionable(cache, delta, gamma + 1)
 
 
-def assert_valid_partition(cache, subgraphs, delta, gamma=None):
+def assert_valid_partition(tree, cache, subgraphs, delta, gamma=None):
     """The structural invariants every extraction must satisfy."""
     assert len(subgraphs) == delta
     # The LC-RS node objects, numbered independently of the cache.
-    nodes = to_lcrs(cache.tree).postorder()
+    nodes = to_lcrs(tree).postorder()
     covered = set()
     for sub in subgraphs:
         assert sub.members, "empty subgraph"
@@ -138,7 +138,7 @@ class TestExtraction:
         cache = TreeCache(tree)
         gamma = max_min_size(cache, delta)
         subgraphs = extract_partition(cache, owner=0, delta=delta, gamma=gamma)
-        assert_valid_partition(cache, subgraphs, delta, gamma)
+        assert_valid_partition(tree, cache, subgraphs, delta, gamma)
 
     def test_gamma_defaults_to_maxmin(self, rng):
         tree = make_random_tree(rng, 21)
@@ -202,7 +202,7 @@ class TestRandomPartition:
         subgraphs = extract_random_partition(
             cache, owner=0, delta=delta, rng=random.Random(seed)
         )
-        assert_valid_partition(cache, subgraphs, delta)
+        assert_valid_partition(tree, cache, subgraphs, delta)
 
     def test_random_partitions_vary_with_seed(self, rng):
         tree = make_random_tree(rng, 40)

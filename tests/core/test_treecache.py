@@ -93,7 +93,7 @@ class TestRecordStore:
         assert len(store) == 0
         first = store[1]
         assert store[1] is first and len(store) == 1
-        assert first.tree is trees[1]
+        assert first.labels == TreeCache(trees[1], store.interner).labels
         assert store[2].interner is first.interner is store.interner
 
     def test_sees_a_growing_tree_list(self):

@@ -2,11 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.datasets.io import load_trees
+from repro.persist.wal import scan_wal
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 BRACKET_LINES = "\n".join([
     "{a{b}{c{d}}}",
@@ -120,6 +127,31 @@ MALFORMED_LINES = "\n".join([
     "}stray",            # line 4: malformed too
     "{x{y{z{w{v}}}}{u}}",
 ]) + "\n"
+
+
+class TestClosedStdout:
+    def test_reader_leaving_early_ends_quietly_with_the_log_synced(
+        self, tmp_path
+    ):
+        # `... | head -1`: 300 equal trees make ~45k pair lines, far more
+        # than a pipe buffers, so a write fails once the reader has gone.
+        source = tmp_path / "same.trees"
+        source.write_text("{a{b}{c}}\n" * 300, encoding="utf-8")
+        wal = tmp_path / "arrivals.wal"
+        with open(source, encoding="utf-8") as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "join", "--stream",
+                 "--tau", "2", "--wal", str(wal)],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={"PYTHONPATH": str(SRC), "PATH": os.environ.get("PATH", "")},
+            )
+            assert proc.stdout.readline() == b"0\t1\t0\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Error" not in err, err
+        salvage = scan_wal(wal)["salvage"]
+        assert salvage["torn_bytes"] == 0 and 2 <= salvage["records"] < 300
 
 
 class TestJoinStreamOnError:

@@ -18,6 +18,7 @@ from repro.baselines.nested_loop import nested_loop_join
 from repro.baselines.set_join import set_join
 from repro.baselines.str_join import str_join
 from repro.core.join import PartSJConfig, partsj_join
+from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError
 from repro.session import JOIN_METHOD_NAMES, TreeCollection
 from repro.stream.engine import StreamingJoin
@@ -470,7 +471,10 @@ class TestReviewRegressions:
         shared = col.verifier_caches
         # Only collection trees have records; the query never enters.
         assert shared and set(shared) <= set(range(len(forest)))
-        assert all(shared[i].tree is forest[i] for i in shared)
+        assert all(
+            shared[i].labels == TreeCache(forest[i], shared.interner).labels
+            for i in shared
+        )
         # Collection-tree work done during the search was written back.
         assert shared.built("label_bag") > 0
 
