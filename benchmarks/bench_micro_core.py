@@ -2,7 +2,7 @@
 
 Throughput of the pieces Algorithm 1 executes per tree: the LC-RS tree
 cache, the MaxMinSize search (Algorithm 3), partition extraction, and
-index insert + the forward probe of one tree.
+index insert + the probe walk of one tree.
 """
 
 import pytest
@@ -62,13 +62,13 @@ def test_index_probe(benchmark, forest):
     for i, cache in enumerate(caches[:-1]):
         index.insert_all(cache.size, extract_partition(cache, i, DELTA))
     probe_cache = caches[-1]
-    n = probe_cache.size
 
     def probe_all():
-        # The join's probe of one tree: sizes [n - tau, n], fresh pairs.
+        # The join's probe of one tree: sizes [n - tau, n + tau], fresh
+        # pairs.
         candidates = []
-        hits, _, _ = index.probe(
-            probe_cache, n - TAU, n, "general", False, set(), candidates
+        hits, _, _, _ = index.probe(
+            probe_cache, "general", False, set(), candidates
         )
         return hits
 

@@ -35,10 +35,16 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
     # probe/insert loop (core.join._ProbeCounters.as_dict)
     "probe_hits": "indexed subgraphs whose depth-2 key (root twig plus "
                   "member grandchildren) equals a probe node's, within its "
-                  "postorder window",
-    "match_tests": "structural matches attempted",
+                  "postorder window; nodes whose LC-RS subtree is smaller "
+                  "than every probed subgraph are never visited, and a "
+                  "stream's count includes the sizes above each arrival's",
+    "match_tests": "probe hits tested, by the depth-3 screen and then the "
+                   "structural matcher (screened ones included); same "
+                   "scope as probe_hits",
     "match_hits": "structural matches that succeeded",
     "dedup_skips": "probe hits skipped because the pair was already checked",
+    "screened": "tested probe hits the depth-3 screen rejected before the "
+                "structural matcher",
     "small_pool_pairs": "pairs verified via the small-tree pool",
     "partitioned_trees": "trees partitioned into delta subgraphs",
     "small_trees": "trees below the partitionable floor",

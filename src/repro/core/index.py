@@ -1,4 +1,4 @@
-"""The two-layer subgraph index of Section 3.4 and its one forward probe.
+"""The two-layer subgraph index of Section 3.4 and its one probe walk.
 
 One :class:`InvertedSizeIndex` holds the partitions of every indexed tree
 (the *inverted size index* ``I`` of Algorithm 1).  The two layers of the
@@ -18,34 +18,57 @@ paper are materialized across all sizes at once:
    the node's is never a hit.  A subgraph that matches at the node
    agrees with it on those labels, so the finer key loses no candidate.
 2. **postorder layer** — inside each bucket, subgraphs are stored *once*
-   (not once per window key) as ``(postorder_id, half_width, subgraph)``
-   entries kept sorted by ``postorder_id``.  A probe at postorder number
-   ``p`` bisects the bucket for the superset window ``[p - tau, p +
-   tau]`` and keeps entries with ``|p - p_k| <= half_width`` — exactly
-   the subgraphs the paper would have filed under key ``p``.  With
-   ``postorder_filter="paper"`` the half width is ``Delta' = tau -
-   floor(k / 2)`` (the published derivation); with ``"safe"`` it is
-   ``tau``, which is provably sufficient because a surviving node's
-   general-tree postorder number shifts by at most one per edit
-   operation; ``"off"`` disables the layer.
+   (not once per window key) as ``(postorder_id, half_width, subgraph,
+   screen, screen_mask)`` entries kept sorted by ``postorder_id``.  A
+   probe at postorder number ``p`` bisects the bucket for the superset
+   window ``[p - tau, p + tau]`` and keeps entries with ``|p - p_k| <=
+   half_width`` — exactly the subgraphs the paper would have filed under
+   key ``p``.  With ``postorder_filter="paper"`` the half width is
+   ``Delta' = tau - floor(k / 2)`` (the published derivation); with
+   ``"safe"`` it is ``tau``, which is provably sufficient because a
+   surviving node's general-tree postorder number shifts by at most one
+   per edit operation; ``"off"`` disables the layer.
 
 Storing each subgraph once — instead of under every integer key in
 ``[p_k - Delta', p_k + Delta']`` — cuts index memory and insert work by a
 factor of ``2*tau + 1`` and makes the number of stored entries
 independent of ``tau`` (``counts`` holds the subgraphs filed per size).
 
-:meth:`InvertedSizeIndex.probe` is the one forward probe (Algorithm 1
-lines 5-12): a tree of ``n`` nodes probes the sizes ``[n - tau, n]``
-below it, under the configured semantics and window.  The batch join,
-its shards and the stream run it for every tree (see
-:class:`repro.core.join.ShardDriver`), both similarity searchers for
-every query (:mod:`repro.search`).  Under SAFE matching Lemma 2 holds
-whichever of two trees is partitioned, so the same loop also finds the
-indexed trees *larger* than a probing tree, sizes ``[n + 1, n + tau]``:
-:meth:`InvertedSizeIndex.probe_larger` holds that rule (SAFE matching,
-and a window that holds when the larger tree is the partitioned one).
-The searchers run it for every query, and the stream for every arrival,
-to find the earlier arrivals larger than it.
+The one walk
+------------
+:meth:`InvertedSizeIndex.probe` is the probe of Algorithm 1 lines 5-12:
+one walk over a tree of ``n`` nodes reads the sizes ``[n - tau, n +
+tau]``.
+
+- Sizes up to ``n`` hold the smaller partners, partitioned as the paper
+  partitions them: matched under the configured semantics and window.
+- Sizes above ``n`` hold the larger ones.  Under SAFE matching Lemma 2
+  holds whichever of two trees is partitioned, but under PAPER matching
+  one delete can break three subgraphs (see :mod:`repro.core.subgraph`),
+  so these are matched under SAFE semantics.  The published ``Delta'``
+  does not hold when the larger tree is the partitioned one, so their
+  window is the SAFE one (half-width ``tau``) under general numbering,
+  whatever the configured filter; there is none under binary numbering,
+  where no constant window is sound, or when the layer is off.
+
+The batch join and its shards probe in ascending size order, so they
+never hold a larger size; the stream (every arrival, whatever its size)
+and both searchers (every query) find both sides in the one walk.
+
+Every hit first passes three necessary conditions of a match, so no
+candidate is lost and none is added:
+
+- **Node gate** — a match maps the subgraph's members one-to-one into
+  the node's LC-RS subtree, so a node whose subtree has fewer nodes than
+  the smallest subgraph at any probed size (``smallest``) is skipped.
+- **Depth-2 key** — the node's search keys with its grandchild labels.
+- **Depth-3 screen** — each entry carries the labels of the subgraph's
+  member great-grandchildren and their slot mask
+  (:func:`repro.core.intern.subgraph_bits`, computed with the depth-2
+  key at insert); the node's own great-grandchildren
+  (:func:`repro.core.intern.screen_word`, built from its children's
+  grandchild bits, memoized per walk) must agree before
+  :meth:`~repro.core.subgraph.Subgraph.matches_at_number` runs.
 
 Mutation invariants
 -------------------
@@ -54,11 +77,9 @@ join alternates the two per tree, and the streaming engine
 (:mod:`repro.stream`) keeps one index alive indefinitely while trees
 keep arriving.  Four invariants make that safe:
 
-1. **Append-only buckets, lazily sorted** (:class:`PostorderBucket`).
-   Inserts append to a bucket and mark it dirty; the ``O(k log k)``
-   re-sort happens on the bucket's next probe, never eagerly.  The
-   alternating pattern thus pays one amortized sort per touched bucket
-   per tree rather than ``O(k)`` shifting per insert, and a probe always
+1. **Buckets sorted at insert** (:class:`PostorderBucket`).  An insert
+   places its entry in postorder, after any equal postorder numbers, so
+   a bucket is sorted whenever a probe reads it and a probe always
    observes every earlier insert.
 2. **Append-only label ids.**  Index keys embed interned label ids
    (:mod:`repro.core.intern`); the interner never reassigns an id, so a
@@ -73,7 +94,8 @@ keep arriving.  Four invariants make that safe:
    removed or reordered.
 4. **Monotone statistics.**  ``counts`` / ``total_subgraphs`` /
    ``total_entries`` only grow, so a streaming consumer may publish them
-   mid-ingest without tearing.
+   mid-ingest without tearing; ``smallest`` only shrinks, so the node
+   gate of a later probe never skips a node an earlier insert needs.
 
 Nothing is ever deleted or rewritten in place; a probe running between
 two inserts sees exactly the prefix of insertions that completed, which
@@ -84,10 +106,15 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.core.intern import grandchild_bits, search_keys, shape_of
+from repro.core.intern import (
+    grandchild_bits,
+    screen_word,
+    search_keys,
+    shape_of,
+    subgraph_bits,
+)
 from repro.core.subgraph import Subgraph
 from repro.errors import InvalidParameterError
 from repro.params import check_tau
@@ -101,9 +128,6 @@ __all__ = [
     "InvertedSizeIndex",
     "postorder_half_width",
 ]
-
-_entry_postorder = itemgetter(0)
-
 
 class PostorderFilter(enum.Enum):
     """Window rule for the postorder layer."""
@@ -130,9 +154,9 @@ def postorder_half_width(
     """Half-width ``Delta'`` of a subgraph's postorder window.
 
     Computed when the subgraph is filed: ``tau - floor(rank / 2)`` under
-    the published ``PAPER`` rule, ``tau`` otherwise.  Only a probe under
-    the ``PAPER`` window reads it; :meth:`InvertedSizeIndex.probe_larger`
-    never does.
+    the published ``PAPER`` rule, ``tau`` otherwise.  Only the ``PAPER``
+    window of sizes up to the probing tree's reads it; the sizes above
+    never do.
     """
     if postorder_filter is PostorderFilter.PAPER:
         return max(0, tau - rank // 2)
@@ -140,33 +164,27 @@ def postorder_half_width(
 
 
 class PostorderBucket:
-    """Entries of one ``(key, tree size)`` slot, sorted lazily by postorder.
+    """Entries of one ``(key, tree size)`` slot, sorted by postorder.
 
-    Every entry is a ``(postorder_id, half_width, subgraph)`` tuple.
-    ``add`` appends and marks the bucket dirty; :meth:`span` sorts it
-    (stably) by postorder on first use after an append.
+    Every entry is a ``(postorder_id, half_width, subgraph, screen,
+    screen_mask)`` tuple (the screen pair of
+    :func:`repro.core.intern.subgraph_bits`).  :meth:`add` inserts it at
+    its place in postorder, after the entries of equal postorder, so
+    ``entries`` is always sorted and ``posts`` always holds their
+    postorder numbers for the probe to bisect.
     """
 
-    __slots__ = ("entries", "posts", "dirty")
+    __slots__ = ("posts", "entries")
 
     def __init__(self) -> None:
+        self.posts: list[int] = []
         self.entries: list[tuple] = []
-        self.posts: list[int] = []  # entries' postorder numbers, for bisection
-        self.dirty = False
 
     def add(self, entry: tuple) -> None:
-        self.entries.append(entry)
-        self.dirty = True
-
-    def span(self, lo: int, hi: int) -> tuple[int, int]:
-        """``(start, stop)`` of the entries with postorder in ``[lo, hi]``."""
-        if self.dirty:
-            self.entries.sort(key=_entry_postorder)
-            self.posts = [entry[0] for entry in self.entries]
-            self.dirty = False
         posts = self.posts
-        start = bisect_left(posts, lo)
-        return start, bisect_right(posts, hi, start)
+        k = bisect_right(posts, entry[0])
+        posts.insert(k, entry[0])
+        self.entries.insert(k, entry)
 
 
 class InvertedSizeIndex:
@@ -175,11 +193,14 @@ class InvertedSizeIndex:
     ``merged`` maps ``depth-2 key -> {tree size: PostorderBucket}``,
     ``shapes`` maps ``twig key -> ((shape_bits, mask), ...)`` (the shapes
     of the depth-2 keys filed under that twig,
-    :func:`repro.core.intern.shape_of`) and ``counts`` maps ``tree size
-    -> subgraphs filed``.
+    :func:`repro.core.intern.shape_of`), ``counts`` maps ``tree size ->
+    subgraphs filed`` and ``smallest`` maps ``tree size -> member count
+    of the smallest subgraph filed``.
     """
 
-    __slots__ = ("tau", "postorder_filter", "merged", "shapes", "counts")
+    __slots__ = (
+        "tau", "postorder_filter", "merged", "shapes", "counts", "smallest",
+    )
 
     def __init__(self, tau: int, postorder_filter: PostorderFilter | str = "safe"):
         self.tau = check_tau(tau)
@@ -187,19 +208,22 @@ class InvertedSizeIndex:
         self.merged: dict[int, dict[int, PostorderBucket]] = {}
         self.shapes: dict[int, tuple[tuple[int, int], ...]] = {}
         self.counts: dict[int, int] = {}
+        self.smallest: dict[int, int] = {}
 
     def insert_all(self, size: int, subgraphs: list[Subgraph]) -> None:
-        """File a tree's partition once per subgraph under its depth-2 key."""
+        """File a tree's partition once per subgraph under its depth-2 key,
+        with its depth-3 screen."""
         mode = self.postorder_filter
         tau = self.tau
         merged = self.merged
         shapes = self.shapes
         for subgraph in subgraphs:
             cache = subgraph.cache
-            key = subgraph.twig_key | grandchild_bits(
+            bits, screen, screen_mask = subgraph_bits(
                 cache.labels, cache.left, cache.right,
                 subgraph.root_number, subgraph.member_bits,
             )
+            key = subgraph.twig_key | bits
             by_size = merged.get(key)
             if by_size is None:
                 by_size = merged[key] = {}
@@ -214,8 +238,12 @@ class InvertedSizeIndex:
                 subgraph.postorder_id,
                 postorder_half_width(mode, tau, subgraph.rank),
                 subgraph,
+                screen,
+                screen_mask,
             ))
         self.counts[size] = self.counts.get(size, 0) + len(subgraphs)
+        least = min(subgraph.size for subgraph in subgraphs)
+        self.smallest[size] = min(self.smallest.get(size, least), least)
 
     @property
     def total_subgraphs(self) -> int:
@@ -229,128 +257,115 @@ class InvertedSizeIndex:
     def probe(
         self,
         cache: "TreeCache",
-        lo_size: int,
-        hi_size: int,
         numbering: str,
         strict: bool,
         checked: set[int],
         candidates: list[int],
-    ) -> tuple[int, int, int]:
-        """Gather the indexed trees of size ``[lo_size, hi_size]`` that may
-        be within ``tau`` of ``cache``'s tree (Algorithm 1 lines 5-12).
+    ) -> tuple[int, int, int, int]:
+        """Gather the indexed trees of size ``[n - tau, n + tau]`` that may
+        be within ``tau`` of ``cache``'s ``n``-node tree (Algorithm 1
+        lines 5-12, both sides at once).
 
-        Every node ``b`` probes at its postorder number (general or
-        binary, per ``numbering``) with its at most four search keys
-        (:func:`repro.core.intern.search_keys`), each combined with the
-        node's grandchild labels in every shape filed under it.  A hit
-        ``s`` (a subgraph whose depth-2 key equals one of those, within
-        the configured postorder window) is tested with
-        :meth:`Subgraph.matches_at_number` (``strict`` selects the
-        paper's semantics) unless ``s.owner`` is already in ``checked``,
-        the partners this probing tree has matched so far; a match adds
-        ``s.owner`` to ``checked`` and to ``candidates``.
+        Sizes up to ``n`` are matched under the configured semantics
+        (``strict`` selects the paper's) and window; sizes above ``n``
+        under the larger-side rule (see the module docstring).  Every
+        node ``b`` whose LC-RS subtree is at least as large as the
+        smallest subgraph filed at any probed size probes at its
+        postorder number (general or binary, per ``numbering``) with its
+        at most four search keys (:func:`repro.core.intern.search_keys`),
+        each combined with the node's grandchild labels in every shape
+        filed under it.  A hit ``s`` (a subgraph whose depth-2 key equals
+        one of those, within its size's window) is skipped if ``s.owner``
+        is already in ``checked``, the partners this probing tree has
+        matched so far.  Otherwise it is tested: first its depth-3 screen
+        against the node's screen word, then
+        :meth:`Subgraph.matches_at_number`.  A match adds ``s.owner`` to
+        ``checked`` and to ``candidates``.
 
         The loop reads only the record's flat arrays and inserts nothing,
         so the buckets it visits are frozen for its duration.  Returns
-        ``(probe_hits, match_tests, dedup_skips)``.
+        ``(probe_hits, match_tests, dedup_skips, screened)``: the tests
+        include the ``screened`` ones, the hits the screen rejected.
         """
-        return self._probe(
-            cache, lo_size, hi_size, numbering, strict,
-            self.postorder_filter, checked, candidates,
-        )
-
-    def probe_larger(
-        self,
-        cache: "TreeCache",
-        numbering: str,
-        checked: set[int],
-        candidates: list[int],
-    ) -> tuple[int, int, int]:
-        """:meth:`probe` the sizes ``[n + 1, n + tau]`` above ``cache``'s
-        ``n``-node tree: the indexed trees *larger* than it.
-
-        Here the larger tree is the partitioned one.  Lemma 2 holds that
-        way round only under SAFE matching (under PAPER matching one
-        delete can break three subgraphs, see
-        :mod:`repro.core.subgraph`), so every hit is matched under SAFE
-        semantics.  The window is chosen once per call: the SAFE window
-        (half-width ``tau``) under general numbering, whatever the
-        configured filter, because the published ``Delta'`` does not hold
-        when the larger tree is the partitioned one; no window under
-        binary numbering, where no constant window is sound, or when the
-        layer is off.  Same arguments and return value as :meth:`probe`.
-        """
-        if self.postorder_filter is PostorderFilter.OFF or numbering != "general":
-            window = PostorderFilter.OFF
-        else:
-            window = PostorderFilter.SAFE
         n = cache.size
-        return self._probe(
-            cache, n + 1, n + self.tau, numbering, False, window,
-            checked, candidates,
-        )
-
-    def _probe(
-        self,
-        cache: "TreeCache",
-        lo_size: int,
-        hi_size: int,
-        numbering: str,
-        strict: bool,
-        window: PostorderFilter,
-        checked: set[int],
-        candidates: list[int],
-    ) -> tuple[int, int, int]:
-        """The loop of :meth:`probe` and :meth:`probe_larger`, under
-        ``window``'s postorder rule (entries carry the configured half
-        width, which only ``PAPER`` reads)."""
-        counts = self.counts
-        sizes = [size for size in range(lo_size, hi_size + 1) if size in counts]
-        if not sizes:
-            return 0, 0, 0
+        tau = self.tau
+        smallest = self.smallest
+        # (size, strict, window) per probed size that holds subgraphs;
+        # window 0 none, 1 [p - tau, p + tau], 2 that and each entry's
+        # published half width.
+        mode = self.postorder_filter
+        if mode is PostorderFilter.OFF:
+            below = above = 0
+        else:
+            below = 2 if mode is PostorderFilter.PAPER else 1
+            above = 1 if numbering == "general" else 0
+        plan = [
+            (size, strict, below) if size <= n else (size, False, above)
+            for size in range(n - tau, n + tau + 1)
+            if size in smallest
+        ]
+        if not plan:
+            return 0, 0, 0, 0
+        # A match maps the subgraph's members one-to-one into the node's
+        # LC-RS subtree, so a smaller subtree matches nothing probed.
+        gate = min(smallest[size] for size, _, _ in plan)
         merged = self.merged
         shapes = self.shapes
-        off = window is PostorderFilter.OFF
-        strict_window = window is PostorderFilter.PAPER
-        tau = self.tau
-        n = cache.size
         labels = cache.labels
         left = cache.left
         right = cache.right
         positions = cache.general_post if numbering == "general" else range(n + 1)
+        subtree = [0] * (n + 1)  # LC-RS subtree sizes, filled as b ascends
+        # Grandchild bits per node, built on first use; a missing child
+        # (0) has none.
+        grandchild_memo = [-1] * (n + 1)
+        grandchild_memo[0] = 0
         probe_hits = 0
         match_tests = 0
         dedup_skips = 0
+        screened = 0
         for b in range(1, n + 1):
-            p = positions[b]
-            lo = p - tau
-            hi = p + tau
+            l = left[b]
+            r = right[b]
+            size_b = subtree[b] = subtree[l] + subtree[r] + 1
+            if size_b < gate:
+                continue
             grandchildren = -1  # built once a search key has a shape filed
+            word = -1  # the screen word, built at the node's first test
             # labels[0] is epsilon's id 0, so a missing child reads as 0.
-            for twig_key in search_keys(labels[b], labels[left[b]], labels[right[b]]):
+            for twig_key in search_keys(labels[b], labels[l], labels[r]):
                 filed = shapes.get(twig_key)
                 if filed is None:
                     continue
                 if grandchildren < 0:
-                    grandchildren = grandchild_bits(labels, left, right, b)
+                    grandchildren = grandchild_memo[b] = grandchild_bits(
+                        labels, left, right, b
+                    )
+                    p = positions[b]
+                    lo = p - tau
+                    hi = p + tau
                 for shape_bits, mask in filed:
                     by_size = merged.get(
                         twig_key | shape_bits | (grandchildren & mask)
                     )
                     if by_size is None:
                         continue
-                    for size in sizes:
+                    for size, strict_size, window in plan:
                         bucket = by_size.get(size)
                         if bucket is None:
                             continue
                         entries = bucket.entries
-                        if off:
-                            start, stop = 0, len(entries)
+                        if window:
+                            posts = bucket.posts
+                            start = bisect_left(posts, lo)
+                            if start == len(posts) or posts[start] > hi:
+                                continue  # an empty window
+                            stop = bisect_right(posts, hi, start)
                         else:
-                            start, stop = bucket.span(lo, hi)
+                            start, stop = 0, len(entries)
                         for k in range(start, stop):
-                            pk, half, subgraph = entries[k]
-                            if strict_window and not -half <= p - pk <= half:
+                            pk, half, subgraph, screen, screen_mask = entries[k]
+                            if window == 2 and not -half <= p - pk <= half:
                                 continue
                             probe_hits += 1
                             j = subgraph.owner
@@ -358,7 +373,22 @@ class InvertedSizeIndex:
                                 dedup_skips += 1
                                 continue
                             match_tests += 1
-                            if subgraph.matches_at_number(cache, b, strict):
+                            if word < 0:
+                                gl = grandchild_memo[l]
+                                if gl < 0:
+                                    gl = grandchild_memo[l] = grandchild_bits(
+                                        labels, left, right, l
+                                    )
+                                gr = grandchild_memo[r]
+                                if gr < 0:
+                                    gr = grandchild_memo[r] = grandchild_bits(
+                                        labels, left, right, r
+                                    )
+                                word = screen_word(gl, gr)
+                            if word & screen_mask != screen:
+                                screened += 1
+                                continue
+                            if subgraph.matches_at_number(cache, b, strict_size):
                                 checked.add(j)
                                 candidates.append(j)
-        return probe_hits, match_tests, dedup_skips
+        return probe_hits, match_tests, dedup_skips, screened

@@ -28,6 +28,16 @@ Layout
   lacks a grandchild one of them constrains.  The forward index
   (:class:`repro.core.index.InvertedSizeIndex`) files each subgraph
   under this key.
+- A *depth-3 screen* covers the eight great-grandchild slots, the LC-RS
+  children of the four grandchild slots: left-left-left, left-left-right,
+  left-right-left, ..., right-right-right.  Slot ``k`` takes the 22 bits
+  from ``22*k`` and holds the label id + 1, or 0.  A probe node's
+  *screen word* fills every slot it has: the grandchild slots of its
+  left child, then those of its right child (:func:`screen_word`).  A
+  subgraph's *screen* fills the slots of its member great-grandchildren,
+  and its *screen mask* is the one of 256 shared masks that covers them
+  (:func:`subgraph_bits`).  A subgraph can match at a node only if
+  ``word & mask == screen``; the index tests that before the matcher.
 
 A process-wide :data:`DEFAULT_INTERNER` is shared by every
 :class:`~repro.core.treecache.TreeCache` unless an explicit interner is
@@ -58,8 +68,11 @@ __all__ = [
     "unpack_twig",
     "search_keys",
     "grandchild_bits",
+    "subgraph_bits",
+    "screen_word",
     "unpack_grandchildren",
     "shape_of",
+    "SCREEN_MASKS",
 ]
 
 EPSILON = ""  # dummy label for a missing/non-member binary child
@@ -88,6 +101,14 @@ _SHAPES = tuple(
         sum(_SLOT_MASK << _SLOT_SHIFTS[k] for k in range(4) if code >> k & 1),
     )
     for code in range(16)
+)
+# Depth-3 screens: eight great-grandchild slots of 22 bits from bit 0.  A
+# node's word puts its right child's grandchild slots above its left's.
+_SCREEN_RIGHT_SHIFT = 4 * _SLOT_BITS
+#: Per 8-bit code, the mask of the great-grandchild slots it names.
+SCREEN_MASKS = tuple(
+    sum(_SLOT_MASK << k * _SLOT_BITS for k in range(8) if code >> k & 1)
+    for code in range(256)
 )
 
 
@@ -218,8 +239,8 @@ def search_keys(label: int, left: int, right: int) -> tuple[int, ...]:
     A probe node searches its full twig plus the variants with either or
     both children replaced by epsilon; with a missing child (id 0) the
     epsilon variant coincides, so only the distinct packed keys survive.
-    The index's probes (:meth:`repro.core.index.InvertedSizeIndex.probe`
-    and ``probe_larger``) build their keys here.
+    The index's probe (:meth:`repro.core.index.InvertedSizeIndex.probe`)
+    builds its keys here.
 
     >>> [unpack_twig(k) for k in search_keys(3, 1, 2)]
     [(3, 1, 2), (3, 1, 0), (3, 0, 2), (3, 0, 0)]
@@ -237,17 +258,16 @@ def search_keys(label: int, left: int, right: int) -> tuple[int, ...]:
     return (full_key,)
 
 
-def grandchild_bits(labels, left, right, node: int, member=None) -> int:
-    """The bits a depth-2 key adds above ``node``'s twig key.
+def grandchild_bits(labels, left, right, node: int) -> int:
+    """The bits a depth-2 key adds above probe node ``node``'s twig key.
 
     ``labels`` / ``left`` / ``right`` are a record's flat arrays
     (:class:`repro.core.treecache.TreeCache`).  Slot ``k`` (left-left,
     left-right, right-left, right-right) is filled when that grandchild
-    exists and, given a subgraph's bitmap ``member``, when it and the
-    child above it are both members.  A filled slot holds the label id
-    + 1 and sets shape bit ``k``.  A subgraph's twig key OR these bits
-    (over its bitmap) is the key the forward index files it under; a
-    probe node passes no bitmap and so fills every slot it has.
+    exists: it holds the label id + 1 and sets shape bit ``k``.  A
+    subgraph fills only its member grandchildren (:func:`subgraph_bits`);
+    its twig key OR those bits is the key the forward index files it
+    under.
 
     Below, ``{a{b{c}}{d}}`` in binary postorder: ``a``'s left child is
     ``b``, whose left and right children are ``c`` and ``d``.
@@ -255,28 +275,119 @@ def grandchild_bits(labels, left, right, node: int, member=None) -> int:
     >>> labels, left, right = [0, 3, 4, 2, 1], [0, 0, 0, 1, 3], [0, 0, 0, 2, 0]
     >>> unpack_grandchildren(grandchild_bits(labels, left, right, 4))
     (3, 4, None, None)
-    >>> member = bytes([0, 1, 0, 1, 1])  # d belongs to another subgraph
-    >>> unpack_grandchildren(grandchild_bits(labels, left, right, 4, member))
-    (3, None, None, None)
     """
     bits = 0
     child = left[node]
-    if child and (member is None or member[child]):
+    if child:
         grandchild = left[child]
-        if grandchild and (member is None or member[grandchild]):
+        if grandchild:
             bits = _SHAPE_BITS[0] | (labels[grandchild] + 1) << _SLOT_SHIFTS[0]
         grandchild = right[child]
-        if grandchild and (member is None or member[grandchild]):
+        if grandchild:
             bits |= _SHAPE_BITS[1] | (labels[grandchild] + 1) << _SLOT_SHIFTS[1]
     child = right[node]
-    if child and (member is None or member[child]):
+    if child:
         grandchild = left[child]
-        if grandchild and (member is None or member[grandchild]):
+        if grandchild:
             bits |= _SHAPE_BITS[2] | (labels[grandchild] + 1) << _SLOT_SHIFTS[2]
         grandchild = right[child]
-        if grandchild and (member is None or member[grandchild]):
+        if grandchild:
             bits |= _SHAPE_BITS[3] | (labels[grandchild] + 1) << _SLOT_SHIFTS[3]
     return bits
+
+
+def subgraph_bits(labels, left, right, root: int, member) -> tuple[int, int, int]:
+    """``(grandchild bits, screen, screen mask)`` of the subgraph rooted
+    at ``root`` with bitmap ``member``, in one walk of its top three
+    levels.
+
+    The grandchild bits are :func:`grandchild_bits` restricted to the
+    member grandchildren below member children.  The screen holds, in
+    great-grandchild slot ``2*k + side``, the label id + 1 of the member
+    LC-RS child (``side`` 0 left, 1 right) of the member grandchild in
+    slot ``k``; the mask is :data:`SCREEN_MASKS` of the filled slots'
+    code.  A match maps each member onto the node at the same path below
+    the probe node, with the same label, so it needs :func:`screen_word`
+    of that node, masked, to equal the screen.
+
+    Below, :func:`grandchild_bits`' tree under a new root ``x`` (5),
+    ``{x{a{b{c}}{d}}}``, and its subgraph without ``d``: the subgraph
+    rooted at ``a`` has one member grandchild, ``c``, and ``c`` is a
+    member great-grandchild of ``x``, in slot left-left-left.
+
+    >>> labels, left, right = [0, 3, 4, 2, 1, 9], [0, 0, 0, 1, 3, 4], [0, 0, 0, 2, 0, 0]
+    >>> member = bytes([0, 1, 0, 1, 1, 1])  # d belongs to another subgraph
+    >>> unpack_grandchildren(subgraph_bits(labels, left, right, 4, member)[0])
+    (3, None, None, None)
+    >>> bits, screen, mask = subgraph_bits(labels, left, right, 5, member)
+    >>> unpack_grandchildren(bits), screen == labels[1] + 1, mask == SCREEN_MASKS[1]
+    ((2, None, None, None), True, True)
+    >>> word = screen_word(grandchild_bits(labels, left, right, 4), 0)
+    >>> word & mask == screen
+    True
+    """
+    # Unrolled like grandchild_bits: insert runs this once per subgraph.
+    bits = screen = code = 0
+    child = left[root]
+    if child and member[child]:
+        node = left[child]
+        if node and member[node]:
+            bits = _SHAPE_BITS[0] | (labels[node] + 1) << _SLOT_SHIFTS[0]
+            below = left[node]
+            if below and member[below]:
+                screen = labels[below] + 1
+                code = 1
+            below = right[node]
+            if below and member[below]:
+                screen |= (labels[below] + 1) << _SLOT_BITS
+                code |= 2
+        node = right[child]
+        if node and member[node]:
+            bits |= _SHAPE_BITS[1] | (labels[node] + 1) << _SLOT_SHIFTS[1]
+            below = left[node]
+            if below and member[below]:
+                screen |= (labels[below] + 1) << 2 * _SLOT_BITS
+                code |= 4
+            below = right[node]
+            if below and member[below]:
+                screen |= (labels[below] + 1) << 3 * _SLOT_BITS
+                code |= 8
+    child = right[root]
+    if child and member[child]:
+        node = left[child]
+        if node and member[node]:
+            bits |= _SHAPE_BITS[2] | (labels[node] + 1) << _SLOT_SHIFTS[2]
+            below = left[node]
+            if below and member[below]:
+                screen |= (labels[below] + 1) << 4 * _SLOT_BITS
+                code |= 16
+            below = right[node]
+            if below and member[below]:
+                screen |= (labels[below] + 1) << 5 * _SLOT_BITS
+                code |= 32
+        node = right[child]
+        if node and member[node]:
+            bits |= _SHAPE_BITS[3] | (labels[node] + 1) << _SLOT_SHIFTS[3]
+            below = left[node]
+            if below and member[below]:
+                screen |= (labels[below] + 1) << 6 * _SLOT_BITS
+                code |= 64
+            below = right[node]
+            if below and member[below]:
+                screen |= (labels[below] + 1) << 7 * _SLOT_BITS
+                code |= 128
+    return bits, screen, SCREEN_MASKS[code]
+
+
+def screen_word(left_bits: int, right_bits: int) -> int:
+    """A probe node's depth-3 screen word, from the :func:`grandchild_bits`
+    of its left and right children (``0`` for a missing child): the
+    grandchild slots of its left child are its great-grandchild slots 0-3,
+    those of its right child slots 4-7."""
+    return (
+        left_bits >> _GRANDCHILD_SHIFT
+        | (right_bits >> _GRANDCHILD_SHIFT) << _SCREEN_RIGHT_SHIFT
+    )
 
 
 def unpack_grandchildren(key: int) -> tuple:
@@ -304,7 +415,7 @@ def shape_of(key: int) -> tuple[int, int]:
     >>> labels, left, right = [0, 3, 4, 2, 1], [0, 0, 0, 1, 3], [0, 0, 0, 2, 0]
     >>> member = bytes([0, 1, 0, 1, 1])
     >>> twig = pack_twig(1, 2, 0)
-    >>> key = twig | grandchild_bits(labels, left, right, 4, member)
+    >>> key = twig | subgraph_bits(labels, left, right, 4, member)[0]
     >>> shape_bits, mask = shape_of(key)
     >>> twig | shape_bits | (grandchild_bits(labels, left, right, 4) & mask) == key
     True

@@ -3,14 +3,16 @@
 Processing trees in ascending size order, each tree ``Ti``:
 
 1. **Probe phase** — every node ``N`` of ``Ti``'s binary representation
-   probes the subgraphs of the trees of size ``[|Ti| - tau, |Ti|]`` with
-   its postorder number and its depth-2 keys, its packed twig variants
-   plus its grandchild labels
-   (:meth:`repro.core.index.InvertedSizeIndex.probe`, the forward probe
-   the searchers share).  Every returned subgraph ``s`` is structurally
-   matched at ``N`` by an integer-array walk; a successful match makes
-   ``(Ti, owner(s))`` a candidate (checked at most once per pair),
-   verified with exact TED.
+   large enough to hold an indexed subgraph probes the subgraphs of the
+   trees of size ``[|Ti| - tau, |Ti| + tau]`` with its postorder number
+   and its depth-2 keys, its packed twig variants plus its grandchild
+   labels (:meth:`repro.core.index.InvertedSizeIndex.probe`, the one
+   walk the stream and the searchers share; in ascending size order the
+   index never holds a size above ``|Ti|``).  Every returned subgraph
+   ``s`` whose depth-3 screen agrees with ``N`` is structurally matched
+   at ``N`` by an integer-array walk; a successful match makes ``(Ti,
+   owner(s))`` a candidate (checked at most once per pair), verified
+   with exact TED.
 2. **Insert phase** — ``Ti`` is partitioned into ``delta = 2*tau + 1``
    subgraphs maximizing the minimum subgraph size
    (:class:`repro.core.partition.PartitionCutter`), which are filed under
@@ -39,8 +41,9 @@ per-shard driver*: the serial join runs one driver over the whole
 size-sorted order, and the multiprocess executor
 (:mod:`repro.parallel.executor`) runs one driver per *shard* — a
 contiguous run of the size-sorted order.  Sharding is sound because a
-probing tree only ever looks **backwards** at index sizes
-``[|Ti| - tau, |Ti|]``:
+probing tree only ever finds partners **backwards**, at index sizes
+``[|Ti| - tau, |Ti|]`` (the walk reads ``[|Ti| - tau, |Ti| + tau]``,
+but no later, so no larger, tree is indexed yet):
 
 - A shard owning sorted positions ``[p_lo, p_hi]`` (owned size range
   ``[lo, hi]``) first bulk-inserts its *handoff band* — every earlier
@@ -229,10 +232,14 @@ class _ProbeCounters:
 
     # Indexed subgraphs whose depth-2 key (root twig plus member
     # grandchildren) equals a probe node's, within its postorder window.
+    # Nodes whose LC-RS subtree is smaller than every probed subgraph
+    # are never visited, so their hits are not counted.  A stream's
+    # counters include the sizes above each arrival's.
     probe_hits: int = 0
-    match_tests: int = 0  # structural matches attempted
+    match_tests: int = 0  # hits tested: by the screen, then the matcher
     match_hits: int = 0  # structural matches that succeeded
     dedup_skips: int = 0  # probe hits skipped because the pair was checked
+    screened: int = 0  # tested hits the depth-3 screen rejected
     small_pool_pairs: int = 0  # pairs verified via the small-tree pool
     partitioned_trees: int = 0
     small_trees: int = 0
@@ -251,6 +258,7 @@ class _ProbeCounters:
             "match_tests": self.match_tests,
             "match_hits": self.match_hits,
             "dedup_skips": self.dedup_skips,
+            "screened": self.screened,
             "small_pool_pairs": self.small_pool_pairs,
             "partitioned_trees": self.partitioned_trees,
             "small_trees": self.small_trees,
@@ -295,13 +303,13 @@ class ShardDriver:
     Feeding order: ascending size order makes the driver *complete* on
     its own (every partner of a probing tree is already indexed — the
     batch invariant above).  The probe/insert machinery itself is
-    order-agnostic: a tree arriving out of order still probes exactly
-    the index sizes ``[|Ti| - tau, |Ti|]`` (and the small pool up to
-    ``|Ti| + tau``) and still files its partition under its own size.
-    The streaming engine relies on that: after :meth:`ingest` it covers
-    the indexed partners larger than a late-arriving tree with
-    :meth:`InvertedSizeIndex.probe_larger
-    <repro.core.index.InvertedSizeIndex.probe_larger>`.
+    order-agnostic: every tree, however small, probes the index sizes
+    ``[|Ti| - tau, |Ti| + tau]`` (sizes above ``|Ti|`` under the
+    larger-side rule of :mod:`repro.core.index`) and the small pool
+    sizes ``[|Ti| - tau, |Ti| + tau]``, and files its partition under its
+    own size.  In ascending order the sizes above ``|Ti|`` are empty; the
+    streaming engine relies on them to find the earlier arrivals larger
+    than a late-arriving tree, including a tree too small to partition.
     """
 
     def __init__(
@@ -356,19 +364,19 @@ class ShardDriver:
         candidates: list[int] = []
 
         with phase_timer(self, "probe_time"):
-            if n >= self.min_size:
-                cache = self.records[i]
-                hits, tests, skips = self.index.probe(
-                    cache, n - tau, n, self.numbering, self.strict,
-                    checked, candidates,
-                )
-                counters.probe_hits += hits
-                counters.match_tests += tests
-                counters.match_hits += len(candidates)
-                counters.dedup_skips += skips
-            else:
-                cache = None
+            if n < self.min_size:
                 counters.small_trees += 1
+            # Every tree walks: a small one has no indexed partner of its
+            # own size or below, but may have larger ones (out of order).
+            cache = self.records[i]
+            hits, tests, skips, screened = self.index.probe(
+                cache, self.numbering, self.strict, checked, candidates,
+            )
+            counters.probe_hits += hits
+            counters.match_tests += tests
+            counters.match_hits += len(candidates)
+            counters.dedup_skips += skips
+            counters.screened += screened
 
             # Small-pool partners: only relevant while |Ti| - tau can reach
             # the pool's size range [1, 2*tau].  The upper guard is vacuous
@@ -397,14 +405,14 @@ class ShardDriver:
                 f"{self._probed_index}"
             )
         with phase_timer(self, "index_time"):
-            cache = self._probed_cache
-            if cache is not None:
-                subgraphs = self._partition(cache, i, owned=True)
-                self.index.insert_all(self.trees[i].size, subgraphs)
+            n = self.trees[i].size
+            if n >= self.min_size:
+                subgraphs = self._partition(self._probed_cache, i, owned=True)
+                self.index.insert_all(n, subgraphs)
                 self.counters.partitioned_trees += 1
                 self.counters.subgraphs_built += len(subgraphs)
             else:
-                self.small_pool.append((i, self.trees[i].size))
+                self.small_pool.append((i, n))
             self._probed_index = None
             self._probed_cache = None
 

@@ -37,7 +37,9 @@ Section layout (inside the :mod:`repro.persist.container` envelope):
 - ``order``    JSON: the size-sorted permutation (original indices).
 - ``prep:N``   one per prepared ``(tau, config)``: a JSON header (config
   fields, gammas, small-tree list, per-tree subgraph counts) followed by
-  packed little-endian subgraph records.
+  packed little-endian subgraph records.  No measured time is stored, so
+  saving the same state twice writes the same bytes; a restored
+  preparation reports the time its own load took as its ``build_time``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -119,7 +122,6 @@ def _encode_prep(prep) -> bytes:
     header = {
         "tau": prep.tau,
         "config": _config_fields(prep.config),
-        "build_time": prep.build_time,
         "small": prep.small,
         "order": order,
         "gammas": [prep.gammas[i] for i in order],
@@ -196,10 +198,16 @@ def save_collection(
 
 
 def _decode_prep(collection, name: str, payload: bytes, path: Path):
-    """Rebuild one ``_PreparedTau`` from its section, verifying twig keys."""
+    """Rebuild one ``_PreparedTau`` from its section, verifying twig keys.
+
+    Its ``build_time`` is the time this decode took; a header written
+    before that rule may still carry a stored ``build_time``, which is
+    ignored."""
     from repro.core.join import PartSJConfig
     from repro.core.subgraph import Subgraph
     from repro.session import _PreparedTau
+
+    started = time.perf_counter()
 
     if len(payload) < 4:
         raise SnapshotFormatError(
@@ -279,7 +287,7 @@ def _decode_prep(collection, name: str, payload: bytes, path: Path):
     prep = _PreparedTau._restore(
         collection, tau, config,
         partitions=partitions, gammas=gammas, small=list(header["small"]),
-        build_time=float(header.get("build_time", 0.0)),
+        build_time=time.perf_counter() - started,
     )
     if header.get("search_index_built"):
         prep.search_index()  # rebuild eagerly: it was warm when saved

@@ -2,18 +2,17 @@
 
 ``similarity_search(query, trees, tau)`` returns all collection trees within
 TED ``tau`` of the query.  The query's nodes probe the partitions of every
-collection tree whose size is within ``tau`` of the query's, so the one
-index answers collection trees both smaller and larger than the query.
-Trees no larger than the query are found by the join's forward probe
-(:meth:`repro.core.index.InvertedSizeIndex.probe`), under the configured
-semantics and window; larger ones by
-:meth:`~repro.core.index.InvertedSizeIndex.probe_larger`, under SAFE
-semantics, for which Lemma 2 holds whichever of two trees is partitioned
-(under PAPER semantics each delete leading from a larger tree to the
-query can break 3 subgraphs, see :mod:`repro.core.subgraph`), and a
-window that holds when the larger tree is the partitioned one.  Trees too
-small to partition (fewer than ``2*tau + 1`` nodes) are never indexed;
-those within ``tau`` of the query's size are taken unfiltered.
+collection tree whose size is within ``tau`` of the query's, in the one
+walk of the join (:meth:`repro.core.index.InvertedSizeIndex.probe`), so
+the one index answers collection trees both smaller and larger than the
+query.  Trees no larger than the query are matched under the configured
+semantics and window; larger ones under SAFE semantics, for which Lemma 2
+holds whichever of two trees is partitioned (under PAPER semantics each
+delete leading from a larger tree to the query can break 3 subgraphs, see
+:mod:`repro.core.subgraph`), and a window that holds when the larger tree
+is the partitioned one.  Trees too small to partition (fewer than ``2*tau
++ 1`` nodes) are never indexed; those within ``tau`` of the query's size
+are taken unfiltered.
 
 :class:`SimilaritySearcher` consumes a prepared
 :class:`repro.session.TreeCollection`: the interner, records, per-tau
@@ -121,14 +120,10 @@ class SimilaritySearcher:
         for i in candidates:
             verifier.features(i)
         cache = TreeCache(query, interner=QueryInterner(self._interner))
-        index = self._index
-        numbering = config.postorder_numbering
-        checked: set[int] = set()
-        index.probe(
-            cache, n - tau, n, numbering,
-            config.semantics is MatchSemantics.PAPER, checked, candidates,
+        self._index.probe(
+            cache, config.postorder_numbering,
+            config.semantics is MatchSemantics.PAPER, set(), candidates,
         )
-        index.probe_larger(cache, numbering, checked, candidates)
         hits = []
         for i in sorted(candidates):
             distance = verifier.verify_record(i, cache)

@@ -5,10 +5,10 @@ refactors it into an engine that consumes a **stream** of trees and
 serves queries from the live index:
 
 - :mod:`~repro.stream.engine` — :class:`StreamingJoin`, the incremental
-  search-then-insert join: each arrival probes the one subgraph index
-  for the earlier arrivals within ``tau`` of its size (the forward probe
-  below its size, the larger-side probe above it) and the small-tree
-  pool, is filed in the index, and has its candidates verified inline.
+  search-then-insert join: each arrival walks the one subgraph index
+  once for the earlier arrivals within ``tau`` of its size, smaller and
+  larger, scans the small-tree pool, is filed in the index, and has its
+  candidates verified inline.
   Its candidates are exactly those a :class:`StreamSearcher` over the
   prefix before it finds.  Under a sound filter configuration the
   results after every arrival are bit-identical to a batch

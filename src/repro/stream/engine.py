@@ -6,16 +6,15 @@ verified ``(i, j, distance)`` pairs each arrival completes.
 
 An arrival searches the prefix before it, then joins it:
 
-1. **Forward probe and insert** — the shared
-   :meth:`repro.core.join.ShardDriver.ingest` entry point probes the
-   subgraph index for earlier arrivals of size ``[n - tau, n]`` (``n``
-   the arrival's size) and the small-tree pool for those of size ``[n -
-   tau, n + tau]``, then files the arrival's partition (or pools it).
-2. **Larger-side probe** — every arrival, partitionable or not, probes
-   the same index for earlier arrivals of size ``[n + 1, n + tau]`` with
-   :meth:`repro.core.index.InvertedSizeIndex.probe_larger`, the rule the
-   searchers use for collection trees larger than a query.
-3. **Verification** — the threshold-aware
+1. **Probe and insert** — the shared
+   :meth:`repro.core.join.ShardDriver.ingest` entry point walks every
+   arrival, partitionable or not, once over the subgraph index for
+   earlier arrivals of size ``[n - tau, n + tau]`` (``n`` the arrival's
+   size; :meth:`repro.core.index.InvertedSizeIndex.probe`, the walk the
+   searchers run for a query, with its larger-side rule above ``n``) and
+   scans the small-tree pool for those of size ``[n - tau, n + tau]``,
+   then files the arrival's partition (or pools it).
+2. **Verification** — the threshold-aware
    :class:`~repro.baselines.common.Verifier` checks each candidate
    inline, in the pass that found it (paper Algorithm 1), so
    :meth:`add` returns exactly the arrival's new pairs.
@@ -32,8 +31,8 @@ finds with the arrival as its query.  The contract — property-tested in
   bit;
 - under the opt-in published window or a window on binary numbers, the
   batch join may miss true pairs.  The stream returns every pair that batch join
-  returns, with the same exact distances, and may return more: the
-  larger-side probe matches under SAFE semantics with a window that
+  returns, with the same exact distances, and may return more: the sizes
+  above an arrival's are matched under SAFE semantics with a window that
   holds.
 
 The engine keeps every ingested tree's :class:`~repro.core.treecache.TreeCache`
@@ -66,7 +65,7 @@ class StreamStats:
 
     ``candidates`` counts every candidate verified; it includes the
     ``reverse_candidates``, those among earlier arrivals larger than the
-    arriving tree (found by its larger-side probe).
+    arriving tree.
 
     ``ingest_time`` is wall time spent inside :meth:`StreamingJoin.add`
     — candidate generation plus verification, so it *includes*
@@ -167,7 +166,7 @@ class StreamingJoin:
         self.config = cfg
         self.trees: list[Tree] = []
         self._driver = ShardDriver(self.trees, tau, cfg)
-        # One record per arrival, shared by both probes, inline
+        # One record per arrival, shared by its probe, inline
         # verification and every searcher.
         self._records = self._driver.records
         self._verifier = Verifier(self.trees, tau, caches=self._records)
@@ -217,14 +216,10 @@ class StreamingJoin:
                 self._wal.append(tree.to_bracket())
         i = len(self.trees)
         self.trees.append(tree)
-        driver = self._driver
-        candidates = driver.ingest(i)
-        forward = len(candidates)
-        # The forward probe's partners are still in driver.checked.
-        driver.index.probe_larger(
-            self._records[i], driver.numbering, driver.checked, candidates
-        )
-        self._reverse_candidates += len(candidates) - forward
+        candidates = self._driver.ingest(i)
+        n = tree.size
+        trees = self.trees
+        self._reverse_candidates += sum(trees[j].size > n for j in candidates)
         self._candidates += len(candidates)
         found: list[JoinPair] = []
         for j in candidates:

@@ -10,6 +10,10 @@ published numbers.
 Depth convention: the root is at depth 0, matching the paper's figures
 (e.g. Swissprot's "maximum depth 4" for trees of 5 levels).  The *average
 depth* of a tree is the mean depth over all of its nodes.
+
+Both read a tree in one pass over its bracket text
+(:func:`repro.tree.bracket.bracket_nodes`), whichever form the tree holds,
+so statistics never build the nodes of a tree read from text.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import InvalidParameterError
-from repro.tree.node import Tree, TreeNode
+from repro.tree.bracket import bracket_nodes
+from repro.tree.node import Tree
 
 __all__ = ["TreeStats", "CollectionStats", "tree_stats", "collection_stats"]
 
@@ -66,26 +71,36 @@ class CollectionStats:
 
 
 def tree_stats(tree: Tree) -> TreeStats:
-    """Compute :class:`TreeStats` for one tree in a single traversal."""
-    size = 0
-    depth_sum = 0
-    max_depth = 0
-    max_fanout = 0
-    leaves = 0
+    """Compute :class:`TreeStats` for one tree in a single pass."""
+    return _shape(tree)[0]
+
+
+def _shape(tree: Tree) -> tuple[TreeStats, set[str]]:
+    """``tree``'s :class:`TreeStats` and label set, from one pass over its
+    nodes in preorder: a node's depth is the number of nodes open around
+    it, each node counts as a child of the innermost open one, and a
+    leaf's further closing braces close its ancestors."""
+    size = depth_sum = max_depth = max_fanout = leaves = 0
     labels: set[str] = set()
-    stack: list[tuple[TreeNode, int]] = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
+    open_fanouts: list[int] = []  # children seen so far, per open node
+    for label, closes in bracket_nodes(tree.to_bracket()):
+        depth = len(open_fanouts)
         size += 1
         depth_sum += depth
-        max_depth = max(max_depth, depth)
-        max_fanout = max(max_fanout, len(node.children))
-        labels.add(node.label)
-        if node.is_leaf:
-            leaves += 1
-        for child in node.children:
-            stack.append((child, depth + 1))
-    return TreeStats(
+        if depth > max_depth:
+            max_depth = depth
+        labels.add(label)
+        if open_fanouts:
+            open_fanouts[-1] += 1
+        if not closes:
+            open_fanouts.append(0)
+            continue
+        leaves += 1
+        for _ in range(closes - 1):
+            fanout = open_fanouts.pop()
+            if fanout > max_fanout:
+                max_fanout = fanout
+    stats = TreeStats(
         size=size,
         depth=max_depth,
         average_depth=depth_sum / size,
@@ -93,6 +108,7 @@ def tree_stats(tree: Tree) -> TreeStats:
         leaf_count=leaves,
         distinct_labels=len(labels),
     )
+    return stats, labels
 
 
 def collection_stats(trees: Sequence[Tree] | Iterable[Tree]) -> CollectionStats:
@@ -113,12 +129,11 @@ def collection_stats(trees: Sequence[Tree] | Iterable[Tree]) -> CollectionStats:
     avg_depths: list[float] = []
     max_depth = 0
     for tree in trees:
-        stats = tree_stats(tree)
+        stats, tree_labels = _shape(tree)
         sizes.append(stats.size)
         avg_depths.append(stats.average_depth)
         max_depth = max(max_depth, stats.depth)
-        for node in tree.iter_preorder():
-            labels.add(node.label)
+        labels |= tree_labels
     return CollectionStats(
         count=len(trees),
         average_size=sum(sizes) / len(sizes),

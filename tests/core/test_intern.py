@@ -13,6 +13,7 @@ from repro.core.intern import (
     grandchild_bits,
     pack_twig,
     shape_of,
+    subgraph_bits,
     unpack_grandchildren,
     unpack_twig,
 )
@@ -145,7 +146,7 @@ class TestDepthTwoKeys:
         assert unpack_grandchildren(bits) == (EPSILON_ID,) * 4
         member = bytearray([0, 1, 0, 1, 0, 1, 1, 1])  # drop nodes 2 and 4
         assert unpack_grandchildren(
-            grandchild_bits(labels, self.LEFT, self.RIGHT, 7, member)
+            subgraph_bits(labels, self.LEFT, self.RIGHT, 7, member)[0]
         ) == (EPSILON_ID, None, None, EPSILON_ID)
         assert unpack_grandchildren(
             grandchild_bits(labels, self.LEFT, self.RIGHT, 3)

@@ -45,7 +45,7 @@ def make_workload(seed, clusters=3, cluster_size=3, base_size=10, max_edits=3):
 # Owned-tree and verifier counters that must merge to the exact serial
 # values.
 SERIAL_COUNTERS = (
-    "probe_hits", "match_tests", "match_hits", "dedup_skips",
+    "probe_hits", "match_tests", "match_hits", "dedup_skips", "screened",
     "small_pool_pairs", "partitioned_trees", "small_trees",
     "subgraphs_built", "gamma_total", "lb_filtered", "ub_accepted",
     "ted_early_exits",

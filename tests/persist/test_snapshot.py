@@ -12,6 +12,7 @@ Two properties carry the feature:
    identical to a cold session in every fallback.
 """
 
+import json
 import random
 import struct
 
@@ -25,7 +26,12 @@ from repro.errors import (
     SnapshotIntegrityError,
     StaleSnapshotError,
 )
-from repro.persist.container import FORMAT_VERSION, MAGIC
+from repro.persist.container import (
+    FORMAT_VERSION,
+    MAGIC,
+    read_container,
+    write_container,
+)
 from repro.persist.snapshot import (
     load_collection,
     sidecar_path,
@@ -121,6 +127,49 @@ class TestRoundTripMatrix:
         assert loaded.provenance["path"] == str(path)
         assert sorted(loaded.provenance["restored_taus"]) == list(TAUS)
         assert loaded.stats()["snapshot"]["trees_embedded"] is True
+
+
+class TestReproducibleBytes:
+    def test_two_sessions_of_the_same_trees_save_identical_files(
+        self, forest, tmp_path
+    ):
+        # No measured time is persisted, so two independent preparations
+        # of the same trees write the same bytes.
+        paths = []
+        for k in range(2):
+            col = TreeCollection.from_trees(forest)
+            for tau in (1, 2):
+                col.prepare(tau)
+            path = tmp_path / f"session-{k}.snapshot"
+            col.save(path)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_a_stored_build_time_is_ignored(self, forest, tmp_path):
+        # A header written while the field was still persisted loads, and
+        # the restored preparation reports its own load time instead.
+        col = TreeCollection.from_trees(forest)
+        col.prepare(2)
+        path = tmp_path / "stored-time.snapshot"
+        col.save(path)
+        version, sections = read_container(path)
+        name = next(name for name in sections if name.startswith("prep:"))
+        payload = sections[name]
+        (head_len,) = struct.unpack_from("<I", payload, 0)
+        header = json.loads(payload[4:4 + head_len])
+        assert "build_time" not in header
+        header["build_time"] = 1234.5
+        head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        sections[name] = (
+            struct.pack("<I", len(head)) + head.encode() + payload[4 + head_len:]
+        )
+        write_container(path, list(sections.items()), library_version=version)
+        loaded = TreeCollection.load(path)
+        assert loaded.is_prepared(2, PartSJConfig())
+        assert 0 <= loaded.prepare(2).build_time < 1234.5
+        assert triples(loaded.join(2).run().pairs) == triples(
+            col.join(2).run().pairs
+        )
 
 
 class TestSidecar:

@@ -155,6 +155,23 @@ class TestArrivalSearchesThePrefix:
                 )
 
 
+    @pytest.mark.parametrize("config", FILTER_VARIANTS, ids=FILTER_IDS)
+    def test_small_arrival_finds_its_larger_indexed_partners(self, config):
+        # At tau 2 an arrival of 4 nodes is too small to partition, but the
+        # earlier arrivals of 5 and 6 nodes are indexed: only its walk over
+        # the sizes above its own finds them.
+        join = StreamingJoin(2, config=config)
+        join.add(Tree.from_bracket("{a{b}{c}{d}{e}}"))
+        join.add(Tree.from_bracket("{a{b}{c}{d}{e}{f}}"))
+        found = join.add(Tree.from_bracket("{a{b}{c}{d}}"))
+        assert sorted(triples(found)) == [(0, 2, 1), (1, 2, 2)]
+        stats = join.stats()
+        assert (stats.small_pool, stats.reverse_candidates) == (1, 2)
+        assert triples(join.results()) == triples(
+            similarity_join(join.trees, 2).pairs
+        )
+
+
 def stream_triples(trees, tau, config):
     join = StreamingJoin(tau, config=config)
     join.add_many(trees)
@@ -253,6 +270,8 @@ class TestStreamStats:
         assert stats.ingest_rate > 0
         assert stats.index_entries == stats.index_subgraphs > 0
         assert 0 < stats.reverse_candidates < stats.candidates
+        extra = stats.extra
+        assert extra["screened"] <= extra["match_tests"] <= extra["probe_hits"]
         payload = stats.as_dict()
         assert payload["trees"] == len(trees)
         assert "ingest_rate" in payload and "extra" in payload

@@ -104,7 +104,7 @@ class TestJoinEquivalence:
         result = session.join(2).run()
         for key in (
             "probe_hits", "match_tests", "match_hits", "dedup_skips",
-            "partitioned_trees", "small_trees", "subgraphs_built",
+            "screened", "partitioned_trees", "small_trees", "subgraphs_built",
             "gamma_total",
         ):
             assert result.stats.extra[key] == reference.stats.extra[key], key
