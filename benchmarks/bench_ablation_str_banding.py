@@ -1,10 +1,12 @@
-"""Ablation: banded early-exit string DP vs the paper's full string DP.
+"""Ablation: STR's threshold string-edit kernel vs the paper's full string DP.
 
 The paper's STR pays the full ``O(n^2)`` edit-distance DP per window pair,
 which is why its candidate-generation bars dominate Figure 10.  Our STR
-implementation optionally bands the DP to ``O(tau * n)`` with early exit.
-This benchmark quantifies the speedup (candidates and results are
-identical by construction).
+(``banded=True``, named after the banded DP the kernel replaced) instead
+asks :mod:`repro.ted.string_edit`'s threshold kernel whether each
+distance is within ``tau``: at most ``(tau + 1)**2`` run lookups on the
+records' traversal codes.  This benchmark quantifies the speedup and
+asserts that both give the same candidates and results on real trees.
 """
 
 from repro.bench.experiments import run_ablation_str_banding

@@ -83,7 +83,7 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
     "cross_pairs": "R×S cross pairs kept after the merged self-join",
     "same_side_pairs_discarded": "same-side pairs dropped by the R×S filter",
     # baseline-specific funnels
-    "banded": "STR join ran the banded string-edit filter (bool)",
+    "banded": "STR join ran the threshold string-edit filter, not the full DP (bool)",
     "pruned_by_labels": "histogram join: pairs pruned by the label filter",
     "pruned_by_degrees": "histogram join: pairs pruned by the degree filter",
     "pruned_by_preorder": "STR join: pairs pruned by the preorder filter",

@@ -20,23 +20,27 @@ cheap-to-expensive pipeline:
    tree and inserting the other already costs ``<= tau``, the pair runs
    the banded DP below with that bound as its band, skipping the filters
    (counter ``ub_accepted``).
-2. **Bag lower bounds** (O(distinct keys) from the per-tree bags): any
-   bound ``> tau`` rejects the pair (counter ``lb_filtered``).  PartSJ
-   screens with the label multiset alone; the baselines choose their own
-   bags (label multiset, degree histogram, binary branches).
-3. **Preorder alignment** (O(tau * n), :mod:`repro.ted.string_edit`):
-   with the records in a canonical order, the banded string edit
-   distance of the two preorder label sequences, traced back to one
-   optimal alignment.  Under unit costs it lower-bounds TED (Guha et
-   al., [13] in the paper), so a distance ``> tau`` rejects the pair
+2. **Size and label bag** (O(distinct labels) from the per-tree bags):
+   a size gap or a label-multiset bound ``> tau`` rejects the pair
+   (counter ``lb_filtered``).  The label bound never rejects a pair the
+   alignment below would accept: one string edit moves the multiset's L1
+   by at most 2.  It is a cheap pre-screen, and the one bag every join
+   shares; the baselines' own candidate screens read the degree and
+   branch bags.
+3. **Preorder alignment** (at most ``(tau + 1)**2`` run lookups on the
+   records' traversal codes, :mod:`repro.ted.string_edit`): with the
+   records in a canonical order, the string edit distance of the two
+   preorder label sequences, if ``<= tau``, traced back to one optimal
+   alignment.  Under unit costs it lower-bounds TED (Guha et al., [13]
+   in the paper), so a distance ``> tau`` rejects the pair
    (``lb_filtered``).  If the aligned nodes are in the same postorder
    order on both sides, they are in the same ancestor and left-of
    relations too, so they form an ordered edit mapping whose cost is
    that distance: TED is squeezed between the two, and the distance is
    returned as exact with no DP (counter ``certified``).
 4. **Postorder bound**: a pair the alignment did not certify runs the
-   banded string edit distance of the postorder sequences, another
-   lower bound (``lb_filtered``).
+   same threshold kernel on the postorder codes, another lower bound
+   (``lb_filtered``).
 5. **tau-banded exact DP**: the rest run
    :func:`repro.ted.cutoff.zhang_shasha_bounded`, which visits only the
    keyroot pairs and forest cells within the tau-strip and abandons a
@@ -44,16 +48,13 @@ cheap-to-expensive pipeline:
    ``ted_early_exits`` when the ``> tau`` sentinel comes back).
    ``JoinStats.ted_calls`` counts these runs.
 
-The STR join, whose candidates passed both traversal bounds already,
-turns step 4 off (``traversal_bound``); step 3 still runs there for its
-certificate, and its bound never fires.
+Every join method, PartSJ and the four baselines, runs this one pipeline.
 
 Every per-tree input of the pipeline is a view of the tree's one flat
 record, :class:`repro.core.treecache.TreeCache` — the record the PartSJ
-filter probes with: the label, degree and binary-branch bags, the
-pre/postorder label ids, each preorder position's postorder number, and
-the Zhang–Shasha annotations in both
-orientations (the mirrored one is built only for pairs where
+filter probes with: the label bag, the pre/postorder codes, each
+preorder position's postorder number, and the Zhang–Shasha annotations
+in both orientations (the mirrored one is built only for pairs where
 :func:`repro.ted.zhang_shasha.oriented` compares orientations).  Each
 view is derived from the record's arrays on first use and memoized on
 the record, and records live in a
@@ -79,14 +80,9 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.errors import InvalidParameterError
 from repro.params import check_tau
-from repro.ted.bounds import (
-    branch_bound_from_bags,
-    degree_bound_from_bags,
-    label_bound_from_bags,
-    trivial_upper_bound_from_parts,
-)
+from repro.ted.bounds import label_bound_from_bags, trivial_upper_bound_from_parts
 from repro.ted.cutoff import zhang_shasha_bounded
-from repro.ted.string_edit import string_edit_alignment, string_edit_within
+from repro.ted.string_edit import align_codes, first_mismatch, within_codes
 from repro.ted.zhang_shasha import oriented
 from repro.tree.node import Tree
 
@@ -208,22 +204,6 @@ class Verifier:
         The collection, indexed by original position.
     tau:
         The join threshold; :meth:`verify` reports distances ``<= tau``.
-    traversal_bound:
-        Run the banded postorder string-edit lower bound on pairs the
-        preorder alignment does not certify.  (The preorder one always
-        runs: it is the alignment.)  The STR join disables it because its
-        candidates already passed both traversal filters.
-    bag_bounds:
-        Which bag lower bounds to include in the filter chain: ``True``
-        (all of labels / degrees / branches), ``False`` (none), or an
-        iterable naming a subset.  The default, PartSJ's, is the label
-        bag alone: a cheap pre-screen for the preorder alignment, which
-        rejects every pair the label bound does and, on the benchmark's
-        trees, nearly every pair the other two bags do.  Each baseline
-        names its own: the STR join passes ``True``, the nested-loop
-        join with bounds ``False`` (its screen already applied all
-        three), the histogram join ``("branches",)``, the SET join
-        ``("labels", "degrees")``.
     caches:
         The :class:`~repro.core.treecache.RecordStore` over ``trees`` to
         read and populate.  Sessions and streaming engines pass their
@@ -244,16 +224,10 @@ class Verifier:
         self,
         trees: Sequence[Tree],
         tau: int,
-        traversal_bound: bool = True,
-        bag_bounds: "bool | Sequence[str]" = ("labels",),
         caches: "Optional[RecordStore]" = None,
         # Accepted and ignored: benchmarks/suite/layers.py still passes it.
         backend: object = None,
     ):
-        if bag_bounds is True:
-            bag_bounds = ("labels", "degrees", "branches")
-        elif bag_bounds is False:
-            bag_bounds = ()
         if caches is None:
             # Local import: repro.core builds on this module.
             from repro.core.treecache import RecordStore
@@ -261,8 +235,6 @@ class Verifier:
             caches = RecordStore(trees)
         self._records = caches
         self._tau = tau
-        self._traversal_bound = traversal_bound
-        self._bag_bounds = frozenset(bag_bounds)
         self.stats_time = 0.0
         for name in self.COUNTERS:
             setattr(self, "stats_" + name, 0)
@@ -304,39 +276,29 @@ class Verifier:
                 )
                 self.stats_ted_calls += 1
                 return value  # TED <= upper, so the band cannot cut it off
-            # The composite lower bound of repro.ted.bounds, evaluated
-            # stepwise from the records' bags (cheapest first, stopping at
-            # the first bound > tau); checks whose L1 the join's own
-            # candidate screen already applied are excluded via bag_bounds.
-            if abs(f1.size - f2.size) > tau:
-                self.stats_lb_filtered += 1
-                return None
-            bags = self._bag_bounds
             if (
-                ("labels" in bags
-                 and label_bound_from_bags(f1.label_bag, f2.label_bag) > tau)
-                or ("degrees" in bags
-                    and degree_bound_from_bags(f1.degree_bag, f2.degree_bag) > tau)
-                or ("branches" in bags
-                    and branch_bound_from_bags(f1.branch_bag, f2.branch_bag) > tau)
+                abs(f1.size - f2.size) > tau
+                or label_bound_from_bags(f1.label_bag, f2.label_bag) > tau
             ):
                 self.stats_lb_filtered += 1
                 return None
             if not _canonical_order(f1, f2):
                 f1, f2 = f2, f1
-            aligned = string_edit_alignment(f1.preorder, f2.preorder, tau)
+            aligned = align_codes(
+                f1.preorder_code, f1.size, f2.preorder_code, f2.size, tau
+            )
             if aligned is None:
                 self.stats_lb_filtered += 1
                 return None
-            distance, pairs = aligned
-            if _keeps_postorder(f1.preorder_post, f2.preorder_post, pairs):
+            distance, runs = aligned
+            if _keeps_postorder(f1.preorder_post, f2.preorder_post, runs):
                 # The aligned pairs form an ordered edit mapping of cost
                 # `distance`, a lower bound on TED: the distance is exact.
                 self.stats_certified += 1
                 return distance
-            if self._traversal_bound and (
-                string_edit_within(f1.postorder, f2.postorder, tau) is None
-            ):
+            if within_codes(
+                f1.postorder_code, f1.size, f2.postorder_code, f2.size, tau
+            ) is None:
                 self.stats_lb_filtered += 1
                 return None
             x1, x2 = oriented(f1, f2)
@@ -370,26 +332,35 @@ def _canonical_order(f1: "TreeCache", f2: "TreeCache") -> bool:
     """
     if f1.size != f2.size:
         return f1.size < f2.size
-    for x, y in zip(f1.preorder, f2.preorder):
-        if x != y:
-            return f1.interner.label(x) < f2.interner.label(y)
-    return True
+    mismatch = first_mismatch(f1.preorder_code, f2.preorder_code)
+    if mismatch is None:
+        return True
+    return f1.interner.label(mismatch[0]) < f2.interner.label(mismatch[1])
 
 
 def _keeps_postorder(
-    post1: Sequence[int], post2: Sequence[int], pairs: list[tuple[int, int]]
+    post1: Sequence[int],
+    post2: Sequence[int],
+    runs: list[tuple[int, int, int]],
 ) -> bool:
     """Whether the aligned preorder positions keep postorder order as well.
 
-    ``pairs`` ascend in preorder on both sides.  Of two nodes, the one
-    first in preorder is an ancestor of the other if it is later in
-    postorder and lies left of it otherwise, so pairs that agree in both
-    orders keep ancestry and sibling order: they form an ordered edit
-    mapping.
+    ``runs`` are the alignment's ascending runs ``(p, q, length)`` of
+    pairs ``(p + k, q + k)``.  Of two nodes, the one first in preorder is
+    an ancestor of the other if it is later in postorder and lies left of
+    it otherwise, so pairs that agree in both orders keep ancestry and
+    sibling order: they form an ordered edit mapping.  They agree exactly
+    when the second side's numbers, read in the order of the first's,
+    ascend.
     """
-    mapped = sorted([(post1[p], post2[q]) for p, q in pairs])
-    second = [q for _, q in mapped]
-    return second == sorted(second)
+    first: list[int] = []
+    second: list[int] = []
+    for p, q, length in runs:
+        first += post1[p:p + length]
+        second += post2[q:q + length]
+    partner = dict(zip(first, second))
+    seconds = list(map(partner.__getitem__, sorted(first)))
+    return seconds == sorted(seconds)
 
 
 class DeferredVerification:
@@ -399,9 +370,8 @@ class DeferredVerification:
     stays serial (it is method-specific and cheap relative to TED), but
     instead of verifying inline it collects the pairs here and resolves
     them through the shared verification pool at the end
-    (:func:`repro.parallel.verify_pool.parallel_verify`).  ``options`` are
-    the join's usual :class:`Verifier` keyword arguments, so each worker
-    applies exactly the bound pipeline the serial run would have.
+    (:func:`repro.parallel.verify_pool.parallel_verify`), whose workers
+    run the same :class:`Verifier` pipeline the serial join would.
 
     :meth:`resolve` fills the verification side of ``stats`` (``ted_calls``,
     ``verify_time`` as summed worker CPU seconds, the verifier breakdown
@@ -410,9 +380,8 @@ class DeferredVerification:
     identical to inline verification.
     """
 
-    def __init__(self, workers: int, options: Optional[dict] = None):
+    def __init__(self, workers: int):
         self.workers = workers
-        self.options = options
         self.pairs: list[tuple[int, int]] = []
 
     def add(self, i: int, j: int) -> None:
@@ -425,7 +394,7 @@ class DeferredVerification:
         from repro.parallel.verify_pool import parallel_verify
 
         verified, verify_stats = parallel_verify(
-            trees, tau, self.pairs, self.workers, options=self.options
+            trees, tau, self.pairs, self.workers
         )
         stats.ted_calls = verify_stats["ted_calls"]
         stats.verify_time = verify_stats["verify_time"]

@@ -42,15 +42,8 @@ def histogram_join(
     check_join_inputs(trees, tau)
     stats = JoinStats(method="HST", tau=tau, tree_count=len(trees))
     collection = SizeSortedCollection(trees)
-    # The verifier skips the label/degree bounds this screen applies and
-    # still adds the binary-branch and traversal bounds the screen lacks.
-    # One options dict feeds both the inline and the worker-side verifiers.
-    verifier_options = {"bag_bounds": ("branches",)}
-    verifier = Verifier(trees, tau, **verifier_options)
-    deferred = (
-        DeferredVerification(workers, options=verifier_options)
-        if workers > 1 else None
-    )
+    verifier = Verifier(trees, tau)
+    deferred = DeferredVerification(workers) if workers > 1 else None
 
     # The histogram filters read the verifier's per-tree records: each
     # label/degree bag is built lazily on first touch and shared.

@@ -57,15 +57,8 @@ def nested_loop_join(
     check_join_inputs(trees, tau)
     stats = JoinStats(method="NL", tau=tau, tree_count=len(trees))
     collection = SizeSortedCollection(trees)
-    # When this join screens with the bag bounds itself, the verifier skips
-    # its identical checks — every candidate handed over already passed.
-    # One options dict feeds both the inline and the worker-side verifiers.
-    verifier_options = {"bag_bounds": not use_bounds}
-    verifier = Verifier(trees, tau, **verifier_options)
-    deferred = (
-        DeferredVerification(workers, options=verifier_options)
-        if workers > 1 else None
-    )
+    verifier = Verifier(trees, tau)
+    deferred = DeferredVerification(workers) if workers > 1 else None
 
     feats = []
     if use_bounds:

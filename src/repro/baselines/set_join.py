@@ -47,15 +47,8 @@ def set_join(
     check_join_inputs(trees, tau)
     stats = JoinStats(method="SET", tau=tau, tree_count=len(trees))
     collection = SizeSortedCollection(trees)
-    # The verifier skips the branch bound this screen applies (bib <= 5*tau
-    # is the same bag L1) and still adds the label/degree/traversal bounds.
-    # One options dict feeds both the inline and the worker-side verifiers.
-    verifier_options = {"bag_bounds": ("labels", "degrees")}
-    verifier = Verifier(trees, tau, **verifier_options)
-    deferred = (
-        DeferredVerification(workers, options=verifier_options)
-        if workers > 1 else None
-    )
+    verifier = Verifier(trees, tau)
+    deferred = DeferredVerification(workers) if workers > 1 else None
 
     # Branch bags are views of the verifier's per-tree records (only the
     # branch view is built here; the rest stays lazy).

@@ -5,15 +5,17 @@ The string edit distance between the preorder label sequences of two trees
 (paper Section 2, Figure 3 discussion).  STR therefore:
 
 1. applies the size filter (sizes within ``tau``);
-2. computes the *banded* preorder string edit distance with threshold
-   ``tau`` and prunes if it exceeds ``tau``;
+2. prunes the pair if its preorder string edit distance exceeds ``tau``;
 3. ditto for the postorder sequences;
 4. verifies survivors with exact TED.
 
-Steps 1-3 are the "candidate generation" phase of Figures 10/12/14; the
-banded computation (``O(tau * n)`` per pair) is why STR's candidate
-generation dominates its runtime at small ``tau``, exactly as the paper
-observes.
+Steps 1-3 are the "candidate generation" phase of Figures 10/12/14.  The
+paper's STR computes each string edit distance with the full ``O(n^2)``
+DP, which is why its candidate generation dominates its runtime at small
+``tau``; ``banded=False`` reproduces that.  By default steps 2-3 run
+:mod:`repro.ted.string_edit`'s threshold kernel instead, which decides
+"within ``tau``?" in at most ``(tau + 1)**2`` run lookups on the
+records' traversal codes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ from repro.baselines.common import (
     check_join_inputs,
 )
 from repro.obs.trace import phase_timer
-from repro.ted.string_edit import string_edit_distance, string_edit_within
+from repro.ted.string_edit import (
+    sequence_of,
+    string_edit_distance,
+    within_codes,
+)
 from repro.tree.node import Tree
 
 __all__ = ["str_join"]
@@ -46,13 +52,15 @@ def str_join(
     Parameters
     ----------
     banded:
-        With the default ``True``, string edit distances are computed with
-        the ``O(tau * n)`` banded early-exit DP — an optimization over the
-        paper's STR, whose candidate-generation phase pays the full
-        ``O(n^2)`` DP per window pair (the behaviour behind its enormous
-        candidate-generation bars in Figure 10).  ``banded=False``
-        reproduces the paper-faithful cost profile; the candidate and
-        result sets are identical either way.
+        With the default ``True``, each string edit distance is decided by
+        the threshold kernel of :mod:`repro.ted.string_edit` (at most
+        ``(tau + 1)**2`` run lookups, early exit beyond ``tau``; the name
+        comes from the banded DP that kernel replaced) — an optimization
+        over the paper's STR, whose candidate-generation phase pays the
+        full ``O(n^2)`` DP per window pair (the behaviour behind its
+        enormous candidate-generation bars in Figure 10).
+        ``banded=False`` reproduces the paper-faithful cost profile; the
+        candidate and result sets are identical either way.
     workers:
         With ``workers > 1`` candidates are verified in parallel through
         :func:`repro.parallel.verify_pool.parallel_verify` (identical
@@ -67,24 +75,27 @@ def str_join(
     stats = JoinStats(method="STR", tau=tau, tree_count=len(trees))
     stats.extra["banded"] = banded
     collection = SizeSortedCollection(trees)
-    # STR candidates already passed the banded pre/postorder string filter,
-    # so the verifier skips its postorder bound (its preorder alignment
-    # still runs, for the certificate, and never rejects).  One options
-    # dict feeds both the inline verifier and the worker-side ones, so the
-    # serial and parallel paths can never run different bound pipelines.
-    verifier_options = {"traversal_bound": False, "bag_bounds": True}
-    verifier = Verifier(trees, tau, **verifier_options)
-    deferred = (
-        DeferredVerification(workers, options=verifier_options)
-        if workers > 1 else None
-    )
+    verifier = Verifier(trees, tau)
+    deferred = DeferredVerification(workers) if workers > 1 else None
 
-    # Traversal strings are computed once per tree, not once per pair:
-    # label-id views of the verifier's per-tree records.
+    # Traversals are read once per tree, not once per pair: views of the
+    # verifier's per-tree records, as codes for the threshold kernel or
+    # as label-id tuples for the full DP.
     with phase_timer(stats, "candidate_time"):
         records = [verifier.features(k) for k in range(len(trees))]
-        preorders = [record.preorder for record in records]
-        postorders = [record.postorder for record in records]
+        sizes = [record.size for record in records]
+        if banded:
+            preorders = [record.preorder_code for record in records]
+            postorders = [record.postorder_code for record in records]
+        else:
+            preorders = [
+                sequence_of(record.preorder_code, record.size)
+                for record in records
+            ]
+            postorders = [
+                sequence_of(record.postorder_code, record.size)
+                for record in records
+            ]
 
     pruned_pre = 0
     pruned_post = 0
@@ -96,12 +107,13 @@ def str_join(
 
         with phase_timer(stats, "candidate_time"):
             if banded:
+                m, n = sizes[i], sizes[j]
                 pre_ok = (
-                    string_edit_within(preorders[i], preorders[j], tau)
+                    within_codes(preorders[i], m, preorders[j], n, tau)
                     is not None
                 )
                 post_ok = pre_ok and (
-                    string_edit_within(postorders[i], postorders[j], tau)
+                    within_codes(postorders[i], m, postorders[j], n, tau)
                     is not None
                 )
             else:

@@ -355,7 +355,8 @@ def run_ablation_str_banding(
     progress: Progress = None,
     workers: int = 1,
 ) -> list[CellResult]:
-    """Our STR improvement: banded early-exit DP vs the paper's full DP."""
+    """Our STR improvement: the threshold string-edit kernel vs the
+    paper's full DP."""
     scale = scale or get_scale()
     trees = build_dataset("swissprot", scale.ablation_count)
     cells: list[CellResult] = []

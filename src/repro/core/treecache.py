@@ -29,30 +29,28 @@ The probe loop, partition extraction and subgraph matching all walk these
 arrays with plain integer indices — no attribute loads, no ``id()``-keyed
 dictionaries, no per-node objects.
 
-Verifier views
---------------
-Verification (:class:`repro.baselines.common.Verifier`) reads the same
-record: every view below is derived from the arrays on first use and
-memoized on the record, so the verifier never reads a tree's nodes.
-``labels[0]`` is ``0``, the id of epsilon, which lets a missing child
-read as epsilon without a branch.
+Views
+-----
+Every view below is derived from the arrays on first use and memoized on
+the record, so neither the verifier
+(:class:`repro.baselines.common.Verifier`) nor the baselines' candidate
+screens read a tree's nodes.  ``labels[0]`` is ``0``, the id of epsilon,
+which lets a missing child read as epsilon without a branch.
+
+The verifier reads these:
 
 - :attr:`label_bag` — ``Counter(labels[1:])``.  A real ``""`` label also
   interns to id ``0``, so slot 0 is sliced off, never subtracted by value.
-- :attr:`degree_bag` — the general degree of node ``b`` is the length of
-  the sibling chain starting at ``left[b]``; one ascending pass computes
-  every chain length as ``chain[b] = 1 + chain[right[b]]``.
-- :attr:`branch_bag` — the binary branches of Yang et al.,
-  ``(labels[b], labels[left[b]], labels[right[b]])``: id ``0`` plays
-  epsilon exactly as ``""`` does in
-  :func:`repro.ted.binary_branch.binary_branches`.
-- :attr:`preorder` / :attr:`postorder` — label ids in general preorder
-  (which equals the LC-RS preorder) and general postorder (through
-  ``general_post``), for the traversal-string bounds and the preorder
-  alignment.
+- :attr:`preorder_code` / :attr:`postorder_code` — the label ids in
+  general preorder (which equals the LC-RS preorder) and in general
+  postorder (through ``general_post``), each as one integer of 32 bits
+  per id (:mod:`repro.ted.string_edit`'s codes).  The preorder
+  alignment, the postorder bound and the STR join's filter read them;
+  :func:`repro.ted.string_edit.sequence_of` decodes one into a tuple of
+  ids, as the STR join's full-DP variant does once per tree.
 - :attr:`preorder_post` — the general postorder number at each preorder
-  position, built in the same walk as :attr:`preorder`; the verifier
-  reads it to certify a preorder alignment.
+  position, built in the same walk as :attr:`preorder_code`; the
+  verifier reads it to certify a preorder alignment.
 - :attr:`annotation` / :attr:`mirror_annotation` — the Zhang–Shasha
   arrays (:class:`~repro.ted.zhang_shasha.AnnotatedTree`) in either
   orientation.  Leftmost: follow ``left`` chains, ``lm[b] = lm[left[b]]``, then
@@ -60,6 +58,16 @@ read as epsilon without a branch.
   with no mirrored tree: a node's mirrored postorder number is
   ``n + 1 - preorder number``, and its mirrored leftmost leaf is its
   original rightmost leaf, so ``lmld'[m] = m - |subtree| + 1``.
+
+The baselines' candidate screens also read these:
+
+- :attr:`degree_bag` — the general degree of node ``b`` is the length of
+  the sibling chain starting at ``left[b]``; one ascending pass computes
+  every chain length as ``chain[b] = 1 + chain[right[b]]``.
+- :attr:`branch_bag` — the binary branches of Yang et al.,
+  ``(labels[b], labels[left[b]], labels[right[b]])``: id ``0`` plays
+  epsilon exactly as ``""`` does in
+  :func:`repro.ted.binary_branch.binary_branches`.
 
 :func:`repro.ted.zhang_shasha.oriented` picks between the two
 orientations of a pair, and :class:`RecordStore` is the one
@@ -85,6 +93,7 @@ from collections import Counter
 from typing import Sequence
 
 from repro.core.intern import DEFAULT_INTERNER, LabelInterner, QueryInterner
+from repro.ted.string_edit import sequence_code
 from repro.ted.zhang_shasha import AnnotatedTree
 from repro.tree.bracket import bracket_nodes
 from repro.tree.node import Tree, TreeNode
@@ -113,9 +122,10 @@ class TreeCache:
         iterate only these: binary leaves contribute a constant ``1`` that
         a C-speed list fill provides up front.
 
-    The verifier views (:attr:`label_bag`, :attr:`degree_bag`,
-    :attr:`branch_bag`, :attr:`preorder`, :attr:`preorder_post`,
-    :attr:`postorder`, :attr:`annotation`, :attr:`mirror_annotation`)
+    The views of the module docstring (:attr:`label_bag`,
+    :attr:`preorder_code`, :attr:`postorder_code`, :attr:`preorder_post`,
+    :attr:`annotation`, :attr:`mirror_annotation` for the verifier;
+    :attr:`degree_bag`, :attr:`branch_bag` for the baselines' screens)
     are built on first use.  Their slots stay unset until then, so the
     constructor does no work for them.
     """
@@ -132,9 +142,9 @@ class TreeCache:
         "_label_bag",
         "_degree_bag",
         "_branch_bag",
-        "_preorder",
+        "_preorder_code",
         "_preorder_post",
-        "_postorder",
+        "_postorder_code",
         "_annotation",
         "_mirror_annotation",
     )
@@ -340,7 +350,7 @@ class TreeCache:
             return 0
         return 1 if self.left[p] == number else 2
 
-    # -- verifier views (built on first use; see the module docstring) -------
+    # -- views (built on first use; see the module docstring) ----------------
     #
     # An unset slot raises AttributeError, which marks a view not built yet.
 
@@ -382,13 +392,14 @@ class TreeCache:
             return bag
 
     @property
-    def preorder(self) -> tuple[int, ...]:
-        """Label ids in general-tree preorder."""
+    def preorder_code(self) -> int:
+        """Label ids in general-tree preorder as one integer, position
+        ``k`` at bit ``32 * k``."""
         try:
-            return self._preorder
+            return self._preorder_code
         except AttributeError:
             self._walk_preorder()
-            return self._preorder
+            return self._preorder_code
 
     @property
     def preorder_post(self) -> tuple[int, ...]:
@@ -404,23 +415,26 @@ class TreeCache:
             return self._preorder_post
 
     def _walk_preorder(self) -> None:
-        """Build :attr:`preorder` and :attr:`preorder_post` in one walk."""
+        """Build :attr:`preorder_code` and :attr:`preorder_post` in one walk."""
         numbers = self._preorder_numbers()
-        self._preorder = tuple(map(self.labels.__getitem__, numbers))
+        self._preorder_code = sequence_code(
+            list(map(self.labels.__getitem__, numbers))
+        )
         self._preorder_post = tuple(map(self.general_post.__getitem__, numbers))
 
     @property
-    def postorder(self) -> tuple[int, ...]:
-        """Label ids in general-tree postorder."""
+    def postorder_code(self) -> int:
+        """Label ids in general-tree postorder as one integer, position
+        ``k`` at bit ``32 * k``."""
         try:
-            return self._postorder
+            return self._postorder_code
         except AttributeError:
             labels = self.labels
             ordered = [0] * (self.size + 1)
             for b, g in enumerate(self.general_post):
                 ordered[g] = labels[b]
-            sequence = self._postorder = tuple(ordered[1:])
-            return sequence
+            code = self._postorder_code = sequence_code(ordered[1:])
+            return code
 
     @property
     def annotation(self) -> AnnotatedTree:

@@ -100,14 +100,13 @@ def _create_pool(
     tau: int,
     workers: int,
     config: Optional[PartSJConfig],
-    verifier_options: Optional[dict],
     injector: Optional[FaultInjector],
 ):
     """A pool whose workers hold the collection (see worker.py)."""
     return pool_context().Pool(
         processes=workers,
         initializer=init_worker,
-        initargs=(trees, tau, config, verifier_options, injector),
+        initargs=(trees, tau, config, injector),
     )
 
 
@@ -159,7 +158,7 @@ def parallel_partsj_join(
         else FaultInjector.from_env()
     )
     supervisor = PoolSupervisor(
-        lambda: _create_pool(trees, tau, workers, serial_cfg, None, injector),
+        lambda: _create_pool(trees, tau, workers, serial_cfg, injector),
         policy,
     )
     with supervisor:

@@ -5,11 +5,9 @@ depends only on its two trees and ``tau`` — so the four baseline joins
 hand their candidate lists to :func:`parallel_verify` (through
 :class:`~repro.baselines.common.DeferredVerification`) and get back
 exactly the pairs and exact distances a serial
-:class:`~repro.baselines.common.Verifier` would produce.  The
-method-specific filter configuration (which bag bounds the candidate
-screen already applied, whether the traversal bound is redundant) travels
-as the ``options`` dict, which is passed verbatim to each worker's
-``Verifier``.  PartSJ does not come here: its shards verify their own
+:class:`~repro.baselines.common.Verifier` would produce: every method
+runs the one verifier pipeline, so no configuration crosses the pool.
+PartSJ does not come here: its shards verify their own
 candidates (:mod:`repro.parallel.executor`).
 
 Pairs are sorted into canonical order and cut into
@@ -24,7 +22,7 @@ comparable quantity to a serial run's ``verify_time``);
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.baselines.common import JoinPair, Verifier
 from repro.errors import InvalidParameterError
@@ -101,7 +99,6 @@ def parallel_verify(
     tau: int,
     pairs: Sequence[tuple[int, int]],
     workers: int,
-    options: Optional[dict] = None,
 ) -> tuple[list[JoinPair], dict]:
     """Verify candidate ``(i, j)`` pairs across worker processes.
 
@@ -117,9 +114,6 @@ def parallel_verify(
         (either orientation) are verified once.
     workers:
         Worker process count of the dedicated pool.
-    options:
-        Keyword arguments for each worker's ``Verifier`` (e.g.
-        ``{"traversal_bound": False}`` for the STR join).
 
     The ``verify:<k>`` chunks run under a supervised pool created and
     torn down here, so every baseline's verification retries and
@@ -140,17 +134,13 @@ def parallel_verify(
         # Degradation fallback: a fresh in-process Verifier; per-pair
         # outcomes and counter deltas match the worker's exactly (only
         # wall time differs), so merged totals stay serial-identical.
-        return _worker.verify_pairs(
-            Verifier(trees, tau, **(options or {})), chunk
-        )
+        return _worker.verify_pairs(Verifier(trees, tau), chunk)
 
     chunks = chunk_pairs(ordered, workers)
     tasks = [(f"verify:{k}", chunk) for k, chunk in enumerate(chunks)]
     injector = FaultInjector.from_env()
     supervisor = PoolSupervisor(
-        lambda: _executor._create_pool(
-            trees, tau, workers, None, options, injector
-        ),
+        lambda: _executor._create_pool(trees, tau, workers, None, injector),
     )
     with supervisor:
         outcomes = supervisor.run(

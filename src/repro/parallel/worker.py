@@ -63,20 +63,18 @@ class _WorkerState:
         trees: Sequence[Tree],
         tau: int,
         config: Optional[PartSJConfig],
-        verifier_options: Optional[dict],
         injector: Optional[FaultInjector] = None,
     ):
         self.trees = trees
         self.tau = tau
         self.config = config
-        self.verifier_options = verifier_options or {}
         self.injector = injector
         self._verifier: Optional[Verifier] = None
 
     @property
     def verifier(self) -> Verifier:
         if self._verifier is None:
-            self._verifier = Verifier(self.trees, self.tau, **self.verifier_options)
+            self._verifier = Verifier(self.trees, self.tau)
         return self._verifier
 
 
@@ -87,12 +85,11 @@ def init_worker(
     trees: Sequence[Tree],
     tau: int,
     config: Optional[PartSJConfig] = None,
-    verifier_options: Optional[dict] = None,
     injector: Optional[FaultInjector] = None,
 ) -> None:
     """Pool initializer: install the collection in this worker process."""
     global _STATE
-    _STATE = _WorkerState(trees, tau, config, verifier_options, injector)
+    _STATE = _WorkerState(trees, tau, config, injector)
 
 
 def _require_state() -> _WorkerState:

@@ -51,9 +51,9 @@ def ted_within(t1: Tree, t2: Tree, tau: int) -> Optional[int]:
     """Return ``TED(t1, t2)`` if it is ``<= tau``, else ``None``.
 
     The pair runs the verification pipeline of every join: the O(1)
-    trivial upper bound, the bag lower bounds, then the banded string
-    edit distance of the two preorders, traced back to one optimal
-    alignment.  That distance lower-bounds TED; when the aligned nodes
+    trivial upper bound, the size and label-bag lower bounds, then the
+    threshold string edit distance of the two preorders, traced back to
+    one optimal alignment.  That distance lower-bounds TED; when the aligned nodes
     also keep postorder order they form an edit mapping of the same
     cost, and the distance is exact.  Otherwise the postorder bound and
     the tau-banded DP of :mod:`repro.ted.cutoff` decide.  Every bound is

@@ -1,30 +1,72 @@
-"""String edit distance, plain and banded, with one optimal alignment.
+"""String edit distance, plain and under a threshold, with one optimal alignment.
 
 Under unit costs, the edit distance of two trees' preorder (or postorder)
 label sequences is a lower bound on their tree edit distance (Guha et
 al., "Approximate XML Joins", SIGMOD 2002, [13] in the paper): a tree
 mapping restricted to either traversal is a string alignment of the same
 cost.  A similarity join only needs to know whether that distance exceeds
-``tau``, so one banded kernel evaluates the ``2*tau + 1`` diagonals a
-distance ``<= tau`` can reach, in ``O(tau * n)`` time, and abandons early.
-It serves two callers:
+``tau``, so one threshold kernel serves two callers:
 
 - :func:`string_edit_within` — the STR baseline's candidate filter and
   the verifier's postorder bound;
-- :func:`string_edit_alignment` — the same band, kept row by row, traced
-  back to one optimal alignment.  The verifier aligns two preorder
+- :func:`string_edit_alignment` — the same kernel, its levels kept and
+  traced back to one optimal alignment.  The verifier aligns two preorder
   sequences this way and, when the aligned nodes also keep postorder
   order, takes the distance as the exact TED (see
   :class:`repro.baselines.common.Verifier`).
+
+The kernel is Landau and Vishkin's furthest-reaching diagonals.
+``L[e][d]`` is the last row ``i`` of diagonal ``d = j - i`` whose DP cell
+``(i, j)`` is within ``e`` edits.  A cell is never smaller than the one
+before it on its diagonal, so the cells within ``e`` edits are a prefix
+of the diagonal.  ``L[e][d]`` is the furthest of ``L[e - 1]`` at ``d``
+(rename), ``d + 1`` (delete) and ``d - 1`` (insert), stepped once, then
+slid along the equal symbols that follow.  The distance is the first
+``e`` with ``L[e][t] = len(a)``, where ``t = len(b) - len(a)``.  Ukkonen's
+cutoff computes only the diagonals with ``|t - d| <= tau - e``: from any
+other, the end is more than the edits left away.  The three predecessors
+of a computed diagonal pass the cutoff one level down, so every computed
+entry is exact.  At most ``(tau + 1)**2`` slides run, and the first one
+is the common prefix.
+
+A slide is one lookup on two *codes*: a sequence as one integer, 32 bits
+per symbol, symbol ``k`` at bit ``32 * k``.  The equal run forward from
+``(i, j)`` ends at the lowest set bit of ``(A >> 32i) ^ (B >> 32j)``; the
+run backward from ``(i, j)`` ends at the highest set bit of the two
+prefixes, aligned at their ends.  Each is a shift, an XOR and
+``bit_length`` at C speed.  Both runs are clamped to the symbols left,
+so a symbol coded 0 (label id 0, ``""``) is never mistaken for the zero
+bits past an end.  Label ids are their own codes (all below ``2**21``,
+:mod:`repro.core.intern`), and each
+:class:`~repro.core.treecache.TreeCache` keeps the code of both its
+traversals.  The public functions take plain sequences and number their
+symbols in one table shared by both, so two codes are equal exactly when
+their symbols are ``==``.
+
+The alignment is the one the full DP's traceback finds when it starts at
+the last cell and prefers the diagonal step, then deleting from ``a``,
+then inserting from ``b`` (the order of the banded DP this kernel
+replaced, so the verifier certifies the same pairs).  The traceback reads
+only ``D(i, j)``, the first ``e`` with ``L[e][j - i] >= i``.  On equal
+symbols the diagonal step costs nothing, so one backward lookup takes the
+whole run.  At a mismatch in a cell of ``e`` edits, each step in order is
+taken if its cell is within ``e - 1`` edits: one comparison with
+``L[e - 1]``.  Such a cell lies on an optimal path, which keeps to the
+cutoff, so its entry was computed.
 
 Sequences are sequences of hashable symbols (labels), not just characters.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import sys
+from array import array
+from typing import Iterable, Optional, Sequence
 
 __all__ = ["string_edit_distance", "string_edit_within", "string_edit_alignment"]
+
+# The array typecode of 32-bit unsigned ints, which hold one symbol each.
+_UINT32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 
 def string_edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
@@ -50,87 +92,151 @@ def string_edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     return previous[-1]
 
 
-def _trim(a: Sequence[str], b: Sequence[str]) -> tuple[int, int]:
-    """Lengths of the common prefix of ``a`` and ``b`` and, of what is
-    left after it, their common suffix.
+def sequence_code(symbols: Iterable[int]) -> int:
+    """The code of a sequence of ints in ``[0, 2**32)``: symbol ``k`` at
+    bit ``32 * k``.
 
-    Trimming both leaves the edit distance unchanged, and an optimal
-    alignment of the middles plus the trimmed symbols kept in place is
-    an optimal alignment of the whole sequences.
+    >>> hex(sequence_code([1, 2]))
+    '0x200000001'
     """
-    head = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        head += 1
-    tail = 0
-    room = min(len(a), len(b)) - head
-    for x, y in zip(reversed(a), reversed(b)):
-        if tail == room or x != y:
-            break
-        tail += 1
-    return head, tail
+    packed = array(_UINT32, symbols)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed.tobytes(), "little")
 
 
-def _band(
-    a: Sequence[str],
-    b: Sequence[str],
-    tau: int,
-    rows: Optional[list[list[int]]],
+def sequence_of(code: int, length: int) -> tuple[int, ...]:
+    """The ``length`` symbols of a code: :func:`sequence_code` undone.
+
+    >>> sequence_of(sequence_code([1, 0, 2]), 3)
+    (1, 0, 2)
+    """
+    packed = array(_UINT32, code.to_bytes(4 * length, "little"))
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return tuple(packed)
+
+
+def first_mismatch(a: int, b: int) -> Optional[tuple[int, int]]:
+    """The symbols of codes ``a`` and ``b`` at the first position where
+    they differ, or ``None`` if there is none.  Meant for codes of equal
+    length: past an end, a code reads as symbols 0.
+
+    >>> first_mismatch(sequence_code([4, 5, 6]), sequence_code([4, 7, 6]))
+    (5, 7)
+    """
+    differ = a ^ b
+    if not differ:
+        return None
+    shift = ((differ & -differ).bit_length() - 1) & ~31  # its 32-bit slot
+    return (a >> shift) & 0xFFFFFFFF, (b >> shift) & 0xFFFFFFFF
+
+
+def _codes(a: Sequence, b: Sequence) -> tuple[int, int]:
+    """The codes of ``a`` and ``b``: every distinct symbol numbered in one
+    table, so two codes are equal exactly when their symbols are ``==``
+    (``1``, ``1.0`` and ``True`` share a number)."""
+    table: dict = {}
+    number = table.setdefault
+    return (
+        sequence_code([number(symbol, len(table)) for symbol in a]),
+        sequence_code([number(symbol, len(table)) for symbol in b]),
+    )
+
+
+def within_codes(
+    a: int, m: int, b: int, n: int, tau: int, levels: Optional[list] = None
 ) -> Optional[int]:
-    """Ukkonen's banded DP: the edit distance if ``<= tau``, else ``None``.
+    """:func:`string_edit_within` of codes ``a`` (``m`` symbols) and ``b``
+    (``n`` symbols): the threshold kernel of the module docstring.
 
-    Cell ``(i, j)`` — the distance of ``a[:i]`` and ``b[:j]`` — is kept
-    at offset ``k = j - i + tau`` of row ``i``, so a row holds only its
-    ``2*tau + 1`` band cells plus one sentinel at offset ``2*tau + 1``.
-    Cells outside the band, or outside ``0 <= j <= len(b)``, read as the
-    sentinel ``tau + 1``: a cell with ``|i - j| > tau`` is ``> tau``, and
-    a value ``> tau`` only ever flows into cells that are ``> tau`` too,
-    so every cell ``<= tau`` is exact.  When every cell of a row exceeds
-    ``tau`` the distance does too, and the DP stops.  ``rows``, when
-    given, receives every row, for :func:`string_edit_alignment`.
+    ``L[e][d]`` is kept at offset ``d + tau + 1`` of level ``e``; ``-1``
+    marks a diagonal not computed at that level.  ``levels``, when given,
+    receives every level, for :func:`align_codes`.
     """
-    la, lb = len(a), len(b)
-    big = tau + 1
-    width = 2 * tau + 1
-    previous = [big] * (width + 1)
-    for j in range(min(tau, lb) + 1):
-        previous[tau + j] = j
-    if rows is not None:
-        rows.append(previous)
-    for i in range(1, la + 1):
-        sym = a[i - 1]
-        current = [big] * (width + 1)
-        first = tau - i  # offset of column 0
-        if first >= 0:
-            current[first] = left = i
-            first += 1
-        else:
-            first = 0
-            left = big
-        last = lb - i + tau  # offset of column len(b)
-        if last >= width:
-            last = width - 1
-        column = i - tau + first - 1  # index into b of offset `first`
-        for k, sym_b in zip(
-            range(first, last + 1), b[column:column + last - first + 1]
+    if tau < 0 or abs(m - n) > tau:
+        return None
+    t = n - m
+    base = tau + 1
+    current = [-1] * (2 * tau + 3)
+    for e in range(tau + 1):
+        previous, current = current, [-1] * (2 * tau + 3)
+        for k in range(
+            max(-e, t - tau + e, -m) + base, min(e, t + tau - e, n) + base + 1
         ):
-            # min(diagonal, up + 1, left + 1), with left the cell just set.
-            up = previous[k + 1]
-            if up < left:
-                left = up
-            left += 1
-            diagonal = previous[k] if sym == sym_b else previous[k] + 1
-            if diagonal < left:
-                left = diagonal
-            current[k] = left
-        if min(current) > tau:
-            return None
-        if rows is not None:
-            rows.append(current)
-        previous = current
-    distance = previous[lb - la + tau]
-    return distance if distance <= tau else None
+            # Furthest of rename (k), insert (k - 1) and delete (k + 1).
+            row = previous[k] + 1
+            if previous[k - 1] > row:
+                row = previous[k - 1]
+            if previous[k + 1] >= row:
+                row = previous[k + 1] + 1
+            end = n - k + base  # the row of column n on this diagonal
+            if m < end:
+                end = m
+            if row < end:
+                x = (a >> (row << 5)) ^ (b >> ((row + k - base) << 5))
+                if x:
+                    row += ((x & -x).bit_length() - 1) >> 5
+                    if row > end:
+                        row = end
+                else:
+                    row = end
+            else:
+                row = end
+            current[k] = row
+        if levels is not None:
+            levels.append(current)
+        if current[t + base] == m:
+            return e
+    return None
+
+
+def align_codes(
+    a: int, m: int, b: int, n: int, tau: int
+) -> Optional[tuple[int, list[tuple[int, int, int]]]]:
+    """:func:`string_edit_alignment` of codes ``a`` (``m`` symbols) and
+    ``b`` (``n`` symbols), with the aligned pairs as ascending runs
+    ``(p, q, length)`` of pairs ``(p + k, q + k)``, ``k < length``."""
+    levels: list[list[int]] = []
+    distance = within_codes(a, m, b, n, tau, levels)
+    if distance is None:
+        return None
+    base = tau + 1
+    runs = []
+    i, j, e = m, n, distance
+    while i and j:
+        # The equal run backward from (i, j): align the two prefixes at
+        # their ends, and find the last symbol where they differ.
+        if i < j:
+            x = ((a << ((j - i) << 5)) ^ b) & ((1 << (j << 5)) - 1)
+            run = j - ((x.bit_length() + 31) >> 5)
+            if run > i:
+                run = i
+        else:
+            x = (a ^ (b << ((i - j) << 5))) & ((1 << (i << 5)) - 1)
+            run = i - ((x.bit_length() + 31) >> 5)
+            if run > j:
+                run = j
+        if run:
+            i -= run
+            j -= run
+            runs.append((i, j, run))
+            continue
+        # A mismatch in a cell of e edits: rename, delete or insert,
+        # whichever first reaches a cell of e - 1 edits.
+        below = levels[e - 1]
+        k = j - i + base
+        e -= 1
+        if below[k] >= i - 1:
+            i -= 1
+            j -= 1
+            runs.append((i, j, 1))
+        elif below[k + 1] >= i - 1:
+            i -= 1
+        else:
+            j -= 1
+    runs.reverse()
+    return distance, runs
 
 
 def string_edit_within(
@@ -140,21 +246,16 @@ def string_edit_within(
 ) -> Optional[int]:
     """Return the edit distance if it is ``<= tau``, else ``None``.
 
-    Uses Ukkonen's banded dynamic program: cells farther than ``tau`` from
-    the main diagonal can never contribute to a distance ``<= tau``, so only
-    a band of ``2*tau + 1`` diagonals is filled.  If every cell of a row
-    exceeds ``tau`` the computation stops early.  The band covers only
-    what lies between the two sequences' common prefix and suffix.
+    Runs the threshold kernel of the module docstring: at most
+    ``(tau + 1)**2`` longest-common-extension lookups.
 
     >>> string_edit_within("kitten", "sitting", 3)
     3
     >>> string_edit_within("kitten", "sitting", 2) is None
     True
     """
-    if tau < 0 or abs(len(a) - len(b)) > tau:
-        return None
-    head, tail = _trim(a, b)
-    return _band(a[head:len(a) - tail], b[head:len(b) - tail], tau, None)
+    code_a, code_b = _codes(a, b)
+    return within_codes(code_a, len(a), code_b, len(b), tau)
 
 
 def string_edit_alignment(
@@ -168,57 +269,21 @@ def string_edit_alignment(
     kept as or renamed to ``b[q]``), ascending in both positions; every
     other position is deleted from ``a`` or inserted from ``b``.  Its cost,
     ``len(a) + len(b) - 2 * len(pairs)`` plus the renamed pairs, is the
-    returned distance.  It is the alignment a traceback of the full band
+    returned distance.  It is the alignment a traceback of the full DP
     finds when it starts at the last cell and prefers the diagonal step,
-    then deleting from ``a``, then inserting from ``b``; the band itself
-    is filled only between the common prefix and suffix.
+    then deleting from ``a``, then inserting from ``b``.
 
     >>> string_edit_alignment("abcd", "abd", 1)
     (1, [(0, 0), (1, 1), (3, 2)])
     >>> string_edit_alignment("abcd", "xyz", 2) is None
     True
     """
-    if tau < 0 or abs(len(a) - len(b)) > tau:
+    code_a, code_b = _codes(a, b)
+    aligned = align_codes(code_a, len(a), code_b, len(b), tau)
+    if aligned is None:
         return None
-    head, tail = _trim(a, b)
-    end_a, end_b = len(a) - tail, len(b) - tail
-    middle_a, middle_b = a[head:end_a], b[head:end_b]
-    rows: list[list[int]] = []
-    distance = _band(middle_a, middle_b, tau, rows)
-    if distance is None:
-        return None
-    # Traced backwards, so the pairs collect in descending order.  Equal
-    # last symbols always take the diagonal: the common suffix aligns.
-    pairs = list(zip(range(len(a) - 1, end_a - 1, -1),
-                     range(len(b) - 1, end_b - 1, -1)))
-    i, j = end_a - head, end_b - head
-    k = j - i + tau
-    while i and j:
-        value = rows[i][k]
-        above = rows[i - 1]
-        if above[k] + (middle_a[i - 1] != middle_b[j - 1]) == value:
-            i -= 1
-            j -= 1
-            pairs.append((head + i, head + j))
-        elif above[k + 1] + 1 == value:
-            i -= 1
-            k += 1
-        else:
-            j -= 1
-            k -= 1
-    # Where one prefix lies inside the common prefix, it is a prefix of the
-    # other, so cell (x, y) holds |x - y|: the diagonal is optimal exactly
-    # on equal symbols, and otherwise the longer prefix gives one up.
-    x, y = head + i, head + j
-    while x != y and x and y:
-        if a[x - 1] == b[y - 1]:
-            x -= 1
-            y -= 1
-            pairs.append((x, y))
-        elif x > y:
-            x -= 1
-        else:
-            y -= 1
-    pairs += zip(range(x - 1, -1, -1), range(y - 1, -1, -1))
-    pairs.reverse()
+    distance, runs = aligned
+    pairs: list[tuple[int, int]] = []
+    for p, q, length in runs:
+        pairs += zip(range(p, p + length), range(q, q + length))
     return distance, pairs

@@ -1,12 +1,14 @@
-"""Differential tests of the record's verifier views (repro.core.treecache).
+"""Differential tests of the record's views (repro.core.treecache).
 
-A :class:`TreeCache` derives every view the verifier reads — bags,
-traversal sequences, Zhang–Shasha annotations in both orientations —
-from its flat arrays.  Each view is compared here with a definition
-computed from the :class:`Tree` itself: bags from a ``TreeNode`` walk,
-branch triples from the LC-RS object graph of :func:`to_lcrs`, traversals
-from ``Tree.preorder_labels`` / ``postorder_labels``, and annotations
-from a test-local postorder walk of the tree and of a test-local mirror.
+A :class:`TreeCache` derives every view the verifier and the baselines'
+screens read — bags, traversal codes, Zhang–Shasha annotations in both
+orientations — from its flat arrays.  Each view is compared here with a
+definition computed from the :class:`Tree` itself: bags from a
+``TreeNode`` walk, branch triples from the LC-RS object graph of
+:func:`to_lcrs`, decoded traversals from ``Tree.preorder_labels`` /
+``postorder_labels``, codes from their definition over the traversals
+of records built from nodes and from text, and annotations from a
+test-local postorder walk of the tree and of a test-local mirror.
 """
 
 from collections import Counter
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from repro.core.intern import LabelInterner
 from repro.core.treecache import TreeCache
 from repro.ted.binary_branch import binary_branches
+from repro.ted.string_edit import sequence_of
 from repro.ted.zhang_shasha import zhang_shasha
 from repro.tree.lcrs import to_lcrs
 from repro.tree.node import Tree, TreeNode
@@ -61,6 +64,11 @@ def reference_annotation(tree: Tree):
     return labels, lmld, sorted(keyroots), leaf_keyroot
 
 
+def code_of(ids) -> int:
+    """A traversal's code by definition: position ``k`` at bit ``32 * k``."""
+    return sum(label << (32 * k) for k, label in enumerate(ids))
+
+
 def check_views(tree: Tree) -> None:
     record = TreeCache(tree, LabelInterner())
     name = record.interner.label
@@ -83,8 +91,17 @@ def check_views(tree: Tree) -> None:
         for (a, b, c), k in record.branch_bag.items()
     } == lcrs_branches == binary_branches(tree)
 
-    assert [name(i) for i in record.preorder] == tree.preorder_labels()
-    assert [name(i) for i in record.postorder] == tree.postorder_labels()
+    preorder = sequence_of(record.preorder_code, record.size)
+    postorder = sequence_of(record.postorder_code, record.size)
+    assert [name(i) for i in preorder] == tree.preorder_labels()
+    assert [name(i) for i in postorder] == tree.postorder_labels()
+    intern = record.interner.intern  # every label is interned already
+    preorder_ids = [intern(label) for label in tree.preorder_labels()]
+    postorder_ids = [intern(label) for label in tree.postorder_labels()]
+    from_text = TreeCache(Tree.from_bracket(tree.to_bracket()), record.interner)
+    for built in (from_text, record):
+        assert built.preorder_code == code_of(preorder_ids)
+        assert built.postorder_code == code_of(postorder_ids)
 
     for view, shape in (
         (record.annotation, tree), (record.mirror_annotation, mirror(tree))

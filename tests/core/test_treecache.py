@@ -3,7 +3,7 @@
 The arrays are checked against :func:`repro.tree.lcrs.to_lcrs`, the
 independent node-object definition of the LC-RS transform (paper
 Figure 4): its binary postorder numbers the nodes exactly as the record
-does.  The verifier views are checked in ``test_record_views.py``.
+does.  The views are checked in ``test_record_views.py``.
 """
 
 from repro.core.treecache import RecordStore, TreeCache
