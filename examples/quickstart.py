@@ -9,9 +9,9 @@ Walks through the core public API:
 4. cross-check against a baseline method (same session, same pairs);
 5. run similarity searches on the session's warm index.
 
-The one-shot shims (``similarity_join``, ``similarity_search``, ...)
-still exist for quick scripts; ``examples/session_reuse.py`` shows the
-full prepare-once-query-many workflow this file only samples.
+Every query, even a one-off, goes through a session;
+``examples/session_reuse.py`` shows the full prepare-once-query-many
+workflow this file only samples.
 
 Run with::
 
@@ -58,8 +58,8 @@ def main() -> None:
 
     # -- 3. A similarity self-join ------------------------------------------
     # Collect a few near-duplicate listings, prepare them ONCE as a
-    # session, and join with threshold tau.  (For a single throwaway call
-    # the shim `similarity_join(trees, tau)` does the same thing.)
+    # session, and join with threshold tau.  (A single throwaway call is
+    # the same thing: `TreeCollection.from_trees(trees).join(tau).run()`.)
     listings = [album_a, album_b, album_c]
     for bracket in (
         "{album{title{Abbey Road}}{artist{The Beatles}}{year{1969}}"

@@ -19,7 +19,7 @@ Run with::
     python examples/rna_motifs.py
 """
 
-from repro import similarity_join, similarity_search
+from repro import TreeCollection
 from repro.tree.node import Tree, TreeNode
 
 
@@ -79,7 +79,8 @@ def main() -> None:
 
     # -- Join the family against the decoys --------------------------------
     tau = 6
-    result = similarity_join(trees, tau)
+    structures = TreeCollection.from_trees(trees)  # prepared once, queried 3x
+    result = structures.join(tau).run()
     print(f"\nStructure pairs within TED {tau}:")
     for pair in result.pairs:
         kind_i = "cloverleaf" if pair.i < len(CLOVERLEAF_FAMILY) else "decoy"
@@ -93,13 +94,13 @@ def main() -> None:
 
     # -- Compare filter statistics -----------------------------------------
     for method in ("partsj", "set"):
-        stats = similarity_join(trees, tau, method=method).stats
+        stats = structures.join(tau, method=method).run().stats
         print(f"  {stats.method}: {stats.candidates} candidates, "
               f"{stats.ted_calls} TED calls")
 
     # -- Search with a query hairpin ----------------------------------------
     query = structure_tree("((((..(((....)))..(((....)))..(((...)))..))))")
-    hits = similarity_search(query, trees, tau=4)
+    hits = structures.search(query, tau=4).run()
     print(f"\nStructures within TED 4 of the query: "
           f"{[(h.index, h.distance) for h in hits]}")
 

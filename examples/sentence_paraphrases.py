@@ -21,7 +21,7 @@ Run with::
     python examples/sentence_paraphrases.py
 """
 
-from repro import similarity_join
+from repro import TreeCollection
 from repro.tree.node import Tree, TreeNode
 
 
@@ -86,14 +86,15 @@ def main() -> None:
 
     # -- Structural paraphrases: drop the words -----------------------------
     skeletons = [strip_words(tree) for tree in trees]
-    result = similarity_join(skeletons, tau=1)
+    result = TreeCollection.from_trees(skeletons).join(tau=1).run()
     print("\nSentences with near-identical parse structure (tau=1, no words):")
     for pair in result.pairs:
         print(f"  {SENTENCES[pair.i][0]!r} ~ {SENTENCES[pair.j][0]!r} "
               f"(TED {pair.distance})")
 
     # -- Near-identical sentences: full labels -------------------------------
-    result = similarity_join(trees, tau=2)
+    sentences = TreeCollection.from_trees(trees)
+    result = sentences.join(tau=2).run()
     print("\nNear-identical sentences (tau=2, words included):")
     for pair in result.pairs:
         print(f"  {SENTENCES[pair.i][0]!r} ~ {SENTENCES[pair.j][0]!r} "
@@ -107,8 +108,8 @@ def main() -> None:
         "(S (NP (DT the) (NN dog)) (VP (VBD sat) (PP (IN on) "
         "(NP (DT the) (NN mat)))))"
     )]
-    before = similarity_join(trees, 2).pair_set()
-    after = similarity_join(extended, 2).pair_set()
+    before = sentences.join(2).run().pair_set()  # the session's cached result
+    after = TreeCollection.from_trees(extended).join(2).run().pair_set()
     new_pairs = after - before
     print(f"\nAfter a new sentence arrives: {len(new_pairs)} new pairs "
           f"{sorted(new_pairs)}")

@@ -12,13 +12,12 @@ matters:
 4. R x S joins against a second prepared collection;
 5. hand the collection off to the streaming engine and keep ingesting.
 
-When to use what:
-
-- **sessions** (``TreeCollection``) whenever the same trees are queried
-  more than once — other thresholds, searches, R x S joins, re-queries;
-- **shims** (``similarity_join`` & friends) for one-off calls and quick
-  scripts; they build a one-shot session per call, return bit-identical
-  results, and remind you (once per process) that sessions exist.
+A session (``TreeCollection``) is the one entry point for every query.
+A one-off call is a one-shot session,
+``TreeCollection.from_trees(trees).join(tau).run()``; keep the session
+whenever the same trees are queried more than once — other thresholds,
+searches, R x S joins, re-queries — and a generator of arriving trees
+streams through ``StreamPlan(source, tau).iter()``.
 
 Run with::
 

@@ -6,7 +6,8 @@ time, and the service must (a) report each new record's near-duplicates
 *the moment it arrives* and (b) answer ad-hoc similarity queries from a
 warm index, without ever rebuilding anything.  Walks through:
 
-1. ``stream_join`` — the generator API: pairs yielded as they verify;
+1. ``StreamPlan(source, tau).iter()`` — the generator API: pairs
+   yielded as they verify;
 2. ``StreamingJoin`` — the engine underneath: live stats, and the
    guarantee that streamed results equal a batch join of the prefix;
 3. ``StreamingJoin.searcher()`` — warm-index similarity search mid-ingest;
@@ -24,9 +25,9 @@ import random
 from repro import (
     StreamingJoin,
     StreamJoinService,
+    StreamPlan,
     Tree,
-    similarity_join,
-    stream_join,
+    TreeCollection,
 )
 
 
@@ -59,7 +60,7 @@ def main() -> None:
     # Pairs come out while the stream is still being consumed; indices are
     # arrival positions.
     first_pairs = []
-    for pair in stream_join(iter(events), tau):
+    for pair in StreamPlan(iter(events), tau).iter():
         first_pairs.append(pair)
         if len(first_pairs) == 3:
             break  # stop early: the prefix join so far is still exact
@@ -70,7 +71,7 @@ def main() -> None:
     join = StreamingJoin(tau)
     for event in events:
         join.add(event)
-    batch = similarity_join(events, tau)
+    batch = TreeCollection.from_trees(events).join(tau).run()
     assert [(p.i, p.j, p.distance) for p in join.results()] == [
         (p.i, p.j, p.distance) for p in batch.pairs
     ], "streamed results must equal the batch join of the prefix"

@@ -24,7 +24,7 @@ Run with::
 
 from collections import defaultdict
 
-from repro import similarity_join
+from repro import TreeCollection
 from repro.tree.xmlio import tree_from_xml
 
 
@@ -56,8 +56,9 @@ def main() -> None:
     print(f"catalogue: {len(trees)} listings, "
           f"tree sizes {[t.size for t in trees]}")
 
+    catalogue = TreeCollection.from_trees(trees)  # prepared once, every tau
     for tau in (1, 2, 4):
-        result = similarity_join(trees, tau)
+        result = catalogue.join(tau).run()
         print(f"\n-- tau = {tau}: {len(result.pairs)} near-duplicate pairs --")
         for pair in result.pairs:
             print(f"  listing {pair.i} ~ listing {pair.j} "
@@ -66,8 +67,9 @@ def main() -> None:
         print(f"  [{stats.candidates} candidates, {stats.ted_calls} TED "
               f"calls out of {len(trees) * (len(trees) - 1) // 2} possible pairs]")
 
-    # Group tau=4 matches into duplicate clusters via union-find.
-    result = similarity_join(trees, 4)
+    # Group tau=4 matches into duplicate clusters via union-find (the
+    # session serves the tau=4 join again from its result cache).
+    result = catalogue.join(4).run()
     parent = list(range(len(trees)))
 
     def find(x: int) -> int:

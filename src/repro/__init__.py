@@ -18,16 +18,16 @@ Quick start::
     print(result.stats.summary())
     hits = col.search(query, tau=2).run()           # reuses the preparation
 
-One-off calls can use the legacy shims (``similarity_join``,
-``similarity_join_rs``, ``similarity_search``, ``stream_join``) — each is
-a thin wrapper over a one-shot session with bit-identical results.
+Every query goes through a session plan: ``join``, ``join_with`` (R×S),
+``search`` and ``stream`` on a :class:`TreeCollection`, or
+``StreamPlan(source, tau)`` to join any iterable as it arrives
+(:mod:`repro.session`).
 
 ``python -m repro experiment <id>`` regenerates the evaluation's figures
 (:mod:`repro.bench.experiments`); its ``ablation_filters`` run measures
 the join results the published pruning scheme drops.
 """
 
-from repro.api import JOIN_METHODS, similarity_join, stream_join
 from repro.baselines import (
     JoinPair,
     JoinResult,
@@ -85,8 +85,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.resilience import FaultInjector, RetryPolicy
-from repro.rsjoin import similarity_join_rs
-from repro.search import SearchHit, SimilaritySearcher, similarity_search
+from repro.search import SearchHit, SimilaritySearcher
 from repro.session import (
     JoinPlan,
     QueryPlan,
@@ -119,13 +118,9 @@ __all__ = [
     "SearchPlan",
     "StreamPlan",
     # joins
-    "similarity_join",
-    "similarity_join_rs",
-    "stream_join",
     "StreamingJoin",
     "StreamJoinService",
     "StreamStats",
-    "JOIN_METHODS",
     "partsj_join",
     "PartSJConfig",
     "MatchSemantics",
@@ -139,7 +134,6 @@ __all__ = [
     "JoinResult",
     "JoinStats",
     # search
-    "similarity_search",
     "SimilaritySearcher",
     "SearchHit",
     # datasets

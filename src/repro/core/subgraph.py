@@ -45,18 +45,15 @@ it.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.intern import EPSILON, pack_twig
 from repro.errors import InvalidParameterError
-from repro.tree.binary import EdgeKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.treecache import TreeCache
 
 __all__ = ["Subgraph", "MatchSemantics", "EPSILON"]
-
-_EDGE_KIND_OF_CODE = (EdgeKind.ROOT, EdgeKind.LEFT, EdgeKind.RIGHT)
 
 
 class MatchSemantics(enum.Enum):
@@ -99,13 +96,12 @@ class Subgraph:
         the container tree (general-tree postorder by default).
     size:
         Number of member nodes.
-    twig_ids:
-        The root twig ``(label, left, right)`` as interned ids, epsilon
-        (``0``) for missing / non-member children.
     twig_key:
-        :func:`repro.core.intern.pack_twig` of :attr:`twig_ids`.
-        Snapshots store it; the index files the subgraph under it plus
-        its member grandchildren
+        The root twig ``(label, left, right)`` as interned ids, epsilon
+        (``0``) for missing / non-member children, packed by
+        :func:`repro.core.intern.pack_twig` (``unpack_twig`` reads it
+        back).  Snapshots store it; the index files the subgraph under it
+        plus its member grandchildren
         (:meth:`repro.core.index.InvertedSizeIndex.insert_all`).
     incoming_code:
         Incoming-edge category of the root: 0 root, 1 left, 2 right.
@@ -119,10 +115,8 @@ class Subgraph:
         "rank",
         "postorder_id",
         "size",
-        "twig_ids",
         "twig_key",
         "incoming_code",
-        "_members",
     )
 
     def __init__(
@@ -146,36 +140,8 @@ class Subgraph:
         r = cache.right[root_number]
         left_id = labels[l] if l and member_bits[l] else 0
         right_id = labels[r] if r and member_bits[r] else 0
-        self.twig_ids = (labels[root_number], left_id, right_id)
         self.twig_key = pack_twig(labels[root_number], left_id, right_id)
         self.incoming_code = cache.incoming_code(root_number)
-        self._members: Optional[frozenset[int]] = None
-
-    # -- compatibility views -------------------------------------------------
-
-    @property
-    def members(self) -> frozenset[int]:
-        """Member binary postorder numbers as a frozenset (compat view)."""
-        cached = self._members
-        if cached is None:
-            bits = self.member_bits
-            cached = frozenset(b for b in range(1, len(bits)) if bits[b])
-            self._members = cached
-        return cached
-
-    @property
-    def incoming(self) -> EdgeKind:
-        """Category of the root's incoming (bridging) edge."""
-        return _EDGE_KIND_OF_CODE[self.incoming_code]
-
-    @property
-    def twig(self) -> tuple[str, str, str]:
-        """The root twig as label strings (compat; epsilon = ``""``)."""
-        label = self.cache.interner.label
-        a, b, c = self.twig_ids
-        return (label(a), label(b), label(c))
-
-    # -- matching ------------------------------------------------------------
 
     def matches_at_number(
         self, probe_cache: "TreeCache", probe_number: int, strict: bool
@@ -230,5 +196,6 @@ class Subgraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Subgraph(owner={self.owner}, rank={self.rank}, "
-            f"pk={self.postorder_id}, size={self.size}, twig={self.twig!r})"
+            f"pk={self.postorder_id}, size={self.size}, "
+            f"twig_key={self.twig_key:#x})"
         )

@@ -13,8 +13,8 @@ The instrumentation spine for every execution tier:
 - :mod:`repro.obs.export` — JSONL trace files, Prometheus text
   exposition, and a human-readable span tree.
 
-See the "Observability" section of :mod:`repro.api` for the span and
-metric naming contract.
+See the "Observability" section of :mod:`repro.session` for the span
+and metric naming contract.
 """
 
 from repro.obs.export import (

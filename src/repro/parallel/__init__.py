@@ -16,9 +16,9 @@ results bit-identical to the serial engine:
   task functions.
 
 It serves batch joins only: a stream verifies inline, in its own
-process.  Entry points: ``similarity_join(..., workers=N)``,
-``PartSJConfig(workers=N)``, or the CLI's ``join --workers`` and
-``experiment --workers``.
+process.  Entry points: ``TreeCollection.join(..., workers=N)`` (and
+``join_with``), ``PartSJConfig(workers=N)``, or the CLI's
+``join --workers`` and ``experiment --workers``.
 """
 
 from repro.parallel.executor import parallel_partsj_join

@@ -1,11 +1,9 @@
 """Centralized parameter validation shared by every public entry point.
 
-Every way into the library — :class:`repro.session.TreeCollection` query
-builders, the legacy one-shot shims (:func:`repro.api.similarity_join`,
-:func:`repro.rsjoin.similarity_join_rs`, :func:`repro.search.similarity_search`,
-:func:`repro.api.stream_join`), the streaming engine, the CLI — validates
-the common knobs here, so the accepted domains and the error messages are
-identical everywhere:
+Every way into the library — the :class:`repro.session.TreeCollection`
+query builders, :class:`repro.session.StreamPlan`, the searcher, the
+streaming engine, the CLI — validates the common knobs here, so the
+accepted domains and the error messages are identical everywhere:
 
 - ``tau``: the TED threshold, an integer ``>= 0``;
 - ``workers``: the worker process count, an integer ``>= 1``.

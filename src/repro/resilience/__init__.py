@@ -15,10 +15,10 @@ The package bundles three pieces, threaded through :mod:`repro.parallel`
   worker pool: detect, retry, degrade, account
   (:mod:`repro.resilience.supervisor`).
 
-The invariant all of it preserves: ``similarity_join(workers=N)``
-returns **bit-identical results** under any injected (or real) worker
-failure, as long as graceful degradation is enabled — the failure
-surface moves into statistics, not into results.
+The invariant all of it preserves: ``TreeCollection.join(tau,
+workers=N)`` returns **bit-identical results** under any injected (or
+real) worker failure, as long as graceful degradation is enabled — the
+failure surface moves into statistics, not into results.
 """
 
 from repro.resilience.faults import (

@@ -1,10 +1,12 @@
 """Similarity search: one query tree against a collection (paper Section 1).
 
-``similarity_search(query, trees, tau)`` returns all collection trees within
-TED ``tau`` of the query.  The query's nodes probe the partitions of every
-collection tree whose size is within ``tau`` of the query's, in the one
-walk of the join (:meth:`repro.core.index.InvertedSizeIndex.probe`), so
-the one index answers collection trees both smaller and larger than the
+A search returns all collection trees within TED ``tau`` of the query
+(``TreeCollection.search(query, tau).run()``, or a reusable
+``TreeCollection.searcher(tau)``).  The query's nodes probe the
+partitions of every collection tree whose size is within ``tau`` of the
+query's, in the one walk of the join
+(:meth:`repro.core.index.InvertedSizeIndex.probe`), so the one index
+answers collection trees both smaller and larger than the
 query.  Trees no larger than the query are matched under the configured
 semantics and window; larger ones under SAFE semantics, for which Lemma 2
 holds whichever of two trees is partitioned (under PAPER semantics each
@@ -19,11 +21,8 @@ are taken unfiltered.
 partitions and the fully populated index all come from the session's
 ``prepare(tau, config)`` artifact, so a searcher over an already-joined
 collection builds nothing, and many searchers (one per tau) share one
-collection's records.  Passing a plain tree sequence still works — a
-one-shot session is created behind the scenes — and
-:func:`similarity_search` stays as the one-call shim over exactly that.
-:class:`repro.stream.searcher.StreamSearcher` runs the same
-:meth:`SimilaritySearcher.search` over a
+collection's records.  :class:`repro.stream.searcher.StreamSearcher`
+runs the same :meth:`SimilaritySearcher.search` over a
 :class:`~repro.stream.engine.StreamingJoin`'s live index instead.
 
 The query's record is built over a
@@ -36,17 +35,19 @@ collection-side views stay warm from search to search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.baselines.common import Verifier
 from repro.core.intern import QueryInterner
 from repro.core.join import PartSJConfig
 from repro.core.subgraph import MatchSemantics
 from repro.core.treecache import TreeCache
+from repro.errors import InvalidInputTypeError
 from repro.params import check_tau
+from repro.session import TreeCollection
 from repro.tree.node import Tree
 
-__all__ = ["SearchHit", "SimilaritySearcher", "similarity_search"]
+__all__ = ["SearchHit", "SimilaritySearcher"]
 
 
 @dataclass(frozen=True)
@@ -62,31 +63,35 @@ class SimilaritySearcher:
 
     Parameters
     ----------
-    trees:
-        The collection to search: a :class:`repro.session.TreeCollection`
-        (its ``prepare(tau, config)`` artifacts — partitions, index,
-        interner, records — are consumed, not rebuilt) or a plain tree
-        sequence (a one-shot session is created internally).
+    collection:
+        The :class:`repro.session.TreeCollection` to search.  Its
+        ``prepare(tau, config)`` artifacts — partitions, index, interner,
+        records — are consumed, not rebuilt.
     tau:
         The TED threshold all queries will use.
     config:
         PartSJ filter configuration (defaults to the exact-safe one).
+
+    >>> trees = [Tree.from_bracket(s) for s in ("{a{b}{c}}", "{x{y{z}}}")]
+    >>> searcher = SimilaritySearcher(TreeCollection.from_trees(trees), 1)
+    >>> query = Tree.from_bracket("{a{b}}")
+    >>> [(h.index, h.distance) for h in searcher.search(query)]
+    [(0, 1)]
     """
 
     def __init__(
         self,
-        trees: "Sequence[Tree]",
+        collection: TreeCollection,
         tau: int,
         config: Optional[PartSJConfig] = None,
     ):
-        # Deferred import: the session module imports this one.
-        from repro.session import TreeCollection
-
         check_tau(tau)
-        if isinstance(trees, TreeCollection):
-            collection = trees
-        else:
-            collection = TreeCollection.from_trees(trees)
+        if not isinstance(collection, TreeCollection):
+            raise InvalidInputTypeError(
+                f"SimilaritySearcher searches a TreeCollection, got "
+                f"{type(collection).__name__}; use "
+                "TreeCollection.from_trees(trees).searcher(tau)"
+            )
         prep = collection.prepare(tau, config)
         self.collection = collection
         self.trees = collection.trees
@@ -130,28 +135,3 @@ class SimilaritySearcher:
             if distance is not None:
                 hits.append(SearchHit(index=i, distance=distance))
         return hits
-
-
-def similarity_search(
-    query: Tree,
-    trees: Sequence[Tree],
-    tau: int,
-    config: Optional[PartSJConfig] = None,
-) -> list[SearchHit]:
-    """One-shot similarity search (a shim: prepares a session, discards it).
-
-    For many queries over one collection, prepare once instead:
-    ``TreeCollection.from_trees(trees).searcher(tau)`` (or per-query
-    ``col.search(query, tau).run()``).
-
-    >>> trees = [Tree.from_bracket(s) for s in ("{a{b}{c}}", "{x{y{z}}}")]
-    >>> [h.index for h in similarity_search(Tree.from_bracket("{a{b}}"), trees, 1)]
-    [0]
-    """
-    from repro.api import _warn_shim
-    from repro.session import TreeCollection
-
-    _warn_shim("similarity_search")
-    return (
-        TreeCollection.from_trees(trees).search(query, tau, config=config).run()
-    )

@@ -36,15 +36,204 @@ Usage::
     col.search(query, tau=2).run()     # reuses the tau=2 preparation
     col.join(tau=3).run()              # re-partitions only; caches warm
 
-The legacy free functions (:func:`repro.api.similarity_join` and
-friends) remain as thin shims over one-shot sessions and return
-bit-identical results; sessions are how repeated work should be phrased.
+A one-off query is a one-shot session, and :class:`StreamPlan` joins any
+iterable (a generator still reading from disk, a socket) as it arrives:
+
+>>> trees = [Tree.from_bracket(s) for s in ("{a{b}{c}}", "{a{b}}", "{x{y}}")]
+>>> col = TreeCollection.from_trees(trees)
+>>> [p.key() for p in col.join(1).run().pairs]
+[(0, 1)]
+>>> query = Tree.from_bracket("{a{b}}")
+>>> [(h.index, h.distance) for h in col.search(query, 1).run()]
+[(0, 1), (1, 0)]
+>>> right = [Tree.from_bracket("{a{b}}"), Tree.from_bracket("{z}")]
+>>> [(p.i, p.j, p.distance) for p in col.join_with(right, 1).run().pairs]
+[(0, 0, 1), (1, 0, 0)]
+>>> [p.key() for p in StreamPlan(iter(trees), 1).iter()]
+[(0, 1)]
 
 Results are bit-identical to the unprepared engines because preparation
 replays exactly what the serial driver would do, in the same order: trees
 are partitioned in ascending size-sorted order, gamma hints chain across
 trees, and the random strategy's RNG is seeded and consumed identically
-(see :class:`repro.core.join.PreparedJoinState`).
+(see :class:`repro.core.join.PreparedJoinState`).  All parameter
+validation (``tau``, ``workers``) is centralized in :mod:`repro.params`.
+
+Failure semantics
+-----------------
+Every multi-process execution path (``workers > 1`` joins and R×S
+joins) runs under **supervised dispatch** (:mod:`repro.resilience`).
+The contract, in order of escalation:
+
+1. **Detect** — each dispatched task carries a per-task deadline
+   (``RetryPolicy.task_timeout``) and the supervisor health-checks worker
+   pids; a crashed, hung, raising, or corrupt-result worker (result
+   envelopes are CRC-checked) fails only its own task.
+2. **Retry** — failed tasks are re-dispatched on a respawned pool up to
+   ``RetryPolicy.max_attempts`` times, with deterministic exponential
+   backoff (seeded jitter, so runs are reproducible).
+3. **Degrade** — tasks that exhaust the policy are re-executed serially
+   in-process (``RetryPolicy.degradation``, on by default).  Degraded
+   execution uses the same pure per-shard/per-chunk computation, so
+   results stay **bit-identical to the serial engine** no matter how
+   many workers die.  With ``degradation=False`` the error escapes as
+   :class:`~repro.errors.WorkerFailureError` or
+   :class:`~repro.errors.TaskTimeoutError`.
+
+All swallowed failures are accounted for in ``JoinStats.extra``
+(``retries``, ``worker_failures``, ``timeouts``,
+``degraded_serial_tasks``, ``pool_respawns``) and surfaced by
+``QueryPlan.explain()`` under ``"resilience"``.  Knobs live on
+:class:`~repro.core.join.PartSJConfig` (``retry=RetryPolicy(...)``,
+``fault_injector=FaultInjector(...)`` — deterministic fault injection
+for tests, also settable via the ``REPRO_FAULT_SPEC`` environment
+variable).  A stream runs in one process and ignores these knobs: it
+verifies each candidate inline, and a verification that raises
+propagates out of ``add()``, as in a serial join.  Streaming ingest has
+its own channel for malformed input: it is rejected
+(``on_error="fail"``) or quarantined with counts in
+``StreamStats.quarantined_trees`` (``on_error="skip"``).
+
+Durability semantics
+--------------------
+Prepared sessions and streaming state survive process death
+(:mod:`repro.persist`):
+
+- ``TreeCollection.save(path)`` snapshots a session — trees (optional),
+  interner, size order, every prepared tau — into a versioned container
+  whose every section carries a CRC32, written atomically (temp file +
+  fsync + rename): a crash mid-save leaves the previous snapshot intact,
+  and a later reader sees either the old complete file or the new one,
+  never a blend.  ``TreeCollection.load(path)`` verifies every checksum
+  *and* recomputes the derived state it restores (interner ids, sorted
+  order, twig keys) against the stored values; any mismatch raises a
+  :class:`~repro.errors.PersistenceError` subclass.  A loaded session
+  answers joins, searches and streams **bit-identically** to the one
+  that was saved.
+- ``TreeCollection.from_file(path)`` auto-discovers a
+  ``<path>.repro-idx`` sidecar.  The implicit path is *never trusted
+  into wrongness*: a corrupt, truncated, version-mismatched or stale
+  (the dataset changed since the save — detected by content digest)
+  sidecar produces a warning and a cold rebuild, so the worst a broken
+  snapshot can cost is preparation time, never a wrong answer.
+- ``StreamingJoin(wal=path)`` appends every arrival to a per-record-CRC
+  write-ahead log *before* indexing it.  The fsync policy bounds the
+  loss window: ``"always"`` fsyncs per arrival (a crashed process loses
+  nothing acknowledged), ``"batch"`` (default) fsyncs at every
+  ``flush()``/``close()`` (a crash loses at most the arrivals since the
+  last flush), ``"never"`` leaves flushing to the OS.
+  ``StreamingJoin.recover(path)`` replays the log through the normal
+  ingest path to a state bit-identical to a batch join over the logged
+  prefix, tolerating a torn final record (the one kind of damage a
+  mid-append crash can cause) and refusing — with salvage statistics on
+  :class:`~repro.errors.WALCorruptError` — to replay past a mid-log
+  hole, which would silently drop arrivals.
+
+Observability
+-------------
+Every execution tier is instrumented (:mod:`repro.obs`), with one
+invariant: **observability never changes results**.  Pairs, distances
+and every ``JoinStats`` / ``StreamStats`` field are bit-identical with
+tracing on, off, or under injected faults; with tracing off the hot
+path runs through a shared no-op tracer whose ``span()`` is a constant
+context manager.
+
+- **Tracing** — pass ``trace=repro.Tracer()`` to any plan's ``run()``
+  (or ``tracer=`` to :class:`~repro.stream.engine.StreamingJoin` /
+  :class:`~repro.stream.service.StreamJoinService`), then export the
+  finished spans with :func:`repro.obs.write_jsonl` or render them with
+  :func:`repro.obs.format_span_tree`.  Span names are a contract:
+
+  - ``join`` — one per executed join (attrs: ``method``, ``tau``,
+    ``workers``, ``trees``, ``results``);
+  - serial PartSJ: ``partsj.loop`` > ``partsj.probe`` /
+    ``partsj.index`` / ``partsj.verify`` per loop pass;
+  - parallel PartSJ: ``parallel.plan``, ``parallel.candidates`` >
+    ``shard:<n>`` (one per shard, relayed from the worker process,
+    ``pid``-stamped) > ``partsj.band`` / ``partsj.probe`` /
+    ``partsj.index`` / ``partsj.verify``;
+  - streaming: ``wal.append``, ``wal.sync``, ``wal.recover``,
+    ``stream.flush``;
+  - persistence: ``snapshot.save``, ``snapshot.load``;
+  - search: ``search``.
+
+  Worker-side spans are captured unconditionally as plain dicts,
+  shipped back inside the CRC-sealed result envelopes and grafted under
+  the coordinator's span only when tracing is enabled — no flag crosses
+  the pool boundary.  A traced ``run()`` bypasses the session result
+  *cache read* (a cache hit would emit no spans) but still stores its
+  result; the returned pairs are bit-identical either way.
+
+- **Metrics** — every executed ``JoinPlan.run()`` publishes into the
+  process-wide :class:`~repro.obs.metrics.MetricsRegistry`
+  (:func:`repro.obs.get_registry`); ``StreamJoinService.stats()`` and
+  ``close()`` fan out ``StreamStats`` the same way.  Families:
+  ``repro_join_runs_total``, ``repro_join_trees_total``,
+  ``repro_join_candidates_total``, ``repro_join_results_total``,
+  ``repro_join_ted_calls_total``, ``repro_join_pairs_considered_total``
+  (labels ``method``, ``tau``), ``repro_join_phase_seconds{phase}``,
+  ``repro_join_counter_total{counter}`` (one series per integer
+  ``JoinStats.extra`` counter), and on the stream side
+  ``repro_stream_snapshots_total``, gauges ``repro_stream_trees`` /
+  ``_results`` / ``_candidates`` / ``_index_entries``,
+  ``repro_stream_quarantined_trees_total``,
+  ``repro_stream_wall_seconds{phase}``.
+  :func:`repro.obs.render_prometheus` renders any registry as text
+  exposition format 0.0.4.
+
+- **Plans** — every ``QueryPlan.explain()`` carries an
+  ``"observability"`` section listing the span names that run would
+  emit and the metric families it would publish.
+
+- **CLI** — ``join --trace PATH`` writes the run's spans as JSONL (one
+  object per line with keys ``name``, ``span_id``, ``parent_id``,
+  ``trace_id``, ``start``, ``duration``, ``pid`` plus span attributes);
+  ``repro-trees trace PATH`` pretty-prints such a file; ``stats
+  --metrics`` emits Prometheus text instead of the human report.  The
+  ``join --json`` payload is unchanged: ``{"stats": {"method", "tau",
+  "trees", "workers", "candidates", "results", "candidate_time",
+  "probe_time", "index_time", "verify_time", "ted_calls", "extra"},
+  "pairs": [[i, j, distance], ...]}`` (wrapped per-tau under
+  ``"queries"`` when ``--tau`` repeats).
+
+Invariants
+----------
+The promises above are *enforced statically* by the AST invariant
+linter (:mod:`repro.analysis`, run as ``python -m repro.analysis``; a
+tier-1 test fails the build on any finding).  The rules, and what each
+one protects:
+
+- ``determinism`` — inside ``core/``, ``parallel/``, ``stream/`` and
+  ``ted/``: no shared global RNG or unseeded ``random.Random()``, no
+  ``id()``-keyed mappings, no iterating a set straight into ordered
+  output.  Protects the bit-identical contract across worker counts
+  and processes.
+- ``wall-clock`` — ``time.time()`` / ``datetime.now()`` and friends
+  only under ``obs/`` and the benchmark harness; durations use
+  ``time.perf_counter()`` / ``time.monotonic()``.  Protects
+  reproducible stats and the observability-never-changes-results rule.
+- ``cache-key`` — every :class:`~repro.core.join.PartSJConfig` field
+  appears in ``Session._prep_key``, the snapshot config encoding and
+  ``JoinPlan._cache_key``, or on an explicit exclusion list with a
+  reason.  Protects against stale cache hits after a config grows a
+  field.
+- ``pool-boundary`` — callables handed across the fork boundary
+  (``apply_async`` tasks, pool ``initializer=``, the dispatched
+  function of ``PoolSupervisor.run``) must be module-level defs.
+  Protects against pickle failures that only fire on multi-process
+  paths.
+- ``error-contract`` — no bare ``except:``, no raising builtin
+  exceptions from library code (use :mod:`repro.errors`; the typed
+  classes subclass the matching builtin), and every ``ReproError``
+  subclass exported.  Protects the single-catchable-base promise.
+- ``counter-registry`` — stats ``extra`` keys and ``repro_*`` metric
+  family names must be declared in :mod:`repro.analysis.registry`.
+  Protects dashboards and ``explain()`` from silent typos.
+
+A deliberate violation is suppressed inline — hash sign, then
+``repro: allow[rule-id]`` plus a justification — on the offending
+line.  Pragmas are themselves linted: unknown rule ids and pragmas
+that suppress nothing are findings.
 """
 
 from __future__ import annotations
@@ -86,8 +275,8 @@ __all__ = [
 ]
 
 # Baseline implementations the join plan dispatches to; "partsj"/"prt"
-# take the prepared-session path instead.  Keys mirror the historical
-# ``repro.api.JOIN_METHODS`` registry exactly.
+# take the prepared-session path instead.  "rel" is the figure series'
+# name for the nested loop.
 _BASELINE_IMPLS = {
     "str": str_join,
     "set": set_join,
@@ -118,8 +307,7 @@ def _resolve_partsj_config(
     workers: int,
     options: dict,
 ) -> PartSJConfig:
-    """The historical config/kwargs/workers composition rules, shared by
-    session plans and the one-shot shims.
+    """The PartSJ config of a :class:`JoinPlan` (and so of an R×S plan).
 
     ``config=`` and loose filter kwargs are mutually exclusive; ``workers``
     is an execution knob that composes with either.
@@ -290,7 +478,7 @@ class TreeCollection:
     >>> sorted(p.key() for p in col.join(1).run().pairs)
     [(0, 1)]
     >>> [h.index for h in col.search(Tree.from_bracket("{a{b}}"), 1).run()]
-    [1]
+    [0, 1]
     """
 
     def __init__(self, trees: Iterable[Tree]):
@@ -547,9 +735,33 @@ class TreeCollection:
         """A lazy self-join plan: all pairs with ``TED <= tau``.
 
         Validation happens now; execution on :meth:`JoinPlan.run`.
-        ``method``, ``workers``, ``config`` and method-specific
-        ``options`` behave exactly as the historical
-        :func:`repro.api.similarity_join` arguments.
+
+        Parameters
+        ----------
+        tau:
+            The TED threshold (an integer >= 0).  Result pairs are
+            ``(i, j, distance)`` with ``i < j`` indexing this collection.
+        method:
+            ``"partsj"`` (default; alias ``"prt"``), ``"str"``, ``"set"``,
+            ``"histogram"`` or ``"nested_loop"`` (alias ``"rel"``), in any
+            case.  All methods return the identical result set; they
+            differ in filtering strategy and therefore speed.
+        workers:
+            Worker process count (default ``1`` = serial, in-process).
+            PartSJ shards the join across the workers, and each shard
+            verifies its own candidates; the baselines generate
+            candidates serially and verify them in the parallel verify
+            pool (:mod:`repro.parallel`).  Results are bit-identical at
+            every setting.
+        config:
+            PartSJ's filter configuration (:class:`PartSJConfig`), or
+            ``None`` for the provably exact default.  Rejected for the
+            baselines.
+        options:
+            Method-specific options: PartSJ's filter fields as loose
+            keywords (``semantics="paper"``; not together with
+            ``config``), ``use_bounds=False`` for the nested loop,
+            ``banded=False`` for STR.
         """
         return JoinPlan(self, tau, method, workers, config, options)
 
@@ -1091,8 +1303,13 @@ class StreamPlan(QueryPlan):
     """Streaming plan: re-play a source through the incremental engine.
 
     Built by :meth:`TreeCollection.stream` (source = the collection's
-    trees in arrival order) or by the :func:`repro.api.stream_join` shim
-    (source = any iterable, consumed lazily).  Preparation cannot be
+    trees in arrival order) or directly as ``StreamPlan(source, tau,
+    config)`` over any iterable, consumed lazily: pair indices are
+    arrival positions, and each arrival's pairs are yielded before the
+    next tree is pulled, so a consumer that stops early holds a correct
+    join of the prefix it has seen (under a sound ``config`` such as the
+    default; see :mod:`repro.stream.engine`).  The constructor validates
+    ``tau`` at once, not at the first ``next()``.  Preparation cannot be
     reused here by design — the streaming engine builds its own state
     incrementally — which :meth:`explain` reports honestly.
     """

@@ -27,8 +27,8 @@ finds with the arrival as its query.  The contract — property-tested in
 - under a sound filter configuration (the default, and every config
   that windows neither by the published ``Delta'`` nor by binary
   postorder numbers), :meth:`results` after any prefix of arrivals
-  equals a batch ``similarity_join`` over exactly that prefix, bit for
-  bit;
+  equals a batch join (``TreeCollection.join``) over exactly that
+  prefix, bit for bit;
 - under the opt-in published window or a window on binary numbers, the
   batch join may miss true pairs.  The stream returns every pair that batch join
   returns, with the same exact distances, and may return more: the sizes
@@ -38,7 +38,7 @@ finds with the arrival as its query.  The contract — property-tested in
 The engine keeps every ingested tree's :class:`~repro.core.treecache.TreeCache`
 in one :class:`~repro.core.treecache.RecordStore`, so probes and
 verifications read warm views; that is also the warm-index state that
-:meth:`searcher` exposes for mid-ingest ``similarity_search`` queries (no
+:meth:`searcher` exposes for mid-ingest similarity searches (no
 rebuild — the searcher is a live view).  Memory therefore grows with the
 ingested prefix.
 """
@@ -145,7 +145,8 @@ class StreamingJoin:
         for tree in arriving_trees:
             for pair in join.add(tree):
                 ...            # verified (i, j, distance), i < j
-        join.results()         # == similarity_join(arrived_trees, 2).pairs
+        join.results()         # == TreeCollection.from_trees(arrived_trees)
+                               #    .join(2).run().pairs
 
     Tree indices in result pairs are **arrival positions** (0-based), so
     they match a batch join over the arrival-ordered prefix.
@@ -282,7 +283,7 @@ class StreamingJoin:
         return len(self.trees)
 
     def searcher(self):
-        """A live ``similarity_search`` view over the warm index.
+        """A live similarity-search view over the warm index.
 
         Returns a :class:`repro.stream.searcher.StreamSearcher` bound to
         this engine's index, interner, small pool and records — nothing

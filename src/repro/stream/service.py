@@ -228,7 +228,7 @@ class StreamJoinService:
         return pairs
 
     async def search(self, query: Tree) -> list[SearchHit]:
-        """``similarity_search`` against the warm index, mid-ingest."""
+        """A similarity search against the warm index, mid-ingest."""
         self._require_open("search")
         async with self._lock:
             searcher = self._join.searcher()

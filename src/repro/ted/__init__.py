@@ -5,7 +5,6 @@ from repro.ted.bounds import (
     binary_branch_lower_bound,
     branch_bound_from_bags,
     composite_lower_bound,
-    composite_lower_bound_from_bags,
     degree_bound_from_bags,
     degree_histogram_lower_bound,
     label_bound_from_bags,
@@ -36,7 +35,6 @@ __all__ = [
     "traversal_string_lower_bound",
     "binary_branch_lower_bound",
     "composite_lower_bound",
-    "composite_lower_bound_from_bags",
     "label_bound_from_bags",
     "degree_bound_from_bags",
     "branch_bound_from_bags",

@@ -17,12 +17,15 @@ distance in ``tests/ted/test_bounds.py``):
 - :func:`binary_branch_lower_bound` — ``BIB(T1,T2) <= 5 * TED(T1,T2)``
   (Yang et al. [27]), so ``TED >= ceil(BIB / 5)``.
 
-:func:`composite_lower_bound` takes the max of the cheap bounds, which the
-exact-join verifier uses to skip TED computations.  The verifier reads the
-per-tree bags each bound is an L1 distance over as views of the tree's
-record (``repro.core.treecache.TreeCache``, over interned label ids) and
-evaluates the bounds via the ``*_bound_from_bags`` forms in O(distinct
-keys) per pair, instead of re-traversing both trees.
+:func:`composite_lower_bound` takes the max of the cheap bounds (size,
+labels, degrees, branches).  The joins read the bags these bounds are L1
+distances over as views of each tree's record
+(``repro.core.treecache.TreeCache``, over interned label ids), so a pair
+costs O(distinct keys) and no traversal: the verifier screens with
+:func:`label_bound_from_bags` only, the nested-loop baseline compares
+:func:`multiset_l1` of the label, degree and branch bags with ``2*tau``,
+``3*tau`` and ``5*tau`` inline, and the histogram baseline does the
+same with the first two.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "binary_branch_lower_bound",
     "branch_bound_from_bags",
     "composite_lower_bound",
-    "composite_lower_bound_from_bags",
     "trivial_upper_bound",
     "trivial_upper_bound_from_parts",
 ]
@@ -59,9 +61,6 @@ def multiset_l1(c1: Counter, c2: Counter) -> int:
     """L1 distance between two bags, ``O(distinct keys)``."""
     keys = set(c1) | set(c2)
     return sum(abs(c1.get(k, 0) - c2.get(k, 0)) for k in keys)
-
-
-_multiset_l1 = multiset_l1  # backwards-compatible alias
 
 
 def label_multiset_lower_bound(t1: Tree, t2: Tree) -> int:
@@ -120,42 +119,11 @@ def binary_branch_lower_bound(t1: Tree, t2: Tree) -> int:
 
 def composite_lower_bound(t1: Tree, t2: Tree) -> int:
     """Max of the O(n)-computable bounds (size, labels, degrees, branches)."""
-    return composite_lower_bound_from_bags(
-        t1.size,
-        t2.size,
-        Counter(t1.labels()),
-        Counter(t2.labels()),
-        Counter(node.degree for node in t1.iter_preorder()),
-        Counter(node.degree for node in t2.iter_preorder()),
-        binary_branches(t1),
-        binary_branches(t2),
-    )
-
-
-def composite_lower_bound_from_bags(
-    size1: int,
-    size2: int,
-    labels1: Counter,
-    labels2: Counter,
-    degrees1: Counter,
-    degrees2: Counter,
-    branches1: Counter,
-    branches2: Counter,
-) -> int:
-    """:func:`composite_lower_bound` over precomputed per-tree bags.
-
-    Every input is computable once per tree (the verifier memoizes them on
-    each tree's record), so a pair costs three multiset L1 distances —
-    ``O(distinct keys)`` — with no tree traversal.  Threshold filters that want to stop at the first
-    bound exceeding ``tau`` (and to exclude bounds a join's candidate
-    screen already applied) chain the ``*_bound_from_bags`` functions
-    directly, as ``Verifier.verify`` does.
-    """
     return max(
-        abs(size1 - size2),
-        label_bound_from_bags(labels1, labels2),
-        degree_bound_from_bags(degrees1, degrees2),
-        branch_bound_from_bags(branches1, branches2),
+        size_lower_bound(t1, t2),
+        label_multiset_lower_bound(t1, t2),
+        degree_histogram_lower_bound(t1, t2),
+        binary_branch_lower_bound(t1, t2),
     )
 
 

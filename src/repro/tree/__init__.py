@@ -1,6 +1,5 @@
-"""Tree substrate: data model, LC-RS transform, IO, edits, statistics."""
+"""Tree substrate: data model, bracket and XML IO, edits, statistics."""
 
-from repro.tree.binary import BinaryNode, BinaryTree, EdgeKind
 from repro.tree.bracket import parse_bracket, to_bracket
 from repro.tree.edits import (
     Delete,
@@ -12,22 +11,16 @@ from repro.tree.edits import (
     random_edit,
     random_script,
 )
-from repro.tree.lcrs import from_lcrs, to_lcrs
 from repro.tree.node import Tree, TreeNode
 from repro.tree.stats import CollectionStats, TreeStats, collection_stats, tree_stats
-from repro.tree.validate import validate_binary_tree, validate_tree
+from repro.tree.validate import validate_tree
 from repro.tree.xmlio import tree_from_xml, tree_from_xml_file, tree_to_xml
 
 __all__ = [
     "Tree",
     "TreeNode",
-    "BinaryNode",
-    "BinaryTree",
-    "EdgeKind",
     "parse_bracket",
     "to_bracket",
-    "to_lcrs",
-    "from_lcrs",
     "Rename",
     "Delete",
     "Insert",
@@ -41,7 +34,6 @@ __all__ = [
     "tree_stats",
     "collection_stats",
     "validate_tree",
-    "validate_binary_tree",
     "tree_from_xml",
     "tree_from_xml_file",
     "tree_to_xml",

@@ -23,9 +23,8 @@ the nodes are the tree and the text is dropped, so mutating them behaves
 as for any node tree.
 
 The classes here model *general* trees (unbounded fanout).  The binary
-left-child/right-sibling representation used by the PartSJ join lives in
-:mod:`repro.core.treecache` as flat arrays (and, as objects, in
-:mod:`repro.tree.binary` and :mod:`repro.tree.lcrs`).
+left-child/right-sibling representation used by the PartSJ join lives
+only in :mod:`repro.core.treecache`, as flat arrays.
 """
 
 from __future__ import annotations

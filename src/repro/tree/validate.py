@@ -1,18 +1,16 @@
-"""Structural validation helpers for trees.
+"""Structural validation of trees.
 
-These checks are used by tests and by dataset loaders to fail fast on
-corrupted inputs: a tree must be acyclic, each node must appear exactly once
-(no shared subtrees), and binary trees must have consistent parent
-back-pointers.
+A tree must be acyclic and each node must appear exactly once (no shared
+subtrees); :func:`validate_tree` fails fast on a node graph that breaks
+either rule.
 """
 
 from __future__ import annotations
 
 from repro.errors import TreeFormatError
-from repro.tree.binary import BinaryTree
 from repro.tree.node import Tree
 
-__all__ = ["validate_tree", "validate_binary_tree"]
+__all__ = ["validate_tree"]
 
 
 def validate_tree(tree: Tree) -> None:
@@ -34,27 +32,3 @@ def validate_tree(tree: Tree) -> None:
             )
         seen.add(ident)
         stack.extend(node.children)
-
-
-def validate_binary_tree(binary: BinaryTree) -> None:
-    """Raise :class:`TreeFormatError` on broken parent links or sharing."""
-    seen: set[int] = set()
-    stack = [binary.root]
-    if binary.root.parent is not None:
-        raise TreeFormatError("binary root must not have a parent pointer")
-    while stack:
-        node = stack.pop()
-        ident = id(node)
-        if ident in seen:
-            raise TreeFormatError(
-                f"binary node {node.label!r} is reachable more than once"
-            )
-        seen.add(ident)
-        for child in (node.left, node.right):
-            if child is None:
-                continue
-            if child.parent is not node:
-                raise TreeFormatError(
-                    f"binary node {child.label!r} has a stale parent pointer"
-                )
-            stack.append(child)

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-# The flat-array equivalence tests import the frozen PR-1 reference engine
-# from benchmarks/_legacy_candidates.py; make the repo root importable no
-# matter where pytest was started from.
+# Tests import shared helpers and reference modules as ``tests.*``
+# (tests.conftest, tests.core._legacy_candidates, tests.tree.lcrs_reference);
+# make the repo root importable no matter where pytest was started from.
 _REPO_ROOT = str(Path(__file__).resolve().parent.parent)
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)

@@ -9,7 +9,8 @@ matching.  It is the reference of
 ``tests/core/test_flat_equivalence.py``, which asserts that the
 flat-array engine returns the pair sets, exact distances and candidate
 counts of this reference on random workloads for every filter
-configuration.
+configuration.  Its LC-RS node objects come from
+``tests/tree/lcrs_reference.py``.
 
 Do not optimize or "fix" this module: its value is that it stays the
 PR-1 behaviour.  Verification is intentionally shared with the live
@@ -29,8 +30,8 @@ from repro.core.index import PostorderFilter
 from repro.core.join import PartSJConfig
 from repro.core.subgraph import EPSILON, MatchSemantics
 from repro.errors import NotPartitionableError
-from repro.tree.binary import BinaryNode, BinaryTree, EdgeKind
 from repro.tree.node import Tree, TreeNode
+from tests.tree.lcrs_reference import BinaryNode, BinaryTree, EdgeKind
 
 __all__ = ["LegacyStats", "legacy_partsj_join"]
 

@@ -5,7 +5,7 @@ int-array matching, one index entry per subgraph) must be a pure
 performance change: for every filter configuration, the join's pair sets,
 exact distances and candidate counts must be identical to the
 pre-refactor object-graph path, which is preserved verbatim in
-``benchmarks/_legacy_candidates``.
+``tests/core/_legacy_candidates.py``.
 Verification is shared between the two joins, so any disagreement is a
 candidate-generation divergence.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from benchmarks._legacy_candidates import legacy_partsj_join
+from tests.core._legacy_candidates import legacy_partsj_join
 from repro.core.join import PartSJConfig, partsj_join
 from repro.tree.edits import random_script
 from tests.conftest import LABELS, make_random_tree

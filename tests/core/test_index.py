@@ -12,9 +12,10 @@ from repro.core.intern import (
     grandchild_bits,
     screen_word,
     subgraph_bits,
+    unpack_twig,
 )
 from repro.core.partition import extract_partition
-from repro.core.subgraph import EPSILON, Subgraph
+from repro.core.subgraph import Subgraph
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError
 from repro.tree.node import Tree, TreeNode
@@ -121,11 +122,15 @@ class TestInsertProbe:
         tau = 1
         for _ in range(20):
             cache, subs = build_subgraphs(rng, 15, 3)
-            dangling = [
-                sub for sub in subs
-                if (sub.twig[1] == EPSILON and cache.left[sub.root_number])
-                or (sub.twig[2] == EPSILON and cache.right[sub.root_number])
-            ]
+            dangling = []
+            for sub in subs:
+                # An epsilon slot of the twig (id 0) over a real child.
+                _, left, right = unpack_twig(sub.twig_key)
+                root = sub.root_number
+                if (not left and cache.left[root]) or (
+                    not right and cache.right[root]
+                ):
+                    dangling.append(sub)
             for target in dangling:
                 index = single_index(tau, PostorderFilter.SAFE, cache, target)
                 assert probe(index, cache)[1] == [OWNER]

@@ -107,10 +107,17 @@ class TestPackedTwigKeys:
         from repro.core.partition import extract_partition
 
         cache = TreeCache(Tree.from_bracket("{a{b}{c{d}{e}}{f}}"))
+        labels = cache.labels
         for sub in extract_partition(cache, 0, 3):
-            assert unpack_twig(sub.twig_key) == sub.twig_ids
-            label = cache.interner.label
-            assert sub.twig == tuple(label(i) for i in sub.twig_ids)
+            # The root's label, then each child's if it is a member, else
+            # epsilon (id 0).
+            root = sub.root_number
+            left, right = cache.left[root], cache.right[root]
+            assert unpack_twig(sub.twig_key) == (
+                labels[root],
+                labels[left] if left and sub.member_bits[left] else 0,
+                labels[right] if right and sub.member_bits[right] else 0,
+            )
 
     def test_interner_overflow_guard(self):
         from repro.errors import InvalidParameterError

@@ -15,9 +15,18 @@ from repro.core.partition import (
 )
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError, NotPartitionableError
-from repro.tree.lcrs import to_lcrs
 from repro.tree.node import Tree
 from tests.conftest import make_random_tree, trees
+from tests.tree.lcrs_reference import EdgeKind, to_lcrs
+
+# TreeCache.incoming_code of each incoming-edge category.
+INCOMING_CODE = {EdgeKind.ROOT: 0, EdgeKind.LEFT: 1, EdgeKind.RIGHT: 2}
+
+
+def members(sub) -> frozenset[int]:
+    """The binary postorder numbers the subgraph's bitmap marks."""
+    bits = sub.member_bits
+    return frozenset(b for b in range(1, len(bits)) if bits[b])
 
 
 def brute_force_max_gamma(cache, delta: int) -> int:
@@ -114,14 +123,17 @@ def assert_valid_partition(tree, cache, subgraphs, delta, gamma=None):
     nodes = to_lcrs(tree).postorder()
     covered = set()
     for sub in subgraphs:
-        assert sub.members, "empty subgraph"
-        assert not (covered & sub.members), "overlapping subgraphs"
-        covered |= sub.members
+        inside = members(sub)
+        assert inside, "empty subgraph"
+        assert not (covered & inside), "overlapping subgraphs"
+        covered |= inside
         if gamma is not None:
             assert sub.size >= gamma
         # The root is a member and carries the subgraph's postorder id.
-        assert sub.root_number in sub.members
-        assert sub.incoming is nodes[sub.root_number - 1].incoming
+        assert sub.root_number in inside
+        assert sub.incoming_code == INCOMING_CODE[
+            nodes[sub.root_number - 1].incoming
+        ]
     assert covered == set(range(1, cache.size + 1)), "partition must cover the tree"
     ranks = [sub.rank for sub in subgraphs]
     assert ranks == list(range(1, delta + 1))
@@ -147,7 +159,7 @@ class TestExtraction:
             cache, 0, 3, max_min_size(cache, 3)
         )
         implicit = extract_partition(cache, 0, 3)
-        assert [s.members for s in explicit] == [s.members for s in implicit]
+        assert [members(s) for s in explicit] == [members(s) for s in implicit]
 
     def test_components_are_connected(self, rng):
         # Every member other than the subgraph root must have its binary
@@ -159,10 +171,9 @@ class TestExtraction:
             if delta > tree.size:
                 continue
             for sub in extract_partition(cache, 0, delta):
-                for number in sub.members:
-                    if number == sub.root_number:
-                        continue
-                    assert cache.parent[number] in sub.members
+                inside = members(sub)
+                for number in inside - {sub.root_number}:
+                    assert cache.parent[number] in inside
 
     def test_infeasible_gamma_rejected(self):
         cache = TreeCache(Tree.from_bracket("{a{b}{c}{d}}"))
@@ -209,7 +220,7 @@ class TestRandomPartition:
         cache = TreeCache(tree)
         a = extract_random_partition(cache, 0, 5, random.Random(1))
         b = extract_random_partition(cache, 0, 5, random.Random(2))
-        assert [s.members for s in a] != [s.members for s in b]
+        assert [members(s) for s in a] != [members(s) for s in b]
 
 
 def test_min_partitionable_size():

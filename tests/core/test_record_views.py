@@ -21,9 +21,9 @@ from repro.core.treecache import TreeCache
 from repro.ted.binary_branch import binary_branches
 from repro.ted.string_edit import sequence_of
 from repro.ted.zhang_shasha import zhang_shasha
-from repro.tree.lcrs import to_lcrs
 from repro.tree.node import Tree, TreeNode
 from tests.conftest import trees
+from tests.tree.lcrs_reference import to_lcrs
 
 # Label alphabets: one label, the usual four, and labels that stress the
 # interner — the empty string (which shares epsilon's id 0), a space,

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.core.intern import unpack_twig
 from repro.core.partition import extract_partition
 from repro.core.subgraph import EPSILON, MatchSemantics, Subgraph
 from repro.core.treecache import TreeCache
-from repro.tree.binary import EdgeKind
 from repro.tree.node import Tree
 
 
@@ -18,6 +18,11 @@ def label_at(cache: TreeCache, number: int) -> str:
     return cache.interner.label(cache.labels[number])
 
 
+def twig_labels(cache: TreeCache, sub: Subgraph) -> tuple[str, str, str]:
+    """The subgraph's root twig as label strings (epsilon = ``""``)."""
+    return tuple(cache.interner.label(i) for i in unpack_twig(sub.twig_key))
+
+
 def matches(sub: Subgraph, probe: TreeCache, number: int, semantics) -> bool:
     """``sub`` matched at binary node ``number`` of ``probe``."""
     return sub.matches_at_number(probe, number, semantics is MatchSemantics.PAPER)
@@ -26,7 +31,7 @@ def matches(sub: Subgraph, probe: TreeCache, number: int, semantics) -> bool:
 class TestTwigs:
     def test_twig_epsilon_for_missing_children(self):
         cache, subs = subgraphs_of("{a}", 1)
-        assert subs[0].twig == ("a", EPSILON, EPSILON)
+        assert twig_labels(cache, subs[0]) == ("a", EPSILON, EPSILON)
 
     def test_twig_uses_member_children_only(self):
         # Partition a chain so that a bridging edge dangles off a root.
@@ -38,8 +43,9 @@ class TestTwigs:
         # subgraph's root must not leak non-member labels.
         for sub in subs:
             root = sub.root_number
+            _, left, right = twig_labels(cache, sub)
             for label, child in (
-                (sub.twig[1], cache.left[root]), (sub.twig[2], cache.right[root])
+                (left, cache.left[root]), (right, cache.right[root])
             ):
                 if not child:
                     assert label == EPSILON
@@ -50,9 +56,9 @@ class TestTwigs:
 
     def test_incoming_kinds(self):
         cache, subs = subgraphs_of("{a{b{x}{y}}{c{z}{w}}}", 3)
-        kinds = {sub.incoming for sub in subs}
-        assert EdgeKind.ROOT in kinds  # the residual
-        assert kinds <= {EdgeKind.ROOT, EdgeKind.LEFT, EdgeKind.RIGHT}
+        codes = {sub.incoming_code for sub in subs}
+        assert 0 in codes  # the residual: no incoming edge
+        assert codes <= {0, 1, 2}  # root, left, right
 
 
 class TestMatching:
@@ -99,8 +105,8 @@ class TestMatching:
         # incoming bridge.  Probing at a node with a RIGHT incoming edge
         # must fail under PAPER semantics but pass under SAFE.
         cache, subs = subgraphs_of("{a{b{c{d{e}}}}}", 2)
-        cut = next(s for s in subs if s.incoming is not EdgeKind.ROOT)
-        assert cut.incoming is EdgeKind.LEFT  # chains produce left bridges
+        cut = next(s for s in subs if s.incoming_code != 0)  # not the residual
+        assert cut.incoming_code == 1  # chains produce left bridges
         # Build a probe where the same chain segment hangs as a *sibling*:
         # in {r{x}{c...}} the chain c... gets a RIGHT incoming edge.
         chain_labels = []
@@ -123,8 +129,11 @@ class TestMatching:
         # bridge under its deepest member.  A probe tree that ends exactly
         # where the bridge starts must fail strictly, pass safely.
         cache, subs = subgraphs_of("{a{b{c{d{e{f}}}}}}", 2)
-        residual = next(s for s in subs if s.incoming is EdgeKind.ROOT)
-        member_labels = sorted(label_at(cache, n) for n in residual.members)
+        residual = next(s for s in subs if s.incoming_code == 0)
+        member_labels = sorted(
+            label_at(cache, n) for n in range(1, cache.size + 1)
+            if residual.member_bits[n]
+        )
         # Probe = just the residual part as a standalone chain.
         depth = len(member_labels)
         text = "".join("{" + lab for lab in ["a", "b", "c", "d", "e", "f"][:depth])

@@ -1,15 +1,16 @@
 """Tests for the per-tree flat record (repro.core.treecache).
 
-The arrays are checked against :func:`repro.tree.lcrs.to_lcrs`, the
-independent node-object definition of the LC-RS transform (paper
-Figure 4): its binary postorder numbers the nodes exactly as the record
-does.  The views are checked in ``test_record_views.py``.
+The arrays are checked against ``to_lcrs`` of
+``tests/tree/lcrs_reference.py``, the independent node-object definition
+of the LC-RS transform (paper Figure 4): its binary postorder numbers
+the nodes exactly as the record does.  The views are checked in
+``test_record_views.py``.
 """
 
 from repro.core.treecache import RecordStore, TreeCache
-from repro.tree.lcrs import to_lcrs
 from repro.tree.node import Tree
 from tests.conftest import make_random_tree
+from tests.tree.lcrs_reference import to_lcrs
 
 
 def lcrs_numbering(tree: Tree):

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.api import similarity_join
 from repro.baselines.histogram_join import histogram_join
 from repro.baselines.nested_loop import nested_loop_join
 from repro.baselines.set_join import set_join
@@ -23,6 +22,7 @@ from repro.core.join import PartSJConfig, partsj_join
 from repro.errors import InvalidParameterError
 from repro.parallel import executor
 from repro.parallel.executor import parallel_partsj_join
+from repro.session import TreeCollection
 from repro.tree.node import Tree, TreeNode
 from tests.conftest import LABELS, make_cluster_forest, make_random_tree
 
@@ -150,16 +150,18 @@ class TestExecutorConfig:
     def test_invalid_workers_rejected(self, sample_forest):
         with pytest.raises(InvalidParameterError, match="workers"):
             partsj_join(sample_forest, 1, PartSJConfig(workers=0))
+        col = TreeCollection.from_trees(sample_forest)
         with pytest.raises(InvalidParameterError, match="workers"):
-            similarity_join(sample_forest, 1, method="str", workers=0)
+            col.join(1, method="str", workers=0)
 
     def test_api_workers_composes_with_config(self, sample_forest):
-        result = similarity_join(
-            sample_forest, 1, config=PartSJConfig(semantics="paper"), workers=2
-        )
+        col = TreeCollection.from_trees(sample_forest)
+        result = col.join(
+            1, config=PartSJConfig(semantics="paper"), workers=2
+        ).run()
         assert result.stats.extra["workers"] == 2
         assert triples(result) == triples(
-            similarity_join(sample_forest, 1, semantics="paper")
+            col.join(1, semantics="paper").run()
         )
 
     def test_parallel_stats_surface_shard_breakdown(self, sample_forest):

@@ -2,8 +2,8 @@
 
 The acceptance bar of the resilience layer: with deterministic crashes,
 hangs, corrupt envelopes, and poison exceptions injected at every shard
-and verify-chunk index, ``similarity_join(workers=N)`` still returns
-results **bit-identical** to the serial engine, with every swallowed
+and verify-chunk index, a ``workers=N`` join still returns results
+**bit-identical** to the serial engine, with every swallowed
 failure accounted for in ``JoinStats.extra``.  PartSJ dispatches only
 ``shard:<n>`` tasks; the ``verify:<k>`` chunks are exercised through the
 STR join, whose parallel verification takes its faults from

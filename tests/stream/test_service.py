@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from repro.api import similarity_join
 from repro.errors import IngestError, InvalidParameterError, ReproError
+from repro.session import TreeCollection
 from repro.stream import StreamJoinService
 from repro.tree.node import Tree
 from tests.conftest import make_cluster_forest
@@ -65,7 +65,7 @@ class TestStreamJoinService:
             return results, stats
 
         results, stats = asyncio.run(run())
-        batch = similarity_join(workload, tau)
+        batch = TreeCollection.from_trees(workload).join(tau).run()
         assert triples(results) == triples(batch.pairs)
         assert stats.trees == len(workload)
         # Every verified pair was published to the subscriber.

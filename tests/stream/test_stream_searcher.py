@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.join import PartSJConfig
-from repro.search import SimilaritySearcher, similarity_search
+from repro.session import TreeCollection
 from repro.stream import StreamingJoin
 from repro.tree.edits import random_script
 from repro.tree.node import Tree
@@ -39,21 +39,23 @@ class TestStreamSearcher:
                 continue
             base = workload[rng.randrange(len(workload))]
             query, _ = random_script(base, rng.randint(0, tau), rng, "abcd")
+            batch = TreeCollection.from_trees(workload[: k + 1])
             assert hit_list(searcher.search(query)) == hit_list(
-                similarity_search(query, workload[: k + 1], tau)
+                batch.search(query, tau).run()
             )
 
     def test_small_and_oversized_queries(self, workload):
         join = StreamingJoin(2)
         join.add_many(workload)
         searcher = join.searcher()
+        batch = TreeCollection.from_trees(workload).searcher(2)
         for bracket in ("{a}", "{a{b}}", "{a{b}{c}}"):
             query = Tree.from_bracket(bracket)
             assert hit_list(searcher.search(query)) == hit_list(
-                similarity_search(query, workload, 2)
+                batch.search(query)
             )
         big = make_random_tree(random.Random(41), 60)
-        assert searcher.search(big) == similarity_search(big, workload, 2)
+        assert searcher.search(big) == batch.search(big)
 
     def test_no_rebuild_between_queries(self, workload):
         join = StreamingJoin(2)
@@ -92,7 +94,7 @@ class TestStreamSearcher:
         join = StreamingJoin(2, config=config)
         join.add_many(workload)
         stream_hits = join.searcher().search(workload[0])
-        batch_hits = SimilaritySearcher(workload, 2, config=config).search(
-            workload[0]
-        )
+        batch_hits = TreeCollection.from_trees(workload).searcher(
+            2, config
+        ).search(workload[0])
         assert hit_list(stream_hits) == hit_list(batch_hits)

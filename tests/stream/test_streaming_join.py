@@ -2,10 +2,10 @@
 
 The acceptance bar of the subsystem: over **any arrival order**, the
 streamed results after every arrival are bit-identical — same pairs,
-same exact distances, same canonical ordering — to a batch
-``similarity_join`` over exactly the ingested prefix.  All five join
-methods agree on the batch side, so streaming is checked against each of
-them.  Each arrival's candidates are those a searcher over the prefix
+same exact distances, same canonical ordering — to a batch join
+(``TreeCollection.join``) over exactly the ingested prefix.  All five
+join methods agree on the batch side, so streaming is checked against
+each of them.  Each arrival's candidates are those a searcher over the prefix
 before it finds, so under the opt-in published window and binary
 numbering a stream returns every batch pair and may add true ones.  A
 stream verifies inline: a config asking for ``workers=2`` starts no
@@ -19,11 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import similarity_join, stream_join
 from repro.baselines.nested_loop import nested_loop_join
 from repro.core.join import PartSJConfig, partsj_join
 from repro.errors import InvalidParameterError
-from repro.session import TreeCollection
+from repro.session import StreamPlan, TreeCollection
 from repro.stream import StreamingJoin
 from repro.tree.node import Tree
 from tests.conftest import make_cluster_forest, make_random_tree
@@ -49,6 +48,11 @@ def triples(pairs):
     return [(p.i, p.j, p.distance) for p in pairs]
 
 
+def batch_join(trees, tau, **options):
+    """A one-shot session's self-join of ``trees``."""
+    return TreeCollection.from_trees(trees).join(tau, **options).run()
+
+
 def make_stream_workload(seed, with_tiny=True):
     """Clustered forest plus (optionally) small-pool trees, shuffled."""
     rng = random.Random(seed)
@@ -69,7 +73,7 @@ class TestPrefixEquivalence:
         join = StreamingJoin(tau)
         for k, tree in enumerate(trees):
             join.add(tree)
-            batch = similarity_join(trees[: k + 1], tau)
+            batch = batch_join(trees[: k + 1], tau)
             assert triples(join.results()) == triples(batch.pairs), (
                 f"prefix {k + 1} diverged (tau={tau}, seed={seed})"
             )
@@ -86,14 +90,14 @@ class TestPrefixEquivalence:
         join.add_many(trees)
         stats = join.stats()
         assert stats.reverse_candidates == 0
-        assert stats.candidates == similarity_join(trees, tau).stats.candidates
+        assert stats.candidates == batch_join(trees, tau).stats.candidates
 
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_every_batch_method(self, method):
         trees = make_stream_workload(55)
         join = StreamingJoin(2)
         join.add_many(trees)
-        batch = similarity_join(trees, 2, method=method)
+        batch = batch_join(trees, 2, method=method)
         assert triples(join.results()) == triples(batch.pairs)
 
     @pytest.mark.parametrize("config", FILTER_VARIANTS, ids=FILTER_IDS)
@@ -101,7 +105,7 @@ class TestPrefixEquivalence:
         trees = make_stream_workload(66)
         join = StreamingJoin(2, config=config)
         join.add_many(trees)
-        batch = similarity_join(trees, 2, config=config)
+        batch = batch_join(trees, 2, config=config)
         assert triples(join.results()) == triples(batch.pairs)
 
     def test_ascending_and_descending_arrival(self):
@@ -109,7 +113,7 @@ class TestPrefixEquivalence:
         for ordering in (trees, trees[::-1]):
             join = StreamingJoin(2)
             join.add_many(ordering)
-            batch = similarity_join(ordering, 2)
+            batch = batch_join(ordering, 2)
             assert triples(join.results()) == triples(batch.pairs)
 
     def test_tau_zero_exact_duplicates(self):
@@ -119,7 +123,7 @@ class TestPrefixEquivalence:
         trees = [make_random_tree(rng, 8), base, make_random_tree(rng, 6), dup]
         join = StreamingJoin(0)
         join.add_many(trees)
-        assert triples(join.results()) == triples(similarity_join(trees, 0).pairs)
+        assert triples(join.results()) == triples(batch_join(trees, 0).pairs)
         assert join.results()[0].key() == (1, 3)
 
 
@@ -168,7 +172,7 @@ class TestArrivalSearchesThePrefix:
         stats = join.stats()
         assert (stats.small_pool, stats.reverse_candidates) == (1, 2)
         assert triples(join.results()) == triples(
-            similarity_join(join.trees, 2).pairs
+            batch_join(join.trees, 2).pairs
         )
 
 
@@ -204,7 +208,7 @@ class TestInlineVerification:
     def test_one_path_starts_no_process(self):
         trees = make_stream_workload(88)
         by_arrival = {}
-        for p in similarity_join(trees, 2).pairs:
+        for p in batch_join(trees, 2).pairs:
             by_arrival.setdefault(p.j, []).append((p.i, p.j, p.distance))
         # The config's execution fields configure the batch executor; the
         # stream ignores them and verifies every candidate in add().
@@ -218,38 +222,53 @@ class TestInlineVerification:
         with col.stream(2, config=config).engine() as engine:
             assert multiprocessing.active_children() == []
             assert triples(engine.results()) == triples(
-                similarity_join(trees, 2).pairs
+                batch_join(trees, 2).pairs
             )
 
 
 class TestStreamJoinApi:
     def test_generator_yields_batch_results(self):
         trees = make_stream_workload(12)
-        streamed = sorted(
-            (p.i, p.j, p.distance) for p in stream_join(iter(trees), 2)
-        )
-        assert streamed == sorted(triples(similarity_join(trees, 2).pairs))
+        streamed = sorted(triples(StreamPlan(iter(trees), 2).iter()))
+        assert streamed == sorted(triples(batch_join(trees, 2).pairs))
+
+    def test_arrival_pairs_yield_before_the_next_pull(self):
+        trees = make_stream_workload(12)
+        pulled = []
+
+        def source():
+            for tree in trees:
+                pulled.append(tree)
+                yield tree
+
+        streamed = []
+        for pair in StreamPlan(source(), 2).iter():
+            # Found by arrival pair.j; no later tree has been pulled yet.
+            assert len(pulled) == pair.j + 1
+            streamed.append(pair)
+        assert sorted(triples(streamed)) == triples(batch_join(trees, 2).pairs)
+        assert streamed
 
     def test_pairs_reference_arrival_positions(self):
         a = Tree.from_bracket("{a{b}{c{d}}}")
         b = Tree.from_bracket("{a{b}{c{e}}}")
         filler = Tree.from_bracket("{x{y{z{w{v}}}}{u}}")
-        pairs = list(stream_join(iter([filler, a, b]), 1))
+        pairs = list(StreamPlan(iter([filler, a, b]), 1).iter())
         assert [(p.i, p.j, p.distance) for p in pairs] == [(1, 2, 1)]
 
     def test_empty_and_singleton_streams(self):
-        assert list(stream_join(iter([]), 2)) == []
-        assert list(stream_join(iter([Tree.from_bracket("{a}")]), 2)) == []
+        assert list(StreamPlan(iter([]), 2).iter()) == []
+        assert StreamPlan(iter([Tree.from_bracket("{a}")]), 2).run() == []
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             StreamingJoin(-1)
         with pytest.raises(InvalidParameterError):
             StreamingJoin(1).add("not a tree")
-        # stream_join validates eagerly: the error raises at call time,
-        # not at the first next() of the returned generator.
+        # The plan validates eagerly: the error raises at construction,
+        # not at the first next() of the generator iter() returns.
         with pytest.raises(InvalidParameterError):
-            stream_join(iter([]), -1)
+            StreamPlan(iter([]), -1)
 
     def test_closed_engine_rejects_adds(self):
         join = StreamingJoin(1)

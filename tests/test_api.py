@@ -1,18 +1,20 @@
-"""Tests for the top-level join API (repro.api)."""
+"""Tests for the join entry point: ``TreeCollection.join``'s methods and
+options (validation lives in ``tests/test_session.py``)."""
 
 import pytest
 
-from repro.api import JOIN_METHODS, similarity_join
 from repro.core.join import PartSJConfig
-from repro.errors import InvalidParameterError
-from repro.tree.node import Tree
-from tests.conftest import make_cluster_forest
+from repro.session import TreeCollection
+
+
+@pytest.fixture
+def col(sample_forest):
+    return TreeCollection.from_trees(sample_forest)
 
 
 class TestDispatch:
-    def test_default_method_is_partsj(self, sample_forest):
-        result = similarity_join(sample_forest, 1)
-        assert result.stats.method == "PRT"
+    def test_default_method_is_partsj(self, col):
+        assert col.join(1).run().stats.method == "PRT"
 
     @pytest.mark.parametrize("method,label", [
         ("partsj", "PRT"),
@@ -23,58 +25,26 @@ class TestDispatch:
         ("nested_loop", "NL"),
         ("rel", "NL"),
     ])
-    def test_method_names_and_aliases(self, sample_forest, method, label):
-        assert similarity_join(sample_forest, 1, method=method).stats.method == label
+    def test_method_names_and_aliases(self, col, method, label):
+        assert col.join(1, method=method).run().stats.method == label
 
-    def test_method_name_case_insensitive(self, sample_forest):
-        assert similarity_join(sample_forest, 1, method="PaRtSj").stats.method == "PRT"
-
-    def test_unknown_method(self, sample_forest):
-        with pytest.raises(InvalidParameterError, match="unknown join method"):
-            similarity_join(sample_forest, 1, method="magic")
-
-    def test_all_registered_methods_agree(self, rng):
-        trees = make_cluster_forest(
-            rng, clusters=3, cluster_size=3, base_size=9, max_edits=2
-        )
-        results = {
-            name: similarity_join(trees, 2, method=name).pair_set()
-            for name in JOIN_METHODS
-        }
-        reference = results["nested_loop"]
-        assert all(r == reference for r in results.values())
+    def test_method_name_case_insensitive(self, col):
+        assert col.join(1, method="PaRtSj").run().stats.method == "PRT"
 
 
 class TestOptions:
-    def test_partsj_config_object(self, sample_forest):
-        result = similarity_join(
-            sample_forest, 1, config=PartSJConfig(semantics="paper")
-        )
+    def test_partsj_config_object(self, col):
+        result = col.join(1, config=PartSJConfig(semantics="paper")).run()
         assert result.stats.method == "PRT"
 
-    def test_partsj_kwargs_build_config(self, sample_forest):
-        result = similarity_join(
-            sample_forest, 1, semantics="paper", postorder_filter="off"
-        )
+    def test_partsj_kwargs_build_config(self, col):
+        result = col.join(1, semantics="paper", postorder_filter="off").run()
         assert result.stats.method == "PRT"
 
-    def test_config_and_kwargs_conflict(self, sample_forest):
-        with pytest.raises(InvalidParameterError, match="not both"):
-            similarity_join(
-                sample_forest, 1,
-                config=PartSJConfig(), semantics="paper",
-            )
-
-    def test_str_banded_option(self, sample_forest):
-        result = similarity_join(sample_forest, 1, method="str", banded=False)
+    def test_str_banded_option(self, col):
+        result = col.join(1, method="str", banded=False).run()
         assert result.stats.extra["banded"] is False
 
-    def test_nested_loop_bounds_option(self, sample_forest):
-        result = similarity_join(
-            sample_forest, 1, method="nested_loop", use_bounds=False
-        )
+    def test_nested_loop_bounds_option(self, col):
+        result = col.join(1, method="nested_loop", use_bounds=False).run()
         assert result.stats.method == "NL"
-
-    def test_single_tree_and_empty(self):
-        assert similarity_join([], 1).pairs == []
-        assert similarity_join([Tree.from_bracket("{a}")], 1).pairs == []

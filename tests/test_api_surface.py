@@ -1,23 +1,21 @@
-"""Public-API surface snapshot and shim-deprecation behavior.
+"""Public-API surface snapshot and the checks shared by every entry point.
 
-Two guards:
-
-1. ``repro.__all__`` is pinned exactly — adding or removing a public name
-   is a deliberate act that must touch this snapshot.
-2. The legacy one-shot shims warn (``DeprecationWarning``) exactly once
-   per process each, pointing at the session API; the pytest
-   configuration additionally turns repro-internal DeprecationWarnings
-   into errors, so the library can never regress into calling its own
-   shims.
+``repro.__all__`` is pinned exactly — adding or removing a public name is
+a deliberate act that must touch this snapshot — and the modules of the
+retired one-shot shims and of the object LC-RS layer stay gone.  Every
+session entry point runs the same tau and worker checks, and the test
+configuration's deprecation rule covers the whole package.
 """
 
+import importlib
 import warnings
 
 import pytest
 
 import repro
-from repro.api import _reset_shim_warnings
+import repro.tree
 from repro.errors import InvalidParameterError
+from repro.session import JOIN_METHOD_NAMES
 from repro.tree.node import Tree
 
 EXPECTED_EXPORTS = {
@@ -29,14 +27,13 @@ EXPECTED_EXPORTS = {
     "TreeCollection", "QueryPlan", "JoinPlan", "RSJoinPlan",
     "SearchPlan", "StreamPlan",
     # joins
-    "similarity_join", "similarity_join_rs", "stream_join",
     "StreamingJoin", "StreamJoinService", "StreamStats",
-    "JOIN_METHODS", "partsj_join", "PartSJConfig", "MatchSemantics",
+    "partsj_join", "PartSJConfig", "MatchSemantics",
     "PostorderFilter", "InvertedSizeIndex", "nested_loop_join",
     "str_join", "set_join", "histogram_join",
     "JoinPair", "JoinResult", "JoinStats",
     # search
-    "similarity_search", "SimilaritySearcher", "SearchHit",
+    "SimilaritySearcher", "SearchHit",
     # datasets
     "SyntheticParams", "TreeGenerator", "generate_forest",
     "swissprot_like", "treebank_like", "sentiment_like",
@@ -60,17 +57,30 @@ EXPECTED_EXPORTS = {
     "__version__",
 }
 
-SHIM_TREES = [Tree.from_bracket(s) for s in ("{a{b}}", "{a{b}{c}}")]
+TREES = [Tree.from_bracket(s) for s in ("{a{b}}", "{a{b}{c}}")]
 
-SHIMS = {
-    "similarity_join": lambda: repro.similarity_join(SHIM_TREES, 1),
-    "similarity_join_rs": lambda: repro.similarity_join_rs(
-        SHIM_TREES, SHIM_TREES, 1
-    ),
-    "similarity_search": lambda: repro.similarity_search(
-        SHIM_TREES[0], SHIM_TREES, 1
-    ),
-    "stream_join": lambda: list(repro.stream_join(iter(SHIM_TREES), 1)),
+COLLECTION = repro.TreeCollection.from_trees(TREES)
+
+# Every session entry point that takes a tau, or a worker count, called
+# with the given value.
+TAU_ENTRY_POINTS = {
+    "join": lambda tau: COLLECTION.join(tau),
+    "join_with": lambda tau: COLLECTION.join_with(TREES, tau),
+    "search": lambda tau: COLLECTION.search(TREES[0], tau),
+    "searcher": lambda tau: COLLECTION.searcher(tau),
+    "stream": lambda tau: COLLECTION.stream(tau),
+    "StreamPlan": lambda tau: repro.StreamPlan(iter(TREES), tau),
+    "StreamingJoin": lambda tau: repro.StreamingJoin(tau),
+}
+
+WORKERS_ENTRY_POINTS = {
+    "join": lambda workers: COLLECTION.join(1, workers=workers),
+    "join_with": lambda workers: COLLECTION.join_with(TREES, 1, workers=workers),
+}
+
+LCRS_NAMES = {
+    "BinaryNode", "BinaryTree", "EdgeKind", "to_lcrs", "from_lcrs",
+    "validate_binary_tree",
 }
 
 
@@ -82,99 +92,64 @@ class TestSurfaceSnapshot:
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
 
-    def test_join_methods_registry_names(self):
-        assert sorted(repro.JOIN_METHODS) == [
+    def test_join_method_names(self):
+        assert sorted(JOIN_METHOD_NAMES) == [
             "histogram", "nested_loop", "partsj", "prt", "rel", "set", "str",
         ]
 
     def test_session_methods_exist(self):
-        col = repro.TreeCollection.from_trees(SHIM_TREES)
         for method in ("join", "join_with", "search", "searcher", "stream",
                        "prepare", "is_prepared", "prepared_taus", "stats",
                        "from_trees", "from_file"):
-            assert callable(getattr(col, method)), method
+            assert callable(getattr(COLLECTION, method)), method
 
+    @pytest.mark.parametrize("name", [
+        "repro.api", "repro.rsjoin", "repro.tree.binary", "repro.tree.lcrs",
+    ])
+    def test_retired_modules_are_gone(self, name):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)
 
-class TestShimDeprecationWarnings:
-    @pytest.mark.parametrize("name", sorted(SHIMS))
-    def test_shim_warns_exactly_once_per_process(self, name):
-        _reset_shim_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            SHIMS[name]()
-            SHIMS[name]()  # second call must stay silent
-        shim_warnings = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and name in str(w.message)
-        ]
-        assert len(shim_warnings) == 1
-        assert "TreeCollection" in str(shim_warnings[0].message)
-
-    def test_reset_rearms_the_warning(self):
-        _reset_shim_warnings()
-        with warnings.catch_warnings(record=True) as first:
-            warnings.simplefilter("always")
-            SHIMS["similarity_join"]()
-        _reset_shim_warnings()
-        with warnings.catch_warnings(record=True) as second:
-            warnings.simplefilter("always")
-            SHIMS["similarity_join"]()
-        for caught in (first, second):
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            )
-
-    def test_shims_match_sessions_bit_for_bit(self):
-        """The equivalence claim of the shims, on the surface itself."""
-        _reset_shim_warnings()
-        col = repro.TreeCollection.from_trees(SHIM_TREES)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert [
-                (p.i, p.j, p.distance)
-                for p in repro.similarity_join(SHIM_TREES, 1).pairs
-            ] == [(p.i, p.j, p.distance) for p in col.join(1).run().pairs]
-            assert [
-                (h.index, h.distance)
-                for h in repro.similarity_search(SHIM_TREES[0], SHIM_TREES, 1)
-            ] == [
-                (h.index, h.distance)
-                for h in col.search(SHIM_TREES[0], 1).run()
-            ]
+    def test_tree_package_has_no_lcrs_objects(self):
+        assert not LCRS_NAMES & set(repro.tree.__all__)
 
 
 class TestCentralizedValidation:
-    """The same domain checks guard every entry point (repro.params)."""
+    """The same domain checks (repro.params) guard every session entry
+    point, at plan build: nothing is prepared or pulled first."""
 
-    def test_similarity_join_rejects_negative_tau(self):
+    @pytest.mark.parametrize("tau", [-1, 1.5], ids=["negative", "non-integer"])
+    @pytest.mark.parametrize("entry", sorted(TAU_ENTRY_POINTS))
+    def test_rejects_bad_tau(self, entry, tau):
         with pytest.raises(InvalidParameterError, match="tau"):
-            repro.similarity_join(SHIM_TREES, -1)
+            TAU_ENTRY_POINTS[entry](tau)
 
-    def test_similarity_join_rejects_non_integer_tau(self):
-        with pytest.raises(InvalidParameterError, match="tau"):
-            repro.similarity_join(SHIM_TREES, 1.5)
-
-    def test_similarity_join_rejects_bad_workers(self):
+    @pytest.mark.parametrize("workers", [0, 1.5, "two"])
+    @pytest.mark.parametrize("entry", sorted(WORKERS_ENTRY_POINTS))
+    def test_rejects_bad_workers(self, entry, workers):
         with pytest.raises(InvalidParameterError, match="workers"):
-            repro.similarity_join(SHIM_TREES, 1, workers=0)
-        with pytest.raises(InvalidParameterError, match="workers"):
-            repro.similarity_join(SHIM_TREES, 1, workers=1.5)
+            WORKERS_ENTRY_POINTS[entry](workers)
 
-    def test_stream_join_rejects_bad_tau_eagerly(self):
-        with pytest.raises(InvalidParameterError, match="tau"):
-            repro.stream_join(iter(SHIM_TREES), -1)
 
-    def test_rs_join_rejects_bad_workers_first_class(self):
-        with pytest.raises(InvalidParameterError, match="workers"):
-            repro.similarity_join_rs(SHIM_TREES, SHIM_TREES, 1, workers=0)
+class TestDeprecationPolicy:
+    """pytest.ini turns a DeprecationWarning attributed to any repro
+    module into an error, with no module exempt, so tier-1 fails when the
+    library calls a deprecated API; test code's own warnings stay
+    warnings."""
 
-    def test_search_rejects_negative_tau(self):
-        with pytest.raises(InvalidParameterError, match="tau"):
-            repro.similarity_search(SHIM_TREES[0], SHIM_TREES, -3)
+    @staticmethod
+    def _warn_from(module):
+        warnings.warn_explicit(
+            "deprecated", DeprecationWarning, "module.py", 1, module=module
+        )
 
-    def test_streaming_engine_shares_the_checks(self):
-        with pytest.raises(InvalidParameterError, match="tau"):
-            repro.StreamingJoin(-1)
-        with pytest.raises(InvalidParameterError, match="tau"):
-            repro.StreamingJoin(1.5)
+    @pytest.mark.parametrize("module", ["repro", "repro.search"])
+    def test_library_deprecations_are_errors(self, module):
+        with pytest.raises(DeprecationWarning):
+            self._warn_from(module)
+
+    @pytest.mark.parametrize("module", ["reproduce", "tests.test_api_surface"])
+    def test_other_deprecations_stay_warnings(self, module):
+        with warnings.catch_warnings(record=True) as caught:
+            self._warn_from(module)
+        assert [w.category for w in caught] == [DeprecationWarning]

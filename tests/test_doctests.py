@@ -6,8 +6,7 @@ import importlib
 import pytest
 
 MODULE_NAMES = [
-    "repro.api",
-    "repro.rsjoin",
+    "repro.session",
     "repro.search",
     "repro.core.intern",
     "repro.core.join",
@@ -21,7 +20,6 @@ MODULE_NAMES = [
     "repro.baselines.set_join",
     "repro.baselines.histogram_join",
     "repro.extras.pqgram",
-    "repro.tree.lcrs",
 ]
 
 

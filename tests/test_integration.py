@@ -1,8 +1,8 @@
 """End-to-end integration: generate -> persist -> load -> join -> search.
 
 These tests chain the public API the way a downstream user would, so a
-regression anywhere in the pipeline (generator, IO, join registry, search)
-surfaces even if every unit test still passes.
+regression anywhere in the pipeline (generator, IO, session joins,
+search) surfaces even if every unit test still passes.
 """
 
 import pytest
@@ -10,14 +10,12 @@ import pytest
 import repro
 from repro import (
     PartSJConfig,
-    SimilaritySearcher,
     SyntheticParams,
+    TreeCollection,
     collection_stats,
     generate_forest,
     load_trees,
     save_trees,
-    similarity_join,
-    similarity_search,
     ted,
 )
 
@@ -32,16 +30,22 @@ def pipeline_forest(tmp_path_factory):
     return load_trees(path)
 
 
+@pytest.fixture(scope="module")
+def session(pipeline_forest):
+    """One session over the reloaded forest, queried by every test."""
+    return TreeCollection.from_trees(pipeline_forest)
+
+
 class TestPipeline:
     def test_round_trip_preserves_statistics(self, pipeline_forest):
         stats = collection_stats(pipeline_forest)
         assert stats.count == 40
         assert stats.average_size > 5
 
-    def test_all_methods_one_result_set(self, pipeline_forest):
+    def test_all_methods_one_result_set(self, session):
         tau = 2
         results = {
-            method: similarity_join(pipeline_forest, tau, method=method)
+            method: session.join(tau, method=method).run()
             for method in ("partsj", "str", "set", "histogram", "nested_loop")
         }
         reference = results["nested_loop"].pair_set()
@@ -49,17 +53,17 @@ class TestPipeline:
         for method, result in results.items():
             assert result.pair_set() == reference, method
 
-    def test_join_distances_verified_by_ted(self, pipeline_forest):
-        result = similarity_join(pipeline_forest, 2)
+    def test_join_distances_verified_by_ted(self, pipeline_forest, session):
+        result = session.join(2).run()
         for pair in result.pairs[:10]:
             assert ted(pipeline_forest[pair.i], pipeline_forest[pair.j]) == (
                 pair.distance
             )
 
-    def test_search_consistent_with_join(self, pipeline_forest):
+    def test_search_consistent_with_join(self, pipeline_forest, session):
         tau = 2
-        join_pairs = similarity_join(pipeline_forest, tau).pair_set()
-        searcher = SimilaritySearcher(pipeline_forest, tau)
+        join_pairs = session.join(tau).run().pair_set()
+        searcher = session.searcher(tau)
         # For each tree, search hits (excluding itself) must equal its join
         # partners.
         for i in range(0, len(pipeline_forest), 7):
@@ -74,27 +78,13 @@ class TestPipeline:
             # other indices — those are exactly distance<=tau partners too.
             assert hits == partners
 
-    def test_one_shot_search_agrees_with_searcher(self, pipeline_forest):
-        query = pipeline_forest[3]
-        one_shot = {
-            (h.index, h.distance)
-            for h in similarity_search(query, pipeline_forest, 1)
-        }
-        reused = {
-            (h.index, h.distance)
-            for h in SimilaritySearcher(pipeline_forest, 1).search(query)
-        }
-        assert one_shot == reused
-
-    def test_paper_and_safe_configs_agree_here(self, pipeline_forest):
+    def test_paper_and_safe_configs_agree_here(self, session):
         # The strict-matching configuration with the sound window has never
         # diverged from ground truth in testing; keep a pipeline-level watch.
         tau = 2
-        safe = similarity_join(pipeline_forest, tau).pair_set()
-        strict = similarity_join(
-            pipeline_forest, tau,
-            config=PartSJConfig(semantics="paper", postorder_filter="safe"),
-        ).pair_set()
+        safe = session.join(tau).run().pair_set()
+        config = PartSJConfig(semantics="paper", postorder_filter="safe")
+        strict = session.join(tau, config=config).run().pair_set()
         assert strict == safe
 
 

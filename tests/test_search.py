@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.join import PartSJConfig
-from repro.errors import InvalidParameterError
-from repro.search import SimilaritySearcher, similarity_search
+from repro.errors import InvalidInputTypeError, InvalidParameterError
+from repro.search import SimilaritySearcher
 from repro.session import TreeCollection
 from repro.stream import StreamingJoin
 from repro.ted.zhang_shasha import zhang_shasha
@@ -25,10 +25,15 @@ def brute_force_search(query, trees, tau):
     }
 
 
+def search(query, trees, tau):
+    """A one-shot session's search of ``trees``."""
+    return TreeCollection.from_trees(trees).search(query, tau).run()
+
+
 class TestSimilaritySearch:
     def test_simple_hit(self):
         trees = [Tree.from_bracket("{a{b}{c}}"), Tree.from_bracket("{x{y{z}}}")]
-        hits = similarity_search(Tree.from_bracket("{a{b}}"), trees, 1)
+        hits = search(Tree.from_bracket("{a{b}}"), trees, 1)
         assert [(h.index, h.distance) for h in hits] == [(0, 1)]
 
     def test_matches_brute_force(self, rng):
@@ -39,7 +44,7 @@ class TestSimilaritySearch:
             query = trees[rng.randrange(len(trees))]
             for tau in (0, 1, 2, 3):
                 expected = brute_force_search(query, trees, tau)
-                hits = similarity_search(query, trees, tau)
+                hits = search(query, trees, tau)
                 assert {h.index for h in hits} == expected
                 for hit in hits:
                     assert hit.distance == zhang_shasha(query, trees[hit.index])
@@ -50,19 +55,19 @@ class TestSimilaritySearch:
             query = make_random_tree(rng, query_size)
             for tau in (1, 3):
                 expected = brute_force_search(query, trees, tau)
-                got = {h.index for h in similarity_search(query, trees, tau)}
+                got = {h.index for h in search(query, trees, tau)}
                 assert got == expected
 
     def test_hits_sorted_by_index(self, rng):
         trees = make_cluster_forest(
             rng, clusters=2, cluster_size=4, base_size=8, max_edits=1
         )
-        hits = similarity_search(trees[0], trees, 3)
+        hits = search(trees[0], trees, 3)
         indices = [h.index for h in hits]
         assert indices == sorted(indices)
 
     def test_empty_collection(self):
-        assert similarity_search(Tree.from_bracket("{a}"), [], 2) == []
+        assert search(Tree.from_bracket("{a}"), [], 2) == []
 
 
 class TestSearcherReuse:
@@ -70,7 +75,7 @@ class TestSearcherReuse:
         trees = make_cluster_forest(
             rng, clusters=3, cluster_size=3, base_size=10, max_edits=2
         )
-        searcher = SimilaritySearcher(trees, tau=2)
+        searcher = TreeCollection.from_trees(trees).searcher(2)
         for query in trees[:5]:
             expected = brute_force_search(query, trees, 2)
             assert {h.index for h in searcher.search(query)} == expected
@@ -79,9 +84,8 @@ class TestSearcherReuse:
         trees = make_cluster_forest(
             rng, clusters=2, cluster_size=4, base_size=10, max_edits=2
         )
-        searcher = SimilaritySearcher(
-            trees, tau=1,
-            config=PartSJConfig(semantics="paper", postorder_filter="safe"),
+        searcher = TreeCollection.from_trees(trees).searcher(
+            1, PartSJConfig(semantics="paper", postorder_filter="safe")
         )
         for query in trees[:4]:
             assert {h.index for h in searcher.search(query)} == (
@@ -96,7 +100,7 @@ class TestSearcherReuse:
         tree = Tree.from_bracket("{P{S}{D{c1{a1}{b1}}{c2{a2}{b2}}}{R}}")
         query = Tree.from_bracket("{P{S}{c1{a1}{b1}}{c2{a2}{b2}}{R}}")
         config = PartSJConfig(semantics="paper", postorder_filter="safe")
-        batch = SimilaritySearcher([tree], tau=1, config=config)
+        batch = TreeCollection.from_trees([tree]).searcher(1, config)
         assert hit_list(batch.search(query)) == [(0, 1)]
         join = StreamingJoin(1, config=config)
         join.add(tree)
@@ -129,7 +133,7 @@ class TestSearcherReuse:
         # holds there.  The larger side uses a window that holds.
         tree = Tree.from_bracket(bracket)
         query = Tree.from_bracket(query_bracket)
-        batch = SimilaritySearcher([tree], tau=1, config=config)
+        batch = TreeCollection.from_trees([tree]).searcher(1, config)
         assert hit_list(batch.search(query)) == [(0, 1)]
         join = StreamingJoin(1, config=config)
         join.add(tree)
@@ -137,8 +141,12 @@ class TestSearcherReuse:
         assert [p.key() for p in join.add(query)] == [(0, 1)]
 
     def test_negative_tau_rejected(self):
+        trees = [Tree.from_bracket("{a}")]
         with pytest.raises(InvalidParameterError):
-            SimilaritySearcher([Tree.from_bracket("{a}")], tau=-1)
+            SimilaritySearcher(TreeCollection.from_trees(trees), tau=-1)
+        # A searcher reads a session's preparation; a plain list has none.
+        with pytest.raises(InvalidInputTypeError, match="TreeCollection"):
+            SimilaritySearcher(trees, tau=1)
 
 
 def brute_force_hits(query, trees, tau):
@@ -196,13 +204,13 @@ def test_batch_and_stream_searchers_equal_brute_force(forest, tau, seed):
             truth = brute_force_hits(query, forest, tau)
             # A fresh session per query: its first search is the one that
             # builds the records of the unindexed trees.
-            batch = SimilaritySearcher(forest, tau, config=config)
+            batch = TreeCollection.from_trees(forest).searcher(tau, config)
             assert hit_list(batch.search(query)) == truth, config
             assert hit_list(stream.search(query)) == truth, config
     # The published window under-reports by design; both searchers run the
     # same two probes over the same partitions, so they agree.
     paper = PartSJConfig.paper()
-    batch = SimilaritySearcher(forest, tau, config=paper)
+    batch = TreeCollection.from_trees(forest).searcher(tau, paper)
     join = StreamingJoin(tau, config=paper)
     join.add_many(forest)
     for query in queries:
@@ -247,7 +255,8 @@ class TestQueryLabels:
         ]
         query = Tree.from_bracket("{d{b}}")
         truth = brute_force_hits(query, forest, 3)
-        assert hit_list(SimilaritySearcher(forest, 3).search(query)) == truth
+        batch = TreeCollection.from_trees(forest).searcher(3)
+        assert hit_list(batch.search(query)) == truth
         join = StreamingJoin(3)
         join.add(forest[2])
         join.add(forest[0])

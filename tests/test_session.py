@@ -2,11 +2,11 @@
 
 The load-bearing property: a :class:`TreeCollection` session — cold or
 warm, partsj or baseline, serial or sharded, any filter config — returns
-**bit-identical** pairs and distances to the raw engines the legacy
-shims wrap.  The session fixture is module-scoped on purpose: queries
-accumulate prepared state, so later parametrizations run against a warm
-session and the equivalence is exercised in exactly the reuse scenarios
-the API exists for.
+**bit-identical** pairs and distances to the raw engines it runs.  The
+session fixture is module-scoped on purpose: queries accumulate prepared
+state, so later parametrizations run against a warm session and the
+equivalence is exercised in exactly the reuse scenarios the API exists
+for.
 """
 
 import random
@@ -20,6 +20,7 @@ from repro.baselines.str_join import str_join
 from repro.core.join import PartSJConfig, partsj_join
 from repro.core.treecache import TreeCache
 from repro.errors import InvalidParameterError
+from repro.search import SimilaritySearcher
 from repro.session import JOIN_METHOD_NAMES, TreeCollection
 from repro.stream.engine import StreamingJoin
 from repro.tree.node import Tree
@@ -123,9 +124,7 @@ class TestJoinEquivalence:
 class TestSearchEquivalence:
     @pytest.mark.parametrize("tau", (1, 2))
     def test_session_search_equals_fresh_searcher(self, session, forest, tau):
-        from repro.search import SimilaritySearcher
-
-        fresh = SimilaritySearcher(list(forest), tau)
+        fresh = SimilaritySearcher(TreeCollection.from_trees(forest), tau)
         for query in forest[:6]:
             expected = [(h.index, h.distance) for h in fresh.search(query)]
             got = [
@@ -145,17 +144,6 @@ class TestSearchEquivalence:
         assert col.searcher(2) is searcher
         hits = col.search(forest[0], 2).run()
         assert any(h.distance == 0 for h in hits)
-
-    def test_searcher_accepts_collection_and_raw_trees(self, forest):
-        from repro.search import SimilaritySearcher
-
-        col = TreeCollection.from_trees(forest)
-        a = SimilaritySearcher(col, 1)
-        b = SimilaritySearcher(list(forest), 1)
-        for query in forest[:4]:
-            assert [(h.index, h.distance) for h in a.search(query)] == [
-                (h.index, h.distance) for h in b.search(query)
-            ]
 
 
 class TestRSJoinEquivalence:
@@ -334,23 +322,8 @@ class TestQueryPlans:
 
 
 class TestValidation:
-    def test_tau_validated_at_plan_build(self, forest):
-        col = TreeCollection.from_trees(forest)
-        with pytest.raises(InvalidParameterError, match="tau"):
-            col.join(-1)
-        with pytest.raises(InvalidParameterError, match="tau"):
-            col.join(1.5)
-        with pytest.raises(InvalidParameterError, match="tau"):
-            col.search(forest[0], -2)
-        with pytest.raises(InvalidParameterError, match="tau"):
-            col.stream(-1)
-
-    def test_workers_validated_at_plan_build(self, forest):
-        col = TreeCollection.from_trees(forest)
-        with pytest.raises(InvalidParameterError, match="workers"):
-            col.join(1, workers=0)
-        with pytest.raises(InvalidParameterError, match="workers"):
-            col.join(1, workers="two")
+    """Session-specific checks; the tau and worker checks every entry
+    point shares are in tests/test_api_surface.py."""
 
     def test_unknown_method_and_config_conflicts(self, forest):
         col = TreeCollection.from_trees(forest)
@@ -393,35 +366,11 @@ class TestReviewRegressions:
         assert paper_searcher.config.semantics is MatchSemantics.PAPER
         assert safe_searcher is not paper_searcher
         # And the safe searcher answers exactly like a fresh safe one.
-        from repro.search import SimilaritySearcher
-
-        fresh = SimilaritySearcher(list(forest), 2)
+        fresh = TreeCollection.from_trees(forest).searcher(2)
         for query in forest[:4]:
             assert [
                 (h.index, h.distance) for h in safe_searcher.search(query)
             ] == [(h.index, h.distance) for h in fresh.search(query)]
-
-    def test_custom_join_method_registry_still_dispatches(self, forest):
-        import warnings
-
-        from repro.api import JOIN_METHODS, similarity_join
-        from repro.baselines.nested_loop import nested_loop_join
-
-        calls = []
-
-        def custom(trees, tau, **options):
-            calls.append((len(trees), tau, options))
-            return nested_loop_join(trees, tau)
-
-        JOIN_METHODS["custom_test_method"] = custom
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                result = similarity_join(forest, 1, method="custom_test_method")
-            assert calls == [(len(forest), 1, {})]
-            assert result.pair_set() == nested_loop_join(forest, 1).pair_set()
-        finally:
-            del JOIN_METHODS["custom_test_method"]
 
     def test_join_with_plain_sequence_reuses_merged_session(self, forest):
         left_col = TreeCollection.from_trees(forest[:6])

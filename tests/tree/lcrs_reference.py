@@ -1,20 +1,23 @@
-"""Binary trees for the left-child/right-sibling (LC-RS) representation.
+"""The object LC-RS layer: the reference for ``TreeCache``'s arrays.
 
-The PartSJ framework (paper Section 3) operates on the Knuth transformation
-of each general tree: every node keeps at most two pointers, ``left`` (its
-leftmost child in the general tree) and ``right`` (its next sibling).  This
-module provides the binary node/tree types plus the edge-category vocabulary
-of Section 3.1:
+Knuth's left-child/right-sibling transformation (paper Section 3.1,
+Figure 4) maps a general tree to a binary tree whose ``left`` pointer
+leads to a node's leftmost child and whose ``right`` pointer leads to
+its next sibling.  The library holds that binary form only as
+:class:`repro.core.treecache.TreeCache`'s flat arrays; this module keeps
+it as a graph of node objects, built by a plain walk over the general
+tree, so the tests can check the arrays (postorder numbers, child and
+parent links, incoming-edge categories) and the frozen reference engine
+(``tests/core/_legacy_candidates.py``) against it.
 
-- a node's *incoming* edge is either a **left incoming** edge (it hangs off
-  its parent's ``left`` pointer, i.e. it is the parent's leftmost child in
-  the general tree) or a **right incoming** edge (parent's ``right`` pointer,
-  i.e. it is the parent's next sibling);
-- its *outgoing* edges are the **left outgoing** and **right outgoing**
-  pointers.
-
-The module also assigns postorder numbers (1-based) over the binary tree,
-which the two-layer index of Section 3.4 keys on.
+- A node's *incoming* edge is a **left** edge (it hangs off its parent's
+  ``left`` pointer: the parent's leftmost child in the general tree), a
+  **right** edge (the parent's ``right`` pointer: the parent's next
+  sibling) or none at the root; ``TreeCache.incoming_code`` numbers them
+  0 (root), 1 (left) and 2 (right).
+- Postorder numbers are 1-based over the binary postorder (left subtree,
+  right subtree, node), the numbers shown next to the nodes in the
+  paper's Figure 7.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from __future__ import annotations
 import enum
 from typing import Iterator, Optional
 
-from repro.errors import InvalidInputTypeError
-
-__all__ = ["BinaryNode", "BinaryTree", "EdgeKind"]
+from repro.errors import InvalidInputTypeError, TreeFormatError
+from repro.tree.node import Tree, TreeNode
 
 
 class EdgeKind(enum.Enum):
@@ -201,3 +203,79 @@ class BinaryTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BinaryTree(size={self.size}, root={self.root.label!r})"
+
+
+def to_lcrs(tree: Tree) -> BinaryTree:
+    """Return the LC-RS binary representation of ``tree``.
+
+    The conversion is iterative so arbitrarily deep trees are safe.
+    """
+    binary_root = BinaryNode(tree.root.label)
+    # Each work item links a general node (whose children we still need to
+    # wire) to its already-created binary twin.
+    stack: list[tuple[TreeNode, BinaryNode]] = [(tree.root, binary_root)]
+    while stack:
+        general, binary = stack.pop()
+        previous: BinaryNode | None = None
+        for child in general.children:
+            twin = BinaryNode(child.label)
+            if previous is None:
+                binary.set_left(twin)  # leftmost child
+            else:
+                previous.set_right(twin)  # next sibling
+            stack.append((child, twin))
+            previous = twin
+    return BinaryTree(binary_root)
+
+
+def from_lcrs(binary: BinaryTree) -> Tree:
+    """Invert :func:`to_lcrs`.
+
+    Raises
+    ------
+    TreeFormatError
+        If the binary root has a right child: a general tree's root has no
+        sibling, so such a binary tree is not a valid LC-RS image.
+    """
+    if binary.root.right is not None:
+        raise TreeFormatError(
+            "binary root has a right (sibling) pointer; "
+            "not a valid LC-RS image of a single tree"
+        )
+    general_root = TreeNode(binary.root.label)
+    # Work items pair a binary node whose left pointer is unprocessed with
+    # the general-tree node that is its twin.  Sibling chains are unrolled
+    # inline so the loop visits each binary node exactly once.
+    stack: list[tuple[BinaryNode, TreeNode]] = [(binary.root, general_root)]
+    while stack:
+        bnode, gnode = stack.pop()
+        sibling = bnode.left  # leftmost child of gnode, then its sibling chain
+        while sibling is not None:
+            child = gnode.add_child(TreeNode(sibling.label))
+            stack.append((sibling, child))
+            sibling = sibling.right
+    return Tree(general_root)
+
+
+def validate_binary_tree(binary: BinaryTree) -> None:
+    """Raise :class:`TreeFormatError` on broken parent links or sharing."""
+    seen: set[int] = set()
+    stack = [binary.root]
+    if binary.root.parent is not None:
+        raise TreeFormatError("binary root must not have a parent pointer")
+    while stack:
+        node = stack.pop()
+        ident = id(node)
+        if ident in seen:
+            raise TreeFormatError(
+                f"binary node {node.label!r} is reachable more than once"
+            )
+        seen.add(ident)
+        for child in (node.left, node.right):
+            if child is None:
+                continue
+            if child.parent is not node:
+                raise TreeFormatError(
+                    f"binary node {child.label!r} has a stale parent pointer"
+                )
+            stack.append(child)

