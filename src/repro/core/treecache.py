@@ -85,20 +85,41 @@ displace a promoted subtree past an arbitrarily large sibling subtree.
 Keying the index on general postorder keeps the paper's scheme while making
 the conservative window (``postorder_filter="safe"``) provably correct; see
 ``repro.core.index`` for the window arithmetic.
+
+Persisted layout
+----------------
+:func:`pack_records` and :func:`unpack_records` are the one encoding of
+records on disk (a session snapshot's ``records`` section, see
+:mod:`repro.persist.snapshot`).  Each record is a little-endian header
+``u32 index, u32 size n, u8 width`` and then ``labels``, ``left``,
+``right``, ``parent`` and ``general_post``, ``n + 1`` entries each (slot
+``0`` included), every entry ``width`` bytes: the narrowest of 1, 2 or 4
+that holds the record's largest label id and ``n``.  ``internal`` is not
+stored; it is the ascending numbers whose ``left`` or ``right`` is set,
+which a restored record derives at C speed when it is first read.  The decoder
+checks each record's ranges as it reads it (see :func:`unpack_records`),
+so a restored record is always safe to walk; binding it to its tree's
+text is the snapshot's digest.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from collections import Counter
-from typing import Sequence
+from itertools import compress, islice
+from operator import ge, or_
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.intern import DEFAULT_INTERNER, LabelInterner, QueryInterner
+from repro.errors import TreeFormatError
 from repro.ted.string_edit import sequence_code
 from repro.ted.zhang_shasha import AnnotatedTree
 from repro.tree.bracket import bracket_nodes
 from repro.tree.node import Tree, TreeNode
 
-__all__ = ["TreeCache", "RecordStore"]
+__all__ = ["TreeCache", "RecordStore", "pack_records", "unpack_records"]
 
 
 class TreeCache:
@@ -120,7 +141,10 @@ class TreeCache:
         Ascending binary postorder numbers of the nodes with at least one
         binary child.  The greedy partitioning passes (Algorithms 2/3)
         iterate only these: binary leaves contribute a constant ``1`` that
-        a C-speed list fill provides up front.
+        a C-speed list fill provides up front.  Building the arrays from
+        a tree fills it on the way; a record adopted from a snapshot
+        (:meth:`from_arrays`) derives it on first use, which a warm load
+        that restores its partitions never makes.
 
     The views of the module docstring (:attr:`label_bag`,
     :attr:`preorder_code`, :attr:`postorder_code`, :attr:`preorder_post`,
@@ -138,7 +162,7 @@ class TreeCache:
         "right",
         "parent",
         "general_post",
-        "internal",
+        "_internal",
         "_label_bag",
         "_degree_bag",
         "_branch_bag",
@@ -161,6 +185,28 @@ class TreeCache:
             self._read_nodes(tree.root)
         else:
             self._read_text(text)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        interner: "LabelInterner | QueryInterner",
+        labels: list[int],
+        left: list[int],
+        right: list[int],
+        parent: list[int],
+        general_post: list[int],
+    ) -> "TreeCache":
+        """A record that adopts arrays built elsewhere (a snapshot's);
+        :attr:`internal` is derived from them on first use."""
+        record = cls.__new__(cls)
+        record.interner = interner
+        record.size = len(labels) - 1
+        record.labels = labels
+        record.left = left
+        record.right = right
+        record.parent = parent
+        record.general_post = general_post
+        return record
 
     def _read_nodes(self, root: TreeNode) -> None:
         """The arrays of a tree held as nodes, in one walk over them."""
@@ -246,7 +292,7 @@ class TreeCache:
         self.right = right
         self.parent = parent
         self.general_post = gp
-        self.internal = internal
+        self._internal = internal
 
     def _read_text(self, text: str) -> None:
         """The arrays of a tree held as canonical bracket text, in one
@@ -339,9 +385,21 @@ class TreeCache:
         self.right = right
         self.parent = parent
         self.general_post = gp
-        self.internal = internal
+        self._internal = internal
 
     # -- fast array accessors ------------------------------------------------
+
+    @property
+    def internal(self) -> list[int]:
+        """The nodes whose ``left`` or ``right`` is set, ascending."""
+        try:
+            return self._internal
+        except AttributeError:
+            left, right = self.left, self.right
+            internal = self._internal = list(
+                compress(range(len(left)), map(or_, left, right))
+            )
+            return internal
 
     def incoming_code(self, number: int) -> int:
         """Incoming-edge category of node ``number``: 0 root, 1 left, 2 right."""
@@ -532,3 +590,104 @@ class RecordStore(dict):
         """How many records have built the view named ``view`` (for
         example ``"annotation"`` or ``"label_bag"``)."""
         return sum(hasattr(record, "_" + view) for record in self.values())
+
+
+# -- persisted layout (see the module docstring) ------------------------------
+
+# A record's header: index, size n, width of its values.
+_RECORD_HEAD = struct.Struct("<IIB")
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _width(largest: int) -> int:
+    """The narrowest stored width (bytes) that holds ``largest``."""
+    return 1 if largest < 0x100 else 2 if largest < 0x10000 else 4
+
+
+def _to_list(view: memoryview, width: int) -> list[int]:
+    """The little-endian values of ``width`` bytes each in ``view``."""
+    if _LITTLE_ENDIAN:
+        return view.cast(_TYPECODES[width]).tolist()
+    values = array(_TYPECODES[width])
+    values.frombytes(view)
+    values.byteswap()
+    return values.tolist()
+
+
+def pack_records(records: Iterable[tuple[int, TreeCache]]) -> Iterator[bytes]:
+    """The persisted layout of ``(index, record)`` pairs, one chunk each."""
+    for index, record in records:
+        n = record.size
+        labels = record.labels
+        width = _width(max(max(labels), n))
+        values = array(
+            _TYPECODES[width],
+            labels + record.left + record.right + record.parent
+            + record.general_post,
+        )
+        if not _LITTLE_ENDIAN:
+            values.byteswap()
+        yield _RECORD_HEAD.pack(index, n, width) + values.tobytes()
+
+
+def unpack_records(
+    payload, interner: LabelInterner, sizes: Sequence[int]
+) -> Iterator[tuple[int, TreeCache]]:
+    """``(index, record)`` per record of a :func:`pack_records` payload
+    (any bytes-like object), the arrays read straight from its bytes.
+
+    ``sizes[i]`` is tree ``i``'s node count.  Every record is checked
+    before it is yielded: its index names a tree and its node count is
+    that tree's; slot ``0`` of each array is ``0``; its label ids are
+    ``interner``'s; ``parent`` and ``general_post`` stay in ``0..n``;
+    and every ``left`` and ``right`` child is numbered below its node,
+    as binary postorder numbers them, so every walk over the record
+    ends.  A payload that fails raises
+    :class:`~repro.errors.TreeFormatError`.
+    """
+    view = memoryview(payload)
+    end = len(view)
+    top_label = len(interner) - 1
+    offset = 0
+    while offset < end:
+        if offset + _RECORD_HEAD.size > end:
+            raise TreeFormatError(f"a record header at byte {offset} is cut off")
+        index, n, width = _RECORD_HEAD.unpack_from(view, offset)
+        offset += _RECORD_HEAD.size
+        if not 0 <= index < len(sizes):
+            raise TreeFormatError(f"a record names tree {index}, which "
+                                  f"is not among the {len(sizes)} trees")
+        if n != sizes[index]:
+            raise TreeFormatError(f"the record of tree {index} has {n} "
+                                  f"nodes, the tree {sizes[index]}")
+        if width not in _TYPECODES:
+            raise TreeFormatError(
+                f"record {index} has width {width}; a width is 1, 2 or 4 bytes"
+            )
+        count = n + 1
+        stop = offset + 5 * count * width
+        if stop > end:
+            raise TreeFormatError(f"record {index} of {n} nodes is cut off")
+        values = _to_list(view[offset:stop], width)
+        offset = stop
+        labels = values[:count]
+        left = values[count:2 * count]
+        right = values[2 * count:3 * count]
+        parent = values[3 * count:4 * count]
+        general_post = values[4 * count:]
+        numbers = range(1, count)
+        if (
+            any(values[::count])  # slot 0 of each array
+            or max(labels) > top_label
+            or max(parent) > n
+            or max(general_post) > n
+            or any(map(ge, islice(left, 1, None), numbers))
+            or any(map(ge, islice(right, 1, None), numbers))
+        ):
+            raise TreeFormatError(
+                f"record {index} holds a label id or node number out of range"
+            )
+        yield index, TreeCache.from_arrays(
+            interner, labels, left, right, parent, general_post
+        )

@@ -21,6 +21,13 @@ raises :class:`~repro.errors.SnapshotFormatError`; a well-framed section
 whose bytes fail their checksum raises
 :class:`~repro.errors.SnapshotIntegrityError`.
 
+Neither direction copies the whole file.  The reader reads the file once
+and returns each section as a read-only ``memoryview`` into those bytes.
+The writer streams each section to the file as it comes: a payload is
+either a bytes-like object or an iterable of bytes chunks, and the
+length and CRC of a section, and the section count, are written after
+its bytes into slots left for them.
+
 :func:`inspect_container` is the forgiving sibling for diagnostics (the
 CLI's ``stats --snapshot``): it reports format/library versions and
 per-section sizes and CRC status without raising on checksum damage.
@@ -28,13 +35,14 @@ per-section sizes and CRC status without raising on checksum damage.
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Union
 
 from repro.errors import SnapshotFormatError, SnapshotIntegrityError
-from repro.persist.atomic import atomic_write_bytes
+from repro.persist.atomic import replace_on_success
 
 __all__ = [
     "MAGIC",
@@ -55,52 +63,74 @@ _U64 = struct.Struct("<Q")
 # garbage, not that someone really has a 2**63-byte section.
 _MAX_NAME = 1 << 12
 
+#: A section payload: bytes-like, or an iterable of bytes chunks.
+Payload = Union[bytes, bytearray, memoryview, Iterable[bytes]]
+
+
+def _write_frames(handle, sections, library_version, format_version) -> None:
+    """Write the container to the seekable binary ``handle``, one chunk
+    at a time (see the module docstring)."""
+    lib = library_version.encode("utf-8")
+    handle.write(MAGIC + _U32.pack(format_version) + _U16.pack(len(lib)) + lib)
+    count_at = handle.tell()
+    handle.write(_U32.pack(0))
+    count = 0
+    for name, payload in sections:
+        encoded = name.encode("utf-8")
+        handle.write(_U16.pack(len(encoded)) + encoded)
+        frame_at = handle.tell()
+        handle.write(bytes(_U64.size + _U32.size))
+        if isinstance(payload, (bytes, bytearray, memoryview)):
+            payload = (payload,)
+        length = crc = 0
+        for chunk in payload:
+            handle.write(chunk)
+            length += len(chunk)
+            crc = zlib.crc32(chunk, crc)
+        end = handle.tell()
+        handle.seek(frame_at)
+        handle.write(_U64.pack(length) + _U32.pack(crc))
+        handle.seek(end)
+        count += 1
+    end = handle.tell()
+    handle.seek(count_at)
+    handle.write(_U32.pack(count))
+    handle.seek(end)
+
 
 def encode_container(
-    sections: Iterable[tuple[str, bytes]],
+    sections: Iterable[tuple[str, Payload]],
     library_version: str,
     format_version: int = FORMAT_VERSION,
 ) -> bytes:
     """The container bytes for ``sections`` (ordered name/payload pairs)."""
-    out = bytearray()
-    out += MAGIC
-    out += _U32.pack(format_version)
-    lib = library_version.encode("utf-8")
-    out += _U16.pack(len(lib))
-    out += lib
-    items = list(sections)
-    out += _U32.pack(len(items))
-    for name, payload in items:
-        encoded = name.encode("utf-8")
-        out += _U16.pack(len(encoded))
-        out += encoded
-        out += _U64.pack(len(payload))
-        out += _U32.pack(zlib.crc32(payload) & 0xFFFFFFFF)
-        out += payload
-    return bytes(out)
+    out = io.BytesIO()
+    _write_frames(out, sections, library_version, format_version)
+    return out.getvalue()
 
 
 def write_container(
     path: str | Path,
-    sections: Iterable[tuple[str, bytes]],
+    sections: Iterable[tuple[str, Payload]],
     library_version: str,
     format_version: int = FORMAT_VERSION,
 ) -> None:
-    """Atomically write ``sections`` to ``path`` (temp + fsync + rename)."""
-    atomic_write_bytes(
-        path, encode_container(sections, library_version, format_version)
-    )
+    """Atomically write ``sections`` to ``path`` (temp + fsync + rename),
+    streaming each payload to the file without joining the whole file."""
+    with replace_on_success(path) as tmp:
+        with open(tmp, "wb") as handle:
+            _write_frames(handle, sections, library_version, format_version)
 
 
 class _Cursor:
     """Bounds-checked reads over the container bytes."""
 
-    def __init__(self, data: bytes, path: Path):
+    def __init__(self, data: memoryview, path: Path):
         self.data = data
         self.pos = 0
         self.path = path
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         end = self.pos + count
         if end > len(self.data):
             raise SnapshotFormatError(
@@ -121,7 +151,7 @@ class _Cursor:
         return _U64.unpack(self.take(8, what))[0]
 
 
-def _read_frames(path: Path, data: bytes):
+def _read_frames(path: Path, data: memoryview):
     """Yield ``(name, payload, crc_stored, crc_ok)`` after header checks."""
     cursor = _Cursor(data, path)
     magic = cursor.take(len(MAGIC), "magic")
@@ -136,7 +166,9 @@ def _read_frames(path: Path, data: bytes):
             f"supported (this library reads version {FORMAT_VERSION})"
         )
     lib_len = cursor.u16("library version length")
-    library_version = cursor.take(lib_len, "library version").decode("utf-8")
+    library_version = str(
+        cursor.take(lib_len, "library version"), "utf-8", "replace"
+    )
     count = cursor.u32("section count")
     frames = []
     for position in range(count):
@@ -146,8 +178,8 @@ def _read_frames(path: Path, data: bytes):
                 f"{path}: section {position} name length {name_len} is "
                 "implausible — framing is damaged"
             )
-        name = cursor.take(name_len, f"section {position} name").decode(
-            "utf-8", errors="replace"
+        name = str(
+            cursor.take(name_len, f"section {position} name"), "utf-8", "replace"
         )
         payload_len = cursor.u64(f"section {name!r} payload length")
         crc_stored = cursor.u32(f"section {name!r} checksum")
@@ -162,21 +194,23 @@ def _read_frames(path: Path, data: bytes):
     return format_version, library_version, frames
 
 
-def read_container(path: str | Path) -> tuple[str, dict[str, bytes]]:
+def read_container(path: str | Path) -> tuple[str, dict[str, memoryview]]:
     """Read and fully verify a container.
 
     Returns ``(library_version, sections)`` where ``sections`` preserves
-    write order.  Raises :class:`SnapshotFormatError` on structural
-    damage and :class:`SnapshotIntegrityError` on the first checksum
-    mismatch — nothing is returned from a damaged file.
+    write order and maps each name to a read-only ``memoryview`` of its
+    payload, inside the one copy of the file read.  Raises
+    :class:`SnapshotFormatError` on structural damage and
+    :class:`SnapshotIntegrityError` on the first checksum mismatch —
+    nothing is returned from a damaged file.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise SnapshotFormatError(f"{path}: cannot read snapshot ({exc})") from exc
-    _, library_version, frames = _read_frames(path, data)
-    sections: dict[str, bytes] = {}
+    _, library_version, frames = _read_frames(path, memoryview(data))
+    sections: dict[str, memoryview] = {}
     for name, payload, crc_stored, crc_ok in frames:
         if not crc_ok:
             raise SnapshotIntegrityError(
@@ -199,7 +233,9 @@ def inspect_container(path: str | Path) -> dict:
         data = path.read_bytes()
     except OSError as exc:
         raise SnapshotFormatError(f"{path}: cannot read snapshot ({exc})") from exc
-    format_version, library_version, frames = _read_frames(path, data)
+    format_version, library_version, frames = _read_frames(
+        path, memoryview(data)
+    )
     return {
         "path": str(path),
         "bytes": len(data),

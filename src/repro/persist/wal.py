@@ -106,14 +106,13 @@ class StreamWAL:
         fsync: str = "batch",
         tracer=None,
     ) -> "StreamWAL":
-        """Start a fresh log for a new stream (truncates ``path``)."""
+        """Start a fresh log for a new stream (truncates ``path``).
+
+        A bad ``fsync`` policy raises before ``path`` is touched."""
         from repro import __version__
         from repro.persist.snapshot import _config_fields
 
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "wb")
-        handle.write(WAL_MAGIC)
+        _check_policy(fsync)
         header = {
             "format": WAL_FORMAT_VERSION,
             "library_version": __version__,
@@ -121,10 +120,20 @@ class StreamWAL:
             "config": _config_fields(config),
         }
         payload = json.dumps(header, sort_keys=True).encode("utf-8")
-        handle.write(_FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())  # the header is durable regardless of policy
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "wb")
+        try:
+            handle.write(WAL_MAGIC)
+            handle.write(
+                _FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+            )
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())  # the header is durable regardless of policy
+        except BaseException:
+            handle.close()
+            raise
         wal = cls(path, handle, fsync, records=0, tracer=tracer)
         wal.synced_records = 0
         return wal
@@ -142,11 +151,17 @@ class StreamWAL:
 
         Truncates the file to the salvaged prefix (dropping a torn tail)
         and positions at its end; ``records`` is the salvaged arrival
-        count, so record accounting continues seamlessly.
+        count, so record accounting continues seamlessly.  A bad
+        ``fsync`` policy raises before ``path`` is touched.
         """
+        _check_policy(fsync)
         handle = open(path, "r+b")
-        handle.truncate(good_bytes)
-        handle.seek(good_bytes)
+        try:
+            handle.truncate(good_bytes)
+            handle.seek(good_bytes)
+        except BaseException:
+            handle.close()
+            raise
         wal = cls(path, handle, fsync, records=records, tracer=tracer)
         wal.synced_records = records
         return wal

@@ -93,7 +93,6 @@ class SimilaritySearcher:
                 "TreeCollection.from_trees(trees).searcher(tau)"
             )
         prep = collection.prepare(tau, config)
-        self.collection = collection
         self.trees = collection.trees
         self.tau = tau
         self.config = prep.config

@@ -100,22 +100,27 @@ Prepared sessions and streaming state survive process death
 (:mod:`repro.persist`):
 
 - ``TreeCollection.save(path)`` snapshots a session — trees (optional),
-  interner, size order, every prepared tau — into a versioned container
-  whose every section carries a CRC32, written atomically (temp file +
-  fsync + rename): a crash mid-save leaves the previous snapshot intact,
-  and a later reader sees either the old complete file or the new one,
-  never a blend.  ``TreeCollection.load(path)`` verifies every checksum
-  *and* recomputes the derived state it restores (interner ids, sorted
-  order, twig keys) against the stored values; any mismatch raises a
+  interner, size order, every prepared tau, and the record of every
+  tree the session has built — into a versioned container whose every
+  section carries a CRC32, written atomically (temp file + fsync +
+  rename): a crash mid-save leaves the previous snapshot intact, and a
+  later reader sees either the old complete file or the new one, never
+  a blend.  ``TreeCollection.load(path)`` verifies every checksum, binds
+  the restored records to the trees' texts and the label table by a
+  SHA-256 digest, checks each record's ranges, *and* recomputes the
+  derived state it restores (interner ids, sorted order, twig keys)
+  against the stored values; any mismatch, and any section whose bytes
+  pass their checksum but do not decode, raises a
   :class:`~repro.errors.PersistenceError` subclass.  A loaded session
   answers joins, searches and streams **bit-identically** to the one
-  that was saved.
+  that was saved, without tokenizing the trees whose records it
+  restored (see :mod:`repro.persist.snapshot`).
 - ``TreeCollection.from_file(path)`` auto-discovers a
   ``<path>.repro-idx`` sidecar.  The implicit path is *never trusted
-  into wrongness*: a corrupt, truncated, version-mismatched or stale
-  (the dataset changed since the save — detected by content digest)
-  sidecar produces a warning and a cold rebuild, so the worst a broken
-  snapshot can cost is preparation time, never a wrong answer.
+  into wrongness*: a corrupt, truncated, malformed, version-mismatched
+  or stale (the dataset changed since the save — detected by content
+  digest) sidecar produces a warning and a cold rebuild, so the worst a
+  broken snapshot can cost is preparation time, never a wrong answer.
 - ``StreamingJoin(wal=path)`` appends every arrival to a per-record-CRC
   write-ahead log *before* indexing it.  The fsync policy bounds the
   loss window: ``"always"`` fsyncs per arrival (a crashed process loses
@@ -510,12 +515,13 @@ class TreeCollection:
 
         ``sidecar`` controls snapshot auto-discovery: ``"auto"`` (the
         default) loads ``<path>.repro-idx`` next to the dataset when it
-        exists, restoring every prepared tau saved there; a path loads
-        that snapshot explicitly; ``None`` disables the lookup.  A
-        snapshot that is corrupt, stale (the dataset changed since it
-        was saved) or otherwise unusable is **never** trusted: the
-        session warns and rebuilds cold instead, so a broken sidecar can
-        cost preparation time but not correctness.
+        exists, restoring every prepared tau and every tree record saved
+        there; a path loads that snapshot explicitly; ``None`` disables
+        the lookup.  A snapshot that is corrupt, malformed, stale (the
+        dataset changed since it was saved) or otherwise unusable is
+        **never** trusted: the session warns and rebuilds cold instead,
+        so a broken sidecar can cost preparation time but not
+        correctness.
         """
         from repro.datasets.io import load_trees
 
@@ -548,14 +554,16 @@ class TreeCollection:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path, include_trees: bool = True, source=None):
-        """Snapshot this session — trees and every prepared tau — to ``path``.
+        """Snapshot this session — trees, every prepared tau and every
+        record already built — to ``path``.
 
         The write is atomic (temp + fsync + rename) and every section is
         checksummed; see :mod:`repro.persist`.  ``include_trees=False``
-        writes a *sidecar* (partitions, interner, order only) meant to
-        live next to its dataset file — pass ``source=<dataset path>``
-        so loads can verify the dataset has not changed since.  Returns
-        the written path.
+        writes a *sidecar* (everything but the trees: interner, order,
+        partitions, records) meant to live next to its dataset file —
+        pass ``source=<dataset path>`` so loads can verify the dataset
+        has not changed since.  Saving builds no record the session
+        lacks.  Returns the written path.
         """
         from repro.persist.snapshot import save_collection
 
@@ -568,13 +576,16 @@ class TreeCollection:
         """Rebuild a session from a :meth:`save` snapshot.
 
         Every section checksum is verified, labels are re-interned in
-        their stored order (so packed twig keys are reproduced exactly),
-        the size-sorted order is recomputed and compared, and every
+        their stored order (so restored records and packed twig keys
+        keep their ids), the size-sorted order is recomputed and
+        compared, the saved records are adopted once their digest
+        matches these trees' texts and their ranges check out, and every
         restored subgraph's twig key is recomputed against the stored
         one — a loaded session answers joins and searches bit-identically
-        to the session that was saved.  Raises the
-        :class:`~repro.errors.PersistenceError` family on any damage;
-        use :meth:`from_file` for the warn-and-rebuild behavior.
+        to the session that was saved.  A snapshot saved without records
+        loads too; its records are built from text on first use.
+        Raises the :class:`~repro.errors.PersistenceError` family on any
+        damage; use :meth:`from_file` for the warn-and-rebuild behavior.
         """
         from repro.persist.snapshot import load_collection
 
@@ -583,8 +594,9 @@ class TreeCollection:
     @property
     def provenance(self) -> Optional[dict]:
         """Where this session came from, when loaded from a snapshot
-        (path, format/library versions, sections, restored taus) —
-        ``None`` for sessions built in-process."""
+        (path, format/library versions, sections, restored taus, the
+        count of restored records) — ``None`` for sessions built
+        in-process."""
         return self._provenance
 
     def drop_caches(self, deep: bool = False) -> None:

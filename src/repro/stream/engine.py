@@ -362,14 +362,19 @@ class StreamingJoin:
 
         Raises
         ------
+        InvalidParameterError
+            An unknown ``fsync`` policy (with ``resume=True``), before
+            the log is read.
         SnapshotFormatError
             Not a WAL, or an unreadable/unsupported header.
         WALCorruptError
             Damage *before* the final record (salvage stats attached):
             replaying past a mid-log hole would silently drop arrivals.
         """
-        from repro.persist.wal import StreamWAL, scan_wal
+        from repro.persist.wal import StreamWAL, _check_policy, scan_wal
 
+        if resume:
+            _check_policy(fsync)  # before a replay that reopens the log
         resolved_tracer = tracer if tracer is not None else NULL_TRACER
         with resolved_tracer.span("wal.recover", path=str(path)) as sp:
             scanned = scan_wal(path)

@@ -73,6 +73,28 @@ class TestRoundTrip:
             SECTIONS, "1.0"
         )
 
+    def test_chunked_payloads_frame_like_whole_ones(self, tmp_path):
+        # A payload may stream in as chunks (a list or a generator); its
+        # length and CRC are those of the joined bytes.
+        chunked = [
+            (name, iter([payload[:5], b"", payload[5:]]) if k % 2
+             else [payload[:3], payload[3:]])
+            for k, (name, payload) in enumerate(SECTIONS)
+        ]
+        path = tmp_path / "c.snap"
+        write_container(path, chunked, library_version="1.0")
+        assert path.read_bytes() == encode_container(SECTIONS, "1.0")
+
+    def test_sections_are_views_into_one_read(self, tmp_path):
+        path = tmp_path / "c.snap"
+        write_container(path, SECTIONS, library_version="1.0")
+        _, sections = read_container(path)
+        assert all(
+            isinstance(view, memoryview) and view.readonly
+            for view in sections.values()
+        )
+        assert len({id(view.obj) for view in sections.values()}) == 1
+
 
 class TestStructuralDamage:
     def test_bad_magic(self, tmp_path):
@@ -116,6 +138,18 @@ class TestStructuralDamage:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotFormatError, match="cannot read"):
             read_container(tmp_path / "absent.snap")
+
+    def test_library_version_bytes_are_provenance_only(self, tmp_path):
+        # No CRC covers the header's library version, and nothing checks
+        # it: bytes that are not UTF-8 read as replacement characters.
+        path = tmp_path / "c.snap"
+        data = bytearray(encode_container(SECTIONS, "1.0"))
+        data[len(MAGIC) + 4 + 2] = 0xFF
+        path.write_bytes(bytes(data))
+        library_version, sections = read_container(path)
+        assert library_version == "\ufffd.0"
+        assert inspect_container(path)["library_version"] == library_version
+        assert list(sections.items()) == SECTIONS
 
 
 class TestChecksumDamage:

@@ -156,7 +156,7 @@ class TestReproducibleBytes:
         name = next(name for name in sections if name.startswith("prep:"))
         payload = sections[name]
         (head_len,) = struct.unpack_from("<I", payload, 0)
-        header = json.loads(payload[4:4 + head_len])
+        header = json.loads(bytes(payload[4:4 + head_len]))
         assert "build_time" not in header
         header["build_time"] = 1234.5
         head = json.dumps(header, sort_keys=True, separators=(",", ":"))
@@ -245,6 +245,7 @@ class TestCorruptionMatrix:
         sections = frame_offsets(pristine)
         assert [name for name, _, _ in sections] == [
             "meta", "trees", "interner", "order", "prep:0", "prep:1",
+            "records",
         ]
         for name, start, end in sections:
             for probe in (start, (start + end) // 2, end - 1):

@@ -1,6 +1,9 @@
 """The streaming write-ahead log (repro.persist.wal) and engine recovery."""
 
+import contextlib
+import gc
 import struct
+import warnings
 import zlib
 
 import pytest
@@ -73,6 +76,66 @@ class TestRoundTrip:
             StreamWAL.create(
                 tmp_path / "s.wal", 1, PartSJConfig().resolved(), fsync="wrong"
             )
+
+
+@contextlib.contextmanager
+def no_leaked_handles():
+    """Fail if a file object is collected unclosed inside the block."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
+
+
+class TestBadPolicyLeavesTheLogAlone:
+    """An unknown fsync policy raises before the log is opened, whichever
+    entry point gets it: the existing log survives byte for byte (a torn
+    tail included, which recovery would otherwise cut) and no handle is
+    left open."""
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        path = write_log(tmp_path / "s.wal")
+        path.write_bytes(path.read_bytes() + b"\x05\x00")  # a torn tail
+        return path
+
+    def test_fresh_engine(self, log):
+        before = log.read_bytes()
+        with no_leaked_handles():
+            with pytest.raises(InvalidParameterError, match="fsync"):
+                StreamingJoin(1, wal=str(log), wal_fsync="typo")
+        assert log.read_bytes() == before
+
+    def test_create(self, log):
+        before = log.read_bytes()
+        with no_leaked_handles():
+            with pytest.raises(InvalidParameterError, match="fsync"):
+                StreamWAL.create(log, 1, PartSJConfig().resolved(),
+                                 fsync="typo")
+        assert log.read_bytes() == before
+
+    def test_reopen(self, log):
+        before = log.read_bytes()
+        salvage = scan_wal(log)["salvage"]
+        with no_leaked_handles():
+            with pytest.raises(InvalidParameterError, match="fsync"):
+                StreamWAL.reopen(log, salvage["good_bytes"],
+                                 salvage["records"], fsync="typo")
+        assert log.read_bytes() == before
+
+    def test_recover(self, log):
+        before = log.read_bytes()
+        with no_leaked_handles():
+            with pytest.raises(InvalidParameterError, match="fsync"):
+                StreamingJoin.recover(log, fsync="typo")
+        assert log.read_bytes() == before
+        recovered = StreamingJoin.recover(log, resume=False)
+        assert len(recovered.trees) == len(BRACKETS)
+        # The policy is checked before the log is even read.
+        with pytest.raises(InvalidParameterError, match="fsync"):
+            StreamingJoin.recover(log.with_name("absent.wal"), fsync="typo")
 
 
 class TestTornTail:

@@ -138,13 +138,12 @@ class TestClosedStdout:
         source = tmp_path / "same.trees"
         source.write_text("{a{b}{c}}\n" * 300, encoding="utf-8")
         wal = tmp_path / "arrivals.wal"
-        with open(source, encoding="utf-8") as stdin:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "join", "--stream",
-                 "--tau", "2", "--wal", str(wal)],
-                stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                env={"PYTHONPATH": str(SRC), "PATH": os.environ.get("PATH", "")},
-            )
+        with open(source, encoding="utf-8") as stdin, subprocess.Popen(
+            [sys.executable, "-m", "repro", "join", "--stream",
+             "--tau", "2", "--wal", str(wal)],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(SRC), "PATH": os.environ.get("PATH", "")},
+        ) as proc:
             assert proc.stdout.readline() == b"0\t1\t0\n"
             proc.stdout.close()
             err = proc.stderr.read().decode()

@@ -67,10 +67,6 @@ class TestRSJoin:
         right = [make_random_tree(rng, 6)]
         assert rs_join(left, right, 1).stats.method == "PRT-RS"
 
-    def test_empty_sides(self):
-        assert rs_join([], [Tree.from_bracket("{a}")], 1).pairs == []
-        assert rs_join([Tree.from_bracket("{a}")], [], 1).pairs == []
-
     def test_pairs_sorted(self, rng):
         left = make_cluster_forest(rng, 2, 2, 7, 1)
         right = [t.copy() for t in left]
@@ -114,12 +110,14 @@ class TestRSWorkers:
 
 class TestRSErrorPaths:
     def test_empty_sides_all_shapes(self, rng):
-        tree = [make_random_tree(rng, 5)]
-        assert rs_join([], tree, 1).pairs == []
-        assert rs_join(tree, [], 1).pairs == []
+        # A one-node side takes the small pool at tau 1 (it is too small
+        # to partition); the 5-node one is partitioned.
+        for tree in ([make_random_tree(rng, 5)], [Tree.from_bracket("{a}")]):
+            assert rs_join([], tree, 1).pairs == []
+            assert rs_join(tree, [], 1).pairs == []
+            # tau=0 on an empty side is still a valid (empty) query.
+            assert rs_join([], tree, 0).pairs == []
         assert rs_join([], [], 1).pairs == []
-        # tau=0 on an empty side is still a valid (empty) query.
-        assert rs_join([], tree, 0).pairs == []
 
     def test_tau_zero_exact_duplicates_only(self, rng):
         base = make_random_tree(rng, 7)
