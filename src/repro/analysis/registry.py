@@ -29,8 +29,8 @@ __all__ = [
 
 # -- JoinStats.extra ---------------------------------------------------------
 # Written by the serial driver (repro.core.join), the sharded executor
-# (repro.parallel.executor), the verification layer (repro.baselines.common,
-# repro.parallel.verify_pool), the baselines and the session layer.
+# (repro.parallel.executor), the verification layer
+# (repro.baselines.common), the baselines and the session layer.
 JOIN_EXTRA_COUNTERS: dict[str, str] = {
     # probe/insert loop (core.join._ProbeCounters.as_dict)
     "probe_hits": "indexed subgraphs whose depth-2 key (root twig plus "
@@ -62,14 +62,13 @@ JOIN_EXTRA_COUNTERS: dict[str, str] = {
     "ted_early_exits": "banded TED runs cut short by the early exit",
     "certified": "candidate pairs whose preorder alignment kept postorder "
                  "order, so its cost is the exact distance (no DP)",
-    # parallel execution (parallel.executor / parallel.verify_pool)
+    # PartSJ's sharded execution (parallel.executor); a serial join and a
+    # baseline write none of these
     "workers": "worker processes the run used",
     "shards": "per-shard timing summaries (list)",
     "band_time": "handoff-band insert wall seconds summed across shards",
     "plan_time": "shard-planning wall seconds",
     "candidate_wall_time": "shard-stage wall seconds (filter plus verify)",
-    "verify_wall_time": "verification-stage wall seconds",
-    "verify_chunks": "verification chunks dispatched",
     # supervised-dispatch failure accounting (resilience.supervisor)
     "retries": "tasks re-dispatched after a failure",
     "worker_failures": "worker crashes, remote raises, corrupt envelopes",

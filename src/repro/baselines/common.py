@@ -94,7 +94,6 @@ __all__ = [
     "JoinStats",
     "JoinResult",
     "Verifier",
-    "DeferredVerification",
     "SizeSortedCollection",
     "check_join_inputs",
 ]
@@ -361,57 +360,6 @@ def _keeps_postorder(
     partner = dict(zip(first, second))
     seconds = list(map(partner.__getitem__, sorted(first)))
     return seconds == sorted(seconds)
-
-
-class DeferredVerification:
-    """Candidate sink for a baseline join running with ``workers > 1``.
-
-    The four baselines share the same parallel shape: the candidate loop
-    stays serial (it is method-specific and cheap relative to TED), but
-    instead of verifying inline it collects the pairs here and resolves
-    them through the shared verification pool at the end
-    (:func:`repro.parallel.verify_pool.parallel_verify`), whose workers
-    run the same :class:`Verifier` pipeline the serial join would.
-
-    :meth:`resolve` fills the verification side of ``stats`` (``ted_calls``,
-    ``verify_time`` as summed worker CPU seconds, the verifier breakdown
-    counters, plus ``workers`` / ``verify_chunks`` / ``verify_wall_time``)
-    and returns the accepted pairs — exact distances, canonical order,
-    identical to inline verification.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self.pairs: list[tuple[int, int]] = []
-
-    def add(self, i: int, j: int) -> None:
-        self.pairs.append((i, j))
-
-    def resolve(
-        self, trees: Sequence[Tree], tau: int, stats: JoinStats
-    ) -> list[JoinPair]:
-        # Local import: repro.parallel builds on this module.
-        from repro.parallel.verify_pool import parallel_verify
-
-        verified, verify_stats = parallel_verify(
-            trees, tau, self.pairs, self.workers
-        )
-        stats.ted_calls = verify_stats["ted_calls"]
-        stats.verify_time = verify_stats["verify_time"]
-        for key in Verifier.EXTRA_COUNTERS:
-            stats.extra[key] = verify_stats[key]
-        stats.extra["workers"] = self.workers
-        stats.extra["verify_chunks"] = verify_stats["verify_chunks"]
-        stats.extra["verify_wall_time"] = round(
-            verify_stats["verify_wall_time"], 6
-        )
-        # Supervised-dispatch failure accounting (present only when the
-        # verify stage actually saw worker failures; see repro.resilience).
-        for key in ("retries", "worker_failures", "timeouts",
-                    "degraded_serial_tasks"):
-            if key in verify_stats:
-                stats.extra[key] = verify_stats[key]
-        return verified
 
 
 class SizeSortedCollection:

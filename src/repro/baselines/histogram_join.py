@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.baselines.common import (
-    DeferredVerification,
     JoinResult,
     JoinStats,
     SizeSortedCollection,
@@ -26,13 +25,8 @@ from repro.tree.node import Tree
 __all__ = ["histogram_join"]
 
 
-def histogram_join(
-    trees: Sequence[Tree], tau: int, workers: int = 1
-) -> JoinResult:
+def histogram_join(trees: Sequence[Tree], tau: int) -> JoinResult:
     """Similarity self-join with label and degree histogram filters.
-
-    ``workers > 1`` verifies candidates in parallel through the shared
-    verification pool (identical pairs and distances).
 
     >>> a = Tree.from_bracket("{a{b}{c}}")
     >>> b = Tree.from_bracket("{a{b}}")
@@ -43,7 +37,6 @@ def histogram_join(
     stats = JoinStats(method="HST", tau=tau, tree_count=len(trees))
     collection = SizeSortedCollection(trees)
     verifier = Verifier(trees, tau)
-    deferred = DeferredVerification(workers) if workers > 1 else None
 
     # The histogram filters read the verifier's per-tree records: each
     # label/degree bag is built lazily on first touch and shared.
@@ -73,20 +66,14 @@ def histogram_join(
             continue
 
         stats.candidates += 1
-        if deferred is not None:
-            deferred.add(i, j)
-            continue
         distance = verifier.verify(i, j)
         if distance is not None:
             pairs.append(collection.make_pair(pos_a, pos_b, distance))
 
     stats.probe_time = stats.candidate_time  # filter-only: no insert phase
-    if deferred is not None:
-        pairs.extend(deferred.resolve(trees, tau, stats))
-    else:
-        stats.ted_calls = verifier.stats_ted_calls
-        stats.verify_time = verifier.stats_time
-        stats.extra.update(verifier.extra_stats())
+    stats.ted_calls = verifier.stats_ted_calls
+    stats.verify_time = verifier.stats_time
+    stats.extra.update(verifier.extra_stats())
     stats.results = len(pairs)
     stats.extra["pruned_by_labels"] = pruned_labels
     stats.extra["pruned_by_degrees"] = pruned_degrees

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.baselines.common import (
-    DeferredVerification,
     JoinResult,
     JoinStats,
     SizeSortedCollection,
@@ -31,7 +30,6 @@ def nested_loop_join(
     trees: Sequence[Tree],
     tau: int,
     use_bounds: bool = True,
-    workers: int = 1,
 ) -> JoinResult:
     """Exact similarity self-join by nested loops over the size window.
 
@@ -45,9 +43,6 @@ def nested_loop_join(
         Screen pairs with precomputed lower bounds (label bags ``L1/2``,
         degree histograms ``L1/3``, binary branch bags ``L1/5``) before
         exact TED.  The result set is identical either way.
-    workers:
-        With ``workers > 1`` candidates are verified in parallel through
-        the shared verification pool (identical pairs and distances).
 
     >>> a = Tree.from_bracket("{a{b}{c}}")
     >>> b = Tree.from_bracket("{a{b}}")
@@ -58,7 +53,6 @@ def nested_loop_join(
     stats = JoinStats(method="NL", tau=tau, tree_count=len(trees))
     collection = SizeSortedCollection(trees)
     verifier = Verifier(trees, tau)
-    deferred = DeferredVerification(workers) if workers > 1 else None
 
     feats = []
     if use_bounds:
@@ -82,19 +76,13 @@ def nested_loop_join(
             if pruned:
                 continue
         stats.candidates += 1
-        if deferred is not None:
-            deferred.add(i, j)
-            continue
         distance = verifier.verify(i, j)
         if distance is not None:
             pairs.append(collection.make_pair(pos_a, pos_b, distance))
     stats.probe_time = stats.candidate_time  # filter-only: no insert phase
-    if deferred is not None:
-        pairs.extend(deferred.resolve(trees, tau, stats))
-    else:
-        stats.ted_calls = verifier.stats_ted_calls
-        stats.verify_time = verifier.stats_time
-        stats.extra.update(verifier.extra_stats())
+    stats.ted_calls = verifier.stats_ted_calls
+    stats.verify_time = verifier.stats_time
+    stats.extra.update(verifier.extra_stats())
     stats.results = len(pairs)
     pairs.sort(key=lambda p: p.key())
     return JoinResult(pairs=pairs, stats=stats)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.baselines.common import (
-    DeferredVerification,
     JoinResult,
     JoinStats,
     SizeSortedCollection,
@@ -31,13 +30,8 @@ from repro.tree.node import Tree
 __all__ = ["set_join"]
 
 
-def set_join(
-    trees: Sequence[Tree], tau: int, workers: int = 1
-) -> JoinResult:
+def set_join(trees: Sequence[Tree], tau: int) -> JoinResult:
     """Similarity self-join with the binary branch filter.
-
-    ``workers > 1`` verifies candidates in parallel through the shared
-    verification pool (identical pairs and distances).
 
     >>> a = Tree.from_bracket("{a{b}{c}}")
     >>> b = Tree.from_bracket("{a{b}}")
@@ -48,7 +42,6 @@ def set_join(
     stats = JoinStats(method="SET", tau=tau, tree_count=len(trees))
     collection = SizeSortedCollection(trees)
     verifier = Verifier(trees, tau)
-    deferred = DeferredVerification(workers) if workers > 1 else None
 
     # Branch bags are views of the verifier's per-tree records (only the
     # branch view is built here; the rest stays lazy).
@@ -70,20 +63,14 @@ def set_join(
             continue
 
         stats.candidates += 1
-        if deferred is not None:
-            deferred.add(i, j)
-            continue
         distance = verifier.verify(i, j)
         if distance is not None:
             pairs.append(collection.make_pair(pos_a, pos_b, distance))
 
     stats.probe_time = stats.candidate_time  # filter-only: no insert phase
-    if deferred is not None:
-        pairs.extend(deferred.resolve(trees, tau, stats))
-    else:
-        stats.ted_calls = verifier.stats_ted_calls
-        stats.verify_time = verifier.stats_time
-        stats.extra.update(verifier.extra_stats())
+    stats.ted_calls = verifier.stats_ted_calls
+    stats.verify_time = verifier.stats_time
+    stats.extra.update(verifier.extra_stats())
     stats.results = len(pairs)
     stats.extra["pruned_by_bib"] = pruned
     pairs.sort(key=lambda p: p.key())

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.baselines.common import (
-    DeferredVerification,
     JoinResult,
     JoinStats,
     SizeSortedCollection,
@@ -45,7 +44,6 @@ def str_join(
     trees: Sequence[Tree],
     tau: int,
     banded: bool = True,
-    workers: int = 1,
 ) -> JoinResult:
     """Similarity self-join with the traversal-string filter.
 
@@ -61,10 +59,6 @@ def str_join(
         enormous candidate-generation bars in Figure 10).
         ``banded=False`` reproduces the paper-faithful cost profile; the
         candidate and result sets are identical either way.
-    workers:
-        With ``workers > 1`` candidates are verified in parallel through
-        :func:`repro.parallel.verify_pool.parallel_verify` (identical
-        pairs and distances).
 
     >>> a = Tree.from_bracket("{a{b}{c}}")
     >>> b = Tree.from_bracket("{a{b}}")
@@ -76,7 +70,6 @@ def str_join(
     stats.extra["banded"] = banded
     collection = SizeSortedCollection(trees)
     verifier = Verifier(trees, tau)
-    deferred = DeferredVerification(workers) if workers > 1 else None
 
     # Traversals are read once per tree, not once per pair: views of the
     # verifier's per-tree records, as codes for the threshold kernel or
@@ -129,20 +122,14 @@ def str_join(
             continue
 
         stats.candidates += 1
-        if deferred is not None:
-            deferred.add(i, j)
-            continue
         distance = verifier.verify(i, j)
         if distance is not None:
             pairs.append(collection.make_pair(pos_a, pos_b, distance))
 
     stats.probe_time = stats.candidate_time  # filter-only: no insert phase
-    if deferred is not None:
-        pairs.extend(deferred.resolve(trees, tau, stats))
-    else:
-        stats.ted_calls = verifier.stats_ted_calls
-        stats.verify_time = verifier.stats_time
-        stats.extra.update(verifier.extra_stats())
+    stats.ted_calls = verifier.stats_ted_calls
+    stats.verify_time = verifier.stats_time
+    stats.extra.update(verifier.extra_stats())
     stats.results = len(pairs)
     stats.extra["pruned_by_preorder"] = pruned_pre
     stats.extra["pruned_by_postorder"] = pruned_post

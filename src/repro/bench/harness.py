@@ -55,8 +55,9 @@ class CellResult:
     # baselines probe_time == candidate_time and index_time == 0.
     probe_time: float = 0.0
     index_time: float = 0.0
-    # Worker processes the join ran with.  For workers > 1 the phase times
-    # above are summed worker CPU seconds; wall_time is what speeds up.
+    # Worker processes the join ran with: the plan's count, so 1 for every
+    # series but PRT.  For workers > 1 the phase times above are summed
+    # worker CPU seconds; wall_time is what speeds up.
     workers: int = 1
     extra: dict = field(default_factory=dict)
 
@@ -105,9 +106,10 @@ def run_cell(
 
     ``str_banded`` defaults to ``False`` so that the ``STR`` series pays the
     paper-faithful full string DP (see ``repro.baselines.str_join``).
-    ``workers`` sweeps the parallel executor (``1`` = serial engine); the
-    result set is identical at every setting, so worker-count figures plot
-    ``wall_time`` against the serial baseline.
+    ``workers`` sweeps PartSJ's parallel executor (``1`` = serial engine;
+    the other series always run serially, and the cell records the plan's
+    count); the result set is identical at every setting, so worker-count
+    figures plot ``wall_time`` against the serial baseline.
     """
     if method not in METHOD_LABELS:
         raise InvalidParameterError(
@@ -124,9 +126,10 @@ def run_cell(
         trees if isinstance(trees, TreeCollection)
         else TreeCollection.from_trees(trees)
     )
-    result = collection.join(
+    plan = collection.join(
         tau, method=registry_name, workers=workers, **options
-    ).run()
+    )
+    result = plan.run()
     wall = time.perf_counter() - started
     stats = result.stats
     return CellResult(
@@ -143,7 +146,7 @@ def run_cell(
         wall_time=wall,
         probe_time=stats.probe_time,
         index_time=stats.index_time,
-        workers=workers,
+        workers=plan.workers,
         extra=dict(stats.extra),
     )
 

@@ -166,10 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "filter config, shard plan, index stats) before "
                            "running it")
     join.add_argument("--workers", type=int, default=1,
-                      help="worker processes (1 = serial; results identical; "
-                           "per-shard timings appear under extra.shards in "
-                           "--json output); --stream runs serially and "
-                           "accepts only 1")
+                      help="partsj: worker processes (1 = serial; results "
+                           "identical; per-shard timings appear under "
+                           "extra.shards in --json output); the other "
+                           "methods run in this process and report 1; "
+                           "--stream runs serially and accepts only 1")
     join.add_argument("--save-index", metavar="PATH", default=None,
                       help="after the join(s), save the prepared session as "
                            "a checksummed snapshot sidecar (trees stay in "
@@ -238,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--quiet", action="store_true",
                             help="suppress per-cell progress lines")
     experiment.add_argument("--workers", type=int, default=1,
-                            help="worker processes per join (1 = serial)")
+                            help="worker processes per PRT join (1 = "
+                                 "serial); the other series run in this "
+                                 "process and report 1")
     return parser
 
 
@@ -584,7 +587,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 print(f"# plan: {json.dumps(explain, sort_keys=True)}")
         result = plan.run(trace=tracer)
         if args.json:
-            payload = _join_payload(result, args.workers)
+            payload = _join_payload(result, plan.workers)
             if args.explain:
                 payload["plan"] = explain
             payloads.append(payload)

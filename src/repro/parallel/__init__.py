@@ -1,7 +1,7 @@
-"""``repro.parallel``: the sharded multiprocess join executor.
+"""``repro.parallel``: the sharded multiprocess PartSJ executor.
 
-Scales the size-sorted join loop across worker processes while keeping
-results bit-identical to the serial engine:
+Scales PartSJ's size-sorted join loop across worker processes while
+keeping results bit-identical to the serial engine:
 
 - :mod:`~repro.parallel.sharding` — cost-balanced shard planning over the
   collection's size histogram, with the tau-wide handoff band that makes
@@ -9,14 +9,12 @@ results bit-identical to the serial engine:
 - :mod:`~repro.parallel.executor` — pool lifecycle and the one
   supervised stage in which every shard probes, inserts and verifies its
   own trees, plus the deterministic stats merge;
-- :mod:`~repro.parallel.verify_pool` — the baselines' chunked parallel
-  verification;
 - :mod:`~repro.parallel.worker` — per-process state (the inherited
-  ``Tree`` list, a persistent ``Verifier`` for verify chunks) and the
-  task functions.
+  ``Tree`` list) and the shard task.
 
-It serves batch joins only: a stream verifies inline, in its own
-process.  Entry points: ``TreeCollection.join(..., workers=N)`` (and
+It serves PartSJ's batch joins only.  The baselines and streams verify
+each candidate inline, in the calling process, at any ``workers``.
+Entry points: ``TreeCollection.join(..., workers=N)`` (and
 ``join_with``), ``PartSJConfig(workers=N)``, or the CLI's
 ``join --workers`` and ``experiment --workers``.
 """
@@ -28,7 +26,6 @@ from repro.parallel.sharding import (
     estimated_probe_cost,
     plan_shards,
 )
-from repro.parallel.verify_pool import chunk_pairs, parallel_verify
 
 __all__ = [
     "ShardPlan",
@@ -36,6 +33,4 @@ __all__ = [
     "estimated_probe_cost",
     "plan_shards",
     "parallel_partsj_join",
-    "chunk_pairs",
-    "parallel_verify",
 ]

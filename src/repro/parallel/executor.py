@@ -99,7 +99,7 @@ def _create_pool(
     trees: Sequence[Tree],
     tau: int,
     workers: int,
-    config: Optional[PartSJConfig],
+    config: PartSJConfig,
     injector: Optional[FaultInjector],
 ):
     """A pool whose workers hold the collection (see worker.py)."""

@@ -5,18 +5,13 @@ initializer, as the ``Tree`` list itself: a fork pool's children inherit
 it without any serialization, and a spawn pool pickles it as bracket text
 (``Tree.__reduce__``).  Task payloads then stay small: a
 :class:`~.sharding.ShardPlan` going in and a :class:`~.sharding.ShardResult`
-coming back, or a chunk of candidate pairs going in and its accepted
-triples coming back.
+coming back.
 
-A shard task runs the serial loop of Algorithm 1 over its handoff band
-and owned trees — probe, insert, verify — with one record store shared by
-its driver and its verifier, and returns only result triples and
-counters.  The verify-chunk task serves the baselines' parallel
-verification (:func:`repro.parallel.verify_pool.parallel_verify`): its
-:class:`repro.baselines.common.Verifier` is created once per process on
-first use and kept for the rest of the pool's life, so the views memoized
-on its per-tree records amortize across chunks exactly as they do across
-candidates in a serial run.
+The one task is PartSJ's shard: it runs the serial loop of Algorithm 1
+over its handoff band and owned trees — probe, insert, verify — with one
+record store shared by its driver and its verifier, and returns only
+result triples and counters.  The baselines never come here: they verify
+each candidate inline, in the calling process.
 """
 
 from __future__ import annotations
@@ -39,8 +34,6 @@ __all__ = [
     "execute_shard",
     "init_worker",
     "run_shard_task",
-    "verify_chunk_task",
-    "verify_pairs",
 ]
 
 
@@ -62,20 +55,13 @@ class _WorkerState:
         self,
         trees: Sequence[Tree],
         tau: int,
-        config: Optional[PartSJConfig],
+        config: PartSJConfig,
         injector: Optional[FaultInjector] = None,
     ):
         self.trees = trees
         self.tau = tau
         self.config = config
         self.injector = injector
-        self._verifier: Optional[Verifier] = None
-
-    @property
-    def verifier(self) -> Verifier:
-        if self._verifier is None:
-            self._verifier = Verifier(self.trees, self.tau)
-        return self._verifier
 
 
 _STATE: Optional[_WorkerState] = None
@@ -84,7 +70,7 @@ _STATE: Optional[_WorkerState] = None
 def init_worker(
     trees: Sequence[Tree],
     tau: int,
-    config: Optional[PartSJConfig] = None,
+    config: PartSJConfig,
     injector: Optional[FaultInjector] = None,
 ) -> None:
     """Pool initializer: install the collection in this worker process."""
@@ -101,27 +87,10 @@ def _require_state() -> _WorkerState:
     return _STATE
 
 
-def _sealed(
-    injector: Optional[FaultInjector], task_id: str, attempt: int, run, *args
-) -> tuple:
-    """``run(*args)`` as one supervised task → sealed result envelope.
-
-    Applies any injected fault for this ``(task, attempt)``, then seals
-    the result with an integrity CRC so the supervisor can detect
-    corruption in transit.
-    """
-    if injector is not None:
-        injector.fire(task_id, attempt)
-    envelope = seal(run(*args))
-    if injector is not None and injector.corrupts(task_id, attempt):
-        envelope = corrupt_envelope(envelope)
-    return envelope
-
-
 def execute_shard(
     trees: Sequence[Tree],
     tau: int,
-    config: Optional[PartSJConfig],
+    config: PartSJConfig,
     plan: ShardPlan,
 ) -> ShardResult:
     """Probe, insert and verify one shard, against any tree sequence.
@@ -189,50 +158,17 @@ def run_shard_task(task: tuple) -> tuple:
     """Supervised shard task: ``(task_id, attempt, plan)`` → sealed result.
 
     Entry point of :class:`repro.resilience.PoolSupervisor` dispatch: runs
-    :func:`execute_shard` over this worker's installed collection.
+    :func:`execute_shard` over this worker's installed collection.  Any
+    fault injected for this ``(task, attempt)`` fires first; the result
+    is sealed with an integrity CRC so the supervisor can detect
+    corruption in transit.
     """
     task_id, attempt, plan = task
     state = _require_state()
-    return _sealed(state.injector, task_id, attempt, execute_shard,
-                   state.trees, state.tau, state.config, plan)
-
-
-def verify_pairs(
-    verifier: Verifier, pairs: Sequence[tuple[int, int]]
-) -> tuple[list[tuple[int, int, int]], dict]:
-    """Verify ``pairs`` on ``verifier``; return accepted triples + deltas.
-
-    The shared verification loop of the verify-chunk tasks and their
-    parent-side degradation fallback — so per-pair outcomes (and the stat
-    deltas) are identical wherever a chunk ends up running.
-    """
-    before = verifier.counters()
-    time_before = verifier.stats_time
-    accepted: list[tuple[int, int, int]] = []
-    for i, j in pairs:
-        distance = verifier.verify(i, j)
-        if distance is not None:
-            lo, hi = (i, j) if i < j else (j, i)
-            accepted.append((lo, hi, distance))
-    stats = {
-        name: value - before[name]
-        for name, value in verifier.counters().items()
-    }
-    stats["verify_time"] = verifier.stats_time - time_before
-    return accepted, stats
-
-
-def verify_chunk_task(task: tuple) -> tuple:
-    """Supervised verify task: ``(task_id, attempt, chunk)`` → sealed result.
-
-    Verifies one batch of candidate pairs on this worker's persistent
-    verifier and returns the accepted ``(i, j, distance)`` triples
-    (``i < j``) plus the chunk's verification-stat deltas; per-pair
-    outcomes are independent of batching, so any chunking of the same
-    pair set merges to identical totals.
-    """
-    task_id, attempt, chunk = task
-    state = _require_state()
-    return _sealed(state.injector, task_id, attempt, verify_pairs,
-                   state.verifier, chunk)
-
+    injector = state.injector
+    if injector is not None:
+        injector.fire(task_id, attempt)
+    envelope = seal(execute_shard(state.trees, state.tau, state.config, plan))
+    if injector is not None and injector.corrupts(task_id, attempt):
+        envelope = corrupt_envelope(envelope)
+    return envelope

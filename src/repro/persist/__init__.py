@@ -21,7 +21,7 @@ implicit sidecar loads warn and fall back to a cold rebuild, never a
 wrong answer.
 """
 
-from repro.persist.atomic import atomic_write_bytes, replace_on_success
+from repro.persist.atomic import replace_on_success
 from repro.persist.container import (
     FORMAT_VERSION,
     inspect_container,
@@ -42,7 +42,6 @@ __all__ = [
     "SNAPSHOT_SUFFIX",
     "WAL_FSYNC_POLICIES",
     "StreamWAL",
-    "atomic_write_bytes",
     "inspect_container",
     "load_collection",
     "read_container",

@@ -24,7 +24,7 @@ import os
 from pathlib import Path
 from typing import Iterator
 
-__all__ = ["replace_on_success", "atomic_write_bytes", "fsync_file"]
+__all__ = ["replace_on_success", "fsync_file"]
 
 
 def fsync_file(path: Path) -> None:
@@ -73,10 +73,3 @@ def replace_on_success(path: str | Path) -> Iterator[Path]:
     finally:
         with contextlib.suppress(OSError):
             tmp.unlink()
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` with the full atomic discipline."""
-    with replace_on_success(path) as tmp:
-        with open(tmp, "wb") as handle:
-            handle.write(data)

@@ -35,7 +35,6 @@ per-section sizes and CRC status without raising on checksum damage.
 
 from __future__ import annotations
 
-import io
 import struct
 import zlib
 from pathlib import Path
@@ -96,17 +95,6 @@ def _write_frames(handle, sections, library_version, format_version) -> None:
     handle.seek(count_at)
     handle.write(_U32.pack(count))
     handle.seek(end)
-
-
-def encode_container(
-    sections: Iterable[tuple[str, Payload]],
-    library_version: str,
-    format_version: int = FORMAT_VERSION,
-) -> bytes:
-    """The container bytes for ``sections`` (ordered name/payload pairs)."""
-    out = io.BytesIO()
-    _write_frames(out, sections, library_version, format_version)
-    return out.getvalue()
 
 
 def write_container(

@@ -1,7 +1,8 @@
-"""Fault tolerance for the parallel execution tier.
+"""Fault tolerance for PartSJ's sharded executor.
 
 The package bundles three pieces, threaded through :mod:`repro.parallel`
-(a stream verifies inline, in its own process, and uses none of them):
+(the baselines and streams verify inline, in the calling process, and use
+none of them):
 
 - :class:`RetryPolicy` — attempts, per-task timeouts, exponential
   backoff with deterministic seeded jitter, and the graceful-degradation
@@ -15,7 +16,7 @@ The package bundles three pieces, threaded through :mod:`repro.parallel`
   worker pool: detect, retry, degrade, account
   (:mod:`repro.resilience.supervisor`).
 
-The invariant all of it preserves: ``TreeCollection.join(tau,
+The invariant all of it preserves: a PartSJ ``TreeCollection.join(tau,
 workers=N)`` returns **bit-identical results** under any injected (or
 real) worker failure, as long as graceful degradation is enabled — the
 failure surface moves into statistics, not into results.

@@ -2,13 +2,12 @@
 
 The chaos-testing half of the resilience layer: a :class:`FaultInjector`
 carries a set of :class:`FaultRule` entries keyed on supervised task ids
-(``shard:2`` for a PartSJ shard, ``verify:0`` for a baseline verify
-chunk — glob patterns allowed) and fires the configured fault when a
-matching task executes.  The spec parser accepts any task id; only these
-two kinds are ever dispatched.  It is a frozen dataclass, so it travels
-to worker processes through pool initializers and can sit on
-:class:`repro.core.join.PartSJConfig` without breaking the session cache
-keys.
+(``shard:2`` for a PartSJ shard — glob patterns allowed) and fires the
+configured fault when a matching task executes.  The spec parser accepts
+any task id; only ``shard:<n>`` tasks are ever dispatched.  It is a
+frozen dataclass, so it travels to worker processes through pool
+initializers and can sit on :class:`repro.core.join.PartSJConfig`
+without breaking the session cache keys.
 
 Fault kinds
 -----------
@@ -29,7 +28,7 @@ serial degradation path.
 Spec strings (``REPRO_FAULT_SPEC`` or :meth:`FaultInjector.from_spec`)
 are comma-separated ``task[@attempt]=kind[:arg]`` entries, e.g.::
 
-    REPRO_FAULT_SPEC="shard:0@1=crash,verify:*@1=hang:30"
+    REPRO_FAULT_SPEC="shard:0@1=crash,shard:*@2=hang:30"
 
 Result envelopes
 ----------------

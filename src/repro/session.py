@@ -61,9 +61,10 @@ validation (``tau``, ``workers``) is centralized in :mod:`repro.params`.
 
 Failure semantics
 -----------------
-Every multi-process execution path (``workers > 1`` joins and R×S
-joins) runs under **supervised dispatch** (:mod:`repro.resilience`).
-The contract, in order of escalation:
+The one multi-process execution path, a PartSJ join (or R×S join) with
+``workers > 1``, runs under **supervised dispatch**
+(:mod:`repro.resilience`).  The baselines and streams run in the calling
+process.  The contract, in order of escalation:
 
 1. **Detect** — each dispatched task carries a per-task deadline
    (``RetryPolicy.task_timeout``) and the supervisor health-checks worker
@@ -74,9 +75,9 @@ The contract, in order of escalation:
    backoff (seeded jitter, so runs are reproducible).
 3. **Degrade** — tasks that exhaust the policy are re-executed serially
    in-process (``RetryPolicy.degradation``, on by default).  Degraded
-   execution uses the same pure per-shard/per-chunk computation, so
-   results stay **bit-identical to the serial engine** no matter how
-   many workers die.  With ``degradation=False`` the error escapes as
+   execution uses the same pure per-shard computation, so results stay
+   **bit-identical to the serial engine** no matter how many workers
+   die.  With ``degradation=False`` the error escapes as
    :class:`~repro.errors.WorkerFailureError` or
    :class:`~repro.errors.TaskTimeoutError`.
 
@@ -87,9 +88,9 @@ All swallowed failures are accounted for in ``JoinStats.extra``
 :class:`~repro.core.join.PartSJConfig` (``retry=RetryPolicy(...)``,
 ``fault_injector=FaultInjector(...)`` — deterministic fault injection
 for tests, also settable via the ``REPRO_FAULT_SPEC`` environment
-variable).  A stream runs in one process and ignores these knobs: it
-verifies each candidate inline, and a verification that raises
-propagates out of ``add()``, as in a serial join.  Streaming ingest has
+variable).  The baselines and streams ignore them: they verify each
+candidate inline, and a verification that raises propagates out of
+``run()`` or ``add()``, as in a serial join.  Streaming ingest has
 its own channel for malformed input: it is rejected
 (``on_error="fail"``) or quarantined with counts in
 ``StreamStats.quarantined_trees`` (``on_error="skip"``).
@@ -761,9 +762,9 @@ class TreeCollection:
         workers:
             Worker process count (default ``1`` = serial, in-process).
             PartSJ shards the join across the workers, and each shard
-            verifies its own candidates; the baselines generate
-            candidates serially and verify them in the parallel verify
-            pool (:mod:`repro.parallel`).  Results are bit-identical at
+            verifies its own candidates (:mod:`repro.parallel`).  The
+            baselines run in this process at any setting, and the plan
+            reports ``workers`` 1 for them.  Results are bit-identical at
             every setting.
         config:
             PartSJ's filter configuration (:class:`PartSJConfig`), or
@@ -963,6 +964,9 @@ class JoinPlan(QueryPlan):
                 )
             self.config = None
             self.options = dict(options)
+            # A baseline verifies each candidate inline, in this process,
+            # whatever ``workers`` asked for.
+            self.workers = 1
 
     def _cache_key(self) -> Optional[tuple]:
         if self.config is not None:
@@ -1002,10 +1006,7 @@ class JoinPlan(QueryPlan):
                 result = self._run_partsj(tracer)
             else:
                 impl = _BASELINE_IMPLS[self.method]
-                options = dict(self.options)
-                if self.workers != 1:
-                    options["workers"] = self.workers
-                result = impl(col.trees, self.tau, **options)
+                result = impl(col.trees, self.tau, **self.options)
             sp.set("results", len(result.pairs))
         publish_join_stats(result.stats)
         col._store_result(key, result)

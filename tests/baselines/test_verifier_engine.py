@@ -15,7 +15,7 @@ from repro.baselines.histogram_join import histogram_join
 from repro.baselines.nested_loop import nested_loop_join
 from repro.baselines.set_join import set_join
 from repro.baselines.str_join import str_join
-from repro.core.join import PartSJConfig, partsj_join
+from repro.core.join import partsj_join
 from repro.ted.zhang_shasha import zhang_shasha
 from tests.conftest import make_cluster_forest
 from tests.core.test_join_properties import clustered_forests
@@ -69,38 +69,16 @@ def test_verification_counters_surface_in_stats(rng, name, join):
     trees = make_cluster_forest(
         rng, clusters=3, cluster_size=4, base_size=10, max_edits=4
     )
-    extra = join(trees, 2).stats.extra
+    stats = join(trees, 2).stats
+    extra = stats.extra
     for key in Verifier.EXTRA_COUNTERS:
         assert key in extra, (name, key)
         assert extra[key] >= 0, (name, key)
-
-
-@pytest.mark.parametrize("name,join", ALL_JOINS)
-def test_funnel_agrees_across_worker_counts(rng, name, join):
-    # Each candidate is rejected by a bound, certified, or runs one DP, and
-    # which of the three it takes cannot depend on the worker count (the
-    # baselines' workers=2 path verifies (min, max) pairs; serial loops
-    # verify in their own orientation).
-    trees = make_cluster_forest(
-        rng, clusters=3, cluster_size=4, base_size=10, max_edits=4
-    )
-    runs = []
-    for workers in (1, 2):
-        if name == "PRT":
-            result = join(trees, 2, PartSJConfig(workers=workers))
-        else:
-            result = join(trees, 2, workers=workers)
-        stats = result.stats
-        assert stats.candidates == (
-            stats.extra["lb_filtered"] + stats.extra["certified"]
-            + stats.ted_calls
-        ), (name, workers)
-        runs.append((
-            result.pairs, stats.candidates, stats.ted_calls,
-            stats.extra["certified"], stats.extra["lb_filtered"],
-        ))
-    assert runs[0] == runs[1], name
-    assert runs[0][3] > 0, name
+    # Each candidate is rejected by a bound, certified, or runs one DP.
+    assert stats.candidates == (
+        extra["lb_filtered"] + extra["certified"] + stats.ted_calls
+    ), name
+    assert extra["certified"] > 0, name
 
 
 def test_partsj_filters_actually_fire(rng):

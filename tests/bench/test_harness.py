@@ -44,6 +44,20 @@ class TestRunCell:
             payload["candidate_time"] + payload["verify_time"], abs=2e-4
         )
 
+    def test_cell_records_the_workers_the_join_ran_with(self, forest):
+        # A baseline runs in this process at any workers; PRT shards.
+        serial = run_cell("e", "d", forest, 2, "STR", "tau", 2)
+        asked = run_cell("e", "d", forest, 2, "STR", "tau", 2, workers=2)
+        assert asked.workers == 1
+        counts = ("candidates", "results", "ted_calls")
+        assert [getattr(asked, k) for k in counts] == [
+            getattr(serial, k) for k in counts
+        ]
+        assert asked.extra == serial.extra
+        assert run_cell(
+            "e", "d", forest, 2, "PRT", "tau", 2, workers=2
+        ).workers == 2
+
     def test_str_banded_flag_recorded(self, forest):
         banded = run_cell("e", "d", forest, 1, "STR", "tau", 1, str_banded=True)
         full = run_cell("e", "d", forest, 1, "STR", "tau", 1, str_banded=False)

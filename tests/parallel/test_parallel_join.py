@@ -4,7 +4,8 @@ The acceptance bar of the subsystem: at every ``workers`` setting the join
 returns a **bit-identical** result — same pair set, same exact distances,
 same canonical ordering — including degenerate shard layouts (all trees
 one size, collections smaller than the worker count, empty ranges).  Real
-worker pools are started, so the workloads are kept small.
+worker pools are started, so the workloads are kept small.  The baselines
+start none: they run in the calling process at any ``workers``.
 """
 
 import json
@@ -13,12 +14,9 @@ import random
 
 import pytest
 
-from repro.baselines.histogram_join import histogram_join
-from repro.baselines.nested_loop import nested_loop_join
-from repro.baselines.set_join import set_join
-from repro.baselines.str_join import str_join
 from repro.cli import main
 from repro.core.join import PartSJConfig, partsj_join
+from repro.datasets.io import save_trees
 from repro.errors import InvalidParameterError
 from repro.parallel import executor
 from repro.parallel.executor import parallel_partsj_join
@@ -48,7 +46,7 @@ SERIAL_COUNTERS = (
     "probe_hits", "match_tests", "match_hits", "dedup_skips", "screened",
     "small_pool_pairs", "partitioned_trees", "small_trees",
     "subgraphs_built", "gamma_total", "lb_filtered", "ub_accepted",
-    "ted_early_exits",
+    "ted_early_exits", "certified",
 )
 
 
@@ -180,13 +178,11 @@ class TestExecutorConfig:
 
 
 class TestParallelVerificationAllMethods:
+    # PartSJ is the one method that verifies in worker processes; the
+    # baselines' workers=2 runs are TestBaselinesRunInline's.
     @pytest.mark.parametrize("join", [
         lambda t, tau, w: partsj_join(t, tau, PartSJConfig(workers=w)),
-        lambda t, tau, w: str_join(t, tau, workers=w),
-        lambda t, tau, w: set_join(t, tau, workers=w),
-        lambda t, tau, w: histogram_join(t, tau, workers=w),
-        lambda t, tau, w: nested_loop_join(t, tau, workers=w),
-    ], ids=["partsj", "str", "set", "histogram", "nested_loop"])
+    ], ids=["partsj"])
     def test_each_method_identical_with_two_workers(self, join):
         trees = make_workload(555)
         serial = join(trees, 2, 1)
@@ -195,11 +191,99 @@ class TestParallelVerificationAllMethods:
         assert parallel.stats.candidates == serial.stats.candidates
         assert parallel.stats.ted_calls == serial.stats.ted_calls
 
-    def test_str_unbanded_parallel(self):
-        trees = make_workload(666)
-        serial = str_join(trees, 2, banded=False)
-        parallel = str_join(trees, 2, banded=False, workers=2)
-        assert triples(parallel) == triples(serial)
+
+# The verifier funnel counters a baseline join reports.
+BASELINE_COUNTERS = ("lb_filtered", "certified", "ub_accepted",
+                     "ted_early_exits")
+
+
+def funnel(result):
+    stats = result.stats
+    return (
+        triples(result), stats.candidates, stats.ted_calls,
+        stats.pairs_considered,
+        *(stats.extra[key] for key in BASELINE_COUNTERS),
+    )
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if anything starts a worker pool."""
+
+    def refuse():
+        raise AssertionError("a baseline join started a worker pool")
+
+    monkeypatch.setattr(executor, "pool_context", refuse)
+
+
+BASELINE_TAUS = pytest.mark.parametrize("tau", (0, 1, 2, 3))
+BASELINE_METHODS = pytest.mark.parametrize(
+    "method", ["str", "set", "histogram", "nested_loop"]
+)
+
+
+class TestBaselinesRunInline:
+    """A baseline asked for workers=2 runs the serial join in-process.
+
+    Each entry point is checked for every baseline at tau 0-3, with
+    ``pool_context`` patched to raise: the serial (workers=1) run and the
+    workers=2 run must agree on every pair, distance and funnel counter.
+    """
+
+    @BASELINE_TAUS
+    @BASELINE_METHODS
+    def test_session_join(self, method, tau, no_pool):
+        trees = make_workload(555)
+        serial = TreeCollection.from_trees(trees).join(
+            tau, method=method
+        ).run()
+        col = TreeCollection.from_trees(trees)
+        plan = col.join(tau, method=method, workers=2)
+        assert plan.explain()["workers"] == 1
+        assert "workers=1" in repr(plan)
+        result = plan.run()
+        assert funnel(result) == funnel(serial)
+        # One cache key: the serial plan is served the same result.
+        assert col.join(tau, method=method).run() is result
+
+    @BASELINE_TAUS
+    @BASELINE_METHODS
+    def test_join_with(self, method, tau, no_pool):
+        trees = make_workload(555)
+        # Half of the left side rides along, so every tau has R x S pairs.
+        right = trees[1::2] + make_workload(556)
+        serial = TreeCollection.from_trees(trees).join_with(
+            right, tau, method=method
+        ).run()
+        plan = TreeCollection.from_trees(trees).join_with(
+            right, tau, method=method, workers=2
+        )
+        assert plan.workers == 1
+        assert funnel(plan.run()) == funnel(serial)
+
+    @BASELINE_TAUS
+    @BASELINE_METHODS
+    def test_cli_join(self, method, tau, tmp_path, capsys, no_pool):
+        trees = make_workload(555)
+        serial = TreeCollection.from_trees(trees).join(
+            tau, method=method
+        ).run()
+        path = tmp_path / "forest.trees"
+        save_trees(trees, path)
+        assert main([
+            "join", str(path), "--tau", str(tau), "--method", method,
+            "--workers", "2", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pairs"] == [list(t) for t in triples(serial)]
+        stats = payload["stats"]
+        assert stats["workers"] == 1
+        assert (stats["candidates"], stats["ted_calls"]) == (
+            serial.stats.candidates, serial.stats.ted_calls
+        )
+        assert [stats["extra"][key] for key in BASELINE_COUNTERS] == [
+            serial.stats.extra[key] for key in BASELINE_COUNTERS
+        ]
 
 
 class TestSpawnContext:
@@ -223,18 +307,14 @@ class TestSpawnContext:
             return multiprocessing.get_context("spawn")
 
         monkeypatch.setattr(executor, "pool_context", spawn_context)
-        for join in (
-            lambda w: partsj_join(trees, 2, PartSJConfig(workers=w)),
-            lambda w: str_join(trees, 2, workers=w),
-        ):
-            serial = join(1)
-            assert (len(trees) - 2, len(trees) - 1) in {
-                p.key() for p in serial.pairs
-            }
-            parallel = join(2)
-            assert triples(parallel) == triples(serial)
-            assert parallel.stats.extra.get("worker_failures", 0) == 0
-        assert pools == ["spawn", "spawn"]  # one spawn pool per join
+        serial = partsj_join(trees, 2)
+        assert (len(trees) - 2, len(trees) - 1) in {
+            p.key() for p in serial.pairs
+        }
+        parallel = partsj_join(trees, 2, PartSJConfig(workers=2))
+        assert triples(parallel) == triples(serial)
+        assert parallel.stats.extra["worker_failures"] == 0
+        assert pools == ["spawn"]  # one spawn pool per join
 
 
 class TestCliWorkers:

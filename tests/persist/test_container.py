@@ -6,11 +6,10 @@ import zlib
 import pytest
 
 from repro.errors import SnapshotFormatError, SnapshotIntegrityError
-from repro.persist.atomic import atomic_write_bytes, replace_on_success
+from repro.persist.atomic import replace_on_success
 from repro.persist.container import (
     FORMAT_VERSION,
     MAGIC,
-    encode_container,
     inspect_container,
     read_container,
     write_container,
@@ -21,6 +20,12 @@ SECTIONS = [
     ("payload", bytes(range(256)) * 7),
     ("empty", b""),
 ]
+
+
+def container_bytes(path, sections=SECTIONS, library_version="1.0"):
+    """The bytes ``write_container`` puts at ``path``."""
+    write_container(path, sections, library_version=library_version)
+    return path.read_bytes()
 
 
 def frame_offsets(data: bytes):
@@ -68,9 +73,9 @@ class TestRoundTrip:
             len(p) for _, p in SECTIONS
         ]
 
-    def test_encoding_is_deterministic(self):
-        assert encode_container(SECTIONS, "1.0") == encode_container(
-            SECTIONS, "1.0"
+    def test_encoding_is_deterministic(self, tmp_path):
+        assert container_bytes(tmp_path / "a.snap") == container_bytes(
+            tmp_path / "b.snap"
         )
 
     def test_chunked_payloads_frame_like_whole_ones(self, tmp_path):
@@ -81,9 +86,9 @@ class TestRoundTrip:
              else [payload[:3], payload[3:]])
             for k, (name, payload) in enumerate(SECTIONS)
         ]
-        path = tmp_path / "c.snap"
-        write_container(path, chunked, library_version="1.0")
-        assert path.read_bytes() == encode_container(SECTIONS, "1.0")
+        assert container_bytes(tmp_path / "chunked.snap", chunked) == (
+            container_bytes(tmp_path / "whole.snap")
+        )
 
     def test_sections_are_views_into_one_read(self, tmp_path):
         path = tmp_path / "c.snap"
@@ -107,7 +112,7 @@ class TestStructuralDamage:
 
     def test_unsupported_format_version(self, tmp_path):
         path = tmp_path / "c.snap"
-        data = bytearray(encode_container(SECTIONS, "1.0"))
+        data = bytearray(container_bytes(path))
         struct.pack_into("<I", data, len(MAGIC), FORMAT_VERSION + 1)
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match="version"):
@@ -143,7 +148,7 @@ class TestStructuralDamage:
         # No CRC covers the header's library version, and nothing checks
         # it: bytes that are not UTF-8 read as replacement characters.
         path = tmp_path / "c.snap"
-        data = bytearray(encode_container(SECTIONS, "1.0"))
+        data = bytearray(container_bytes(path))
         data[len(MAGIC) + 4 + 2] = 0xFF
         path.write_bytes(bytes(data))
         library_version, sections = read_container(path)
@@ -178,15 +183,20 @@ class TestChecksumDamage:
         flags = {s["name"]: s["crc_ok"] for s in info["sections"]}
         assert flags == {"meta": True, "payload": False, "empty": True}
 
-    def test_crc_is_crc32_of_payload(self):
-        data = encode_container([("x", b"abc")], "1.0")
+    def test_crc_is_crc32_of_payload(self, tmp_path):
+        data = container_bytes(tmp_path / "c.snap", [("x", b"abc")])
         assert struct.pack("<I", zlib.crc32(b"abc") & 0xFFFFFFFF) in data
+
+
+def replace_with(path, data: bytes) -> None:
+    with replace_on_success(path) as tmp:
+        tmp.write_bytes(data)
 
 
 class TestAtomicWrites:
     def test_overwrite_is_all_or_nothing(self, tmp_path):
         path = tmp_path / "f.bin"
-        atomic_write_bytes(path, b"old contents")
+        replace_with(path, b"old contents")
         with pytest.raises(RuntimeError):
             with replace_on_success(path) as tmp:
                 tmp.write_bytes(b"half-writ")
@@ -196,7 +206,7 @@ class TestAtomicWrites:
 
     def test_successful_replace(self, tmp_path):
         path = tmp_path / "f.bin"
-        atomic_write_bytes(path, b"old")
-        atomic_write_bytes(path, b"new")
+        replace_with(path, b"old")
+        replace_with(path, b"new")
         assert path.read_bytes() == b"new"
         assert list(tmp_path.iterdir()) == [path]
