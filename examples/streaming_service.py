@@ -1,34 +1,26 @@
 #!/usr/bin/env python
-"""Streaming ingestion and search-as-a-service (``repro.stream``).
+"""Streaming ingestion and warm-index search (``repro.stream``).
 
 A log-deduplication scenario: structured event records arrive one at a
-time, and the service must (a) report each new record's near-duplicates
-*the moment it arrives* and (b) answer ad-hoc similarity queries from a
-warm index, without ever rebuilding anything.  Walks through:
+time, and a deduplicator must (a) report each new record's
+near-duplicates *the moment it arrives* and (b) answer ad-hoc similarity
+queries from a warm index, without ever rebuilding anything.  Walks
+through:
 
 1. ``StreamPlan(source, tau).iter()`` — the generator API: pairs
    yielded as they verify;
 2. ``StreamingJoin`` — the engine underneath: live stats, and the
    guarantee that streamed results equal a batch join of the prefix;
-3. ``StreamingJoin.searcher()`` — warm-index similarity search mid-ingest;
-4. ``StreamJoinService`` — the asyncio front end multiplexing concurrent
-   ingest and search clients.
+3. ``StreamingJoin.searcher()`` — warm-index similarity search mid-ingest.
 
 Run with::
 
     python examples/streaming_service.py
 """
 
-import asyncio
 import random
 
-from repro import (
-    StreamingJoin,
-    StreamJoinService,
-    StreamPlan,
-    Tree,
-    TreeCollection,
-)
+from repro import StreamingJoin, StreamPlan, Tree, TreeCollection
 
 
 def make_event(rng: random.Random, service_id: int, spans: int) -> Tree:
@@ -87,34 +79,6 @@ def main() -> None:
     print(f"query against the warm index: {len(hits)} events within "
           f"tau={tau} of event 5")
     assert any(h.index == 5 and h.distance == 0 for h in hits)
-
-    # -- 4. The asyncio service --------------------------------------------
-    async def scenario() -> tuple[int, int, int]:
-        async with StreamJoinService(tau) as service:
-            async def producer():
-                for event in events:
-                    await service.ingest(event)
-
-            async def client():
-                # Keep querying until the producer has fed everything;
-                # each answer covers exactly the prefix ingested so far.
-                searches = 0
-                while (await service.stats()).trees < len(events):
-                    await service.search(probe)
-                    searches += 1
-                return searches
-
-            _, mid_ingest_searches = await asyncio.gather(producer(), client())
-            final_hits = len(await service.search(probe))
-            results = await service.results()
-            return len(results), mid_ingest_searches, final_hits
-
-    pair_count, mid_ingest_searches, final_hits = asyncio.run(scenario())
-    assert pair_count == len(batch.pairs)
-    assert final_hits == len(hits)  # same warm answer as the engine's searcher
-    print(f"service: {pair_count} pairs streamed to subscribers, "
-          f"{mid_ingest_searches} searches answered mid-ingest, "
-          f"{final_hits} hits once the stream drained")
 
 
 if __name__ == "__main__":

@@ -94,7 +94,7 @@ from repro.session import (
     StreamPlan,
     TreeCollection,
 )
-from repro.stream import StreamingJoin, StreamJoinService, StreamStats
+from repro.stream import StreamingJoin, StreamStats
 from repro.ted import ted, ted_within
 from repro.tree import Tree, TreeNode, collection_stats, tree_stats
 
@@ -119,7 +119,6 @@ __all__ = [
     "StreamPlan",
     # joins
     "StreamingJoin",
-    "StreamJoinService",
     "StreamStats",
     "partsj_join",
     "PartSJConfig",

@@ -22,7 +22,6 @@ from __future__ import annotations
 __all__ = [
     "JOIN_EXTRA_COUNTERS",
     "STREAM_EXTRA_COUNTERS",
-    "BENCH_EXTRA_COUNTERS",
     "EXTRA_COUNTER_KEYS",
     "METRIC_FAMILIES",
 ]
@@ -99,18 +98,11 @@ STREAM_EXTRA_COUNTERS: dict[str, str] = {
     "wal": "write-ahead log counters (nested dict)",
 }
 
-# -- benchmark harness extras (repro.bench) ---------------------------------
-BENCH_EXTRA_COUNTERS: dict[str, str] = {
-    "ingest_rate": "trees ingested per second of ingest wall",
-    "time_to_first_result": "seconds until the first streamed pair",
-    "reverse_candidates": "candidates among earlier, larger arrivals",
-}
-
 #: Every extra key a write site may use (the ``counter-registry`` rule's
 #: acceptance set).  Registering here is a *declaration*: exporters and
 #: ``explain()`` may rely on the name staying spelled exactly like this.
 EXTRA_COUNTER_KEYS: frozenset[str] = frozenset(
-    {**JOIN_EXTRA_COUNTERS, **STREAM_EXTRA_COUNTERS, **BENCH_EXTRA_COUNTERS}
+    {**JOIN_EXTRA_COUNTERS, **STREAM_EXTRA_COUNTERS}
 )
 
 # -- Prometheus families (repro.obs.metrics / repro.cli) --------------------

@@ -9,7 +9,7 @@ from repro.bench.experiments import (
     get_scale,
     run_experiment,
 )
-from repro.bench.harness import CellResult, run_cell, run_grid
+from repro.bench.harness import CellResult, run_cell
 from repro.bench.reporting import (
     candidates_table,
     format_table,
@@ -20,7 +20,6 @@ from repro.bench.reporting import (
 __all__ = [
     "CellResult",
     "run_cell",
-    "run_grid",
     "Scale",
     "SCALES",
     "get_scale",

@@ -2,16 +2,16 @@
 
 A *cell* is one bar/point of a figure: (dataset, method, x-value) →
 candidate-generation time, TED-verification time, candidate count, result
-count.  :func:`run_cell` executes one cell; :func:`run_grid` sweeps a
-parameter; the experiment definitions in :mod:`repro.bench.experiments`
-compose these into the paper's Figures 10-14.
+count.  :func:`run_cell` executes one cell; the experiment definitions
+in :mod:`repro.bench.experiments` compose cells into the paper's Figures
+10-14.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.join import PartSJConfig
 from repro.errors import InvalidParameterError
@@ -20,11 +20,10 @@ from repro.tree.node import Tree
 
 # Cells accept either raw trees (a fresh one-shot session per cell — the
 # cold-cache measurement the paper's figures want) or an existing
-# TreeCollection (a warm session shared across cells, e.g. one per
-# workload in run_grid).
+# TreeCollection (a warm session shared across cells).
 Workload = Union[Sequence[Tree], TreeCollection]
 
-__all__ = ["CellResult", "run_cell", "run_stream_cell", "run_grid", "METHOD_LABELS"]
+__all__ = ["CellResult", "run_cell", "METHOD_LABELS"]
 
 # Figure series names used by the paper, mapped to registry method names.
 METHOD_LABELS = {
@@ -149,84 +148,3 @@ def run_cell(
         workers=plan.workers,
         extra=dict(stats.extra),
     )
-
-
-def run_stream_cell(
-    experiment: str,
-    dataset: str,
-    trees: Sequence[Tree],
-    tau: int,
-    x_name: str,
-    x_value: object,
-    partsj_config: Optional[PartSJConfig] = None,
-) -> CellResult:
-    """Execute the streaming engine on one workload, fed in arrival order.
-
-    The streaming counterpart of :func:`run_cell` (series name ``PRT-S``):
-    the trees are ingested one at a time through
-    :class:`repro.stream.StreamingJoin` and the cell records, besides the
-    batch-comparable phase metrics, the streaming-specific columns in
-    ``extra`` — ``ingest_rate`` (trees per second of ingest wall time)
-    and ``time_to_first_result`` (seconds until the first verified pair,
-    ``None`` when the join is empty) — which
-    :func:`repro.bench.reporting.stream_table` renders.
-    """
-    from repro.stream import StreamingJoin
-
-    started = time.perf_counter()
-    first: Optional[float] = None
-    with StreamingJoin(tau, config=partsj_config) as join:
-        for tree in trees:
-            if join.add(tree) and first is None:
-                first = time.perf_counter() - started
-        wall = time.perf_counter() - started
-        stats = join.stats()
-        results = len(join.results())
-    extra = dict(stats.extra)
-    extra["ingest_rate"] = round(stats.ingest_rate, 1)
-    extra["time_to_first_result"] = (
-        round(first, 4) if first is not None else None
-    )
-    extra["reverse_candidates"] = stats.reverse_candidates
-    return CellResult(
-        experiment=experiment,
-        dataset=dataset,
-        method="PRT-S",
-        x_name=x_name,
-        x_value=x_value,
-        candidate_time=stats.ingest_time,
-        verify_time=stats.verify_time,
-        candidates=stats.candidates,
-        results=results,
-        ted_calls=extra.get("ted_calls", 0),
-        wall_time=wall,
-        extra=extra,
-    )
-
-
-def run_grid(
-    experiment: str,
-    dataset: str,
-    workloads: Sequence[tuple[object, Sequence[Tree], int]],
-    methods: Sequence[str],
-    x_name: str,
-    partsj_config: Optional[PartSJConfig] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: int = 1,
-) -> list[CellResult]:
-    """Run every method over a sequence of ``(x_value, trees, tau)`` workloads."""
-    cells: list[CellResult] = []
-    for x_value, trees, tau in workloads:
-        for method in methods:
-            if progress is not None:
-                progress(
-                    f"[{experiment}/{dataset}] {method} {x_name}={x_value} "
-                    f"(n={len(trees)}, tau={tau})"
-                )
-            cells.append(
-                run_cell(
-                    experiment, dataset, trees, tau, method,
-                    x_name, x_value, partsj_config, workers=workers,
-                )
-            )
-    return cells

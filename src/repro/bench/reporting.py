@@ -18,7 +18,6 @@ from repro.bench.harness import CellResult
 __all__ = [
     "runtime_table",
     "candidates_table",
-    "stream_table",
     "format_table",
     "render_figure",
 ]
@@ -100,43 +99,6 @@ def runtime_table(cells: Sequence[CellResult], dataset: str) -> str:
     ]
     if parallel:
         headers += ["workers", "wall (s)"]
-    return format_table(headers, rows)
-
-
-def stream_table(cells: Sequence[CellResult], dataset: str) -> str:
-    """Streaming-ingestion view: throughput and latency per x-value.
-
-    Renders the cells of :func:`repro.bench.harness.run_stream_cell`
-    (series ``PRT-S``) with the two columns batch cells cannot have —
-    **ingest throughput** (trees per second through the engine) and
-    **time to first result** (seconds until the first verified pair was
-    yielded; the batch pipeline's equivalent is its entire wall time) —
-    next to the comparable wall/result counts.
-    """
-    subset = [
-        c for c in cells
-        if c.dataset == dataset and "ingest_rate" in c.extra
-    ]
-    x_name = subset[0].x_name if subset else "x"
-    rows = []
-    for x_value in _sorted_x(subset):
-        for cell in subset:
-            if cell.x_value != x_value:
-                continue
-            first = cell.extra.get("time_to_first_result")
-            rows.append([
-                x_value,
-                cell.method,
-                f"{cell.extra['ingest_rate']:.0f}",
-                f"{first:.4f}" if first is not None else "n/a",
-                f"{cell.wall_time:.3f}",
-                cell.candidates,
-                cell.results,
-            ])
-    headers = [
-        x_name, "method", "ingest (trees/s)", "first result (s)",
-        "wall (s)", "candidates", "results",
-    ]
     return format_table(headers, rows)
 
 

@@ -25,8 +25,8 @@ Metric names follow the Prometheus conventions (``repro_`` prefix,
 - ``repro_stream_quarantined_trees_total`` — malformed arrivals skipped
 - ``repro_stream_wall_seconds{phase=ingest|verify}``
 
-A module-level default registry (:func:`get_registry`) serves the CLI
-and the streaming service; tests build private registries.
+A module-level default registry (:func:`get_registry`) receives every
+executed ``JoinPlan.run()``; the CLI and tests build private registries.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ _default_lock = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (CLI, streaming service)."""
+    """The process-wide default registry, which ``JoinPlan.run()`` feeds."""
     return _default_registry
 
 

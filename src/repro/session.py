@@ -145,10 +145,10 @@ path runs through a shared no-op tracer whose ``span()`` is a constant
 context manager.
 
 - **Tracing** — pass ``trace=repro.Tracer()`` to any plan's ``run()``
-  (or ``tracer=`` to :class:`~repro.stream.engine.StreamingJoin` /
-  :class:`~repro.stream.service.StreamJoinService`), then export the
-  finished spans with :func:`repro.obs.write_jsonl` or render them with
-  :func:`repro.obs.format_span_tree`.  Span names are a contract:
+  (or ``tracer=`` to :class:`~repro.stream.engine.StreamingJoin`), then
+  export the finished spans with :func:`repro.obs.write_jsonl` or render
+  them with :func:`repro.obs.format_span_tree`.  Span names are a
+  contract:
 
   - ``join`` — one per executed join (attrs: ``method``, ``tau``,
     ``workers``, ``trees``, ``results``);
@@ -172,8 +172,9 @@ context manager.
 
 - **Metrics** — every executed ``JoinPlan.run()`` publishes into the
   process-wide :class:`~repro.obs.metrics.MetricsRegistry`
-  (:func:`repro.obs.get_registry`); ``StreamJoinService.stats()`` and
-  ``close()`` fan out ``StreamStats`` the same way.  Families:
+  (:func:`repro.obs.get_registry`); :func:`repro.obs.publish_stream_stats`
+  folds a ``StreamStats`` into a registry (the CLI's ``stats --stream
+  --metrics`` does).  Families:
   ``repro_join_runs_total``, ``repro_join_trees_total``,
   ``repro_join_candidates_total``, ``repro_join_results_total``,
   ``repro_join_ted_calls_total``, ``repro_join_pairs_considered_total``

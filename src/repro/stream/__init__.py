@@ -1,4 +1,4 @@
-"""``repro.stream``: incremental ingestion and the warm-index search service.
+"""``repro.stream``: incremental ingestion and warm-index search.
 
 The batch pipeline assumes the whole collection up front; this package
 refactors it into an engine that consumes a **stream** of trees and
@@ -20,22 +20,20 @@ serves queries from the live index:
   search view over the engine's warm index (no rebuild;
   :class:`repro.search.SimilaritySearcher`'s search over the streaming
   state).
-- :mod:`~repro.stream.service` — :class:`StreamJoinService`, the asyncio
-  front end multiplexing concurrent ingest, search, and result
-  subscriptions over one engine.
 
 Entry points: :class:`repro.session.StreamPlan` (generator API), the CLI's
 ``join --stream`` / ``stats --stream`` (newline-delimited bracket trees
-or NDJSON on stdin), or the classes above directly.
+or NDJSON on stdin), or the classes above directly.  An engine is not
+safe against concurrent calls, so an async server serializes its calls
+to one engine, e.g. with one ``asyncio.Lock`` around
+``asyncio.to_thread(engine.add, tree)``.
 """
 
 from repro.stream.engine import StreamingJoin, StreamStats
 from repro.stream.searcher import StreamSearcher
-from repro.stream.service import StreamJoinService
 
 __all__ = [
     "StreamingJoin",
     "StreamStats",
     "StreamSearcher",
-    "StreamJoinService",
 ]

@@ -5,9 +5,7 @@
 live structures instead — its index, record store, small pool and
 interner — and therefore always answers over exactly the ingested prefix,
 with no rebuild and no copy.  Ingesting more trees between two queries
-is the whole point: the index is warm, queries are cheap, and
-:class:`repro.stream.service.StreamJoinService` serves them beside
-ingestion.
+is the whole point: the index is warm and queries are cheap.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ class StreamSearcher(SimilaritySearcher):
     references, not copies: queries interleaved with ingestion see every
     tree whose :meth:`~repro.stream.engine.StreamingJoin.add` completed.
     (Like the engine itself, it is not safe against *concurrent* mutation
-    from another thread — the asyncio service serializes for you.)
+    from another thread: serialize calls to the engine and its searcher.)
     """
 
     def __init__(self, join: "StreamingJoin"):

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.bench.harness import METHOD_LABELS, CellResult, run_cell, run_grid
+from repro.bench.harness import METHOD_LABELS, run_cell
+from repro.core.join import PartSJConfig
 from repro.errors import InvalidParameterError
+from repro.session import TreeCollection
 from tests.conftest import make_cluster_forest
 
 
@@ -66,40 +68,42 @@ class TestRunCell:
         assert banded.results == full.results
 
 
-class TestRunGrid:
-    def test_grid_covers_workloads_and_methods(self, forest):
-        workloads = [(1, forest, 1), (2, forest, 2)]
-        seen = []
-        cells = run_grid(
-            "exp", "tiny", workloads, ("PRT", "REL"), "tau",
-            progress=seen.append,
+class TestCellMatchesSession:
+    @pytest.mark.parametrize("tau", (0, 1, 2, 3))
+    def test_counts_equal_a_session_join(self, forest, tau):
+        cell = run_cell("exp", "tiny", forest, tau, "PRT", "tau", tau)
+        stats = TreeCollection.from_trees(forest).join(tau).run().stats
+        assert (cell.results, cell.candidates, cell.ted_calls) == (
+            stats.results, stats.candidates, stats.ted_calls,
         )
-        assert len(cells) == 4
-        assert len(seen) == 4
-        assert {(c.x_value, c.method) for c in cells} == {
-            (1, "PRT"), (1, "REL"), (2, "PRT"), (2, "REL"),
-        }
 
+    @pytest.mark.parametrize("method", sorted(METHOD_LABELS))
+    def test_collection_workload_matches_raw_trees(self, forest, method):
+        cold = run_cell("e", "d", forest, 2, method, "tau", 2)
+        warm = run_cell(
+            "e", "d", TreeCollection.from_trees(forest), 2, method, "tau", 2
+        )
+        counts = ("results", "candidates", "ted_calls")
+        assert [getattr(warm, k) for k in counts] == [
+            getattr(cold, k) for k in counts
+        ]
 
-class TestRunStreamCell:
-    def test_streaming_cell_matches_batch_results(self, forest):
-        from repro.bench.harness import run_stream_cell
+    def test_partsj_config_reaches_the_join(self, forest):
+        # At tau 1 on this forest the postorder filter prunes a candidate.
+        off = PartSJConfig(postorder_filter="off")
+        default = run_cell("e", "d", forest, 1, "PRT", "tau", 1)
+        unfiltered = run_cell(
+            "e", "d", forest, 1, "PRT", "tau", 1, partsj_config=off
+        )
+        session = TreeCollection.from_trees(forest).join(1, config=off).run()
+        assert unfiltered.candidates == session.stats.candidates
+        assert unfiltered.candidates > default.candidates
+        assert unfiltered.results == default.results
 
-        batch = run_cell("exp", "tiny", forest, 2, "PRT", "tau", 2)
-        cell = run_stream_cell("exp", "tiny", forest, 2, "tau", 2)
-        assert cell.method == "PRT-S"
-        assert cell.results == batch.results
-        assert cell.candidates == batch.candidates
-        assert cell.wall_time > 0
-        assert cell.extra["ingest_rate"] > 0
-        if cell.results:
-            # The first pair must land before the stream finished.
-            assert 0 < cell.extra["time_to_first_result"] <= cell.wall_time
-        assert cell.extra["ted_calls"] >= 0
-
-    def test_empty_stream_has_no_first_result(self):
-        from repro.bench.harness import run_stream_cell
-
-        cell = run_stream_cell("exp", "tiny", [], 1, "tau", 1)
-        assert cell.results == 0
-        assert cell.extra["time_to_first_result"] is None
+    def test_cell_records_its_axis(self, forest):
+        cell = run_cell("fig12", "swissprot", forest, 1, "SET",
+                        "cardinality", 6)
+        payload = cell.as_dict()
+        assert [payload[k] for k in (
+            "experiment", "dataset", "method", "x_name", "x_value",
+        )] == ["fig12", "swissprot", "SET", "cardinality", 6]

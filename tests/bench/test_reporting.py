@@ -1,5 +1,9 @@
 """Tests for benchmark table rendering (repro.bench.reporting)."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.bench.harness import CellResult
 from repro.bench.reporting import (
     candidates_table,
@@ -70,22 +74,57 @@ class TestFigureTables:
         assert "-- dataset: d2 --" in text
 
 
-class TestStreamTable:
-    def test_stream_columns(self):
-        from repro.bench.harness import run_stream_cell
-        from repro.bench.reporting import stream_table
-        import random
-        from tests.conftest import make_cluster_forest
+def columns(line):
+    return [value.strip() for value in line.strip("|").split("|")]
 
-        rng = random.Random(3)
-        forest = make_cluster_forest(
-            rng, clusters=2, cluster_size=3, base_size=8, max_edits=2
-        )
-        cells = [run_stream_cell("exp", "tiny", forest, tau, "tau", tau)
-                 for tau in (1, 2)]
-        table = stream_table(cells, "tiny")
-        assert "ingest (trees/s)" in table
-        assert "first result (s)" in table
-        assert "PRT-S" in table
-        # One row per tau plus header/separator.
-        assert len(table.splitlines()) == 4
+
+class TestRuntimeTable:
+    def test_row_splits_the_times(self):
+        row = runtime_table([cell("PRT", 1)], "ds").splitlines()[2]
+        assert columns(row) == [
+            "1", "PRT", "0.500", "0.000", "0.000", "1.500", "2.000",
+        ]
+
+    def test_serial_cells_have_no_parallel_columns(self):
+        header = runtime_table([cell("PRT", 1), cell("STR", 1)], "ds")
+        assert "workers" not in header
+        assert "wall (s)" not in header
+
+    def test_parallel_cell_adds_workers_and_wall(self):
+        cells = [cell("PRT", 1), replace(cell("PRT", 2), workers=4)]
+        lines = runtime_table(cells, "ds").splitlines()
+        assert columns(lines[0])[-2:] == ["workers", "wall (s)"]
+        assert columns(lines[2])[-2:] == ["1", "2.100"]
+        assert columns(lines[3])[-2:] == ["4", "2.100"]
+
+
+class TestTableLayout:
+    def test_x_values_keep_first_seen_order(self):
+        cells = [cell("PRT", 3), cell("PRT", 1), cell("PRT", 2)]
+        for render in (runtime_table, candidates_table):
+            rows = render(cells, "ds").splitlines()[2:]
+            assert [columns(row)[0] for row in rows] == ["3", "1", "2"]
+
+    def test_header_names_the_swept_parameter(self):
+        cells = [replace(cell("PRT", 100), x_name="cardinality")]
+        for render in (runtime_table, candidates_table):
+            assert columns(render(cells, "ds").splitlines()[0])[0] == (
+                "cardinality"
+            )
+
+    @pytest.mark.parametrize("render", [runtime_table, candidates_table])
+    def test_absent_dataset_renders_the_header_only(self, render):
+        lines = render([cell("PRT", 1)], "other").splitlines()
+        assert len(lines) == 2
+        assert columns(lines[0])[0] == "x"
+
+    @pytest.mark.parametrize(
+        "kind, has_runtime, has_candidates",
+        [("both", True, True), ("runtime", True, False),
+         ("candidates", False, True)],
+    )
+    def test_render_figure_kind(self, kind, has_runtime, has_candidates):
+        cells = [cell("PRT", 1)]
+        text = render_figure("F", cells, kind=kind)
+        assert (runtime_table(cells, "ds") in text) == has_runtime
+        assert (candidates_table(cells, "ds") in text) == has_candidates

@@ -5,17 +5,15 @@ syncs / recovery and snapshot save / load, while pairs and stats stay
 bit-identical with tracing on or off.
 """
 
-import asyncio
 import random
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, publish_stream_stats
 from repro.obs.trace import Tracer
 from repro.persist.snapshot import load_collection, save_collection
 from repro.session import TreeCollection
 from repro.stream.engine import StreamingJoin
-from repro.stream.service import StreamJoinService
 from tests.conftest import make_cluster_forest
 
 
@@ -111,39 +109,27 @@ class TestSnapshotTracing:
         assert len(load_collection(path)) == len(arrivals)
 
 
-class TestServiceMetricsFanOut:
-    def test_stats_publishes_into_registry(self, arrivals):
-        async def scenario():
-            registry = MetricsRegistry()
-            async with StreamJoinService(tau=1, registry=registry) as service:
-                await service.ingest_many(arrivals)
-                snapshot = await service.stats()
-            return registry, snapshot
+class TestEngineObservability:
+    def test_each_flush_and_the_first_close_record_one_span(self, arrivals):
+        tracer = Tracer()
+        join = StreamingJoin(1, tracer=tracer)
+        join.add_many(arrivals[:3])
+        join.flush()
+        join.flush()
+        join.close()
+        join.close()  # already closed: no second flush
+        names = [span.name for span in tracer.finished()]
+        assert names.count("stream.flush") == 3
 
-        registry, snapshot = asyncio.run(scenario())
-        snap = registry.snapshot()
-        assert snap["repro_stream_trees"][()] == snapshot.trees
-        # stats() once + the final close() publish
-        assert snap["repro_stream_snapshots_total"][()] == 2
-
-    def test_close_publishes_even_without_stats_calls(self, arrivals):
-        async def scenario():
-            registry = MetricsRegistry()
-            async with StreamJoinService(tau=1, registry=registry) as service:
-                await service.ingest(arrivals[0])
-            return registry
-
-        registry = asyncio.run(scenario())
-        assert registry.snapshot()["repro_stream_snapshots_total"][()] == 1
-
-    def test_service_threads_tracer_to_engine(self, arrivals):
-        async def scenario():
-            tracer = Tracer()
-            service = StreamJoinService(tau=1, tracer=tracer)
-            await service.ingest_many(arrivals[:3])
-            await service.flush()
-            await service.close()
-            return tracer
-
-        tracer = asyncio.run(scenario())
-        assert any(s.name == "stream.flush" for s in tracer.finished())
+    def test_publishing_each_arrival_tracks_the_engine(self, arrivals):
+        registry = MetricsRegistry()
+        with StreamingJoin(1) as join:
+            for tree in arrivals:
+                join.add(tree)
+                stats = join.stats()
+                publish_stream_stats(stats, registry=registry)
+                snap = registry.snapshot()
+                assert snap["repro_stream_trees"][()] == len(join)
+                assert snap["repro_stream_results"][()] == len(join.pairs)
+                assert snap["repro_stream_candidates"][()] == stats.candidates
+        assert snap["repro_stream_snapshots_total"][()] == len(arrivals)

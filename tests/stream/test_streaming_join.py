@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.baselines.nested_loop import nested_loop_join
 from repro.core.join import PartSJConfig, partsj_join
 from repro.errors import InvalidParameterError
+from repro.persist.wal import scan_wal
 from repro.session import StreamPlan, TreeCollection
 from repro.stream import StreamingJoin
 from repro.tree.node import Tree
@@ -294,3 +295,151 @@ class TestStreamStats:
         payload = stats.as_dict()
         assert payload["trees"] == len(trees)
         assert "ingest_rate" in payload and "extra" in payload
+
+    def test_empty_engine_snapshot(self):
+        stats = StreamingJoin(1).stats()
+        assert (stats.trees, stats.results, stats.candidates) == (0, 0, 0)
+        assert (stats.index_subgraphs, stats.small_pool) == (0, 0)
+        assert stats.ingest_rate == 0.0
+        assert stats.as_dict()["ingest_rate"] == 0.0
+
+
+class TestArrivalPairs:
+    @pytest.mark.parametrize("tau", (0, 1, 2, 3))
+    def test_add_returns_make_up_the_discovery_order(self, tau):
+        # Each add() returns only pairs whose larger index is the arrival;
+        # in arrival order they are exactly ``pairs``, and sorted they are
+        # ``results()``.
+        trees = make_stream_workload(18)
+        join = StreamingJoin(tau)
+        returned = []
+        for k, tree in enumerate(trees):
+            found = join.add(tree)
+            assert all(p.i < p.j == k for p in found), k
+            returned.extend(found)
+        assert triples(join.pairs) == triples(returned)
+        assert triples(join.results()) == sorted(triples(returned))
+        assert join.stats().results == len(returned)
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("fsync", (None, "always", "batch", "never"))
+    def test_close_is_idempotent(self, tmp_path, fsync):
+        trees = make_stream_workload(15)
+        wal = tmp_path / "stream.wal"
+        options = {} if fsync is None else {
+            "wal": str(wal), "wal_fsync": fsync,
+        }
+        join = StreamingJoin(2, **options)
+        join.add_many(trees)
+        join.close()
+        join.close()
+        with pytest.raises(InvalidParameterError, match="closed"):
+            join.add(trees[0])
+        if fsync is not None:
+            logged = scan_wal(wal)["brackets"]
+            assert logged == [tree.to_bracket() for tree in trees]
+
+    def test_read_accessors_survive_close(self):
+        trees = make_stream_workload(16)
+        join = StreamingJoin(2)
+        join.add_many(trees)
+        join.close()
+        batch = batch_join(trees, 2)
+        assert triples(join.results()) == triples(batch.pairs)
+        assert sorted(triples(join.pairs)) == triples(batch.pairs)
+        assert join.stats().trees == len(join) == len(trees)
+        query = trees[0]
+        hits = join.searcher().search(query)
+        expected = TreeCollection.from_trees(trees).search(query, 2).run()
+        assert [(h.index, h.distance) for h in hits] == [
+            (h.index, h.distance) for h in expected
+        ]
+
+    def test_closed_engine_rejects_add_many_and_keeps_its_state(self):
+        join = StreamingJoin(1)
+        join.add(Tree.from_bracket("{a{b}}"))
+        join.close()
+        with pytest.raises(InvalidParameterError, match="closed"):
+            join.add_many([Tree.from_bracket("{a}"), Tree.from_bracket("{b}")])
+        assert len(join) == join.stats().trees == 1
+
+    def test_context_manager_closes_on_error(self, tmp_path):
+        wal = tmp_path / "stream.wal"
+        trees = make_stream_workload(17)[:5]
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            with StreamingJoin(1, wal=str(wal)) as join:
+                join.add_many(trees)
+                raise RuntimeError("consumer failed")
+        with pytest.raises(InvalidParameterError, match="closed"):
+            join.add(trees[0])
+        # close() synced the log under the default "batch" policy.
+        assert scan_wal(wal)["brackets"] == [t.to_bracket() for t in trees]
+
+    @pytest.mark.parametrize(
+        "item", ["{a{b}}", 42, None, object()],
+        ids=["bracket", "int", "none", "object"],
+    )
+    def test_rejected_add_changes_nothing(self, tmp_path, item):
+        wal = tmp_path / "stream.wal"
+        with StreamingJoin(1, wal=str(wal)) as join:
+            join.add(Tree.from_bracket("{a{b}}"))
+            with pytest.raises(InvalidParameterError,
+                               match=type(item).__name__):
+                join.add(item)
+            assert len(join) == join.stats().trees == 1
+        # The type check runs before the write-ahead append.
+        assert scan_wal(wal)["brackets"] == ["{a{b}}"]
+
+
+class TestQuarantine:
+    def test_record_quarantine_counts_and_logs(self):
+        join = StreamingJoin(1)
+        join.add(Tree.from_bracket("{a{b}}"))
+        join.record_quarantine(ValueError("bad bracket"), source="line 2")
+        join.record_quarantine("not a tree")
+        stats = join.stats()
+        assert stats.trees == 1
+        assert stats.quarantined_trees == 2
+        assert stats.extra["quarantine_log"] == [
+            {"error": "bad bracket", "source": "line 2"},
+            {"error": "not a tree"},
+        ]
+        assert stats.as_dict()["quarantined_trees"] == 2
+
+    def test_log_keeps_the_first_32_errors(self):
+        join = StreamingJoin(1)
+        for k in range(40):
+            join.record_quarantine(f"error {k}")
+        stats = join.stats()
+        assert stats.quarantined_trees == 40
+        assert [entry["error"] for entry in stats.extra["quarantine_log"]] == [
+            f"error {k}" for k in range(32)
+        ]
+
+    def test_clean_stream_has_no_log(self):
+        join = StreamingJoin(2)
+        join.add_many(make_stream_workload(19))
+        stats = join.stats()
+        assert stats.quarantined_trees == 0
+        assert "quarantine_log" not in stats.extra
+
+    def test_snapshot_log_is_a_copy(self):
+        join = StreamingJoin(1)
+        join.record_quarantine("first")
+        join.stats().extra["quarantine_log"].append({"error": "forged"})
+        assert join.stats().extra["quarantine_log"] == [{"error": "first"}]
+
+    def test_skips_leave_pairs_and_positions_alone(self):
+        # A skipped item takes no arrival position: pair indices still
+        # match a batch join over the trees that did arrive.
+        trees = make_stream_workload(20)
+        join = StreamingJoin(2)
+        for k, tree in enumerate(trees):
+            if k % 3 == 0:
+                join.record_quarantine("skipped", source=f"item {k}")
+            join.add(tree)
+        assert triples(join.results()) == triples(batch_join(trees, 2).pairs)
+        stats = join.stats()
+        assert stats.trees == len(trees)
+        assert stats.quarantined_trees == len(range(0, len(trees), 3))

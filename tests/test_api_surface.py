@@ -27,7 +27,7 @@ EXPECTED_EXPORTS = {
     "TreeCollection", "QueryPlan", "JoinPlan", "RSJoinPlan",
     "SearchPlan", "StreamPlan",
     # joins
-    "StreamingJoin", "StreamJoinService", "StreamStats",
+    "StreamingJoin", "StreamStats",
     "partsj_join", "PartSJConfig", "MatchSemantics",
     "PostorderFilter", "InvertedSizeIndex", "nested_loop_join",
     "str_join", "set_join", "histogram_join",

@@ -19,7 +19,6 @@ MODULE_NAMES = [
     "repro.baselines.str_join",
     "repro.baselines.set_join",
     "repro.baselines.histogram_join",
-    "repro.extras.pqgram",
 ]
 
 

@@ -1,9 +1,11 @@
-"""The library never imports numpy or the linter.
+"""The library never imports numpy, the linter or an async stack.
 
 Run in a fresh interpreter, because the test process itself may have
-numpy loaded by a plugin: a batch join, a ``workers=2`` join, a search
-and a short stream must all finish with ``numpy`` and every
-``repro.analysis`` module absent from ``sys.modules``.
+these loaded by a plugin.  ``import repro`` must leave ``asyncio``,
+``ssl`` and ``multiprocessing`` unloaded.  A batch join, a ``workers=2``
+join, a search and a short stream must then all finish with ``numpy``,
+``asyncio``, ``ssl`` and every ``repro.analysis`` module absent from
+``sys.modules``.
 """
 
 import os
@@ -19,6 +21,10 @@ import sys
 from repro import StreamingJoin, TreeCollection
 from repro.datasets.synthetic import generate_forest
 
+loaded = [name for name in ("asyncio", "ssl", "multiprocessing")
+          if name in sys.modules]
+assert not loaded, f"import repro loaded {loaded}"
+
 trees = generate_forest(30, seed=7)
 trees += [tree.copy() for tree in trees[:6]]
 col = TreeCollection.from_trees(trees)
@@ -30,6 +36,8 @@ for tree in trees[:10]:
     stream.add(tree)
 stream.flush()
 assert "numpy" not in sys.modules, "numpy was imported"
+loaded = [name for name in ("asyncio", "ssl") if name in sys.modules]
+assert not loaded, f"a join, search or stream loaded {loaded}"
 linter = sorted(name for name in sys.modules
                 if name == "repro.analysis" or name.startswith("repro.analysis."))
 assert not linter, f"the linter was imported: {linter}"
